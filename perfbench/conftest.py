@@ -1,0 +1,8 @@
+"""Self-tests import the benchmark modules and fracsmooth from ./src."""
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for path in (HERE, os.path.join(os.path.dirname(HERE), "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
