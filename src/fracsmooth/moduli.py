@@ -2,8 +2,15 @@
 
 The classical modulus takes a sup over step sizes and is evaluated by a
 grid maximum plus local golden-section polish.  The integral modulus
-averages the difference norm over steps (Gauss-Legendre in delta).  The
-linearized and double-averaged moduli never integrate differences
+averages the difference norm over steps (Gauss-Legendre in delta).  Both
+evaluate their step grid in one batched call, ``_diff_norms``: the
+(steps x frequencies) symbol matrix of the difference times the
+coefficients, then one row-wise FFT and the row norms (``lp_norms``).
+The steps go in blocks of at most ``_BLOCK_ELEMS`` grid values, so a
+high degree never allocates the whole (steps x grid) matrix at once.
+Each value is bit for bit ``lp_norm(apply_diff(f, beta, delta), norm)``.
+
+The linearized and double-averaged moduli never integrate differences
 numerically: averaging a fractional difference over the step is exactly
 a Fourier multiplier, so their values come from kernel symbols.
 
@@ -20,6 +27,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -27,11 +35,15 @@ from numpy.polynomial.legendre import leggauss
 from ._util import fmt17, golden_max
 from .approx import near_best_error
 from .errors import InvalidArgumentError, UnsupportedParameterError
-from .fracdiff import apply_diff
+from .fracdiff import symbol_values
 from .kernel import psi_many
-from .signal import NormParams, TrigPoly, lp_norm
+from .signal import NormParams, TrigPoly, grid_size, lp_norm, lp_norms
 
 log = logging.getLogger(__name__)
+
+# grid values (steps x grid points) of one block of ``_diff_norms``; every
+# step grid of the default corpus (degree <= 16) fits in one block
+_BLOCK_ELEMS = 1 << 18
 
 CSV_HEADER = ("fid", "beta", "alpha", "h", "p", "omega", "w",
               "omega_tilde", "omega_star", "r_w", "r_tilde", "r_star")
@@ -72,31 +84,52 @@ class ModulusRequest:
                     "beta - alpha must be a nonnegative integer")
 
 
-def _diff_norm(f: TrigPoly, beta: float, delta: float,
-               norm: NormParams) -> float:
-    return lp_norm(apply_diff(f, beta, delta), norm)
+def _diff_norms(f: TrigPoly, beta: float, deltas,
+                norm: NormParams) -> np.ndarray:
+    """||D_delta^beta f||_p for every step delta in ``deltas``.
+
+    Per block of steps: the symbol matrix of the difference (one row per
+    step) times the coefficients, then ``lp_norms`` of the rows.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    rows = max(1, _BLOCK_ELEMS // grid_size(f.degree, norm))
+    out = np.empty(deltas.size)
+    for lo in range(0, deltas.size, rows):
+        sym = symbol_values(beta, deltas[lo:lo + rows, None], f.freqs)
+        out[lo:lo + rows] = lp_norms(f.coeffs * sym, norm)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     """sup over steps delta in (0, h] of the difference norm.
 
-    Grid maximum over ``delta_grid`` uniform steps, then golden-section
-    refinement in the cell around the discrete argmax.  The polish is
-    local — no global unimodality is assumed.
+    Grid maximum over ``delta_grid`` uniform steps, evaluated together by
+    ``_diff_norms`` (one symbol matrix and one row-wise FFT per block of
+    at most ``_BLOCK_ELEMS`` grid values), then golden-section refinement
+    in the cell around the discrete argmax, one step per call.  The
+    polish is local — no global unimodality is assumed.
     """
     if req.alpha is not None:
         raise InvalidArgumentError("alpha does not apply to this modulus")
     grid = int(req.delta_grid)
     deltas = np.linspace(req.h / grid, req.h, grid)
-    vals = [_diff_norm(f, req.beta, float(d), req.norm) for d in deltas]
+    vals = _diff_norms(f, req.beta, deltas, req.norm)
     i = int(np.argmax(vals))
-    best = vals[i]
+    best = float(vals[i])
     lo = deltas[i - 1] if i > 0 else deltas[0]
     hi = deltas[i + 1] if i + 1 < grid else deltas[-1]
     if hi > lo:
         _, refined = golden_max(
-            lambda d: _diff_norm(f, req.beta, d, req.norm), lo, hi,
-            iterations=20)
+            lambda d: float(_diff_norms(f, req.beta, [d], req.norm)[0]),
+            lo, hi, iterations=20)
         best = max(best, refined)
     return float(best)
 
@@ -104,17 +137,22 @@ def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
 def integral_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     """((1/h) integral of ||diff||_p^p1 over (0, h))^(1/p1), p1 = min(1, p).
 
-    Gauss-Legendre of order ``quad_order`` mapped onto (0, h).
+    Gauss-Legendre of order ``quad_order`` mapped onto (0, h); the nodes
+    are computed once per order, and the difference norms at all of them
+    come from one ``_diff_norms`` call, in blocks of at most
+    ``_BLOCK_ELEMS`` grid values like the classical grid.
     """
     if req.alpha is not None:
         raise InvalidArgumentError("alpha does not apply to this modulus")
-    nodes, weights = leggauss(int(req.quad_order))
+    nodes, weights = _gauss_legendre(int(req.quad_order))
     deltas = 0.5 * req.h * (nodes + 1.0)
     scale = 0.5  # (1/h) * (h/2): the affine map's Jacobian over the mean
     p1 = req.norm.p1
+    vals = _diff_norms(f, req.beta, deltas, req.norm).tolist()
     acc = 0.0
-    for d, w in zip(deltas, weights):
-        acc += w * _diff_norm(f, req.beta, float(d), req.norm) ** p1
+    # summed node by node: a dot product would round differently
+    for v, w in zip(vals, weights):
+        acc += w * v ** p1
     return float((scale * acc) ** (1.0 / p1))
 
 
@@ -216,8 +254,11 @@ def _scan_row(fid: str, f: TrigPoly, beta: float, h: float, p: float,
         omega = classical_modulus(f, base)
         w_val = integral_modulus(f, base)
         tilde = linearized_modulus(f, base)
-        star = star_modulus(
-            f, ModulusRequest(beta=beta, h=h, norm=norm, alpha=a))
+        # alpha = beta leaves one averaging symbol, the linearized one, so
+        # that value is reused bit for bit; the request is still built so
+        # that an invalid alpha fails the row
+        split = ModulusRequest(beta=beta, h=h, norm=norm, alpha=a)
+        star = tilde if a == beta else star_modulus(f, split)
         corrected = tilde + near_best_error(f, int(math.floor(1.0 / h)), p)
         return EquivReport(
             fid=fid, beta=beta, alpha=a, h=h, p=p,

@@ -112,6 +112,49 @@ def grid_values(f: TrigPoly, n: int) -> np.ndarray:
     return n * np.fft.ifft(spec)
 
 
+def grid_size(degree: int, params: NormParams) -> int:
+    """Points of the rectangle rule that the L_p norms use at this degree."""
+    return max(64, params.oversample * (2 * degree + 1))
+
+
+def lp_norms(coeffs, params: NormParams) -> np.ndarray:
+    """L_p norm of each polynomial whose coefficients c[-M..M] are a row
+    of the 2-D array ``coeffs``.
+
+    The rows are synthesised on the uniform grid of ``grid_size`` points
+    by one row-wise inverse FFT, in place, and each row is reduced by the
+    rectangle rule; ``lp_norm`` is the one-row case, so a batch of rows
+    gives bit for bit the values of one ``lp_norm`` call per row.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    rows, width = c.shape
+    degree = (width - 1) // 2
+    n = grid_size(degree, params)
+    spec = np.zeros((rows, n), dtype=complex)
+    spec[:, np.mod(np.arange(-degree, degree + 1), n)] = c
+    np.fft.ifft(spec, axis=1, out=spec)
+    spec *= n
+    vals = np.abs(spec)
+    p = params.p
+    if math.isinf(p):
+        j = np.argmax(vals, axis=1)
+        best = vals[np.arange(rows), j]
+        if params.refine:
+            half = TWO_PI / n
+            for r in range(rows):
+                f = TrigPoly(degree, c[r])
+                x0 = TWO_PI * int(j[r]) / n
+                _, ref = golden_max(
+                    lambda x: float(np.abs(evaluate(f, [x]))[0]),
+                    x0 - half, x0 + half)
+                best[r] = max(best[r], ref)
+        return best
+    vals **= p
+    # the root is taken row by row with the scalar power: NumPy's
+    # vectorised power loop can differ from it in the last bit
+    return np.array([m ** (1.0 / p) for m in np.mean(vals, axis=1)])
+
+
 def lp_norm(f: TrigPoly, params: NormParams) -> float:
     """L_p norm (quasi-norm for p < 1) on the circle.
 
@@ -119,22 +162,7 @@ def lp_norm(f: TrigPoly, params: NormParams) -> float:
     points; spectrally accurate away from zeros of f, and the documented
     tolerances of downstream consumers absorb the rest.
     """
-    n = max(64, params.oversample * (2 * f.degree + 1))
-    if n < 4:
-        raise InvalidArgumentError("degenerate quadrature grid")
-    vals = np.abs(grid_values(f, n))
-    if math.isinf(params.p):
-        j = int(np.argmax(vals))
-        best = float(vals[j])
-        if params.refine:
-            x0 = TWO_PI * j / n
-            half = TWO_PI / n
-            _, ref = golden_max(
-                lambda x: float(np.abs(evaluate(f, [x]))[0]),
-                x0 - half, x0 + half)
-            best = max(best, ref)
-        return best
-    return float(np.mean(vals ** params.p) ** (1.0 / params.p))
+    return float(lp_norms(f.coeffs[None, :], params)[0])
 
 
 def from_samples(values) -> TrigPoly:

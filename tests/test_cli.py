@@ -296,6 +296,14 @@ class TestEquiv:
         assert threaded.returncode == 0
         assert threaded.stdout == serial.stdout
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_full_corpus_threads_do_not_change_bytes(self, fmt):
+        runs = [run_cli("equiv", "--full-corpus", "--format", fmt,
+                        "--threads", threads) for threads in ("1", "2")]
+        assert all(res.returncode == 0 for res in runs)
+        assert len(runs[0].stdout.splitlines()) > 100
+        assert runs[1].stdout == runs[0].stdout
+
     def test_json_agrees_with_csv(self):
         args = ("equiv", "--fn", "exp:1", "--betas", "2.5",
                 "--hs", "0.2", "--ps", "2")

@@ -29,8 +29,10 @@ from fracsmooth import (
     write_report_csv,
     write_report_json,
 )
-from fracsmooth.moduli import _ratio
-from fracsmooth.signal import lp_norm
+from fracsmooth._util import golden_max
+from fracsmooth.fracdiff import apply_diff
+from fracsmooth.moduli import _BLOCK_ELEMS, _diff_norms, _ratio
+from fracsmooth.signal import grid_size, lp_norm
 
 
 def req(beta, h, p, **kw):
@@ -86,6 +88,83 @@ class TestClassical:
     def test_alpha_not_accepted(self):
         with pytest.raises(InvalidArgumentError):
             classical_modulus(E1, req(2.5, 0.5, 2, alpha=0.5))
+
+
+def scalar_norms(f, beta, deltas, norm):
+    """One public ``lp_norm(apply_diff(...))`` composition per step."""
+    return [lp_norm(apply_diff(f, beta, float(d)), norm) for d in deltas]
+
+
+def scalar_classical(f, r):
+    """The classical modulus with one scalar difference norm per step."""
+    grid = r.delta_grid
+    deltas = np.linspace(r.h / grid, r.h, grid)
+    vals = scalar_norms(f, r.beta, deltas, r.norm)
+    i = int(np.argmax(vals))
+    lo, hi = deltas[max(i - 1, 0)], deltas[min(i + 1, grid - 1)]
+    _, refined = golden_max(
+        lambda d: scalar_norms(f, r.beta, [d], r.norm)[0], lo, hi,
+        iterations=20)
+    return max(vals[i], refined)
+
+
+def scalar_integral(f, r):
+    """The integral modulus with one scalar difference norm per node."""
+    nodes, weights = np.polynomial.legendre.leggauss(r.quad_order)
+    deltas = 0.5 * r.h * (nodes + 1.0)
+    p1 = r.norm.p1
+    acc = 0.0
+    for d, w in zip(deltas, weights):
+        acc += w * scalar_norms(f, r.beta, [d], r.norm)[0] ** p1
+    return float((0.5 * acc) ** (1.0 / p1))
+
+
+class TestBatchedDiffNorms:
+    """The batched step grid gives bit for bit the scalar composition."""
+
+    NORMS = [NormParams(p=p, oversample=ov, refine=refine)
+             for p in (0.5, 1.0, 2.0, math.inf)
+             for ov in (1, 8)
+             for refine in ((False, True) if math.isinf(p) else (False,))]
+
+    def test_matches_scalar_composition_bitwise(self, corpus_members):
+        # the last steps sit on the lattice k delta = 0 mod 2 pi for
+        # every frequency, where the symbol is exactly 0
+        deltas = np.concatenate([np.linspace(0.02, 1.0, 24),
+                                 [2.0 * math.pi, 4.0 * math.pi]])
+        for fid, f in corpus_members:
+            for beta in (0.5, 2.5):
+                for norm in self.NORMS:
+                    got = _diff_norms(f, beta, deltas, norm).tolist()
+                    assert got == scalar_norms(f, beta, deltas, norm), \
+                        (fid, beta, norm)
+
+    def test_lattice_step_annihilates_single_mode(self):
+        # e_1 with h = 2 pi: the last grid step is 2 pi, where the
+        # difference vanishes identically
+        for norm in self.NORMS:
+            vals = _diff_norms(E1, 1.5, [math.pi, 2.0 * math.pi], norm)
+            assert vals[1] == 0.0 and vals[0] > 1.0
+            r = ModulusRequest(beta=1.5, h=2.0 * math.pi, norm=norm)
+            assert classical_modulus(E1, r) == scalar_classical(E1, r)
+
+    def test_several_row_blocks(self):
+        f = corpus("random_smooth", 1024, seed=4)
+        deltas = np.linspace(0.01, 0.5, 40)
+        for norm in (NormParams(p=0.5), NormParams(p=2.0),
+                     NormParams(p=math.inf)):
+            assert _BLOCK_ELEMS // grid_size(f.degree, norm) < deltas.size
+            got = _diff_norms(f, 1.5, deltas, norm).tolist()
+            assert got == scalar_norms(f, 1.5, deltas, norm), norm
+
+    def test_moduli_match_scalar_step_loops(self, corpus_members):
+        for fid, f in corpus_members[1:4]:
+            for norm in (NormParams(p=0.5), NormParams(p=2.0),
+                         NormParams(p=math.inf, refine=True)):
+                r = ModulusRequest(beta=2.5, h=0.7, norm=norm,
+                                   delta_grid=32, quad_order=16)
+                assert classical_modulus(f, r) == scalar_classical(f, r), fid
+                assert integral_modulus(f, r) == scalar_integral(f, r), fid
 
 
 class TestIntegral:
@@ -253,6 +332,27 @@ class TestScan:
 
     def test_thread_pool_matches_serial(self):
         assert self.small_scan(threads=3) == self.small_scan(threads=1)
+
+    def test_star_column_is_the_star_modulus(self, corpus_members):
+        # default_alpha gives alpha = beta at 0.5 and 1.0, where the scan
+        # reuses the linearized value, and alpha = 0.5 at 2.5
+        rows = equivalence_scan(corpus_members[:3], [0.5, 1.0, 2.5], [0.2],
+                                [1.0, math.inf])
+        fs = dict(corpus_members)
+        for r in rows:
+            star = star_modulus(fs[r.fid], req(r.beta, r.h, r.p,
+                                               alpha=r.alpha))
+            assert r.omega_star == star, r
+            if r.alpha == r.beta:
+                assert r.omega_star == r.omega_tilde, r
+
+    def test_invalid_alpha_equal_to_beta_fails_the_row(self):
+        # alpha = beta = 5 lies outside (0, 4]: the row fails although
+        # the star value itself would be the linearized one
+        rows = equivalence_scan([("exp:1", E1)], [5.0], [0.3], [2.0],
+                                alpha=5.0)
+        assert rows[0].error is not None and "(0, 4]" in rows[0].error
+        assert math.isnan(rows[0].omega_star)
 
     def test_failing_row_is_recorded_not_raised(self):
         rows = equivalence_scan([("exp:1", E1)], [1.0], [0.3], [0.5])

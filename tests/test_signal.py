@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracsmooth import InvalidArgumentError, NormParams, TrigPoly, corpus
-from fracsmooth.signal import evaluate, from_samples, grid_values, lp_norm
+from fracsmooth._util import golden_max
+from fracsmooth.signal import (evaluate, from_samples, grid_size, grid_values,
+                              lp_norm, lp_norms)
 
 PI = math.pi
 
@@ -90,6 +92,54 @@ class TestLpNorm:
         assert NormParams(p=0.5).p1 == 0.5
         assert NormParams(p=3.0).p1 == 1.0
         assert NormParams(p=math.inf).p1 == 1.0
+
+
+def _rectangle_rule(f, params):
+    """The norm spelled out from ``grid_values``: mean of |f|^p on the
+    grid (max for p = inf, polished by golden section when asked)."""
+    n = grid_size(f.degree, params)
+    vals = np.abs(grid_values(f, n))
+    if math.isinf(params.p):
+        j = int(np.argmax(vals))
+        best = float(vals[j])
+        if params.refine:
+            x0, half = 2 * PI * j / n, 2 * PI / n
+            _, ref = golden_max(
+                lambda x: float(np.abs(evaluate(f, [x]))[0]),
+                x0 - half, x0 + half)
+            best = max(best, ref)
+        return best
+    return float(np.mean(vals ** params.p) ** (1.0 / params.p))
+
+
+class TestLpNorms:
+    PARAMS = [NormParams(p=p, oversample=ov, refine=refine)
+              for p in (0.5, 1.0, 1.5, 2.0, 3.0, math.inf)
+              for ov in (1, 8)
+              for refine in ((False, True) if math.isinf(p) else (False,))]
+
+    def test_lp_norm_is_the_rectangle_rule_bitwise(self, corpus_members):
+        members = corpus_members + [("random:40:5",
+                                     corpus("random_smooth", 40, seed=5))]
+        for fid, f in members:
+            for params in self.PARAMS:
+                assert lp_norm(f, params) == _rectangle_rule(f, params), \
+                    (fid, params)
+
+    def test_rows_are_the_rectangle_rule_bitwise(self):
+        # enough rows for NumPy's vectorised loops to engage; at p = 1.5
+        # and 3 a vectorised root would differ from the scalar one
+        rng = np.random.default_rng(11)
+        rows = (rng.standard_normal((64, 21))
+                + 1j * rng.standard_normal((64, 21)))
+        for params in self.PARAMS:
+            want = [_rectangle_rule(TrigPoly(10, r), params) for r in rows]
+            assert lp_norms(rows, params).tolist() == want, params
+
+    def test_grid_size(self):
+        assert grid_size(0, NormParams(p=2.0)) == 64
+        assert grid_size(16, NormParams(p=2.0)) == 264
+        assert grid_size(16, NormParams(p=2.0, oversample=1)) == 64
 
 
 @settings(max_examples=100, deadline=None)
