@@ -132,7 +132,7 @@ def lp_norms(coeffs, params: NormParams) -> np.ndarray:
     n = grid_size(degree, params)
     spec = np.zeros((rows, n), dtype=complex)
     spec[:, np.mod(np.arange(-degree, degree + 1), n)] = c
-    np.fft.ifft(spec, axis=1, out=spec)
+    np.fft.ifft(spec, axis=1, out=spec)  # out= needs NumPy >= 2.0
     spec *= n
     vals = np.abs(spec)
     p = params.p
