@@ -3,8 +3,7 @@
 Classical, integral, and linearized moduli of smoothness of fractional
 order for trigonometric polynomials, the averaging kernel behind the
 linearized variant, its zero set, and the Fourier-multiplier machinery
-tying the variants together.  A compiled extension accelerates the hot
-kernels when available; ``backend_name()`` reports which core is active.
+tying the variants together.  The numerical core is pure NumPy.
 """
 from __future__ import annotations
 

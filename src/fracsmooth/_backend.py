@@ -1,28 +1,13 @@
-"""Backend selection: compiled kernels when available, NumPy otherwise.
+"""The numerical core: the NumPy kernels of ``_pykernels``.
 
-The environment variable ``FRACSMOOTH_BACKEND`` forces a choice:
-``compiled`` (error if the extension is missing), ``python``, or ``auto``
-(the default behaviour).
+There is one core.  This module and ``backend_name`` remain only because
+the benchmark in ``perfbench/`` binds the primitives through
+``fracsmooth._backend.impl`` and records ``fracsmooth.backend_name()``;
+removing them is a change to the benchmark, made on its own.
 """
-import os
-
-_requested = os.environ.get("FRACSMOOTH_BACKEND", "auto").strip().lower()
-
-if _requested in ("", "auto"):
-    try:
-        from . import _ckernels as impl
-    except ImportError:
-        from . import _pykernels as impl
-elif _requested in ("compiled", "c", "cython"):
-    from . import _ckernels as impl
-elif _requested in ("python", "py", "numpy"):
-    from . import _pykernels as impl
-else:
-    raise ValueError(
-        f"FRACSMOOTH_BACKEND={_requested!r} not understood "
-        "(expected 'auto', 'compiled', or 'python')")
+from . import _pykernels as impl
 
 
 def backend_name():
-    """Name of the active numerical backend ('compiled' or 'python')."""
-    return impl.NAME
+    """Name of the numerical core; always ``'python'``."""
+    return "python"

@@ -1,26 +1,21 @@
-"""Pure NumPy implementations of the numerical hot loops.
+"""The NumPy kernels: the package's one numerical core.
 
-This module is the import-time fallback used when the compiled extension
-(``fracsmooth._ckernels``) is unavailable.  Both backends expose the same
-three primitives:
-
-``z_series_sum(beta, t, nterms)``
-    Partial sum of the sine/cosine series for the accumulated difference
-    kernel: x = t + sum_{v=1..n} s_v sin(v t)/v, y = sum s_v (1 - cos(v t))/v
-    with s_v = (-1)^v binom(beta, v) obtained from the recurrence
-    s_v = s_{v-1} (v - 1 - beta)/v.
+``kernel`` calls two primitives through ``_backend.impl``:
 
 ``z_series_sum_batch(beta, ts, nterms)``
-    Same sums for a whole vector of t values.
+    Partial sums of the sine/cosine series for the accumulated difference
+    kernel at each t of a vector:
+    x = t + sum_{v=1..n} s_v sin(v t)/v, y = sum s_v (1 - cos(v t))/v
+    with s_v = (-1)^v binom(beta, v) obtained from the recurrence
+    s_v = s_{v-1} (v - 1 - beta)/v.
 
 ``gk15_panels(beta, a, b)``
     15-point Gauss-Kronrod rule applied to the polar-form integrand
     (2 sin(phi/2))^beta * exp(i beta (phi - pi)/2) on each panel [a_j, b_j],
-    returning the Kronrod values and |K - G| error estimates.
+    returning the Kronrod values, the |K - G| error estimates and the
+    Kronrod rule applied to the magnitude of the integrand.
 """
 import numpy as np
-
-NAME = "python"
 
 _CHUNK = 1 << 16
 
@@ -58,29 +53,6 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])           # ascending, 15
 _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])               # Kronrod weights
 _WG_FULL = np.zeros(15)
 _WG_FULL[1:15:2] = np.concatenate([_WG[:-1], _WG[::-1]])    # Gauss on odd slots
-
-
-def _signed_binom_chunks(beta, nterms):
-    """Yield (nu, s) chunks where s_nu = (-1)^nu binom(beta, nu), nu >= 1."""
-    carry = 1.0
-    lo = 1
-    while lo <= nterms:
-        hi = min(lo + _CHUNK, nterms + 1)
-        nu = np.arange(lo, hi, dtype=np.float64)
-        s = carry * np.cumprod((nu - 1.0 - beta) / nu)
-        yield nu, s
-        carry = s[-1]
-        lo = hi
-
-
-def z_series_sum(beta, t, nterms):
-    x = t
-    y = 0.0
-    for nu, s in _signed_binom_chunks(beta, nterms):
-        ang = nu * t
-        x += np.dot(s, np.sin(ang) / nu)
-        y += np.dot(s, (1.0 - np.cos(ang)) / nu)
-    return x, y
 
 
 def z_series_sum_batch(beta, ts, nterms):

@@ -379,28 +379,20 @@ def z_series(beta, t, tol=1e-9, cap=_SERIES_CAP):
 
     No argument reduction is performed; the series converges for every
     real t.  Raises a convergence error when the tail bound demands more
-    than ``cap`` terms.
+    than ``cap`` terms.  The one-point case of ``z_series_many``.
     """
-    beta = _check_beta(beta)
-    t = float(t)
-    n = series_terms_needed(beta, tol)
-    if n > cap:
-        raise ConvergenceError(
-            f"series for beta={beta} needs {n} terms for tol={tol} "
-            f"(cap {cap})", achieved=tol * (n / cap) ** (beta + 1.0))
-    x, y = _impl.z_series_sum(beta, t, n)
-    return complex(x, y)
+    return complex(z_series_many(beta, [float(t)], tol, cap)[0])
 
 
 def z_series_many(beta, ts, tol=1e-9, cap=_SERIES_CAP):
-    """Vectorised ``z_series`` (shared coefficient sweep)."""
+    """``z_series`` at every t of ts (one shared coefficient sweep)."""
     beta = _check_beta(beta)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = series_terms_needed(beta, tol)
     if n > cap:
         raise ConvergenceError(
             f"series for beta={beta} needs {n} terms for tol={tol} "
-            f"(cap {cap})")
+            f"(cap {cap})", achieved=tol * (n / cap) ** (beta + 1.0))
     xs, ys = _impl.z_series_sum_batch(beta, ts, n)
     return xs + 1j * ys
 
@@ -437,8 +429,8 @@ def xn_divergence_probe(n):
     if n < 1:
         raise InvalidArgumentError("n must be a positive integer")
     t = math.pi * (1.0 - 1.0 / n)
-    x, _ = _impl.z_series_sum(float(2 * n), t, 2 * n)
-    return float(x)
+    xs, _ = _impl.z_series_sum_batch(float(2 * n), [t], 2 * n)
+    return float(xs[0])
 
 
 # ---------------------------------------------------------------------------

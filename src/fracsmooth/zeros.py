@@ -24,7 +24,7 @@ where |y| exceeds ``_SIGN_NOISE`` times the cancellation floor that
 sign are dropped, and sign changes are bracketed between consecutive
 points that have one.  Near the lattice t = 0, 2pi, y is smaller than its
 own rounding noise; a sign read there would add a false zero that depends
-on the backend's summation order and on the grid.
+on the rounding of the quadrature and on the grid.
 """
 from __future__ import annotations
 
@@ -348,8 +348,8 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     the noise floor of its evaluation, on the column grid, at the
     monotonicity knots and at the window knots alike; zeros are bracketed
     between consecutive signed points.  So no zero is read out of rounding
-    noise near t = 2pi, and the columns do not depend on the backend's
-    summation order.
+    noise near t = 2pi, and the columns do not depend on how the
+    quadrature rounds.
     """
     if not (beta_max > beta_min >= 0.0):
         raise InvalidArgumentError("need beta_max > beta_min >= 0")

@@ -4,16 +4,20 @@ import cmath
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsmooth import _backend
+from fracsmooth import _pykernels as pyk
 from fracsmooth import (
     DEFAULT_QUAD,
     ConvergenceError,
     InvalidArgumentError,
     QuadConfig,
+    backend_name,
     curve_points,
     psi_eval,
     psi_many,
@@ -142,8 +146,10 @@ class TestSeriesRoute:
 
     def test_cap_exceeded_reports_terms(self):
         # slow tail at small order: the default cap cannot reach 1e-9
-        with pytest.raises(ConvergenceError, match="terms"):
-            z_series(0.15, 1.0)
+        for route in (z_series, z_series_many):
+            with pytest.raises(ConvergenceError, match="terms") as info:
+                route(0.15, 1.0)
+            assert info.value.achieved > 1e-9
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -216,6 +222,37 @@ class TestQuadratureConfig:
         loose = z_eval(2.5, 3.0)
         tight = z_eval(2.5, 3.0, QuadConfig(abs_tol=1e-12, max_subdiv=4000))
         assert abs(loose - tight) < 1e-9
+
+
+class TestCore:
+    """The NumPy core and its panel rule ``gk15_panels``."""
+
+    def test_backend_name_is_python(self):
+        assert backend_name() == "python"
+        assert _backend.impl is pyk
+
+    def test_error_estimate_is_small_on_smooth_panel(self):
+        vals, errs, absmag = pyk.gk15_panels(2.0, np.array([1.0]),
+                                             np.array([1.5]))
+        assert errs[0] <= 1e-12 * absmag[0]
+
+    def test_panels_match_mpmath(self):
+        edges = np.linspace(1e-3, 5.5, 9)
+        a, b = edges[:-1], edges[1:]
+        for beta in (0.5, 2.5, 6.0):
+            vals, errs, absmag = pyk.gk15_panels(beta, a, b)
+            with mpmath.workdps(30):
+                def f(phi):
+                    return ((2 * mpmath.sin(phi / 2)) ** beta
+                            * mpmath.expj(beta * (phi - mpmath.pi) / 2))
+                want = np.array([complex(mpmath.quad(f, [lo, hi]))
+                                 for lo, hi in zip(a, b)])
+            # (2 sin(phi/2))^beta is not smooth at phi = 0, just left of
+            # the first panel, so one 15-point rule resolves that panel
+            # only to its own error estimate (5e-6 of its mass at 0.5)
+            tol = 1e-12 * absmag
+            tol[0] = errs[0]
+            assert np.all(np.abs(vals - want) <= tol), beta
 
 
 class TestNonvanishingFloors:
