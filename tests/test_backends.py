@@ -1,149 +1,16 @@
-"""Parity between the compiled kernels and their NumPy fallback.
+"""Which numerical core ``fracsmooth`` runs on.
 
-The two implementations are developed independently against the same
-three-primitive contract (series partial sums, batched sums, Gauss-
-Kronrod panels), so agreement here is a real check, not a tautology.
-Summation order differs between them, hence the small tolerances
-instead of exact equality.
+There is one core, the NumPy kernels of ``_pykernels``; ``_backend.impl``
+and ``backend_name`` name it for the benchmark in ``perfbench/``.
 """
-import json
-import math
-import os
-import subprocess
-import sys
-
-import numpy as np
-import pytest
-
-from fracsmooth import backend_name
+from fracsmooth import _backend, backend_name
 from fracsmooth import _pykernels as pyk
-
-try:
-    from fracsmooth import _ckernels as ck
-except ImportError:
-    ck = None
-
-needs_compiled = pytest.mark.skipif(
-    ck is None, reason="compiled extension not built")
 
 
 class TestSelection:
     def test_active_backend_is_named(self):
-        assert backend_name() in ("compiled", "python")
+        assert backend_name() == "python"
 
     def test_module_names(self):
-        assert pyk.NAME == "python"
-        if ck is not None:
-            assert ck.NAME == "compiled"
-
-    def test_env_override_python(self):
-        res = _run_probe("python", "import fracsmooth; "
-                                   "print(fracsmooth.backend_name())")
-        assert res.stdout.strip() == "python"
-
-    @needs_compiled
-    def test_env_override_compiled(self):
-        res = _run_probe("compiled", "import fracsmooth; "
-                                     "print(fracsmooth.backend_name())")
-        assert res.stdout.strip() == "compiled"
-
-    def test_env_override_rejects_garbage(self):
-        res = _run_probe("bogus", "import fracsmooth", check=False)
-        assert res.returncode != 0
-        assert "FRACSMOOTH_BACKEND" in res.stderr
-
-
-@needs_compiled
-class TestPrimitiveParity:
-    """Drive both kernel modules directly on identical inputs."""
-
-    def test_series_sum(self):
-        for beta in (0.5, 1.7, 2.5, 4.85, 6.0):
-            for t in (0.3, 1.0, math.pi, 5.9, 11.7):
-                n = 4000
-                xc, yc = ck.z_series_sum(beta, t, n)
-                xp, yp = pyk.z_series_sum(beta, t, n)
-                assert abs(xc - xp) <= 1e-11 * (1.0 + abs(xp))
-                assert abs(yc - yp) <= 1e-11 * (1.0 + abs(yp))
-
-    def test_series_sum_batch(self):
-        ts = np.linspace(0.1, 12.0, 57)
-        for beta in (0.5, 2.5, 4.85):
-            xc, yc = ck.z_series_sum_batch(beta, ts, 3000)
-            xp, yp = pyk.z_series_sum_batch(beta, ts, 3000)
-            scale = 1.0 + np.abs(xp)
-            assert np.max(np.abs(xc - xp) / scale) <= 1e-11
-            assert np.max(np.abs(yc - yp) / (1.0 + np.abs(yp))) <= 1e-11
-
-    def test_batch_matches_scalar_loop(self):
-        ts = np.array([0.2, 1.3, 2 * math.pi - 0.1, 7.7])
-        xs, ys = pyk.z_series_sum_batch(2.5, ts, 500)
-        for i, t in enumerate(ts):
-            x, y = pyk.z_series_sum(2.5, float(t), 500)
-            assert abs(xs[i] - x) <= 1e-12 * (1.0 + abs(x))
-            assert abs(ys[i] - y) <= 1e-12 * (1.0 + abs(y))
-
-    def test_gk15_panels(self):
-        edges = np.linspace(0.0, 5.5, 9)
-        a, b = edges[:-1], edges[1:]
-        for beta in (0.5, 2.5, 6.0):
-            vc, ec, mc = ck.gk15_panels(beta, a, b)
-            vp, ep, mp = pyk.gk15_panels(beta, a, b)
-            scale = np.max(mp)
-            assert np.max(np.abs(vc - vp)) <= 1e-12 * scale
-            # error estimates are differences of near-equal rules, so
-            # only absolute agreement at the panel scale is meaningful
-            assert np.max(np.abs(ec - ep)) <= 1e-12 * scale
-            assert np.max(np.abs(mc - mp)) <= 1e-12 * scale
-
-    def test_gk15_error_estimate_is_small_on_smooth_panel(self):
-        a = np.array([1.0])
-        b = np.array([1.5])
-        for impl in (ck, pyk):
-            vals, errs, absmag = impl.gk15_panels(2.0, a, b)
-            assert errs[0] <= 1e-12 * absmag[0]
-
-
-class TestEndToEndParity:
-    """The public API must give the same answers under either backend."""
-
-    def test_point_values(self):
-        probe = (
-            "import json\n"
-            "from fracsmooth import z_eval, psi_eval\n"
-            "vals = []\n"
-            "for beta, t in [(0.5, 0.9), (2.5, 5.0), (4.85, 8.47),"
-            " (6.0, 13.0)]:\n"
-            "    z = z_eval(beta, t)\n"
-            "    vals.append([z.real, z.imag])\n"
-            "print(json.dumps(vals))\n"
-        )
-        out_py = json.loads(_run_probe("python", probe).stdout)
-        out_auto = json.loads(_run_probe("auto", probe).stdout)
-        for (ar, ai), (br, bi) in zip(out_py, out_auto):
-            assert abs(ar - br) <= 1e-10 * (1.0 + abs(ar))
-            assert abs(ai - bi) <= 1e-10 * (1.0 + abs(ai))
-
-    def test_zero_scan_sample(self):
-        probe = (
-            "import json, math\n"
-            "from fracsmooth import scan_zero_set\n"
-            "recs = scan_zero_set(8.0, 6 * math.pi, 40, 256,"
-            " beta_min=4.0)\n"
-            "print(json.dumps([[r.beta_k, r.t_k] for r in recs]))\n"
-        )
-        out_py = json.loads(_run_probe("python", probe).stdout)
-        out_auto = json.loads(_run_probe("auto", probe).stdout)
-        assert len(out_py) == len(out_auto) > 0
-        for (b1, t1), (b2, t2) in zip(out_py, out_auto):
-            assert abs(b1 - b2) <= 1e-8
-            assert abs(t1 - t2) <= 1e-8
-
-
-def _run_probe(backend, code, check=True):
-    env = dict(os.environ, FRACSMOOTH_BACKEND=backend)
-    res = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, env=env)
-    if check:
-        assert res.returncode == 0, res.stderr
-    return res
+        assert _backend.impl is pyk
+        assert _backend.impl.__name__ == "fracsmooth._pykernels"

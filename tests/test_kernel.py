@@ -10,14 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsmooth import _backend
 from fracsmooth import _pykernels as pyk
 from fracsmooth import (
     DEFAULT_QUAD,
     ConvergenceError,
     InvalidArgumentError,
     QuadConfig,
-    backend_name,
     curve_points,
     psi_eval,
     psi_many,
@@ -226,10 +224,6 @@ class TestQuadratureConfig:
 
 class TestCore:
     """The NumPy core and its panel rule ``gk15_panels``."""
-
-    def test_backend_name_is_python(self):
-        assert backend_name() == "python"
-        assert _backend.impl is pyk
 
     def test_error_estimate_is_small_on_smooth_panel(self):
         vals, errs, absmag = pyk.gk15_panels(2.0, np.array([1.0]),
