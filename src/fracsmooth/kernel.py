@@ -36,7 +36,7 @@ import numpy as np
 from ._backend import impl as _impl
 from ._util import fmt17
 from .errors import ConvergenceError, InvalidArgumentError
-from .fracdiff import binom_log_abs
+from .fracdiff import _SERIES_CAP, _tail_constant
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,8 +44,6 @@ TWO_PI = 2.0 * math.pi
 _ENDPOINT = 1e-3
 #: truncation order of the endpoint expansion
 _NTERMS = 10
-
-_SERIES_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -306,7 +304,7 @@ def z_eval(beta, t, cfg=None):
     return complex(z_many(beta, [float(t)], cfg)[0])
 
 
-def z_span(beta, a, b, cfg=None):
+def z_span(beta, a, b):
     """Integral of the kernel integrand over [a, b] inside the base period.
 
     Returns (value, abs_mass): the complex increment z(b) - z(a) and the
@@ -315,33 +313,31 @@ def z_span(beta, a, b, cfg=None):
     full evaluations when the span is short; used by zero refinement.
     """
     beta = _check_beta(beta)
-    if cfg is None:
-        cfg = DEFAULT_QUAD
     a, b = float(a), float(b)
     if not (0.0 <= a <= b <= TWO_PI):
         raise InvalidArgumentError("need 0 <= a <= b <= 2pi")
     if a == b:
         return 0.0j, 0.0
-    vals, absmass = _segment_sums(beta, np.array([a, b]), cfg)
+    vals, absmass = _segment_sums(beta, np.array([a, b]), DEFAULT_QUAD)
     return complex(vals[0]), float(absmass[0])
 
 
-def psi_eval(beta, t, cfg=None):
+def psi_eval(beta, t):
     """Averaging kernel psi(beta, t) = z(beta, t)/t, with psi(beta, 0) = 0."""
     t = float(t)
     if t == 0.0:
         _check_beta(beta)
         return 0.0j
-    return z_eval(beta, t, cfg) / t
+    return z_eval(beta, t) / t
 
 
-def psi_many(beta, ts, cfg=None):
+def psi_many(beta, ts):
     """Vectorised ``psi_eval``."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     out = np.zeros(ts.shape, dtype=complex)
     nz = ts != 0.0
     if nz.any():
-        out[nz] = z_many(beta, ts[nz], cfg) / ts[nz]
+        out[nz] = z_many(beta, ts[nz]) / ts[nz]
     else:
         _check_beta(beta)
     return out
@@ -355,19 +351,16 @@ def series_terms_needed(beta, tol):
     """Number of series terms for absolute tail error below tol in x and y.
 
     For non-integer beta the tail of sum |binom(beta, v)|/v is bounded by
-    C(beta) * N^(-beta-1)/(beta+1) with
-    C(beta) = |binom(beta, m)| * m^(beta+1), m = ceil(beta)+1
-    (the scaled magnitudes m^(beta+1)|binom| decrease from m on).  The y
-    series carries an extra factor of 2 from |1 - cos|; both components
-    are held below tol/2.
+    C(beta) * N^(-beta-1)/(beta+1), with m and C(beta) from
+    ``fracdiff._tail_constant``.  The y series carries an extra factor of
+    2 from |1 - cos|; both components are held below tol/2.
     """
     beta = _check_beta(beta)
     if not (tol > 0.0):
         raise InvalidArgumentError("tol must be positive")
     if beta == round(beta):
         return int(round(beta))
-    m = int(math.ceil(beta)) + 1
-    log_c = binom_log_abs(beta, m) + (beta + 1.0) * math.log(m)
+    m, log_c = _tail_constant(beta)
     log_n = (math.log(4.0) + log_c - math.log(beta + 1.0)
              - math.log(tol)) / (beta + 1.0)
     n = int(math.ceil(math.exp(min(log_n, 25.0 * math.log(10.0)))))
@@ -437,7 +430,7 @@ def xn_divergence_probe(n):
 # CSV export of curve samples
 # ---------------------------------------------------------------------------
 
-def curve_points(beta, t_lo, t_hi, samples, cfg=None):
+def curve_points(beta, t_lo, t_hi, samples):
     """Uniformly sampled kernel curve as a list of KernelPoint."""
     beta = _check_beta(beta)
     if samples < 2:
@@ -445,7 +438,7 @@ def curve_points(beta, t_lo, t_hi, samples, cfg=None):
     if not (t_lo < t_hi):
         raise InvalidArgumentError("need t_lo < t_hi")
     ts = np.linspace(t_lo, t_hi, samples)
-    zs = z_many(beta, ts, cfg)
+    zs = z_many(beta, ts)
     return [KernelPoint(beta, float(t), z.real, z.imag)
             for t, z in zip(ts, zs)]
 

@@ -8,15 +8,20 @@ t = t0 + 2pi*k with t0 in the base period therefore needs
 
 The scan tracks the y-zero branches on the base period along beta,
 watches x + 2pi*k for sign changes on every branch and admissible shift
-index k >= 1, and bisects each crossing in beta.  The first crossing
-(branch shifted once, beta between 4 and 5) is the classical smallest
-pathological order beta0 ~ 4.85, located directly by ``find_beta0``.
+index k >= 1, and bisects each crossing in beta (``_bisect_crossing``).
+The smallest pathological order beta0 ~ 4.84 is the k = 1 crossing of
+the branch on (pi(1 - 2/beta), pi) for beta in [4, 5]; ``find_beta0``
+runs the same crossing search there.
 
-Bisection is used throughout: the monotonicity structure supplies sign
-information, and derivative-based iterations misbehave near branch
-endpoints where y' vanishes.  Refinement evaluates z incrementally from
-an anchored value at the bracket edge (``kernel.z_span``), so each step
-integrates a short span instead of the whole [0, t] range.
+Every y-zero is found the same way: ``_brackets`` evaluates y at a set of
+knots, brackets its sign changes and splits each bracket at the interior
+extrema of y, so that y is monotone on every piece; ``_bisect_y`` then
+bisects the piece.  Bisection is used throughout: the monotonicity
+structure supplies sign information, and derivative-based iterations
+misbehave near branch endpoints where y' vanishes.  Refinement evaluates
+z incrementally from an anchored value at the bracket's left knot
+(``kernel.z_span``), so each step integrates a short span instead of the
+whole [0, t] range.
 
 Every sign of y is read by one rule (``_y_signs``): y has a sign only
 where |y| exceeds ``_SIGN_NOISE`` times the cancellation floor that
@@ -87,7 +92,7 @@ def _sign_brackets(ys, noise):
             for i, j in zip(signed[:-1][flips], signed[1:][flips])]
 
 
-def _eval_z(beta, t, cfg=None, anchor=None):
+def _eval_z(beta, t, anchor=None):
     """z and its accuracy floor at one point, incrementally when anchored.
 
     ``anchor`` is (t_a, z_a, noise_a) with t_a <= t, both inside the base
@@ -95,32 +100,60 @@ def _eval_z(beta, t, cfg=None, anchor=None):
     """
     if anchor is not None:
         t_a, z_a, n_a = anchor
-        val, mass = z_span(beta, t_a, t, cfg)
+        val, mass = z_span(beta, t_a, t)
         return z_a + val, n_a + 8.0 * _EPS * mass
-    zs, ns = z_many(beta, [t], cfg, with_noise=True)
+    zs, ns = z_many(beta, [t], with_noise=True)
     return complex(zs[0]), float(ns[0])
 
 
 def _extrema_points(beta, lo, hi):
-    """Points in (lo, hi) where y' vanishes: t = pi(1 + 2m/beta) mod shifts,
-    plus the lattice t = 2pi j."""
+    """Points in (lo, hi) where y' vanishes: the lattice t = 2pi j and
+    t = 2pi j + pi(1 + 2m/beta) with |m| < beta/2."""
     pts = []
     j_lo = int(math.floor(lo / TWO_PI)) - 1
     j_hi = int(math.ceil(hi / TWO_PI)) + 1
-    m_lo = int(math.floor(-beta / 2.0)) - 1
-    m_hi = int(math.ceil(beta / 2.0)) + 1
+    m_max = int(math.ceil(beta / 2.0)) - 1
     for j in range(j_lo, j_hi + 1):
         base = TWO_PI * j
         if lo < base < hi:
             pts.append(base)
-        for m in range(m_lo, m_hi + 1):
+        for m in range(-m_max, m_max + 1):
             t = base + math.pi * (1.0 + 2.0 * m / beta)
             if lo < t < hi:
                 pts.append(t)
     return sorted(pts)
 
 
-def _bisect_y(beta, lo, hi, ylo, yhi, cfg=None, anchor=None):
+def _brackets(beta, knots):
+    """Sign-change brackets of y between the knots, on which y is monotone.
+
+    Evaluates y at the ascending ``knots``, brackets its sign changes
+    between consecutive signed knots and splits each bracket at the
+    interior extrema of y.  An extremum whose y has no sign (a tangential
+    touch within noise, e.g. at the lattice) is skipped, so the piece
+    across it spans two monotone parts.  Yields
+    (t_lo, t_hi, y_lo, y_hi, anchor), where anchor = (t, z, noise) at the
+    bracket's left knot.
+    """
+    knots = np.asarray(knots, dtype=float)
+    zs, ns = z_many(beta, knots, with_noise=True)
+    ys = zs.imag
+    for i, j in _sign_brackets(ys, ns):
+        lo, hi = float(knots[i]), float(knots[j])
+        anchor = (lo, complex(zs[i]), float(ns[i]))
+        pts = _extrema_points(beta, lo, hi)
+        if not pts:
+            yield lo, hi, float(ys[i]), float(ys[j]), anchor
+            continue
+        pz, pn = z_many(beta, pts, with_noise=True)
+        sub = [lo] + pts + [hi]
+        vals = [float(ys[i])] + [float(v) for v in pz.imag] + [float(ys[j])]
+        noise = [0.0] + [float(v) for v in pn] + [0.0]
+        for a, b in _sign_brackets(vals, noise):
+            yield sub[a], sub[b], vals[a], vals[b], anchor
+
+
+def _bisect_y(beta, lo, hi, ylo, yhi, anchor=None):
     """Refine a sign-change bracket of y.
 
     Returns (t, t_lo, t_hi, z_at_t, noise_at_t).
@@ -128,7 +161,7 @@ def _bisect_y(beta, lo, hi, ylo, yhi, cfg=None, anchor=None):
     width_floor = 64.0 * _EPS * max(1.0, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        zm, noise = _eval_z(beta, mid, cfg, anchor)
+        zm, noise = _eval_z(beta, mid, anchor)
         ym = zm.imag
         if abs(ym) <= _stop_floor(noise) or (hi - lo) <= width_floor:
             return mid, lo, hi, zm, noise
@@ -137,54 +170,26 @@ def _bisect_y(beta, lo, hi, ylo, yhi, cfg=None, anchor=None):
         else:
             hi, yhi = mid, ym
     mid = 0.5 * (lo + hi)
-    zm, noise = _eval_z(beta, mid, cfg, anchor)
+    zm, noise = _eval_z(beta, mid, anchor)
     return mid, lo, hi, zm, noise
 
 
-def _subdivide_bracket(beta, lo, hi, ylo, yhi, cfg=None):
-    """Split a bracket at interior extrema of y; yield sub-brackets that
-    still change sign.
-
-    The ends are signed already.  An extremum whose y has no sign (a
-    tangential touch within noise, e.g. at the lattice) is skipped, so the
-    sub-bracket across it spans two monotone pieces.
-    """
-    pts = _extrema_points(beta, lo, hi)
-    if not pts:
-        yield lo, hi, ylo, yhi
-        return
-    zs, ns = z_many(beta, pts, cfg, with_noise=True)
-    knots = [lo] + pts + [hi]
-    vals = [ylo] + [float(v) for v in zs.imag] + [yhi]
-    noise = [0.0] + [float(v) for v in ns] + [0.0]
-    for i, j in _sign_brackets(vals, noise):
-        yield knots[i], knots[j], vals[i], vals[j]
-
-
-def y_zeros(beta, t_lo, t_hi, grid, cfg=None):
+def y_zeros(beta, t_lo, t_hi, grid):
     """Ascending zeros of y(beta, .) strictly inside (t_lo, t_hi).
 
-    Scans ``grid`` uniform points, brackets sign changes, validates each
-    bracket against the closed-form monotonicity intervals (y' vanishes at
-    t = pi(1 + 2m/beta) modulo the period), and bisects.  Tangential
-    lattice zeros at t = 2 pi j, where y vanishes by symmetry without a
-    crossing, are not reported.
+    Brackets the sign changes on ``grid`` uniform points (``_brackets``)
+    and bisects each monotone piece.  Tangential lattice zeros at
+    t = 2 pi j, where y vanishes by symmetry without a crossing, are not
+    reported.  The window may cross t = 2pi, so the pieces are refined
+    without an anchor.
     """
     if not (0.0 < t_lo < t_hi):
         raise InvalidArgumentError("need 0 < t_lo < t_hi")
     if grid < 2:
         raise InvalidArgumentError("grid must be at least 2")
     ts = np.linspace(t_lo, t_hi, int(grid))
-    zs, ns = z_many(beta, ts, cfg, with_noise=True)
-    ys = zs.imag
-    out = []
-    for i, j in _sign_brackets(ys, ns):
-        for a, b, va, vb in _subdivide_bracket(
-                beta, float(ts[i]), float(ts[j]), float(ys[i]),
-                float(ys[j]), cfg):
-            t = _bisect_y(beta, a, b, va, vb, cfg)[0]
-            out.append(t)
-    out.sort()
+    out = sorted(_bisect_y(beta, a, b, va, vb)[0]
+                 for a, b, va, vb, _ in _brackets(beta, ts))
     dedup = []
     for t in out:
         if not dedup or t - dedup[-1] > 1e-10 * max(1.0, t):
@@ -196,91 +201,63 @@ def y_zeros(beta, t_lo, t_hi, grid, cfg=None):
 # the beta0 construction
 # ---------------------------------------------------------------------------
 
-def _branch_zero(beta, cfg=None):
-    """The unique y-zero on the base branch (pi(1-2/beta), pi).
-
-    Returns (t, t_lo, t_hi, z_at_t).  y is positive at the left end and
-    negative at pi on the bracket for beta in [4, 5]; a missing sign
-    change means beta is outside the regime.
-    """
-    lo = math.pi * (1.0 - 2.0 / beta) + 1e-9
-    hi = math.pi
-    zs, ns = z_many(beta, [lo, hi], cfg, with_noise=True)
-    ylo, yhi = float(zs[0].imag), float(zs[1].imag)
-    s_lo, s_hi = _y_signs([ylo, yhi], ns)
-    if not (s_lo > 0.0 > s_hi):
-        raise BracketError(
-            f"no y sign change on the branch interval for beta={beta} "
-            f"(y({lo:.6f})={ylo:.3e}, y(pi)={yhi:.3e})")
-    anchor = (lo, complex(zs[0]), float(ns[0]))
-    t, t_l, t_h, z_t, _ = _bisect_y(beta, lo, hi, ylo, yhi, cfg, anchor)
-    return t, t_l, t_h, z_t
-
-
-def curve_F(beta, cfg=None):
+def curve_F(beta):
     """x at the unique y-zero on the shifted branch (pi(3-2/beta), 3pi).
 
     Defined for beta in [4, 5] (small slack tolerated); the zero is
-    located one period up, so the value is x(base zero) + 2 pi.
+    located on the base branch (pi(1-2/beta), pi), where y falls from
+    positive to negative, and the value is x there plus 2 pi.
     """
     if not (4.0 - 1e-9 <= beta <= 5.0 + 1e-9):
         raise InvalidArgumentError("curve_F is defined for beta in [4, 5]")
-    _, _, _, z_t = _branch_zero(beta, cfg)
-    return z_t.real + TWO_PI
+    found = _zero_in_window(beta, math.pi * (1.0 - 2.0 / beta) + 1e-9,
+                            math.pi, math.pi)
+    if found is None:
+        raise BracketError(
+            f"no y sign change on the branch interval for beta={beta}")
+    return found[3].real + TWO_PI
 
 
-def find_beta0(tol_beta=1e-10, cfg=None):
-    """Bisect the sign change of curve_F on [4, 5] down to ``tol_beta``.
+def find_beta0(tol_beta=1e-10):
+    """The smallest pathological order, to ``tol_beta`` in beta.
 
-    Returns the ZeroRecord of the smallest pathological order: beta0 with
-    z(beta0, t0) = 0, t0 on the once-shifted branch (between 2pi and 3pi).
+    beta0 is the sign change of ``curve_F`` on [4, 5]: the k = 1 crossing
+    of the base branch, located by ``_bisect_crossing`` in the t window
+    [pi/2, pi], which holds the branch (pi(1-2/beta), pi) for every beta in
+    [4, 5].  Returns the ZeroRecord of (beta0, t0) with z(beta0, t0) = 0
+    and t0 on the once-shifted branch (between 2pi and 3pi).
     """
-    f4 = curve_F(4.0, cfg)
-    f5 = curve_F(5.0, cfg)
+    f4 = curve_F(4.0)
+    f5 = curve_F(5.0)
     if not (f4 > 0.0 > f5):
         raise BracketError(
             f"expected F(4) > 0 > F(5), got F(4)={f4:.6f}, F(5)={f5:.6f}")
-    blo, bhi = 4.0, 5.0
-    while bhi - blo > tol_beta:
-        mid = 0.5 * (blo + bhi)
-        if curve_F(mid, cfg) > 0.0:
-            blo = mid
-        else:
-            bhi = mid
-    beta0 = 0.5 * (blo + bhi)
-    t_base, t_lo, t_hi, _ = _branch_zero(beta0, cfg)
-    t0 = t_base + TWO_PI
-    if not (4.0 < beta0 < 5.0):
-        raise BracketError(f"beta0={beta0} escaped (4, 5)")
-    if not (math.pi * (3.0 - 2.0 / beta0) < t0 < 3.0 * math.pi):
-        raise BracketError(f"t0={t0} escaped the branch interval")
-    residual = abs(z_eval(beta0, t0, _TIGHT))
-    return ZeroRecord(beta_k=beta0, t_k=t0, residual=residual,
-                      bracket=(blo, bhi, t_lo + TWO_PI, t_hi + TWO_PI),
-                      branch_index=1)
+    rec = _bisect_crossing(4.0, 5.0, f4, 0.5 * math.pi, math.pi, math.pi, 1,
+                           tol_beta)
+    if rec is None:
+        raise BracketError("the base branch left the window [pi/2, pi]")
+    if not (4.0 < rec.beta_k < 5.0):
+        raise BracketError(f"beta0={rec.beta_k} escaped (4, 5)")
+    if not (math.pi * (3.0 - 2.0 / rec.beta_k) < rec.t_k < 3.0 * math.pi):
+        raise BracketError(f"t0={rec.t_k} escaped the branch interval")
+    return rec
 
 
 # ---------------------------------------------------------------------------
 # generic scan
 # ---------------------------------------------------------------------------
 
-def _column(beta, t_grid, cfg=None):
+def _column(beta, t_grid):
     """Refined y-zeros on the base period with their x values.
 
     Returns a list of (t, x, t_lo, t_hi), ascending in t.
     """
     pad = TWO_PI / t_grid
     ts = np.linspace(pad, TWO_PI - pad, int(t_grid))
-    zs, ns = z_many(beta, ts, cfg, with_noise=True)
-    ys = zs.imag
     out = []
-    for i, j in _sign_brackets(ys, ns):
-        anchor = (float(ts[i]), complex(zs[i]), float(ns[i]))
-        for aa, bb, va, vb in _subdivide_bracket(
-                beta, float(ts[i]), float(ts[j]), float(ys[i]),
-                float(ys[j]), cfg):
-            t, tl, th, z_t, _ = _bisect_y(beta, aa, bb, va, vb, cfg, anchor)
-            out.append((t, z_t.real, tl, th))
+    for a, b, va, vb, anchor in _brackets(beta, ts):
+        t, tl, th, z_t, _ = _bisect_y(beta, a, b, va, vb, anchor)
+        out.append((t, z_t.real, tl, th))
     out.sort()
     return out
 
@@ -305,31 +282,23 @@ def _match_columns(col_a, col_b):
     return pairs
 
 
-def _zero_in_window(beta, w_lo, w_hi, t_hint, cfg=None):
+def _zero_in_window(beta, w_lo, w_hi, t_hint):
     """Locate the branch's y-zero inside a t window at a new beta.
 
-    Partitions the window at monotonicity knots and bisects the
-    sign-change subinterval nearest to the hint.  Returns the
-    ``_bisect_y`` tuple, or None when the branch has no crossing there.
+    Brackets the window at its ends and monotonicity knots and bisects the
+    bracket nearest to the hint.  Returns the ``_bisect_y`` tuple, or None
+    when the branch has no crossing there.
     """
     knots = [w_lo] + _extrema_points(beta, w_lo, w_hi) + [w_hi]
-    zs, ns = z_many(beta, knots, cfg, with_noise=True)
-    ys = zs.imag
-    best = None
-    for i, j in _sign_brackets(ys, ns):
-        d = abs(0.5 * (knots[i] + knots[j]) - t_hint)
-        if best is None or d < best[0]:
-            best = (d, i, j)
+    best = min(_brackets(beta, knots), default=None,
+               key=lambda br: abs(0.5 * (br[0] + br[1]) - t_hint))
     if best is None:
         return None
-    _, i, j = best
-    anchor = (knots[i], complex(zs[i]), float(ns[i]))
-    return _bisect_y(beta, knots[i], knots[j], float(ys[i]), float(ys[j]),
-                     cfg, anchor)
+    return _bisect_y(beta, *best)
 
 
 def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
-                  beta_min=0.0, tol_beta=1e-10, cfg=None):
+                  beta_min=0.0, tol_beta=1e-10):
     """Locate all zeros of z with beta in (beta_min, beta_max], t in (0, t_max].
 
     For each beta column the y-zero branches on the base period are
@@ -342,14 +311,15 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     (``verify_nonvanishing`` probes the base period directly).  Branches
     that exit the window are dropped with a log note.  Records are
     sorted by (beta_k, t_k); when the window contains it, the first
-    record is beta0.
+    record is beta0, the crossing that ``find_beta0`` locates with the
+    same search.
 
-    y counts as signed only where |y| exceeds ``_SIGN_NOISE`` (4) times
-    the noise floor of its evaluation, on the column grid, at the
-    monotonicity knots and at the window knots alike; zeros are bracketed
-    between consecutive signed points.  So no zero is read out of rounding
-    noise near t = 2pi, and the columns do not depend on how the
-    quadrature rounds.
+    The column grid and the window knots are bracketed by one routine
+    (``_brackets``): y counts as signed only where |y| exceeds
+    ``_SIGN_NOISE`` (4) times the noise floor of its evaluation, and zeros
+    are bracketed between consecutive signed points.  So no zero is read
+    out of rounding noise near t = 2pi, and the columns do not depend on
+    how the quadrature rounds.
     """
     if not (beta_max > beta_min >= 0.0):
         raise InvalidArgumentError("need beta_max > beta_min >= 0")
@@ -360,7 +330,7 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
 
     step = (beta_max - beta_min) / beta_grid
     betas = [beta_min + step * (i + 1) for i in range(int(beta_grid))]
-    columns = [_column(b, t_grid, cfg) for b in betas]
+    columns = [_column(b, t_grid) for b in betas]
 
     records = []
     for i in range(len(betas) - 1):
@@ -378,7 +348,7 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
                 if ga == 0.0 or gb == 0.0 or (ga > 0.0) == (gb > 0.0):
                     continue
                 rec = _bisect_crossing(ba, bb, ga, w_lo, w_hi,
-                                       0.5 * (ta + tb), k, tol_beta, cfg)
+                                       0.5 * (ta + tb), k, tol_beta)
                 if rec is not None:
                     records.append(rec)
     # branches whose shifted copies leave the window are simply not tracked
@@ -396,14 +366,13 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     return dedup
 
 
-def _bisect_crossing(b_lo, b_hi, g_lo, w_lo, w_hi, t_hint, k,
-                     tol_beta, cfg=None):
+def _bisect_crossing(b_lo, b_hi, g_lo, w_lo, w_hi, t_hint, k, tol_beta):
     """Bisect the beta crossing of x(branch zero) + 2 pi k on [b_lo, b_hi]."""
     hint = t_hint
     lo_positive = g_lo > 0.0
     while b_hi - b_lo > tol_beta:
         mid = 0.5 * (b_lo + b_hi)
-        found = _zero_in_window(mid, w_lo, w_hi, hint, cfg)
+        found = _zero_in_window(mid, w_lo, w_hi, hint)
         if found is None:
             log.debug("branch lost at beta=%s in (%s, %s)", mid, w_lo, w_hi)
             return None
@@ -414,7 +383,7 @@ def _bisect_crossing(b_lo, b_hi, g_lo, w_lo, w_hi, t_hint, k,
         else:
             b_hi = mid
     beta_k = 0.5 * (b_lo + b_hi)
-    found = _zero_in_window(beta_k, w_lo, w_hi, hint, cfg)
+    found = _zero_in_window(beta_k, w_lo, w_hi, hint)
     if found is None:
         return None
     t_base, t_l, t_h, _, _ = found
@@ -425,14 +394,14 @@ def _bisect_crossing(b_lo, b_hi, g_lo, w_lo, w_hi, t_hint, k,
                       branch_index=k)
 
 
-def verify_nonvanishing(beta, t_lo, t_hi, grid, cfg=None):
+def verify_nonvanishing(beta, t_lo, t_hi, grid):
     """Minimum of |z(beta, .)| over a uniform grid (shift-reduced)."""
     if not (0.0 < t_lo < t_hi):
         raise InvalidArgumentError("need 0 < t_lo < t_hi")
     if grid < 2:
         raise InvalidArgumentError("grid must be at least 2")
     ts = np.linspace(t_lo, t_hi, int(grid))
-    return float(np.min(np.abs(z_many(beta, ts, cfg))))
+    return float(np.min(np.abs(z_many(beta, ts))))
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ from fracsmooth import (
     read_registry,
     scan_zero_set,
     write_registry,
+    xy_prime,
     y_zeros,
     z_eval,
     z_many,
     z_series,
 )
-from fracsmooth.zeros import _column, _match_columns
+from fracsmooth.zeros import _column, _extrema_points, _match_columns
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,6 +60,11 @@ class TestSmallestOrder:
         assert r.t_k == pytest.approx(8.478812720585928, abs=1e-9)
         assert r.residual <= 1e-8
         assert r.branch_index == 1
+
+    def test_is_a_zero_of_the_series_route(self, beta0_record):
+        # the series route shares no code with the quadrature behind z_eval
+        r = beta0_record
+        assert abs(z_series(r.beta_k, r.t_k, tol=1e-11)) <= 1e-8
 
     def test_window_assertions(self, beta0_record):
         r = beta0_record
@@ -202,6 +208,23 @@ class TestScan:
             scan_zero_set(8.0, 0.0)
         with pytest.raises(InvalidArgumentError):
             scan_zero_set(8.0, 10.0, beta_grid=1)
+
+
+class TestExtremaPoints:
+    """The monotonicity knots are the zeros of the closed-form y'."""
+
+    @pytest.mark.parametrize("beta", [4.1 + 35.9 * i / 49 for i in range(50)])
+    def test_y_prime_vanishes_off_the_lattice(self, beta):
+        pts = _extrema_points(beta, 0.01, 3.0 * math.pi)
+        assert pts == sorted(pts)
+        for t in pts:
+            if t == TWO_PI:
+                continue
+            dx, dy = xy_prime(beta, t)
+            assert abs(dy) <= 1e-9 * math.hypot(dx, dy), t
+
+    def test_lattice_is_included(self):
+        assert TWO_PI in _extrema_points(4.2, 6.0, 6.5)
 
 
 class TestSignRule:
