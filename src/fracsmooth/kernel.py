@@ -17,7 +17,11 @@ Two independent evaluation routes are provided:
   on (0, 2pi), after exact reduction by the symmetry z(-t) = -conj(z(t))
   and the shift z(t + 2pi) = z(t) + 2pi.  The first and last 1e-3 of the
   base interval, where the integrand is only Hoelder-smooth, are handled
-  by a 10-term power expansion integrated termwise.
+  by a 10-term power expansion integrated termwise (its coefficients are
+  cached per beta).  ``_segment_sums`` sets up the GK15 panels of all
+  segments in one vectorised pass and ``_adaptive_panels`` refines them;
+  ``z_span`` hands a span inside [1e-3, 2pi - 1e-3] straight to
+  ``_adaptive_panels``, so a short span costs one ``gk15_panels`` call.
 * ``z_series`` — direct summation of
 
       x(t) = t + sum_v binom(beta, v) (-1)^v sin(v t)/v
@@ -30,11 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ._backend import impl as _impl
-from ._util import fmt17
 from .errors import ConvergenceError, InvalidArgumentError
 from .fracdiff import _SERIES_CAP, _tail_constant
 
@@ -42,6 +46,10 @@ TWO_PI = 2.0 * math.pi
 
 #: width of the endpoint panels evaluated by power expansion
 _ENDPOINT = 1e-3
+#: start of the mirrored expansion zone at the top of the base period
+_MIRROR_LO = TWO_PI - _ENDPOINT
+#: widest first-pass quadrature panel
+_PANEL = 0.5 * math.pi
 #: truncation order of the endpoint expansion
 _NTERMS = 10
 
@@ -103,12 +111,14 @@ def _poly_mul_trunc(p, q, order):
     return out
 
 
+@lru_cache(maxsize=64)
 def _endpoint_coeffs(beta):
     """Coefficients D_n with integrand = sum_n D_n phi^(beta+n) near phi=0.
 
     Uses (2 sin(phi/2))^beta = phi^beta * exp(beta*log(sinc(phi/2))) and
     exp(i*beta*(phi-pi)/2), both expanded to order 10 (far beyond machine
-    precision for the 1e-3 panel).
+    precision for the 1e-3 panel).  Cached per beta; the array is
+    read-only.
     """
     # beta * log(sin(x)/x) at x = phi/2:  coefficients in phi
     p = np.zeros(_NTERMS + 1, dtype=complex)
@@ -130,8 +140,9 @@ def _endpoint_coeffs(beta):
     for m in range(_NTERMS + 1):
         b[m] = c
         c *= 0.5j * beta / (m + 1)
-    d = _poly_mul_trunc(a, b, _NTERMS)
-    return np.exp(-0.5j * beta * math.pi) * d
+    d = np.exp(-0.5j * beta * math.pi) * _poly_mul_trunc(a, b, _NTERMS)
+    d.setflags(write=False)
+    return d
 
 
 def _expansion_integral(beta, coeffs, lo, hi):
@@ -147,86 +158,96 @@ def _expansion_integral(beta, coeffs, lo, hi):
 # adaptive quadrature driver on the base interval (0, 2*pi)
 # ---------------------------------------------------------------------------
 
+def _adaptive_panels(beta, a, b, seg, cfg):
+    """Refine GK15 panels [a_j, b_j] until the quadrature tolerance holds.
+
+    ``seg`` tags each panel with the segment it belongs to; halves inherit
+    the tag.  Returns (values, abs_masses, tags) of the final panels: the
+    panels kept unsplit in their order, then the halves of the last pass.
+    """
+    vals, errs, absm = _impl.gk15_panels(beta, a, b)
+    budget = cfg.abs_tol / TWO_PI
+    eps = np.finfo(float).eps
+    splits = 0
+    while True:
+        # a panel is done when it meets its share of the absolute budget
+        # OR its error is at the rounding floor of its own absolute mass
+        # (splitting cannot reduce that floor)
+        bad = (errs > budget * (b - a)) & (errs > 4.0 * eps * absm)
+        if errs.sum() <= cfg.abs_tol or not bad.any():
+            return vals, absm, seg
+        splits += int(bad.sum())
+        if splits > cfg.max_subdiv:
+            raise ConvergenceError(
+                f"quadrature needs more than {cfg.max_subdiv} "
+                f"subdivisions for beta={beta}",
+                partial=None, achieved=float(errs.sum()))
+        mid = 0.5 * (a[bad] + b[bad])
+        new_a = np.concatenate([a[bad], mid])
+        new_b = np.concatenate([mid, b[bad]])
+        new_s = np.concatenate([seg[bad], seg[bad]])
+        nv, ne, na = _impl.gk15_panels(beta, new_a, new_b)
+        a = np.concatenate([a[~bad], new_a])
+        b = np.concatenate([b[~bad], new_b])
+        seg = np.concatenate([seg[~bad], new_s])
+        vals = np.concatenate([vals[~bad], nv])
+        errs = np.concatenate([errs[~bad], ne])
+        absm = np.concatenate([absm[~bad], na])
+
+
 def _segment_sums(beta, edges, cfg):
     """Integrate between consecutive edges inside [0, 2pi].
 
     Returns (segments, abs_segments): complex values and nonnegative
-    magnitudes of integral over each [edges[i], edges[i+1]].
+    magnitudes of integral over each [edges[i], edges[i+1]] (0 where
+    edges[i+1] <= edges[i]).
+
+    The set-up is vectorised over the segments.  The parts of a segment
+    inside the expansion zones [0, 1e-3] and [2pi - 1e-3, 2pi] are
+    integrated termwise, in a loop over the few segments that touch them.
+    The rest of each segment, clipped to [1e-3, 2pi - 1e-3], is cut into
+    ceil(width / (pi/2)) equal panels whose ends are those of
+    ``np.linspace`` (lo + j*step, the last end exactly hi); all panels, in
+    segment-then-panel order, go through one ``_adaptive_panels`` pass.
     """
     edges = np.asarray(edges, dtype=float)
-    nseg = edges.size - 1
-    seg_vals = np.zeros(nseg, dtype=complex)
-    seg_abs = np.zeros(nseg)
-    coeffs = None
-    mirror_lo = TWO_PI - _ENDPOINT
+    a, b = edges[:-1], edges[1:]
+    seg_vals = np.zeros(a.size, dtype=complex)
+    seg_abs = np.zeros(a.size)
 
-    # split each segment at the expansion boundaries and classify
-    quad_a, quad_b, quad_seg = [], [], []
-    for i in range(nseg):
-        a, b = edges[i], edges[i + 1]
-        if b <= a:
-            continue
-        cuts = [a]
-        for c in (_ENDPOINT, mirror_lo):
-            if a < c < b:
-                cuts.append(c)
-        cuts.append(b)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi <= _ENDPOINT:
-                if coeffs is None:
-                    coeffs = _endpoint_coeffs(beta)
-                v = _expansion_integral(beta, coeffs, lo, hi)
+    near = np.flatnonzero((b > a) & ((a < _ENDPOINT) | (b > _MIRROR_LO)))
+    if near.size:
+        coeffs = _endpoint_coeffs(beta)
+        for i in near.tolist():
+            if a[i] < _ENDPOINT:
+                v = _expansion_integral(beta, coeffs, a[i],
+                                        min(b[i], _ENDPOINT))
                 seg_vals[i] += v
                 seg_abs[i] += abs(v)
-            elif lo >= mirror_lo:
-                if coeffs is None:
-                    coeffs = _endpoint_coeffs(beta)
-                v = _expansion_integral(beta, coeffs, TWO_PI - hi, TWO_PI - lo)
+            if b[i] > _MIRROR_LO:
+                v = _expansion_integral(beta, coeffs, TWO_PI - b[i],
+                                        TWO_PI - max(a[i], _MIRROR_LO))
                 seg_vals[i] += v.conjugate()
                 seg_abs[i] += abs(v)
-            else:
-                # bound panel widths so the first Kronrod pass is sane
-                npan = max(1, int(math.ceil((hi - lo) / (0.5 * math.pi))))
-                sub = np.linspace(lo, hi, npan + 1)
-                for j in range(npan):
-                    quad_a.append(sub[j])
-                    quad_b.append(sub[j + 1])
-                    quad_seg.append(i)
 
-    if quad_a:
-        a_arr = np.array(quad_a)
-        b_arr = np.array(quad_b)
-        s_arr = np.array(quad_seg)
-        vals, errs, absm = _impl.gk15_panels(beta, a_arr, b_arr)
-        budget = cfg.abs_tol / TWO_PI
-        eps = np.finfo(float).eps
-        splits = 0
-        while True:
-            # a panel is done when it meets its share of the absolute
-            # budget OR its error is at the rounding floor of its own
-            # absolute mass (splitting cannot reduce that floor)
-            bad = (errs > budget * (b_arr - a_arr)) & (errs > 4.0 * eps * absm)
-            if errs.sum() <= cfg.abs_tol or not bad.any():
-                break
-            splits += int(bad.sum())
-            if splits > cfg.max_subdiv:
-                raise ConvergenceError(
-                    f"quadrature needs more than {cfg.max_subdiv} "
-                    f"subdivisions for beta={beta}",
-                    partial=None, achieved=float(errs.sum()))
-            mid = 0.5 * (a_arr[bad] + b_arr[bad])
-            new_a = np.concatenate([a_arr[bad], mid])
-            new_b = np.concatenate([mid, b_arr[bad]])
-            new_s = np.concatenate([s_arr[bad], s_arr[bad]])
-            nv, ne, na = _impl.gk15_panels(beta, new_a, new_b)
-            a_arr = np.concatenate([a_arr[~bad], new_a])
-            b_arr = np.concatenate([b_arr[~bad], new_b])
-            s_arr = np.concatenate([s_arr[~bad], new_s])
-            vals = np.concatenate([vals[~bad], nv])
-            errs = np.concatenate([errs[~bad], ne])
-            absm = np.concatenate([absm[~bad], na])
-        np.add.at(seg_vals, s_arr, vals)
-        np.add.at(seg_abs, s_arr, absm)
+    lo = np.maximum(a, _ENDPOINT)
+    hi = np.minimum(b, _MIRROR_LO)
+    inner = np.flatnonzero(hi > lo)
+    if inner.size:
+        lo, hi = lo[inner], hi[inner]
+        # bound panel widths so the first Kronrod pass is sane
+        npan = np.maximum(1, np.ceil((hi - lo) / _PANEL)).astype(np.intp)
+        last = np.cumsum(npan) - 1
+        j = np.arange(last[-1] + 1) - np.repeat(last + 1 - npan, npan)
+        step = np.repeat((hi - lo) / npan, npan)
+        start = np.repeat(lo, npan)
+        pa = j * step + start
+        pb = (j + 1) * step + start
+        pb[last] = hi
+        vals, absm, seg = _adaptive_panels(
+            beta, pa, pb, np.repeat(inner, npan), cfg)
+        np.add.at(seg_vals, seg, vals)
+        np.add.at(seg_abs, seg, absm)
 
     return seg_vals, seg_abs
 
@@ -311,6 +332,11 @@ def z_span(beta, a, b):
     absolute-magnitude mass of the span, which bounds the attainable
     accuracy (rounding floor ~ eps * abs_mass).  Much cheaper than two
     full evaluations when the span is short; used by zero refinement.
+
+    A span inside [1e-3, 2pi - 1e-3] skips the segment set-up: its 1-4
+    panels go straight to ``_adaptive_panels``, so a span that one GK15
+    panel resolves costs one ``gk15_panels`` call.  The value is bit for
+    bit that of ``_segment_sums`` on [a, b].
     """
     beta = _check_beta(beta)
     a, b = float(a), float(b)
@@ -318,8 +344,21 @@ def z_span(beta, a, b):
         raise InvalidArgumentError("need 0 <= a <= b <= 2pi")
     if a == b:
         return 0.0j, 0.0
-    vals, absmass = _segment_sums(beta, np.array([a, b]), DEFAULT_QUAD)
-    return complex(vals[0]), float(absmass[0])
+    if not (_ENDPOINT <= a and b <= _MIRROR_LO):
+        vals, absmass = _segment_sums(beta, np.array([a, b]), DEFAULT_QUAD)
+        return complex(vals[0]), float(absmass[0])
+    npan = max(1, math.ceil((b - a) / _PANEL))
+    ends = np.arange(npan + 1) * ((b - a) / npan) + a
+    ends[-1] = b
+    vals, absm, _ = _adaptive_panels(beta, ends[:-1], ends[1:],
+                                     np.zeros(npan, dtype=np.intp),
+                                     DEFAULT_QUAD)
+    # summed panel by panel from zero, as np.add.at does in _segment_sums
+    value, mass = 0j, 0.0
+    for v, m in zip(vals.tolist(), absm.tolist()):
+        value += v
+        mass += m
+    return value, mass
 
 
 def psi_eval(beta, t):
@@ -439,12 +478,16 @@ def curve_points(beta, t_lo, t_hi, samples):
         raise InvalidArgumentError("need t_lo < t_hi")
     ts = np.linspace(t_lo, t_hi, samples)
     zs = z_many(beta, ts)
-    return [KernelPoint(beta, float(t), z.real, z.imag)
-            for t, z in zip(ts, zs)]
+    return [KernelPoint(beta, t, x, y) for t, x, y
+            in zip(ts.tolist(), zs.real.tolist(), zs.imag.tolist())]
 
 
 def write_curve_csv(fh, points):
-    """Write curve samples as CSV rows ``beta,t,x,y`` (17 sig. digits)."""
-    fh.write("beta,t,x,y\n")
-    for p in points:
-        fh.write(f"{fmt17(p.beta)},{fmt17(p.t)},{fmt17(p.x)},{fmt17(p.y)}\n")
+    """Write curve samples as CSV rows ``beta,t,x,y`` (17 sig. digits).
+
+    One ``%``-format per row, joined into one write; ``%.17g`` renders
+    every float as ``fmt17`` does.
+    """
+    fh.write("beta,t,x,y\n" + "".join(
+        ["%.17g,%.17g,%.17g,%.17g\n" % (p.beta, p.t, p.x, p.y)
+         for p in points]))

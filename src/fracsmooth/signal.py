@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,9 +113,26 @@ def grid_values(f: TrigPoly, n: int) -> np.ndarray:
     return n * np.fft.ifft(spec)
 
 
+@lru_cache(maxsize=64)
+def _smooth_length(n: int) -> int:
+    """Smallest integer >= n whose prime factors are all at most 11 (the
+    radices with their own passes in NumPy's pocketfft)."""
+    while True:
+        m = n
+        for q in (2, 3, 5, 7, 11):
+            while m % q == 0:
+                m //= q
+        if m == 1:
+            return n
+        n += 1
+
+
 def grid_size(degree: int, params: NormParams) -> int:
-    """Points of the rectangle rule that the L_p norms use at this degree."""
-    return max(64, params.oversample * (2 * degree + 1))
+    """Points of the rectangle rule that the L_p norms use at this degree:
+    max(64, oversample*(2*degree+1)), rounded up to an 11-smooth FFT
+    length (at degree 1024, 16392 = 2^3*3*683 becomes 16464 = 2^4*3*7^3,
+    so the inverse FFT avoids a slow pass for the prime factor 683)."""
+    return _smooth_length(max(64, params.oversample * (2 * degree + 1)))
 
 
 def lp_norms(coeffs, params: NormParams) -> np.ndarray:
@@ -158,8 +176,8 @@ def lp_norms(coeffs, params: NormParams) -> np.ndarray:
 def lp_norm(f: TrigPoly, params: NormParams) -> float:
     """L_p norm (quasi-norm for p < 1) on the circle.
 
-    Uses the uniform rectangle rule on max(64, oversample*(2*degree+1))
-    points; spectrally accurate away from zeros of f, and the documented
+    Uses the uniform rectangle rule on the ``grid_size`` points;
+    spectrally accurate away from zeros of f, and the documented
     tolerances of downstream consumers absorb the rest.
     """
     return float(lp_norms(f.coeffs[None, :], params)[0])

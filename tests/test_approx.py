@@ -22,7 +22,7 @@ from fracsmooth import (
     near_best_error,
     vallee_poussin,
 )
-from fracsmooth.signal import lp_norm
+from fracsmooth.signal import evaluate, grid_size, lp_norm
 
 
 class TestBestL2:
@@ -136,9 +136,19 @@ class TestNearBest:
             assert proxy <= 4.0 * best_approx_l2(f, n)[1]
 
     def test_frozen_value(self):
+        # the grid maximum of |f - V f| on grid_size(32) = 525 points
+        # (520 = 2^3*5*13 before FFT lengths were rounded up to 11-smooth
+        # ones, which gave 0.9068388221259182); direct evaluation at the
+        # same points is the oracle, and the refined sup lies above it
         f = corpus("sawtooth_truncated", 32)
         got = near_best_error(f, 8, math.inf)
-        assert got == pytest.approx(0.9068388221259182, rel=1e-9)
+        assert got == pytest.approx(0.9072509978170005, rel=1e-9)
+        residual = f - vallee_poussin(f, 1.0 / 8)
+        n = grid_size(residual.degree, NormParams(p=math.inf))
+        direct = np.abs(evaluate(residual, 2.0 * math.pi * np.arange(n) / n))
+        assert got == pytest.approx(float(direct.max()), rel=1e-12)
+        sup = lp_norm(residual, NormParams(p=math.inf, refine=True))
+        assert got <= sup <= got * (1.0 + 1e-3)
 
 
 class TestJacksonRatio:

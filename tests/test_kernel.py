@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracsmooth import _pykernels as pyk
+from fracsmooth import kernel
 from fracsmooth import (
     DEFAULT_QUAD,
     ConvergenceError,
@@ -30,6 +31,7 @@ from fracsmooth import (
     z_series_many,
     z_span,
 )
+from fracsmooth._util import fmt17
 
 TWO_PI = 2.0 * math.pi
 
@@ -213,13 +215,121 @@ class TestQuadratureConfig:
         assert QuadConfig() == DEFAULT_QUAD
 
     def test_budget_exhaustion_raises(self):
-        with pytest.raises(ConvergenceError, match="subdivisions"):
-            z_eval(0.5, 6.0, QuadConfig(abs_tol=1e-14, max_subdiv=4))
+        cfg = QuadConfig(abs_tol=1e-14, max_subdiv=4)
+        with pytest.raises(ConvergenceError, match="subdivisions") as info:
+            z_eval(0.5, 6.0, cfg)
+        assert info.value.achieved > cfg.abs_tol
 
     def test_tighter_tolerance_still_converges(self):
         loose = z_eval(2.5, 3.0)
         tight = z_eval(2.5, 3.0, QuadConfig(abs_tol=1e-12, max_subdiv=4000))
         assert abs(loose - tight) < 1e-9
+
+
+def _reference_segment_sums(beta, edges, cfg):
+    """``_segment_sums`` with its set-up spelled out segment by segment:
+    cut each segment at 1e-3 and 2pi - 1e-3, integrate the endpoint pieces
+    by expansion and split the interior piece with ``np.linspace``."""
+    lo_cut, hi_cut = 1e-3, TWO_PI - 1e-3
+    nseg = len(edges) - 1
+    seg_vals = np.zeros(nseg, dtype=complex)
+    seg_abs = np.zeros(nseg)
+    coeffs = kernel._endpoint_coeffs(beta)
+    quad_a, quad_b, quad_seg = [], [], []
+    for i in range(nseg):
+        a, b = edges[i], edges[i + 1]
+        if b <= a:
+            continue
+        cuts = [a] + [c for c in (lo_cut, hi_cut) if a < c < b] + [b]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if hi <= lo_cut:
+                v = kernel._expansion_integral(beta, coeffs, lo, hi)
+                seg_vals[i] += v
+                seg_abs[i] += abs(v)
+            elif lo >= hi_cut:
+                v = kernel._expansion_integral(beta, coeffs,
+                                               TWO_PI - hi, TWO_PI - lo)
+                seg_vals[i] += v.conjugate()
+                seg_abs[i] += abs(v)
+            else:
+                npan = max(1, math.ceil((hi - lo) / (0.5 * math.pi)))
+                sub = np.linspace(lo, hi, npan + 1)
+                quad_a += sub[:-1].tolist()
+                quad_b += sub[1:].tolist()
+                quad_seg += [i] * npan
+    if quad_a:
+        vals, absm, seg = kernel._adaptive_panels(
+            beta, np.array(quad_a), np.array(quad_b), np.array(quad_seg), cfg)
+        np.add.at(seg_vals, seg, vals)
+        np.add.at(seg_abs, seg, absm)
+    return seg_vals, seg_abs
+
+
+def _same_bits(u, v):
+    u, v = np.asarray(u), np.asarray(v)
+    return u.dtype == v.dtype and u.tobytes() == v.tobytes()
+
+
+class TestSegmentSums:
+    """The vectorised panel set-up of ``_segment_sums`` and the interior
+    shortcut of ``z_span`` against the per-segment construction."""
+
+    EDGE_SETS = {
+        "inside both expansion zones": [0.0, 2e-4, 7e-4, 1e-3,
+                                        TWO_PI - 1e-3, TWO_PI - 4e-4, TWO_PI],
+        "crossing both cut points": [5e-4, TWO_PI - 5e-4],
+        "whole period": [0.0, TWO_PI],
+        # 1.28 + 2 * ((3.48 - 1.28) / 2) != 3.48: the last end must be
+        # set to the segment end, as np.linspace does
+        "several panels": [0.3, 1.28, 3.48, 6.1, 6.2],
+        "repeated edges": [0.5, 0.5, 1.7, 1.7, 1.7, 3.0, 2.0, 2.5],
+        "lone interior span": [1.234, 1.5],
+        "touching the cut points": [1e-3, 0.5, TWO_PI - 1e-3],
+        "dense": np.linspace(0.0, TWO_PI, 97).tolist(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGE_SETS))
+    def test_matches_per_segment_reference(self, name):
+        edges = np.array(self.EDGE_SETS[name])
+        for beta in (0.5, 2.5, 8.0, 13.3):
+            got = kernel._segment_sums(beta, edges, DEFAULT_QUAD)
+            want = _reference_segment_sums(beta, edges, DEFAULT_QUAD)
+            assert _same_bits(got[0], want[0]), (name, beta)
+            assert _same_bits(got[1], want[1]), (name, beta)
+
+    def test_random_edges_match_reference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            beta = float(rng.uniform(0.3, 16.0))
+            edges = np.sort(rng.uniform(0.0, TWO_PI, rng.integers(2, 30)))
+            got = kernel._segment_sums(beta, edges, DEFAULT_QUAD)
+            want = _reference_segment_sums(beta, edges, DEFAULT_QUAD)
+            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+    def test_span_equals_segment_sums(self):
+        rng = np.random.default_rng(5)
+        spans = [(1e-3, TWO_PI - 1e-3), (0.0, TWO_PI), (2.0, 2.0 + 1e-9)]
+        for _ in range(150):
+            a = float(rng.uniform(0.0, TWO_PI))
+            spans.append(tuple(sorted((a, float(rng.uniform(0.0, TWO_PI))))))
+            w = float(rng.exponential(0.01))
+            spans.append((a, min(TWO_PI, a + w)))
+            # spans that start or end inside an expansion zone
+            lo, hi = rng.uniform(0.0, 2e-3, 2).tolist()
+            spans.append(tuple(sorted((lo, 1e-3 + w))))
+            spans.append(tuple(sorted((TWO_PI - 1e-3 - w, TWO_PI - hi))))
+        for i, (a, b) in enumerate(spans):
+            beta = 0.5 + 0.1 * (i % 150)
+            val, mass = z_span(beta, a, b)
+            vals, masses = kernel._segment_sums(beta, np.array([a, b]),
+                                                DEFAULT_QUAD)
+            assert _same_bits(complex(vals[0]), val), (beta, a, b)
+            assert _same_bits(float(masses[0]), mass), (beta, a, b)
+
+    def test_endpoint_coefficients_are_cached_and_read_only(self):
+        c = kernel._endpoint_coeffs(3.7)
+        assert kernel._endpoint_coeffs(3.7) is c
+        assert not c.flags.writeable
 
 
 class TestCore:
@@ -300,3 +410,19 @@ class TestCurveExport:
         for line, p in zip(lines[1:], pts):
             beta, t, x, y = (float(s) for s in line.split(","))
             assert (beta, t, x, y) == (p.beta, p.t, p.x, p.y)
+
+    def test_csv_rows_match_fmt17_rendering(self):
+        specials = [0.0, -0.0, 5e-324, 1e22, math.inf, -math.inf, math.nan,
+                    0.1, -2.5e-300, 1.0 / 3.0, 123456789.0, 2.0 ** 60]
+        pts = [kernel.KernelPoint(b, t, x, y)
+               for b in (2.5, specials[3])
+               for t, x, y in zip(specials, specials[1:] + specials[:1],
+                                  specials[2:] + specials[:2])]
+        pts.append(kernel.KernelPoint(1.0, 2.0, np.float64(-0.0),
+                                      np.float64(1e22)))
+        buf = io.StringIO()
+        write_curve_csv(buf, pts)
+        want = "beta,t,x,y\n" + "".join(
+            f"{fmt17(p.beta)},{fmt17(p.t)},{fmt17(p.x)},{fmt17(p.y)}\n"
+            for p in pts)
+        assert buf.getvalue().encode() == want.encode()

@@ -140,6 +140,9 @@ class TestLpNorms:
         assert grid_size(0, NormParams(p=2.0)) == 64
         assert grid_size(16, NormParams(p=2.0)) == 264
         assert grid_size(16, NormParams(p=2.0, oversample=1)) == 64
+        # rounded up to an 11-smooth FFT length
+        assert grid_size(8, NormParams(p=2.0)) == 140       # from 136 = 8*17
+        assert grid_size(1024, NormParams(p=2.0)) == 16464  # from 2^3*3*683
 
 
 @settings(max_examples=100, deadline=None)
