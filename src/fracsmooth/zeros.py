@@ -8,7 +8,7 @@ t = t0 + 2pi*k with t0 in the base period therefore needs
 
 The scan tracks the y-zero branches on the base period along beta,
 watches x + 2pi*k for sign changes on every branch and admissible shift
-index k >= 1, and bisects each crossing in beta (``_bisect_crossing``).
+index k >= 1, and closes each crossing in beta (``_bisect_crossing``).
 The smallest pathological order beta0 ~ 4.84 is the k = 1 crossing of
 the branch on (pi(1 - 2/beta), pi) for beta in [4, 5]; ``find_beta0``
 runs the same crossing search there.
@@ -16,12 +16,24 @@ runs the same crossing search there.
 Every y-zero is found the same way: ``_brackets`` evaluates y at a set of
 knots, brackets its sign changes and splits each bracket at the interior
 extrema of y, so that y is monotone on every piece; ``_bisect_y`` then
-bisects the piece.  Bisection is used throughout: the monotonicity
-structure supplies sign information, and derivative-based iterations
-misbehave near branch endpoints where y' vanishes.  Refinement evaluates
-z incrementally from an anchored value at the bracket's left knot
-(``kernel.z_span``), so each step integrates a short span instead of the
-whole [0, t] range.
+refines the piece.  Both root-finders are safeguarded, so that each
+keeps a sign bracket that only shrinks:
+
+* in t, Newton steps with the closed-form y' (``kernel.xy_prime``) from
+  the false-position point of the piece.  A step that would leave the
+  current sign bracket, or a point where y' = 0 (a piece may end at an
+  extremum of y), takes the bracket's midpoint instead.  A piece takes
+  about 4 evaluations of z.
+* in beta, where g(beta) = x(t*(beta)) + 2pi*k is smooth, Illinois regula
+  falsi, with each iterate held tol_beta/2 inside the bracket and a
+  bisection step whenever the bracket has not halved within three steps.
+  A crossing takes 6-9 steps.  Near beta = 40, where g is not smooth
+  at the scale of its rounding noise, the fallback still halves the
+  bracket at least every fourth step.
+
+Refinement evaluates z incrementally from an anchored value at the
+bracket's left knot (``kernel.z_span``), so each step integrates a short
+span instead of the whole [0, t] range.
 
 Every sign of y is read by one rule (``_y_signs``): y has a sign only
 where |y| exceeds ``_SIGN_NOISE`` times the cancellation floor that
@@ -41,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, InvalidArgumentError
-from .kernel import TWO_PI, QuadConfig, z_eval, z_many, z_span
+from .kernel import TWO_PI, QuadConfig, xy_prime, z_eval, z_many, z_span
 
 log = logging.getLogger(__name__)
 
@@ -154,31 +166,47 @@ def _brackets(beta, knots):
 
 
 def _bisect_y(beta, lo, hi, ylo, yhi, anchor=None):
-    """Refine a sign-change bracket of y.
+    """Refine a sign-change bracket of y by safeguarded Newton steps.
 
-    Returns (t, t_lo, t_hi, z_at_t, noise_at_t).
+    The first point is the false-position point of the bracket; each next
+    one is the Newton step t - y/y', with y' in closed form
+    (``kernel.xy_prime``, no quadrature).  Every evaluated y narrows the
+    sign bracket, and a step that would leave it, or a point where
+    y' = 0, is replaced by the bracket's midpoint.  Stops when |y| is at
+    the noise floor (``_stop_floor``) or the bracket at the rounding
+    width.  The name stays ``_bisect_y`` although the steps are Newton
+    steps, because the benchmark's per-layer spans bind it by name.
+
+    Returns (t, t_lo, t_hi, z_at_t, noise_at_t), where [t_lo, t_hi] is the
+    sign bracket that held t when it was evaluated.
     """
     width_floor = 64.0 * _EPS * max(1.0, hi)
+    lo_positive = ylo > 0.0
+    t = lo - ylo * (hi - lo) / (yhi - ylo)
+    if not (lo < t < hi):
+        t = 0.5 * (lo + hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        zm, noise = _eval_z(beta, mid, anchor)
-        ym = zm.imag
-        if abs(ym) <= _stop_floor(noise) or (hi - lo) <= width_floor:
-            return mid, lo, hi, zm, noise
-        if (ym > 0.0) == (ylo > 0.0):
-            lo, ylo = mid, ym
+        z, noise = _eval_z(beta, t, anchor)
+        y = z.imag
+        if abs(y) <= _stop_floor(noise) or (hi - lo) <= width_floor:
+            return t, lo, hi, z, noise
+        if (y > 0.0) == lo_positive:
+            lo = t
         else:
-            hi, yhi = mid, ym
-    mid = 0.5 * (lo + hi)
-    zm, noise = _eval_z(beta, mid, anchor)
-    return mid, lo, hi, zm, noise
+            hi = t
+        dy = xy_prime(beta, t)[1]
+        t = t - y / dy if dy != 0.0 else lo
+        if not (lo < t < hi):
+            t = 0.5 * (lo + hi)
+    z, noise = _eval_z(beta, t, anchor)
+    return t, lo, hi, z, noise
 
 
 def y_zeros(beta, t_lo, t_hi, grid):
     """Ascending zeros of y(beta, .) strictly inside (t_lo, t_hi).
 
     Brackets the sign changes on ``grid`` uniform points (``_brackets``)
-    and bisects each monotone piece.  Tangential lattice zeros at
+    and refines each monotone piece.  Tangential lattice zeros at
     t = 2 pi j, where y vanishes by symmetry without a crossing, are not
     reported.  The window may cross t = 2pi, so the pieces are refined
     without an anchor.
@@ -232,8 +260,8 @@ def find_beta0(tol_beta=1e-10):
     if not (f4 > 0.0 > f5):
         raise BracketError(
             f"expected F(4) > 0 > F(5), got F(4)={f4:.6f}, F(5)={f5:.6f}")
-    rec = _bisect_crossing(4.0, 5.0, f4, 0.5 * math.pi, math.pi, math.pi, 1,
-                           tol_beta)
+    rec = _bisect_crossing(4.0, 5.0, f4, f5, 0.5 * math.pi, math.pi, math.pi,
+                           1, tol_beta)
     if rec is None:
         raise BracketError("the base branch left the window [pi/2, pi]")
     if not (4.0 < rec.beta_k < 5.0):
@@ -285,7 +313,7 @@ def _match_columns(col_a, col_b):
 def _zero_in_window(beta, w_lo, w_hi, t_hint):
     """Locate the branch's y-zero inside a t window at a new beta.
 
-    Brackets the window at its ends and monotonicity knots and bisects the
+    Brackets the window at its ends and monotonicity knots and refines the
     bracket nearest to the hint.  Returns the ``_bisect_y`` tuple, or None
     when the branch has no crossing there.
     """
@@ -301,10 +329,16 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
                   beta_min=0.0, tol_beta=1e-10):
     """Locate all zeros of z with beta in (beta_min, beta_max], t in (0, t_max].
 
-    For each beta column the y-zero branches on the base period are
-    refined together with x there; sign changes of x + 2pi*k along beta
-    (for every shift index k >= 1 that keeps t = t_zero + 2pi*k inside
-    the window) are bisected to ZeroRecords.  Only the shifted copies
+    The beta columns are beta_min + i * step, step = (beta_max -
+    beta_min) / beta_grid, for i = 0..beta_grid, so the first column
+    sits at beta_min itself.  At beta_min = 0 they start at i = 1
+    (beta = step), because z is undefined at beta = 0; a zero with beta
+    in (0, step) is then not found (there is none below beta0 ~ 4.84).
+    For each column the y-zero branches on the base period are refined
+    together with x there; sign changes of x + 2pi*k between adjacent
+    columns (for every shift index k >= 1 that keeps t = t_zero + 2pi*k
+    inside the window) are closed in beta by ``_bisect_crossing`` to
+    ZeroRecords.  Only the shifted copies
     are tracked — the reported family lives strictly above the base
     period (t_k > 2pi); roots of x itself on the base period, which
     appear for beta around 14 and beyond, are outside the scan's scope
@@ -329,7 +363,8 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
         raise InvalidArgumentError("grids must be at least 2")
 
     step = (beta_max - beta_min) / beta_grid
-    betas = [beta_min + step * (i + 1) for i in range(int(beta_grid))]
+    first = 0 if beta_min > 0.0 else 1
+    betas = [beta_min + step * i for i in range(first, int(beta_grid) + 1)]
     columns = [_column(b, t_grid) for b in betas]
 
     records = []
@@ -347,7 +382,7 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
                 ga, gb = xa + TWO_PI * k, xb + TWO_PI * k
                 if ga == 0.0 or gb == 0.0 or (ga > 0.0) == (gb > 0.0):
                     continue
-                rec = _bisect_crossing(ba, bb, ga, w_lo, w_hi,
+                rec = _bisect_crossing(ba, bb, ga, gb, w_lo, w_hi,
                                        0.5 * (ta + tb), k, tol_beta)
                 if rec is not None:
                     records.append(rec)
@@ -366,22 +401,50 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     return dedup
 
 
-def _bisect_crossing(b_lo, b_hi, g_lo, w_lo, w_hi, t_hint, k, tol_beta):
-    """Bisect the beta crossing of x(branch zero) + 2 pi k on [b_lo, b_hi]."""
+def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, w_lo, w_hi, t_hint, k,
+                     tol_beta):
+    """Locate the beta crossing of g = x(branch zero) + 2 pi k on [b_lo, b_hi].
+
+    g is smooth in beta, so the bracket [b_lo, b_hi] (g_lo and g_hi of
+    opposite signs) is closed by Illinois regula falsi: the next beta is
+    the false-position point, and the g of an end that two steps in a row
+    leave in place is halved.  Each iterate is clamped at least
+    tol_beta/2 inside the bracket, so that the step after one that lands
+    next to the crossing lands across it and the bracket closes to width
+    <= tol_beta; a bracket that has not halved within three steps is
+    bisected once.  The name stays ``_bisect_crossing`` because the
+    benchmark's per-layer spans bind it by name.  Returns the
+    ZeroRecord at the bracket's midpoint, or None when the branch leaves
+    the t window [w_lo, w_hi].
+    """
     hint = t_hint
     lo_positive = g_lo > 0.0
+    moved = 0  # the end the last step replaced: -1 low, +1 high
+    halved_at, stalls = b_hi - b_lo, 0
     while b_hi - b_lo > tol_beta:
-        mid = 0.5 * (b_lo + b_hi)
-        found = _zero_in_window(mid, w_lo, w_hi, hint)
-        if found is None:
-            log.debug("branch lost at beta=%s in (%s, %s)", mid, w_lo, w_hi)
-            return None
-        t_mid, _, _, z_mid, _ = found
-        hint = t_mid
-        if ((z_mid.real + TWO_PI * k) > 0.0) == lo_positive:
-            b_lo = mid
+        if stalls < 3:
+            beta = b_lo - g_lo * (b_hi - b_lo) / (g_hi - g_lo)
         else:
-            b_hi = mid
+            beta = 0.5 * (b_lo + b_hi)
+        beta = min(max(beta, b_lo + 0.5 * tol_beta), b_hi - 0.5 * tol_beta)
+        found = _zero_in_window(beta, w_lo, w_hi, hint)
+        if found is None:
+            log.debug("branch lost at beta=%s in (%s, %s)", beta, w_lo, w_hi)
+            return None
+        hint = found[0]
+        g = found[3].real + TWO_PI * k
+        if (g > 0.0) == lo_positive:
+            if moved < 0:
+                g_hi *= 0.5
+            b_lo, g_lo, moved = beta, g, -1
+        else:
+            if moved > 0:
+                g_lo *= 0.5
+            b_hi, g_hi, moved = beta, g, 1
+        if b_hi - b_lo <= 0.5 * halved_at:
+            halved_at, stalls = b_hi - b_lo, 0
+        else:
+            stalls += 1
     beta_k = 0.5 * (b_lo + b_hi)
     found = _zero_in_window(beta_k, w_lo, w_hi, hint)
     if found is None:

@@ -8,6 +8,7 @@ the plumbing: formats, determinism, and error routing.
 """
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -15,13 +16,23 @@ import sys
 
 import pytest
 
+import fracsmooth
+
 _COMPLEX_LINE = re.compile(
     r"^(z|psi) = (-?[0-9][0-9.e+-]*) ([+-]) ([0-9][0-9.e+-]*)i$")
 
 
+#: the directory that holds the imported ``fracsmooth`` package (``src`` in
+#: a checkout), put first on the child's path so that it runs the same code
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
+    fracsmooth.__file__)))
+
+
 def run_cli(*args):
+    path = [_PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run([sys.executable, "-m", "fracsmooth.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def parse_complex(line):

@@ -24,7 +24,16 @@ from fracsmooth import (
     z_many,
     z_series,
 )
-from fracsmooth.zeros import _column, _extrema_points, _match_columns
+import fracsmooth.zeros as zeros
+from fracsmooth.zeros import (
+    _bisect_y,
+    _brackets,
+    _column,
+    _extrema_points,
+    _match_columns,
+    _stop_floor,
+    _zero_in_window,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -208,6 +217,131 @@ class TestScan:
             scan_zero_set(8.0, 0.0)
         with pytest.raises(InvalidArgumentError):
             scan_zero_set(8.0, 10.0, beta_grid=1)
+
+
+def window_scan():
+    """The zeros-scan benchmark window: orders (7, 8.875] in ten columns."""
+    return scan_zero_set(8.875, 24.0 * math.pi, 10, 384, beta_min=7.0)
+
+
+def counting(monkeypatch, name):
+    """Replace ``zeros.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(zeros, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(zeros, name, wrapper)
+    return calls
+
+
+class TestFirstColumn:
+    """The first beta column sits at beta_min (at step when beta_min = 0)."""
+
+    def test_crossing_in_the_first_cell_is_found(self, beta0_record):
+        # beta0 = 4.8432 lies between the first two columns, 4.8 and 4.85
+        got = scan_zero_set(5.0, 6.0 * math.pi, 4, 512, beta_min=4.8)
+        assert len(got) == 1
+        assert got[0].branch_index == 1
+        assert got[0].beta_k == pytest.approx(beta0_record.beta_k, abs=1e-9)
+        assert got[0].t_k == pytest.approx(beta0_record.t_k, abs=1e-8)
+
+    def test_columns_start_at_beta_min(self, monkeypatch):
+        calls = counting(monkeypatch, "_column")
+        scan_zero_set(5.0, 6.0 * math.pi, 4, 64, beta_min=4.8)
+        assert [c[0] for c in calls] == pytest.approx(
+            [4.8, 4.85, 4.9, 4.95, 5.0], abs=1e-12)
+
+    def test_columns_start_at_step_when_beta_min_is_zero(self, monkeypatch):
+        # z is undefined at order 0, so no column is placed there
+        calls = counting(monkeypatch, "_column")
+        assert scan_zero_set(4.0, 12.0, 4, 64) == []
+        assert [c[0] for c in calls] == pytest.approx([1.0, 2.0, 3.0, 4.0],
+                                                      abs=1e-12)
+
+    def test_window_gains_the_record_of_its_first_cell(self):
+        got = window_scan()
+        assert [r.branch_index for r in got] == [5, 6, 7, 8, 9, 10, 11, 1]
+        assert got[0].beta_k == pytest.approx(7.0934, abs=1e-4)
+        for r in got:
+            assert abs(z_series(r.beta_k, r.t_k, tol=1e-11)) <= 1e-8
+
+
+class TestRootFinders:
+    """Safeguarded Newton in t and Illinois regula falsi in beta."""
+
+    @pytest.mark.parametrize("beta", [4.6, 5.3, 8.2, 12.7])
+    def test_column_zeros_are_zeros_of_the_series_route(self, beta):
+        # the series route shares no code with the quadrature behind _column
+        col = _column(beta, 384)
+        assert col
+        for t, x, t_lo, t_hi in col:
+            assert t_lo <= t <= t_hi
+            z = z_series(beta, t, tol=1e-11)
+            assert abs(z.imag) <= 1e-9, t
+            assert x == pytest.approx(z.real, abs=1e-9)
+
+    @pytest.mark.parametrize("beta", [4.6, 5.3, 8.2, 12.7])
+    def test_pieces_ending_at_an_extremum_converge(self, beta):
+        # knots at the extrema of y only: every piece runs from one
+        # extremum to the next, where y' = 0 and a Newton step is undefined
+        ext = _extrema_points(beta, 0.2, TWO_PI - 0.2)
+        pieces = list(_brackets(beta, ext))
+        assert len(pieces) >= 2
+        for a, b, ya, yb, anchor in pieces:
+            for e in (a, b):
+                dx, dy = xy_prime(beta, e)
+                assert abs(dy) <= 1e-9 * abs(dx)
+            t, t_lo, t_hi, z, noise = _bisect_y(beta, a, b, ya, yb, anchor)
+            assert a <= t_lo <= t <= t_hi <= b
+            assert abs(z.imag) <= _stop_floor(noise)
+            assert abs(z_series(beta, t, tol=1e-11).imag) <= 1e-9
+
+    def test_crossing_brackets_hold_a_sign_change(self, beta0_record):
+        tol_beta = 1e-10
+        recs = window_scan() + [beta0_record]
+        for r in recs:
+            b_lo, b_hi = r.bracket[:2]
+            assert 0.0 < b_hi - b_lo <= tol_beta
+            t0 = r.t_k - TWO_PI * r.branch_index
+            g = [_zero_in_window(b, t0 - 0.05, t0 + 0.05, t0)[3].real
+                 + TWO_PI * r.branch_index for b in (b_lo, b_hi)]
+            assert g[0] * g[1] < 0.0, (r.beta_k, g)
+
+
+class TestStepBudget:
+    """Root-finder step counts, far below those of plain bisection."""
+
+    def test_column_evaluations(self, monkeypatch):
+        # bisection made 204 z_span calls for the 7 zeros of this column
+        calls = counting(monkeypatch, "z_span")
+        assert len(_column(8.2, 384)) == 7
+        assert len(calls) <= 40
+
+    def test_beta_steps_per_crossing(self, monkeypatch):
+        # bisection took about 33 window searches per crossing
+        steps, crossings = [], []
+        inner_window = zeros._zero_in_window
+        inner_crossing = zeros._bisect_crossing
+
+        def window(*args):
+            steps[-1] += 1
+            return inner_window(*args)
+
+        def crossing(*args):
+            steps.append(0)
+            rec = inner_crossing(*args)
+            crossings.append(rec)
+            return rec
+
+        monkeypatch.setattr(zeros, "_zero_in_window", window)
+        monkeypatch.setattr(zeros, "_bisect_crossing", crossing)
+        window_scan()
+        assert len(steps) == 8
+        assert all(rec is not None for rec in crossings)
+        assert max(steps) <= 12, steps
 
 
 class TestExtremaPoints:
