@@ -81,6 +81,22 @@ def binom_abs_sum(beta: float, tol: float = 1e-10) -> float:
     return float(partial + tail)
 
 
+def split_order(beta: float, alpha: float) -> int:
+    """The integer gap of the split beta = alpha + gap, alpha in (0, 4].
+
+    The split of the double-averaged modulus and its comparison pair:
+    alpha must lie in (0, 4] and beta - alpha must be a nonnegative
+    integer (to 1e-9).
+    """
+    if not (0.0 < alpha <= 4.0):
+        raise InvalidArgumentError("alpha must lie in (0, 4]")
+    gap = beta - alpha
+    if abs(gap - round(gap)) > 1e-9 or round(gap) < 0:
+        raise InvalidArgumentError(
+            "beta - alpha must be a nonnegative integer")
+    return int(round(gap))
+
+
 @dataclass(frozen=True)
 class DiffSymbol:
     """Fourier symbol of a fractional difference on frequencies -M..M."""

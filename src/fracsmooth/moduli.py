@@ -35,7 +35,7 @@ from numpy.polynomial.legendre import leggauss
 from ._util import fmt17, golden_max
 from .approx import near_best_error
 from .errors import InvalidArgumentError, UnsupportedParameterError
-from .fracdiff import symbol_values
+from .fracdiff import split_order, symbol_values
 from .kernel import psi_many
 from .signal import NormParams, TrigPoly, grid_size, lp_norm, lp_norms
 
@@ -75,13 +75,7 @@ class ModulusRequest:
         if self.quad_order < 4:
             raise InvalidArgumentError("quad_order must be at least 4")
         if self.alpha is not None:
-            a = float(self.alpha)
-            if not (0.0 < a <= 4.0):
-                raise InvalidArgumentError("alpha must lie in (0, 4]")
-            gap = self.beta - a
-            if abs(gap - round(gap)) > 1e-9 or round(gap) < 0:
-                raise InvalidArgumentError(
-                    "beta - alpha must be a nonnegative integer")
+            split_order(self.beta, float(self.alpha))
 
 
 def _diff_norms(f: TrigPoly, beta: float, deltas,
@@ -190,7 +184,7 @@ def star_modulus(f: TrigPoly, req: ModulusRequest) -> float:
         raise UnsupportedParameterError(
             "the averaged difference needs an integrable function: p >= 1")
     alpha = float(req.alpha)
-    gap = round(req.beta - alpha)
+    gap = split_order(req.beta, alpha)
     sym = _psi_coeffs(alpha, req.h, f.freqs)
     if gap > 0:
         sym = sym * _psi_coeffs(float(gap), req.h, f.freqs)

@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from .approx import CutoffV
 from .errors import (DomainTooSmallError, InvalidArgumentError,
                      ZeroDenominatorError)
-from .fracdiff import symbol_values
+from .fracdiff import split_order, symbol_values
 from .kernel import psi_many
 from .signal import TrigPoly
 
@@ -186,13 +186,7 @@ def make_g1_g2(beta: float, alpha: float, tau: float,
     if not (beta > 0.0 and math.isfinite(beta)):
         raise InvalidArgumentError("beta must be positive and finite")
     tau = _check_tau(tau)
-    if not (0.0 < alpha <= 4.0):
-        raise InvalidArgumentError("alpha must lie in (0, 4]")
-    gap = beta - alpha
-    if abs(gap - round(gap)) > 1e-9 or round(gap) < 0:
-        raise InvalidArgumentError(
-            "beta - alpha must be a nonnegative integer")
-    gap = int(round(gap))
+    gap = split_order(beta, alpha)
     if v is None:
         v = CutoffV()
     _near_origin_check(alpha, f"{alpha}")

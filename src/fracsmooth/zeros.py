@@ -6,23 +6,30 @@ t = t0 + 2pi*k with t0 in the base period therefore needs
 
     y(t0) = 0   and   x(t0) = -2pi*k.
 
-The scan tracks the y-zero branches on the base period along beta,
-watches x + 2pi*k for sign changes on every branch and admissible shift
-index k >= 1, and closes each crossing in beta (``_bisect_crossing``).
-The smallest pathological order beta0 ~ 4.84 is the k = 1 crossing of
-the branch on (pi(1 - 2/beta), pi) for beta in [4, 5]; ``find_beta0``
-runs the same crossing search there.
+A branch is a piece of y.  On (0, 2pi),
+y' = sin(beta(t - pi)/2) (2 sin(t/2))^beta vanishes only at
+t_m = pi(1 + 2m/beta), so y is monotone on each piece P_m = (t_m, t_m+1)
+and has at most one zero there.  A zero cannot leave its piece without
+becoming a double root, so the piece index m = floor(beta(t - pi)/2pi)
+names the branch along beta, and a branch ends where its piece loses its
+sign change.  The scan refines the y-zeros of each beta column, pairs
+the zeros of adjacent columns by piece index, watches x + 2pi*k for sign
+changes on every pair and admissible shift index k >= 1, and closes each
+crossing in beta on its piece (``_bisect_crossing``).  The smallest
+pathological order beta0 ~ 4.84 is the k = 1 crossing on the piece
+m = -1, (pi(1 - 2/beta), pi), for beta in [4, 5]; ``find_beta0`` runs the
+same crossing search there.
 
-Every y-zero is found the same way: ``_brackets`` evaluates y at a set of
-knots, brackets its sign changes and splits each bracket at the interior
-extrema of y, so that y is monotone on every piece; ``_bisect_y`` then
-refines the piece.  Both root-finders are safeguarded, so that each
+Every y-zero is found the same way: ``_brackets`` merges the interior
+extrema of y into a set of knots and brackets the sign changes of y
+between them, so that y is monotone on every bracket; ``_bisect_y`` then
+refines the bracket.  Both root-finders are safeguarded, so that each
 keeps a sign bracket that only shrinks:
 
 * in t, Newton steps with the closed-form y' (``kernel.xy_prime``) from
-  the false-position point of the piece.  A step that would leave the
-  current sign bracket, or a point where y' = 0 (a piece may end at an
-  extremum of y), takes the bracket's midpoint instead.  A piece takes
+  the false-position point of the bracket.  A step that would leave the
+  current sign bracket, or a point where y' = 0 (a bracket may end at an
+  extremum of y), takes the bracket's midpoint instead.  A bracket takes
   about 4 evaluations of z.
 * in beta, where g(beta) = x(t*(beta)) + 2pi*k is smooth, Illinois regula
   falsi, with each iterate held tol_beta/2 inside the bracket and a
@@ -68,6 +75,9 @@ _TIGHT = QuadConfig(abs_tol=1e-12, max_subdiv=4000)
 
 #: y carries a sign only where |y| exceeds this multiple of its noise floor
 _SIGN_NOISE = 4.0
+
+#: uniform knots across one monotone piece of y in the beta crossing search
+_PIECE_KNOTS = 16
 
 
 @dataclass(frozen=True)
@@ -139,30 +149,22 @@ def _extrema_points(beta, lo, hi):
 def _brackets(beta, knots):
     """Sign-change brackets of y between the knots, on which y is monotone.
 
-    Evaluates y at the ascending ``knots``, brackets its sign changes
-    between consecutive signed knots and splits each bracket at the
-    interior extrema of y.  An extremum whose y has no sign (a tangential
-    touch within noise, e.g. at the lattice) is skipped, so the piece
-    across it spans two monotone parts.  Yields
+    Merges the interior extrema of y into the ascending ``knots``,
+    evaluates y there in one ``z_many`` call and brackets its sign changes
+    between consecutive signed points.  An extremum whose y has no sign (a
+    tangential touch within noise, e.g. at the lattice) is skipped, so the
+    bracket across it spans two monotone parts.  Yields
     (t_lo, t_hi, y_lo, y_hi, anchor), where anchor = (t, z, noise) at the
     bracket's left knot.
     """
     knots = np.asarray(knots, dtype=float)
+    knots = np.sort(np.concatenate(
+        [knots, _extrema_points(beta, knots[0], knots[-1])]))
     zs, ns = z_many(beta, knots, with_noise=True)
     ys = zs.imag
     for i, j in _sign_brackets(ys, ns):
-        lo, hi = float(knots[i]), float(knots[j])
-        anchor = (lo, complex(zs[i]), float(ns[i]))
-        pts = _extrema_points(beta, lo, hi)
-        if not pts:
-            yield lo, hi, float(ys[i]), float(ys[j]), anchor
-            continue
-        pz, pn = z_many(beta, pts, with_noise=True)
-        sub = [lo] + pts + [hi]
-        vals = [float(ys[i])] + [float(v) for v in pz.imag] + [float(ys[j])]
-        noise = [0.0] + [float(v) for v in pn] + [0.0]
-        for a, b in _sign_brackets(vals, noise):
-            yield sub[a], sub[b], vals[a], vals[b], anchor
+        yield (float(knots[i]), float(knots[j]), float(ys[i]), float(ys[j]),
+               (float(knots[i]), complex(zs[i]), float(ns[i])))
 
 
 def _bisect_y(beta, lo, hi, ylo, yhi, anchor=None):
@@ -233,13 +235,12 @@ def curve_F(beta):
     """x at the unique y-zero on the shifted branch (pi(3-2/beta), 3pi).
 
     Defined for beta in [4, 5] (small slack tolerated); the zero is
-    located on the base branch (pi(1-2/beta), pi), where y falls from
-    positive to negative, and the value is x there plus 2 pi.
+    located on the piece m = -1 of y, (pi(1-2/beta), pi), where y falls
+    from positive to negative, and the value is x there plus 2 pi.
     """
     if not (4.0 - 1e-9 <= beta <= 5.0 + 1e-9):
         raise InvalidArgumentError("curve_F is defined for beta in [4, 5]")
-    found = _zero_in_window(beta, math.pi * (1.0 - 2.0 / beta) + 1e-9,
-                            math.pi, math.pi)
+    found = _zero_in_window(beta, -1)
     if found is None:
         raise BracketError(
             f"no y sign change on the branch interval for beta={beta}")
@@ -250,20 +251,20 @@ def find_beta0(tol_beta=1e-10):
     """The smallest pathological order, to ``tol_beta`` in beta.
 
     beta0 is the sign change of ``curve_F`` on [4, 5]: the k = 1 crossing
-    of the base branch, located by ``_bisect_crossing`` in the t window
-    [pi/2, pi], which holds the branch (pi(1-2/beta), pi) for every beta in
-    [4, 5].  Returns the ZeroRecord of (beta0, t0) with z(beta0, t0) = 0
-    and t0 on the once-shifted branch (between 2pi and 3pi).
+    of the zero on the piece m = -1 of y, (pi(1-2/beta), pi), located by
+    ``_bisect_crossing``.  Returns the ZeroRecord of (beta0, t0) with
+    z(beta0, t0) = 0 and t0 on the once-shifted branch (between 2pi and
+    3pi).
     """
     f4 = curve_F(4.0)
     f5 = curve_F(5.0)
     if not (f4 > 0.0 > f5):
         raise BracketError(
             f"expected F(4) > 0 > F(5), got F(4)={f4:.6f}, F(5)={f5:.6f}")
-    rec = _bisect_crossing(4.0, 5.0, f4, f5, 0.5 * math.pi, math.pi, math.pi,
-                           1, tol_beta)
+    rec = _bisect_crossing(4.0, 5.0, f4, f5, -1, 1, tol_beta)
     if rec is None:
-        raise BracketError("the base branch left the window [pi/2, pi]")
+        raise BracketError(
+            "the piece (pi(1-2/beta), pi) lost its y sign change")
     if not (4.0 < rec.beta_k < 5.0):
         raise BracketError(f"beta0={rec.beta_k} escaped (4, 5)")
     if not (math.pi * (3.0 - 2.0 / rec.beta_k) < rec.t_k < 3.0 * math.pi):
@@ -274,6 +275,12 @@ def find_beta0(tol_beta=1e-10):
 # ---------------------------------------------------------------------------
 # generic scan
 # ---------------------------------------------------------------------------
+
+def _piece(beta, t):
+    """Index m of the monotone piece P_m = (t_m, t_m+1) of y that holds t,
+    where t_m = pi(1 + 2m/beta) are the zeros of y' on (0, 2pi)."""
+    return math.floor(beta * (t - math.pi) / TWO_PI)
+
 
 def _column(beta, t_grid):
     """Refined y-zeros on the base period with their x values.
@@ -290,39 +297,18 @@ def _column(beta, t_grid):
     return out
 
 
-def _match_columns(col_a, col_b):
-    """Greedy nearest-neighbour pairing of zeros between adjacent columns."""
-    if not col_a or not col_b:
-        return []
-    gaps = [b[0] - a[0] for a, b in zip(col_a, col_a[1:])]
-    gaps += [b[0] - a[0] for a, b in zip(col_b, col_b[1:])]
-    tol = 0.45 * min(gaps) if gaps else math.inf
-    cand = sorted(
-        (abs(za[0] - zb[0]), ia, ib)
-        for ia, za in enumerate(col_a) for ib, zb in enumerate(col_b))
-    used_a, used_b, pairs = set(), set(), []
-    for d, ia, ib in cand:
-        if d > tol or ia in used_a or ib in used_b:
-            continue
-        used_a.add(ia)
-        used_b.add(ib)
-        pairs.append((ia, ib))
-    return pairs
+def _zero_in_window(beta, m):
+    """The zero of y(beta, .) on its monotone piece P_m.
 
-
-def _zero_in_window(beta, w_lo, w_hi, t_hint):
-    """Locate the branch's y-zero inside a t window at a new beta.
-
-    Brackets the window at its ends and monotonicity knots and refines the
-    bracket nearest to the hint.  Returns the ``_bisect_y`` tuple, or None
-    when the branch has no crossing there.
+    P_m = (pi(1 + 2m/beta), pi(1 + 2(m+1)/beta)), clipped to the base
+    period.  y is monotone there, so its ``_PIECE_KNOTS`` uniform knots
+    hold at most one bracket.  Returns the ``_bisect_y`` tuple, or None
+    when y has no sign change on the piece.
     """
-    knots = [w_lo] + _extrema_points(beta, w_lo, w_hi) + [w_hi]
-    best = min(_brackets(beta, knots), default=None,
-               key=lambda br: abs(0.5 * (br[0] + br[1]) - t_hint))
-    if best is None:
-        return None
-    return _bisect_y(beta, *best)
+    lo = max(math.pi * (1.0 + 2.0 * m / beta), 0.0)
+    hi = min(math.pi * (1.0 + 2.0 * (m + 1) / beta), TWO_PI)
+    bracket = next(_brackets(beta, np.linspace(lo, hi, _PIECE_KNOTS)), None)
+    return None if bracket is None else _bisect_y(beta, *bracket)
 
 
 def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
@@ -334,26 +320,25 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     sits at beta_min itself.  At beta_min = 0 they start at i = 1
     (beta = step), because z is undefined at beta = 0; a zero with beta
     in (0, step) is then not found (there is none below beta0 ~ 4.84).
-    For each column the y-zero branches on the base period are refined
-    together with x there; sign changes of x + 2pi*k between adjacent
-    columns (for every shift index k >= 1 that keeps t = t_zero + 2pi*k
-    inside the window) are closed in beta by ``_bisect_crossing`` to
-    ZeroRecords.  Only the shifted copies
-    are tracked — the reported family lives strictly above the base
-    period (t_k > 2pi); roots of x itself on the base period, which
-    appear for beta around 14 and beyond, are outside the scan's scope
-    (``verify_nonvanishing`` probes the base period directly).  Branches
-    that exit the window are dropped with a log note.  Records are
-    sorted by (beta_k, t_k); when the window contains it, the first
-    record is beta0, the crossing that ``find_beta0`` locates with the
-    same search.
 
-    The column grid and the window knots are bracketed by one routine
-    (``_brackets``): y counts as signed only where |y| exceeds
-    ``_SIGN_NOISE`` (4) times the noise floor of its evaluation, and zeros
-    are bracketed between consecutive signed points.  So no zero is read
-    out of rounding noise near t = 2pi, and the columns do not depend on
-    how the quadrature rounds.
+    A branch is a monotone piece P_m of y (see the module docstring), so
+    the zeros of adjacent columns are paired by their piece index m.
+    Each column refines its y-zeros on ``t_grid`` uniform points of the
+    base period; ``t_grid`` sets only this column grid.  Each sign change
+    of x + 2pi*k between a pair (for every shift index k >= 1 that keeps
+    t = t_zero + 2pi*k inside the window) is closed in beta on its piece
+    by ``_bisect_crossing`` to a ZeroRecord.  A branch ends where its
+    piece loses its sign change of y; a crossing search that meets such
+    an end is dropped with a log note.
+
+    Only the shifted copies are tracked: the reported family lives
+    strictly above the base period (t_k > 2pi).  Roots of x itself on the
+    base period, which appear for beta around 14 and beyond, are outside
+    the scan's scope (``verify_nonvanishing`` probes the base period
+    directly).  Records are sorted by (beta_k, t_k); when the window
+    contains it, the first record is beta0, the crossing that
+    ``find_beta0`` locates with the same search.  Every sign of y is read
+    by ``_y_signs``, so no zero is read out of rounding noise near 2pi.
     """
     if not (beta_max > beta_min >= 0.0):
         raise InvalidArgumentError("need beta_max > beta_min >= 0")
@@ -365,45 +350,32 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     step = (beta_max - beta_min) / beta_grid
     first = 0 if beta_min > 0.0 else 1
     betas = [beta_min + step * i for i in range(first, int(beta_grid) + 1)]
-    columns = [_column(b, t_grid) for b in betas]
+    columns = [{_piece(b, t): (t, x) for t, x, _, _ in _column(b, t_grid)}
+               for b in betas]
 
     records = []
     for i in range(len(betas) - 1):
         ba, bb = betas[i], betas[i + 1]
         col_a, col_b = columns[i], columns[i + 1]
-        for ia, ib in _match_columns(col_a, col_b):
-            ta, xa = col_a[ia][0], col_a[ia][1]
-            tb, xb = col_b[ib][0], col_b[ib][1]
-            pad = 4.0 * TWO_PI / t_grid + 2.0 * abs(tb - ta)
-            w_lo = max(min(ta, tb) - pad, 1e-6)
-            w_hi = min(max(ta, tb) + pad, TWO_PI - 1e-9)
+        for m in sorted(col_a.keys() & col_b.keys()):
+            (ta, xa), (tb, xb) = col_a[m], col_b[m]
             k_max = int(math.floor((t_max - max(ta, tb)) / TWO_PI))
             for k in range(1, k_max + 1):
                 ga, gb = xa + TWO_PI * k, xb + TWO_PI * k
                 if ga == 0.0 or gb == 0.0 or (ga > 0.0) == (gb > 0.0):
                     continue
-                rec = _bisect_crossing(ba, bb, ga, gb, w_lo, w_hi,
-                                       0.5 * (ta + tb), k, tol_beta)
+                rec = _bisect_crossing(ba, bb, ga, gb, m, k, tol_beta)
                 if rec is not None:
                     records.append(rec)
-    # branches whose shifted copies leave the window are simply not tracked
-    # further; note the truncation once per scan for transparency
-    log.debug("scan window beta<=%s t<=%s: %d raw records",
+    log.debug("scan window beta<=%s t<=%s: %d records",
               beta_max, t_max, len(records))
-
     records.sort(key=lambda r: (r.beta_k, r.t_k))
-    dedup = []
-    for r in records:
-        if dedup and abs(r.beta_k - dedup[-1].beta_k) < 1e-8 \
-                and abs(r.t_k - dedup[-1].t_k) < 1e-6:
-            continue
-        dedup.append(r)
-    return dedup
+    return records
 
 
-def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, w_lo, w_hi, t_hint, k,
-                     tol_beta):
-    """Locate the beta crossing of g = x(branch zero) + 2 pi k on [b_lo, b_hi].
+def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, m, k, tol_beta):
+    """Locate the beta crossing of g = x(zero on piece m) + 2 pi k on
+    [b_lo, b_hi].
 
     g is smooth in beta, so the bracket [b_lo, b_hi] (g_lo and g_hi of
     opposite signs) is closed by Illinois regula falsi: the next beta is
@@ -414,10 +386,9 @@ def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, w_lo, w_hi, t_hint, k,
     <= tol_beta; a bracket that has not halved within three steps is
     bisected once.  The name stays ``_bisect_crossing`` because the
     benchmark's per-layer spans bind it by name.  Returns the
-    ZeroRecord at the bracket's midpoint, or None when the branch leaves
-    the t window [w_lo, w_hi].
+    ZeroRecord at the bracket's midpoint, or None when the piece loses
+    its sign change of y (the branch ends).
     """
-    hint = t_hint
     lo_positive = g_lo > 0.0
     moved = 0  # the end the last step replaced: -1 low, +1 high
     halved_at, stalls = b_hi - b_lo, 0
@@ -427,11 +398,10 @@ def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, w_lo, w_hi, t_hint, k,
         else:
             beta = 0.5 * (b_lo + b_hi)
         beta = min(max(beta, b_lo + 0.5 * tol_beta), b_hi - 0.5 * tol_beta)
-        found = _zero_in_window(beta, w_lo, w_hi, hint)
+        found = _zero_in_window(beta, m)
         if found is None:
-            log.debug("branch lost at beta=%s in (%s, %s)", beta, w_lo, w_hi)
+            log.debug("branch lost at beta=%s on piece %d", beta, m)
             return None
-        hint = found[0]
         g = found[3].real + TWO_PI * k
         if (g > 0.0) == lo_positive:
             if moved < 0:
@@ -446,7 +416,7 @@ def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, w_lo, w_hi, t_hint, k,
         else:
             stalls += 1
     beta_k = 0.5 * (b_lo + b_hi)
-    found = _zero_in_window(beta_k, w_lo, w_hi, hint)
+    found = _zero_in_window(beta_k, m)
     if found is None:
         return None
     t_base, t_l, t_h, _, _ = found

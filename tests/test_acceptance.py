@@ -56,9 +56,13 @@ RESCUE_CAP = 32.0           # 2 ** beta0, rounded up
 # recorded baselines (regression, not oracles): frozen from the first
 # verified run and required to reproduce within TOL_* above
 BASE_MAX_OMEGA_OVER_W = 3.9995833311636146
-BASE_MAX_OMEGA_OVER_TILDE = 4.035269115268295
+# max omega/tilde and max omega/star of gate 08, computed with every L_p
+# grid doubled (signal.grid_size times 2) as the oracle, not taken from a
+# run on the native grid; both maxima sit at exp:1, h = 0.05 (orders 3
+# and 5 = 4 + 1)
+BASE_MAX_OMEGA_OVER_TILDE = 3.999883327524368
 BASE_MAX_STAR_OVER_OMEGA = 0.35009168633836624
-BASE_MAX_OMEGA_OVER_STAR = 10.09656097225732
+BASE_MAX_OMEGA_OVER_STAR = 9.999454354031359
 BASE_REGIME_HALF = 6.998752744772986
 BASE_REGIME_QUARTER = 6.999674314236898
 BASE_PROBE_20 = -4118670861.0726085

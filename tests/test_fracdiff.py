@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracsmooth import (ConvergenceError, NormParams, TrigPoly,
-                        apply_diff, apply_diff_series, binom_abs_sum, corpus,
-                        diff_symbol, frac_binom, symbol_values)
+from fracsmooth import (ConvergenceError, InvalidArgumentError,
+                        ModulusRequest, NormParams, TrigPoly, apply_diff,
+                        apply_diff_series, binom_abs_sum, corpus,
+                        diff_symbol, frac_binom, make_g1_g2, symbol_values)
+from fracsmooth.fracdiff import split_order
 from fracsmooth.signal import evaluate, lp_norm
 
 PI = math.pi
@@ -51,6 +53,32 @@ class TestFracBinom:
         # bound in place: an upper estimate, close at ~1e-4 scale.
         got = binom_abs_sum(0.5)
         assert 2.0 - 1e-12 <= got <= 2.0 + 1e-3
+
+
+class TestSplitOrder:
+    """beta = alpha + gap, alpha in (0, 4], gap a nonnegative integer."""
+
+    @pytest.mark.parametrize("beta, alpha, gap", [
+        (3.5, 2.5, 1), (4.0, 4.0, 0), (7.25, 0.25, 7), (3.0 + 1e-10, 1.0, 2)])
+    def test_gap(self, beta, alpha, gap):
+        got = split_order(beta, alpha)
+        assert got == gap and isinstance(got, int)
+
+    @pytest.mark.parametrize("beta, alpha, message", [
+        (5.0, 5.0, "alpha must lie in (0, 4]"),
+        (1.0, 0.0, "alpha must lie in (0, 4]"),
+        (4.85, 4.0, "beta - alpha must be a nonnegative integer"),
+        (2.5, 3.5, "beta - alpha must be a nonnegative integer")])
+    def test_every_caller_rejects_with_one_message(self, beta, alpha,
+                                                   message):
+        calls = [lambda: split_order(beta, alpha),
+                 lambda: ModulusRequest(beta=beta, h=0.1, norm=NormParams(p=2),
+                                        alpha=alpha),
+                 lambda: make_g1_g2(beta, alpha, 0.5)]
+        for call in calls:
+            with pytest.raises(InvalidArgumentError) as err:
+                call()
+            assert str(err.value) == message
 
 
 class TestDiffSymbol:

@@ -30,7 +30,7 @@ from fracsmooth.zeros import (
     _brackets,
     _column,
     _extrema_points,
-    _match_columns,
+    _piece,
     _stop_floor,
     _zero_in_window,
 )
@@ -41,9 +41,9 @@ TWO_PI = 2.0 * math.pi
 #: Zeros in the wide scan window, all of them and those with order <= 16.
 #: Established independently of the scan's own output: the 120-column
 #: and the 240-column scans return the same 215 records with the same
-#: shift indices (orders within 1e-10 below 16), every column pair matches
-#: all of its branches, and at each of the 63 records with order <= 16
-#: both the series route and an mpmath quadrature give |z| < 4e-9.  The
+#: shift indices (orders within 1e-10 below 16), and at each of the 63
+#: records with order <= 16 both the series route and an mpmath
+#: quadrature give |z| < 4e-9.  The
 #: set contains all 200 records of the earlier scan that read signs of y
 #: out of rounding noise, plus 15 that it lost.
 WIDE_SCAN_ZEROS = 215
@@ -207,6 +207,18 @@ class TestScan:
             assert a.t_k == pytest.approx(b.t_k, abs=1e-6)
             assert abs(z_series(a.beta_k, a.t_k, tol=1e-11)) <= 1e-8
 
+    def test_four_columns_find_every_zero_of_sixty_four(self):
+        # the piece index pairs a branch across a column step of 3 in the
+        # order, so four columns find the 39 zeros of sixty-four
+        fine = scan_zero_set(16.0, 24.0 * math.pi, 64, 384, beta_min=4.0)
+        coarse = scan_zero_set(16.0, 24.0 * math.pi, 4, 384, beta_min=4.0)
+        assert len(fine) == 39
+        assert [r.branch_index for r in coarse] == [
+            r.branch_index for r in fine]
+        for a, b in zip(coarse, fine):
+            assert a.beta_k == pytest.approx(b.beta_k, abs=1e-9)
+            assert a.t_k == pytest.approx(b.t_k, abs=1e-8)
+
     def test_no_zeros_at_low_order(self):
         assert scan_zero_set(4.0, 40.0 * math.pi, 40, 256) == []
 
@@ -305,10 +317,13 @@ class TestRootFinders:
         for r in recs:
             b_lo, b_hi = r.bracket[:2]
             assert 0.0 < b_hi - b_lo <= tol_beta
-            t0 = r.t_k - TWO_PI * r.branch_index
-            g = [_zero_in_window(b, t0 - 0.05, t0 + 0.05, t0)[3].real
-                 + TWO_PI * r.branch_index for b in (b_lo, b_hi)]
-            assert g[0] * g[1] < 0.0, (r.beta_k, g)
+            m = _piece(r.beta_k, r.t_k - TWO_PI * r.branch_index)
+            g = [_zero_in_window(b, m)[3].real + TWO_PI * r.branch_index
+                 for b in (b_lo, b_hi)]
+            # the same sign rule as the search, g > 0 against g <= 0: a
+            # false-position step can land on the crossing to rounding,
+            # and the end it sets then carries g = 0.0 exactly (beta0)
+            assert (g[0] > 0.0) != (g[1] > 0.0), (r.beta_k, g)
 
 
 class TestStepBudget:
@@ -344,6 +359,25 @@ class TestStepBudget:
         assert max(steps) <= 12, steps
 
 
+class TestPieces:
+    """A branch is a monotone piece of y, named by its index."""
+
+    @pytest.mark.parametrize("beta", [4.6, 6.4, 8.2, 12.7, 27.3, 39.5])
+    def test_column_zeros_lie_inside_their_piece(self, beta):
+        col = _column(beta, 512)
+        assert col
+        for t, _, _, _ in col:
+            m = _piece(beta, t)
+            assert (math.pi * (1.0 + 2.0 * m / beta) < t
+                    < math.pi * (1.0 + 2.0 * (m + 1) / beta)), (t, m)
+
+    def test_base_branch_is_the_piece_below_pi(self):
+        for beta in (4.0, 4.5, 5.0):
+            t = _zero_in_window(beta, -1)[0]
+            assert math.pi * (1.0 - 2.0 / beta) < t < math.pi
+            assert _piece(beta, t) == -1
+
+
 class TestExtremaPoints:
     """The monotonicity knots are the zeros of the closed-form y'."""
 
@@ -377,9 +411,14 @@ class TestSignRule:
     @pytest.mark.parametrize("beta_a, beta_b",
                              [(6.1, 6.4), (6.4, 6.7), (12.4, 12.7)])
     def test_adjacent_columns_match_every_branch(self, beta_a, beta_b):
-        col_a, col_b = _column(beta_a, 512), _column(beta_b, 512)
-        assert len(_match_columns(col_a, col_b)) == min(len(col_a),
-                                                        len(col_b))
+        # each zero has its own piece, and the column with fewer zeros
+        # shares every piece with the other one
+        cols = {b: _column(b, 512) for b in (beta_a, beta_b)}
+        keys = [{_piece(b, t) for t, _, _, _ in col}
+                for b, col in cols.items()]
+        sizes = [len(col) for col in cols.values()]
+        assert [len(k) for k in keys] == sizes
+        assert len(keys[0] & keys[1]) == min(sizes)
 
 
 class TestRegistry:
