@@ -320,10 +320,7 @@ class TestRootFinders:
             m = _piece(r.beta_k, r.t_k - TWO_PI * r.branch_index)
             g = [_zero_in_window(b, m)[3].real + TWO_PI * r.branch_index
                  for b in (b_lo, b_hi)]
-            # the same sign rule as the search, g > 0 against g <= 0: a
-            # false-position step can land on the crossing to rounding,
-            # and the end it sets then carries g = 0.0 exactly (beta0)
-            assert (g[0] > 0.0) != (g[1] > 0.0), (r.beta_k, g)
+            assert g[0] * g[1] < 0.0, (r.beta_k, g)
 
 
 class TestStepBudget:
