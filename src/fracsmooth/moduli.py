@@ -150,10 +150,6 @@ def integral_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     return float((scale * acc) ** (1.0 / p1))
 
 
-def _psi_coeffs(beta: float, h: float, freqs: np.ndarray) -> np.ndarray:
-    return psi_many(beta, freqs * h)
-
-
 def linearized_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     """Norm of the step-averaged fractional difference.
 
@@ -167,7 +163,7 @@ def linearized_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     if req.norm.p < 1.0:
         raise UnsupportedParameterError(
             "the averaged difference needs an integrable function: p >= 1")
-    sym = _psi_coeffs(req.beta, req.h, f.freqs)
+    sym = psi_many(req.beta, f.freqs * req.h)
     return lp_norm(f.with_coeffs(f.coeffs * sym), req.norm)
 
 
@@ -185,9 +181,9 @@ def star_modulus(f: TrigPoly, req: ModulusRequest) -> float:
             "the averaged difference needs an integrable function: p >= 1")
     alpha = float(req.alpha)
     gap = split_order(req.beta, alpha)
-    sym = _psi_coeffs(alpha, req.h, f.freqs)
+    sym = psi_many(alpha, f.freqs * req.h)
     if gap > 0:
-        sym = sym * _psi_coeffs(float(gap), req.h, f.freqs)
+        sym = sym * psi_many(float(gap), f.freqs * req.h)
     return lp_norm(f.with_coeffs(f.coeffs * sym), req.norm)
 
 

@@ -72,8 +72,12 @@ class TrigPoly:
 class NormParams:
     """How to measure: exponent p in (0, inf], grid oversampling factor.
 
-    ``refine`` adds a golden-section polish around the grid argmax for the
-    sup norm (off by default; the oversampled grid is already accurate).
+    The norm is read on a uniform grid (``grid_size``).  Only p = 2 is
+    exact there; p = inf (the grid maximum) and p = 1 (a rectangle rule
+    over |f|, which has a kink at each zero of f) are O(dx^2), about
+    1e-2 relative at the default oversample of 8 (see ``lp_norm``).
+    ``refine`` adds a golden-section polish around the grid argmax for
+    the sup norm (off by default).
     """
     p: float
     oversample: int = 8
@@ -141,8 +145,9 @@ def lp_norms(coeffs, params: NormParams) -> np.ndarray:
 
     The rows are synthesised on the uniform grid of ``grid_size`` points
     by one row-wise inverse FFT, in place, and each row is reduced by the
-    rectangle rule; ``lp_norm`` is the one-row case, so a batch of rows
-    gives bit for bit the values of one ``lp_norm`` call per row.
+    rectangle rule (the grid maximum at p = inf); ``lp_norm`` is the
+    one-row case, so a batch of rows gives bit for bit the values of one
+    ``lp_norm`` call per row, with the accuracy stated there.
     """
     c = np.asarray(coeffs, dtype=complex)
     rows, width = c.shape
@@ -176,9 +181,16 @@ def lp_norms(coeffs, params: NormParams) -> np.ndarray:
 def lp_norm(f: TrigPoly, params: NormParams) -> float:
     """L_p norm (quasi-norm for p < 1) on the circle.
 
-    Uses the uniform rectangle rule on the ``grid_size`` points;
-    spectrally accurate away from zeros of f, and the documented
-    tolerances of downstream consumers absorb the rest.
+    Uses the uniform rectangle rule on the ``grid_size`` points.  At
+    p = 2 it is exact: |f|^2 is a polynomial of degree 2M, which the grid
+    integrates exactly.  At p = inf it is the grid maximum, O(dx^2) below
+    a smooth maximum.  At other p it is a rectangle rule over |f|^p,
+    which is smooth only where f has no zero; at p = 1, |f| has a kink
+    at each simple zero of f and the rule is O(dx^2).  Against
+    oversample 64, over ``default_corpus()`` with the difference
+    ``apply_diff(f, beta, h)`` at beta in {0.5, 1, 2.5, 3.5, 5} and 40
+    steps h in [0.01, 1], the default oversample of 8 was off by at most
+    1.2e-2 relative at p = inf and 6.7e-3 at p = 1.
     """
     return float(lp_norms(f.coeffs[None, :], params)[0])
 

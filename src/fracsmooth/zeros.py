@@ -20,17 +20,18 @@ pathological order beta0 ~ 4.84 is the k = 1 crossing on the piece
 m = -1, (pi(1 - 2/beta), pi), for beta in [4, 5]; ``find_beta0`` runs the
 same crossing search there.
 
-Every y-zero is found the same way: ``_brackets`` merges the interior
-extrema of y into a set of knots and brackets the sign changes of y
-between them, so that y is monotone on every bracket; ``_bisect_y`` then
-refines the bracket.  Both root-finders are safeguarded, so that each
-keeps a sign bracket that only shrinks:
+Every y-zero is found on its piece: ``_piece_bounds`` gives P_m, and
+``_piece_zeros`` evaluates y at knots across each piece in one
+``z_many`` call and refines the one sign change that a monotone piece
+can hold (``_bisect_y``).  A column is a map from piece index to zero.
+Both root-finders are safeguarded, so that each keeps a sign bracket
+that only shrinks:
 
 * in t, Newton steps with the closed-form y' (``kernel.xy_prime``) from
   the false-position point of the bracket.  A step that would leave the
-  current sign bracket, or a point where y' = 0 (a bracket may end at an
-  extremum of y), takes the bracket's midpoint instead.  A bracket takes
-  about 4 evaluations of z.
+  current sign bracket, or a point where y' = 0 (a bracket may end at a
+  piece end, an extremum of y), takes the bracket's midpoint instead.
+  A bracket takes about 4 evaluations of z.
 * in beta, where g(beta) = x(t*(beta)) + 2pi*k is smooth, Illinois regula
   falsi, with each iterate held tol_beta/2 inside the bracket and a
   bisection step whenever the bracket has not halved within three steps.
@@ -60,7 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, InvalidArgumentError
-from .kernel import TWO_PI, QuadConfig, xy_prime, z_eval, z_many, z_span
+from .kernel import (TWO_PI, QuadConfig, _check_beta, xy_prime, z_eval,
+                     z_many, z_span)
 
 log = logging.getLogger(__name__)
 
@@ -120,60 +122,49 @@ def _sign_brackets(ys, noise):
             for i, j in zip(signed[:-1][flips], signed[1:][flips])]
 
 
-def _eval_z(beta, t, anchor=None):
-    """z and its accuracy floor at one point, incrementally when anchored.
+def _eval_z(beta, t, anchor):
+    """z and its accuracy floor at t, integrated from the anchor.
 
     ``anchor`` is (t_a, z_a, noise_a) with t_a <= t, both inside the base
-    period; the evaluation then integrates only [t_a, t].
+    period; the evaluation integrates only [t_a, t].
     """
-    if anchor is not None:
-        t_a, z_a, n_a = anchor
-        val, mass = z_span(beta, t_a, t)
-        return z_a + val, n_a + 8.0 * _EPS * mass
-    zs, ns = z_many(beta, [t], with_noise=True)
-    return complex(zs[0]), float(ns[0])
+    t_a, z_a, n_a = anchor
+    val, mass = z_span(beta, t_a, t)
+    return z_a + val, n_a + 8.0 * _EPS * mass
 
 
-def _extrema_points(beta, lo, hi):
-    """Points in (lo, hi) where y' vanishes: the lattice t = 2pi j and
-    t = 2pi j + pi(1 + 2m/beta) with |m| < beta/2."""
-    pts = []
-    j_lo = int(math.floor(lo / TWO_PI)) - 1
-    j_hi = int(math.ceil(hi / TWO_PI)) + 1
-    m_max = int(math.ceil(beta / 2.0)) - 1
-    for j in range(j_lo, j_hi + 1):
-        base = TWO_PI * j
-        if lo < base < hi:
-            pts.append(base)
-        for m in range(-m_max, m_max + 1):
-            t = base + math.pi * (1.0 + 2.0 * m / beta)
-            if lo < t < hi:
-                pts.append(t)
-    return sorted(pts)
+def _piece_bounds(beta, m):
+    """Ends of the monotone piece P_m = (pi(1 + 2m/beta), pi(1 + 2(m+1)/beta))
+    of y, clipped to the base period [0, 2pi]."""
+    return (max(math.pi * (1.0 + 2.0 * m / beta), 0.0),
+            min(math.pi * (1.0 + 2.0 * (m + 1) / beta), TWO_PI))
 
 
-def _brackets(beta, knots):
-    """Sign-change brackets of y between the knots, on which y is monotone.
+def _piece_zeros(beta, knots):
+    """The zero of y on each monotone piece, refined from knots on it.
 
-    Merges the interior extrema of y into the ascending ``knots``,
-    evaluates y there in one ``z_many`` call and brackets its sign changes
-    between consecutive signed points.  An extremum whose y has no sign (a
-    tangential touch within noise, e.g. at the lattice) is skipped, so the
-    bracket across it spans two monotone parts.  Yields
-    (t_lo, t_hi, y_lo, y_hi, anchor), where anchor = (t, z, noise) at the
-    bracket's left knot.
+    ``knots`` maps a piece index m to ascending knots on P_m.  y is
+    evaluated at all of them in one ``z_many`` call.  y is monotone on
+    P_m, so the signed knots of a piece hold at most one sign change;
+    ``_bisect_y`` refines it from the bracket's left knot.  A sign change
+    between two pieces passes an extremum where y has no sign, a touch
+    within noise, and is not a zero of either piece.  Returns
+    {m: the ``_bisect_y`` tuple} for the pieces with a sign change.
     """
-    knots = np.asarray(knots, dtype=float)
-    knots = np.sort(np.concatenate(
-        [knots, _extrema_points(beta, knots[0], knots[-1])]))
-    zs, ns = z_many(beta, knots, with_noise=True)
-    ys = zs.imag
-    for i, j in _sign_brackets(ys, ns):
-        yield (float(knots[i]), float(knots[j]), float(ys[i]), float(ys[j]),
-               (float(knots[i]), complex(zs[i]), float(ns[i])))
+    ts = np.concatenate([np.asarray(k, dtype=float) for k in knots.values()])
+    piece = np.repeat(list(knots), [len(k) for k in knots.values()])
+    zs, ns = z_many(beta, ts, with_noise=True)
+    out = {}
+    for i, j in _sign_brackets(zs.imag, ns):
+        m = int(piece[i])
+        if piece[j] == m:
+            anchor = (float(ts[i]), complex(zs[i]), float(ns[i]))
+            out[m] = _bisect_y(beta, float(ts[i]), float(ts[j]),
+                               float(zs[i].imag), float(zs[j].imag), anchor)
+    return out
 
 
-def _bisect_y(beta, lo, hi, ylo, yhi, anchor=None):
+def _bisect_y(beta, lo, hi, ylo, yhi, anchor):
     """Refine a sign-change bracket of y by safeguarded Newton steps.
 
     The first point is the false-position point of the bracket; each next
@@ -184,6 +175,8 @@ def _bisect_y(beta, lo, hi, ylo, yhi, anchor=None):
     the noise floor (``_stop_floor``) or the bracket at the rounding
     width.  The name stays ``_bisect_y`` although the steps are Newton
     steps, because the benchmark's per-layer spans bind it by name.
+    Every z is integrated from ``anchor`` = (t_a, z_a, noise_a), the
+    bracket's left knot (``_eval_z``).
 
     Returns (t, t_lo, t_hi, z_at_t, noise_at_t), where [t_lo, t_hi] is the
     sign bracket that held t when it was evaluated.
@@ -213,24 +206,27 @@ def _bisect_y(beta, lo, hi, ylo, yhi, anchor=None):
 def y_zeros(beta, t_lo, t_hi, grid):
     """Ascending zeros of y(beta, .) strictly inside (t_lo, t_hi).
 
-    Brackets the sign changes on ``grid`` uniform points (``_brackets``)
-    and refines each monotone piece.  Tangential lattice zeros at
-    t = 2 pi j, where y vanishes by symmetry without a crossing, are not
-    reported.  The window may cross t = 2pi, so the pieces are refined
-    without an anchor.
+    y is 2pi-periodic, so this is the base-period column (``_column``),
+    shifted by 2pi j and filtered to the window.  Its knot spacing is
+    that of ``grid`` uniform points on the window, or on one period when
+    the window is shorter: y is monotone on each piece, so finer knots
+    would only narrow the bracket that Newton starts from, while the
+    column, which covers the whole period, would grow without bound as
+    the window narrows.  Tangential lattice zeros at t = 2 pi j, where y
+    vanishes by symmetry without a crossing, are not reported.
     """
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
+        raise InvalidArgumentError("t_lo and t_hi must be finite")
     if not (0.0 < t_lo < t_hi):
         raise InvalidArgumentError("need 0 < t_lo < t_hi")
     if grid < 2:
         raise InvalidArgumentError("grid must be at least 2")
-    ts = np.linspace(t_lo, t_hi, int(grid))
-    out = sorted(_bisect_y(beta, a, b, va, vb)[0]
-                 for a, b, va, vb, _ in _brackets(beta, ts))
-    dedup = []
-    for t in out:
-        if not dedup or t - dedup[-1] > 1e-10 * max(1.0, t):
-            dedup.append(t)
-    return dedup
+    column = _column(beta, TWO_PI * (int(grid) - 1)
+                     / max(t_hi - t_lo, TWO_PI))
+    return [t + TWO_PI * j
+            for j in range(int(t_lo // TWO_PI), int(t_hi // TWO_PI) + 1)
+            for t, _, _, _ in column.values()
+            if t_lo < t + TWO_PI * j < t_hi]
 
 
 # ---------------------------------------------------------------------------
@@ -282,40 +278,34 @@ def find_beta0(tol_beta=1e-10):
 # generic scan
 # ---------------------------------------------------------------------------
 
-def _piece(beta, t):
-    """Index m of the monotone piece P_m = (t_m, t_m+1) of y that holds t,
-    where t_m = pi(1 + 2m/beta) are the zeros of y' on (0, 2pi)."""
-    return math.floor(beta * (t - math.pi) / TWO_PI)
-
-
 def _column(beta, t_grid):
-    """Refined y-zeros on the base period with their x values.
+    """The refined y-zero on every monotone piece of the base period.
 
-    Returns a list of (t, x, t_lo, t_hi), ascending in t.
+    Each piece P_m of (0, 2pi) gets uniform knots, its ends included, at
+    a spacing of at most 2pi / t_grid.  Returns {m: (t, x, t_lo, t_hi)},
+    ascending in m and so in t, for the pieces where y changes sign;
+    [t_lo, t_hi] is the sign bracket that held t.
     """
-    pad = TWO_PI / t_grid
-    ts = np.linspace(pad, TWO_PI - pad, int(t_grid))
-    out = []
-    for a, b, va, vb, anchor in _brackets(beta, ts):
-        t, tl, th, z_t, _ = _bisect_y(beta, a, b, va, vb, anchor)
-        out.append((t, z_t.real, tl, th))
-    out.sort()
-    return out
+    half = math.ceil(_check_beta(beta) / 2.0)
+    knots = {}
+    for m in range(-half, half):
+        lo, hi = _piece_bounds(beta, m)
+        knots[m] = np.linspace(lo, hi,
+                               math.ceil((hi - lo) * t_grid / TWO_PI) + 1)
+    return {m: (t, z.real, t_lo, t_hi)
+            for m, (t, t_lo, t_hi, z, _) in _piece_zeros(beta, knots).items()}
 
 
 def _zero_in_window(beta, m):
     """The zero of y(beta, .) on its monotone piece P_m.
 
-    P_m = (pi(1 + 2m/beta), pi(1 + 2(m+1)/beta)), clipped to the base
-    period.  y is monotone there, so the piece holds at most one bracket;
-    its ``_PIECE_KNOTS`` uniform knots narrow that bracket before the
-    Newton refinement.  Returns the ``_bisect_y`` tuple, or None when y
-    has no sign change on the piece.
+    The piece (``_piece_bounds``) gets ``_PIECE_KNOTS`` uniform knots,
+    which narrow its one bracket before the Newton refinement.  Returns
+    the ``_bisect_y`` tuple, or None when y has no sign change on the
+    piece.
     """
-    lo = max(math.pi * (1.0 + 2.0 * m / beta), 0.0)
-    hi = min(math.pi * (1.0 + 2.0 * (m + 1) / beta), TWO_PI)
-    bracket = next(_brackets(beta, np.linspace(lo, hi, _PIECE_KNOTS)), None)
-    return None if bracket is None else _bisect_y(beta, *bracket)
+    lo, hi = _piece_bounds(beta, m)
+    return _piece_zeros(beta, {m: np.linspace(lo, hi, _PIECE_KNOTS)}).get(m)
 
 
 def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
@@ -330,11 +320,12 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
 
     A branch is a monotone piece P_m of y (see the module docstring), so
     the zeros of adjacent columns are paired by their piece index m.
-    Each column refines its y-zeros on ``t_grid`` uniform points of the
-    base period; ``t_grid`` sets only this column grid.  Each sign change
-    of x + 2pi*k between a pair (for every shift index k >= 1 that keeps
-    t = t_zero + 2pi*k inside the window) is closed in beta on its piece
-    by ``_bisect_crossing`` to a ZeroRecord.  A branch ends where its
+    Each column (``_column``) refines the y-zero of every piece from
+    knots at a spacing of at most 2pi / t_grid; ``t_grid`` sets only this
+    column grid.  Each sign change of x + 2pi*k between a pair (for every
+    shift index k >= 1 that keeps t = t_zero + 2pi*k inside the window)
+    is closed in beta on its piece by ``_bisect_crossing`` to a
+    ZeroRecord.  A branch ends where its
     piece loses its sign change of y; a crossing search that meets such
     an end is dropped with a log note.
 
@@ -347,6 +338,9 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     ``find_beta0`` locates with the same search.  Every sign of y is read
     by ``_y_signs``, so no zero is read out of rounding noise near 2pi.
     """
+    if not all(map(math.isfinite, (beta_max, beta_min, t_max))):
+        raise InvalidArgumentError(
+            "beta_max, beta_min and t_max must be finite")
     if not (beta_max > beta_min >= 0.0):
         raise InvalidArgumentError("need beta_max > beta_min >= 0")
     if t_max <= 0.0:
@@ -357,15 +351,14 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     step = (beta_max - beta_min) / beta_grid
     first = 0 if beta_min > 0.0 else 1
     betas = [beta_min + step * i for i in range(first, int(beta_grid) + 1)]
-    columns = [{_piece(b, t): (t, x) for t, x, _, _ in _column(b, t_grid)}
-               for b in betas]
+    columns = [_column(b, t_grid) for b in betas]
 
     records = []
     for i in range(len(betas) - 1):
         ba, bb = betas[i], betas[i + 1]
         col_a, col_b = columns[i], columns[i + 1]
         for m in sorted(col_a.keys() & col_b.keys()):
-            (ta, xa), (tb, xb) = col_a[m], col_b[m]
+            (ta, xa, _, _), (tb, xb, _, _) = col_a[m], col_b[m]
             k_max = int(math.floor((t_max - max(ta, tb)) / TWO_PI))
             for k in range(1, k_max + 1):
                 ga, gb = xa + TWO_PI * k, xb + TWO_PI * k

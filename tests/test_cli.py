@@ -230,6 +230,13 @@ class TestZeros:
         assert res.returncode == 1
         assert res.stderr.startswith("invalid arguments:")
 
+    @pytest.mark.parametrize("bound", [("--t-max", "nan"), ("--t-max", "inf"),
+                                       ("--beta-max", "inf")])
+    def test_non_finite_bound(self, bound):
+        res = run_cli("zeros", *bound)
+        assert res.returncode == 1
+        assert res.stderr.startswith("invalid arguments:")
+
 
 class TestModulus:
     def test_classical_single_mode(self):

@@ -26,11 +26,9 @@ from fracsmooth import (
 )
 import fracsmooth.zeros as zeros
 from fracsmooth.zeros import (
-    _bisect_y,
-    _brackets,
     _column,
-    _extrema_points,
-    _piece,
+    _piece_bounds,
+    _piece_zeros,
     _stop_floor,
     _zero_in_window,
 )
@@ -115,22 +113,45 @@ class TestYZeros:
             assert g == pytest.approx(w, abs=1e-7)
 
     def test_zeros_shift_with_the_period(self):
+        # one base-period column serves every period of the window, so
+        # the shift is exact
         base = y_zeros(5.0, 0.05, TWO_PI - 0.05, 512)
         shifted = y_zeros(5.0, 0.05 + TWO_PI, 2.0 * TWO_PI - 0.05, 512)
-        assert len(shifted) == len(base)
-        for b, s in zip(base, shifted):
-            assert s == pytest.approx(b + TWO_PI, abs=1e-7)
+        assert len(base) == 4
+        assert shifted == [t + TWO_PI for t in base]
 
     def test_single_zero_on_shifted_branch_window(self):
         got = y_zeros(5.0, math.pi * (3.0 - 2.0 / 5.0), 3.0 * math.pi, 128)
         assert len(got) == 1
         assert got[0] == pytest.approx(8.51939204024677, abs=1e-7)
 
+    def test_narrow_window_costs_one_column(self, monkeypatch):
+        # a window shorter than the period gets the knot spacing of grid
+        # points on one period: at most 511 + 2 knots on each of the six
+        # pieces of order five, however narrow the window
+        points = []
+        inner = zeros.z_many
+
+        def counted(beta, ts, **kwargs):
+            points.append(len(ts))
+            return inner(beta, ts, **kwargs)
+
+        monkeypatch.setattr(zeros, "z_many", counted)
+        got = y_zeros(5.0, 2.236, 2.2364, 512)
+        assert got == pytest.approx([2.236206733067182], abs=1e-7)
+        assert sum(points) <= 511 + 2 * 6
+
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             y_zeros(5.0, 0.0, 1.0, 64)
         with pytest.raises(InvalidArgumentError):
             y_zeros(5.0, 0.5, 1.0, 1)
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(0.1, math.inf), (0.1, math.nan),
+                                            (math.nan, 1.0)])
+    def test_non_finite_window(self, t_lo, t_hi):
+        with pytest.raises(InvalidArgumentError):
+            y_zeros(5.0, t_lo, t_hi, 10)
 
 
 class TestScan:
@@ -230,6 +251,13 @@ class TestScan:
         with pytest.raises(InvalidArgumentError):
             scan_zero_set(8.0, 10.0, beta_grid=1)
 
+    @pytest.mark.parametrize("beta_max, t_max, beta_min", [
+        (8.0, math.nan, 0.0), (8.0, math.inf, 0.0), (math.inf, 10.0, 0.0),
+        (math.nan, 10.0, 0.0), (8.0, 10.0, math.nan), (8.0, 10.0, -math.inf)])
+    def test_non_finite_bounds(self, beta_max, t_max, beta_min):
+        with pytest.raises(InvalidArgumentError):
+            scan_zero_set(beta_max, t_max, 4, 64, beta_min=beta_min)
+
 
 def window_scan():
     """The zeros-scan benchmark window: orders (7, 8.875] in ten columns."""
@@ -289,7 +317,7 @@ class TestRootFinders:
         # the series route shares no code with the quadrature behind _column
         col = _column(beta, 384)
         assert col
-        for t, x, t_lo, t_hi in col:
+        for t, x, t_lo, t_hi in col.values():
             assert t_lo <= t <= t_hi
             z = z_series(beta, t, tol=1e-11)
             assert abs(z.imag) <= 1e-9, t
@@ -297,16 +325,19 @@ class TestRootFinders:
 
     @pytest.mark.parametrize("beta", [4.6, 5.3, 8.2, 12.7])
     def test_pieces_ending_at_an_extremum_converge(self, beta):
-        # knots at the extrema of y only: every piece runs from one
-        # extremum to the next, where y' = 0 and a Newton step is undefined
-        ext = _extrema_points(beta, 0.2, TWO_PI - 0.2)
-        pieces = list(_brackets(beta, ext))
-        assert len(pieces) >= 2
-        for a, b, ya, yb, anchor in pieces:
+        # knots at the two ends of each interior piece only: the bracket
+        # runs from one extremum of y to the next, where y' = 0 and a
+        # Newton step is undefined
+        half = math.ceil(beta / 2.0)
+        ends = {m: _piece_bounds(beta, m) for m in range(1 - half, half - 1)}
+        for a, b in ends.values():
             for e in (a, b):
                 dx, dy = xy_prime(beta, e)
                 assert abs(dy) <= 1e-9 * abs(dx)
-            t, t_lo, t_hi, z, noise = _bisect_y(beta, a, b, ya, yb, anchor)
+        found = _piece_zeros(beta, ends)
+        assert len(found) >= 2
+        for m, (t, t_lo, t_hi, z, noise) in found.items():
+            a, b = ends[m]
             assert a <= t_lo <= t <= t_hi <= b
             assert abs(z.imag) <= _stop_floor(noise)
             assert abs(z_series(beta, t, tol=1e-11).imag) <= 1e-9
@@ -317,7 +348,9 @@ class TestRootFinders:
         for r in recs:
             b_lo, b_hi = r.bracket[:2]
             assert 0.0 < b_hi - b_lo <= tol_beta
-            m = _piece(r.beta_k, r.t_k - TWO_PI * r.branch_index)
+            # the record's piece: y' vanishes at pi(1 + 2m/beta)
+            t0 = r.t_k - TWO_PI * r.branch_index
+            m = math.floor(r.beta_k * (t0 - math.pi) / TWO_PI)
             g = [_zero_in_window(b, m)[3].real + TWO_PI * r.branch_index
                  for b in (b_lo, b_hi)]
             assert g[0] * g[1] < 0.0, (r.beta_k, g)
@@ -361,10 +394,10 @@ class TestPieces:
 
     @pytest.mark.parametrize("beta", [4.6, 6.4, 8.2, 12.7, 27.3, 39.5])
     def test_column_zeros_lie_inside_their_piece(self, beta):
+        # the key of each zero names the piece that holds it
         col = _column(beta, 512)
         assert col
-        for t, _, _, _ in col:
-            m = _piece(beta, t)
+        for m, (t, _, _, _) in col.items():
             assert (math.pi * (1.0 + 2.0 * m / beta) < t
                     < math.pi * (1.0 + 2.0 * (m + 1) / beta)), (t, m)
 
@@ -372,24 +405,29 @@ class TestPieces:
         for beta in (4.0, 4.5, 5.0):
             t = _zero_in_window(beta, -1)[0]
             assert math.pi * (1.0 - 2.0 / beta) < t < math.pi
-            assert _piece(beta, t) == -1
 
 
 class TestExtremaPoints:
-    """The monotonicity knots are the zeros of the closed-form y'."""
+    """The ends of the monotone pieces are the zeros of the closed-form y'."""
 
     @pytest.mark.parametrize("beta", [4.1 + 35.9 * i / 49 for i in range(50)])
     def test_y_prime_vanishes_off_the_lattice(self, beta):
-        pts = _extrema_points(beta, 0.01, 3.0 * math.pi)
-        assert pts == sorted(pts)
-        for t in pts:
-            if t == TWO_PI:
-                continue
-            dx, dy = xy_prime(beta, t)
-            assert abs(dy) <= 1e-9 * math.hypot(dx, dy), t
+        half = math.ceil(beta / 2.0)
+        ends = [_piece_bounds(beta, m) for m in range(-half, half)]
+        assert ends[0][0] == 0.0
+        assert ends[-1][1] == TWO_PI
+        for (_, hi), (lo, _) in zip(ends, ends[1:]):
+            assert hi == lo
+            assert 0.0 < lo < TWO_PI
+            dx, dy = xy_prime(beta, lo)
+            assert abs(dy) <= 1e-9 * math.hypot(dx, dy), lo
 
     def test_lattice_is_included(self):
-        assert TWO_PI in _extrema_points(4.2, 6.0, 6.5)
+        # the outer pieces are clipped to the lattice t = 0, 2pi
+        assert _piece_bounds(4.2, -3)[0] == 0.0
+        assert _piece_bounds(4.2, 2)[1] == TWO_PI
+        assert _piece_bounds(4.2, -1) == (math.pi * (1.0 - 2.0 / 4.2),
+                                          math.pi)
 
 
 class TestSignRule:
@@ -400,7 +438,7 @@ class TestSignRule:
         # about pi.  Near 2pi, y of order 6.4 falls below the noise of the
         # quadrature (|y| = 3.8e-14 at t = 6.26479 against a noise of
         # 2.9e-13), and a sign read there made a zero without a mirror.
-        col = [t for t, _, _, _ in _column(6.4, 512)]
+        col = [t for t, _, _, _ in _column(6.4, 512).values()]
         assert len(col) == 6
         for t in col:
             assert min(abs(TWO_PI - t - s) for s in col) < 1e-6, t
@@ -408,14 +446,10 @@ class TestSignRule:
     @pytest.mark.parametrize("beta_a, beta_b",
                              [(6.1, 6.4), (6.4, 6.7), (12.4, 12.7)])
     def test_adjacent_columns_match_every_branch(self, beta_a, beta_b):
-        # each zero has its own piece, and the column with fewer zeros
+        # a column is keyed by piece, and the column with fewer zeros
         # shares every piece with the other one
-        cols = {b: _column(b, 512) for b in (beta_a, beta_b)}
-        keys = [{_piece(b, t) for t, _, _, _ in col}
-                for b, col in cols.items()]
-        sizes = [len(col) for col in cols.values()]
-        assert [len(k) for k in keys] == sizes
-        assert len(keys[0] & keys[1]) == min(sizes)
+        keys = [set(_column(b, 512)) for b in (beta_a, beta_b)]
+        assert len(keys[0] & keys[1]) == min(len(k) for k in keys)
 
 
 class TestRegistry:
