@@ -14,11 +14,11 @@ from .errors import (BracketError, ConvergenceError, DomainTooSmallError,
                      FracsmoothError, InvalidArgumentError,
                      UnsupportedParameterError, ZeroDenominatorError)
 from .fracdiff import (apply_diff, apply_diff_series, binom_abs_sum,
-                       diff_symbol, frac_binom, symbol_values)
-from .kernel import (DEFAULT_QUAD, KernelPoint, QuadConfig, curve_points,
-                     psi_eval, psi_many, series_terms_needed,
-                     write_curve_csv, xn_divergence_probe, xy_prime, z_eval,
-                     z_many, z_series, z_series_many, z_span)
+                       frac_binom, symbol_values)
+from .kernel import (DEFAULT_QUAD, QuadConfig, curve_points, psi_eval,
+                     psi_many, series_terms_needed, write_curve_csv,
+                     xn_divergence_probe, xy_prime, z_eval, z_many, z_series,
+                     z_series_many, z_span)
 from .moduli import (CSV_HEADER, EquivReport, ModulusRequest,
                      classical_modulus, default_alpha, equivalence_scan,
                      integral_modulus, linearized_modulus, read_report_csv,
@@ -42,7 +42,6 @@ __all__ = [
     "EquivReport",
     "FracsmoothError",
     "InvalidArgumentError",
-    "KernelPoint",
     "ModulusRequest",
     "MultiplierFn",
     "NormParams",
@@ -64,7 +63,6 @@ __all__ = [
     "curve_points",
     "default_alpha",
     "default_corpus",
-    "diff_symbol",
     "equivalence_scan",
     "find_beta0",
     "frac_binom",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 
 from ._util import fmt17
 from .errors import (BracketError, ConvergenceError, DomainTooSmallError,
@@ -73,10 +74,15 @@ def _fmt_complex(z: complex) -> str:
     return f"{fmt17(z.real)} {sign} {fmt17(abs(z.imag))}i"
 
 
+@contextmanager
 def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+    """The stream behind ``--out``: stdout for ``-`` (left open), otherwise
+    a file that is closed on exit."""
+    if path == "-":
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def _build_parser() -> _Parser:
@@ -138,13 +144,9 @@ def _cmd_psi(args) -> int:
 
 def _cmd_curve(args) -> int:
     from .kernel import curve_points, write_curve_csv
-    pts = curve_points(args.beta, args.t_lo, args.t_hi, args.samples)
-    fh, close = _open_out(args.out)
-    try:
-        write_curve_csv(fh, pts)
-    finally:
-        if close:
-            fh.close()
+    ts, zs = curve_points(args.beta, args.t_lo, args.t_hi, args.samples)
+    with _open_out(args.out) as fh:
+        write_curve_csv(fh, args.beta, ts, zs)
     return 0
 
 
@@ -153,12 +155,8 @@ def _cmd_zeros(args) -> int:
     records = scan_zero_set(args.beta_max, args.t_max,
                             args.beta_grid, args.t_grid,
                             beta_min=args.beta_min)
-    fh, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         write_registry(fh, records)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -181,15 +179,11 @@ def _cmd_equiv(args) -> int:
     corp.extend(parse_fn(spec) for spec in args.fn)
     rows = equivalence_scan(corp, args.betas, args.hs, args.ps,
                             alpha=args.alpha, threads=args.threads)
-    fh, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         if args.format == "json":
             write_report_json(fh, rows)
         else:
             write_report_csv(fh, rows)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 

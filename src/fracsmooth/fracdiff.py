@@ -12,7 +12,6 @@ defining series directly and serves as the independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,18 +96,6 @@ def split_order(beta: float, alpha: float) -> int:
     return int(round(gap))
 
 
-@dataclass(frozen=True)
-class DiffSymbol:
-    """Fourier symbol of a fractional difference on frequencies -M..M."""
-    beta: float
-    delta: float
-    degree: int
-    values: np.ndarray = field(repr=False)
-
-    def value(self, k: int) -> complex:
-        return complex(self.values[k + self.degree])
-
-
 def symbol_values(beta: float, delta: float, k) -> np.ndarray:
     """(1 - e^{ik*delta})^beta on an array of integer frequencies.
 
@@ -127,22 +114,9 @@ def symbol_values(beta: float, delta: float, k) -> np.ndarray:
     return out
 
 
-def diff_symbol(beta: float, delta: float, degree: int) -> DiffSymbol:
-    """Symbol table for ``apply_diff`` on polynomials of the given degree."""
-    if degree < 0:
-        raise InvalidArgumentError("degree must be nonnegative")
-    k = np.arange(-degree, degree + 1)
-    if delta == 0.0:
-        vals = np.zeros(k.shape, dtype=complex)
-    else:
-        vals = symbol_values(beta, delta, k)
-    return DiffSymbol(beta, delta, degree, vals)
-
-
 def apply_diff(f: TrigPoly, beta: float, delta: float) -> TrigPoly:
     """Fractional difference of a trigonometric polynomial (multiplier path)."""
-    sym = diff_symbol(beta, delta, f.degree)
-    return f.with_coeffs(f.coeffs * sym.values)
+    return f.with_coeffs(f.coeffs * symbol_values(beta, delta, f.freqs))
 
 
 def apply_diff_series(f: TrigPoly, beta: float, delta: float, x: float,

@@ -77,19 +77,6 @@ class QuadConfig:
 DEFAULT_QUAD = QuadConfig()
 
 
-@dataclass(frozen=True)
-class KernelPoint:
-    """One evaluated point of the kernel curve."""
-    beta: float
-    t: float
-    x: float
-    y: float
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
-
 def _check_beta(beta):
     beta = float(beta)
     if not (beta > 0.0) or not math.isfinite(beta):
@@ -470,24 +457,29 @@ def xn_divergence_probe(n):
 # ---------------------------------------------------------------------------
 
 def curve_points(beta, t_lo, t_hi, samples):
-    """Uniformly sampled kernel curve as a list of KernelPoint."""
+    """Uniformly sampled kernel curve: the grid ``ts`` and ``zs = z(beta, ts)``.
+
+    ``ts`` is ``np.linspace(t_lo, t_hi, samples)`` and ``zs`` the complex
+    array from ``z_many``; x and y are ``zs.real`` and ``zs.imag``.
+    """
     beta = _check_beta(beta)
     if samples < 2:
         raise InvalidArgumentError("samples must be at least 2")
     if not (t_lo < t_hi):
         raise InvalidArgumentError("need t_lo < t_hi")
     ts = np.linspace(t_lo, t_hi, samples)
-    zs = z_many(beta, ts)
-    return [KernelPoint(beta, t, x, y) for t, x, y
-            in zip(ts.tolist(), zs.real.tolist(), zs.imag.tolist())]
+    return ts, z_many(beta, ts)
 
 
-def write_curve_csv(fh, points):
+def write_curve_csv(fh, beta, ts, zs):
     """Write curve samples as CSV rows ``beta,t,x,y`` (17 sig. digits).
 
-    One ``%``-format per row, joined into one write; ``%.17g`` renders
+    ``ts`` and ``zs`` are the arrays of ``curve_points``.  beta is the
+    same on every row, so it is rendered once; each row is one
+    ``%``-format and all rows go out in one write.  ``%.17g`` renders
     every float as ``fmt17`` does.
     """
+    row = "%.17g," % beta + "%.17g,%.17g,%.17g\n"
     fh.write("beta,t,x,y\n" + "".join(
-        ["%.17g,%.17g,%.17g,%.17g\n" % (p.beta, p.t, p.x, p.y)
-         for p in points]))
+        [row % r for r in zip(ts.tolist(), zs.real.tolist(),
+                              zs.imag.tolist())]))

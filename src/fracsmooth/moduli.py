@@ -14,10 +14,8 @@ The linearized and double-averaged moduli never integrate differences
 numerically: averaging a fractional difference over the step is exactly
 a Fourier multiplier, so their values come from kernel symbols.
 
-The scan engine computes all four on a corpus grid, the pairwise ratios
-(with a divide-by-zero infinity flag), and the correction term that
-repairs the linearized modulus where it degenerates: the near-best
-approximation error of degree floor(1/h).
+The scan engine computes all four on a corpus grid and the pairwise
+ratios (with a divide-by-zero infinity flag).
 """
 from __future__ import annotations
 
@@ -33,7 +31,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._util import fmt17, golden_max
-from .approx import near_best_error
 from .errors import InvalidArgumentError, UnsupportedParameterError
 from .fracdiff import split_order, symbol_values
 from .kernel import psi_many
@@ -195,9 +192,8 @@ def star_modulus(f: TrigPoly, req: ModulusRequest) -> float:
 class EquivReport:
     """One scan row: the four moduli and their quotients.
 
-    ``corrected`` carries the repaired comparison quantity (linearized
-    modulus plus the degree-floor(1/h) near-best error); ``error`` records
-    a per-row failure message.  Neither is part of the CSV/JSON schema.
+    ``error`` records a per-row failure message; it is not part of the
+    CSV/JSON schema.
     """
     fid: str
     beta: float
@@ -211,7 +207,6 @@ class EquivReport:
     r_w: float
     r_tilde: float
     r_star: float
-    corrected: float = field(default=math.nan, compare=False)
     error: str | None = field(default=None, compare=False)
 
 
@@ -249,12 +244,11 @@ def _scan_row(fid: str, f: TrigPoly, beta: float, h: float, p: float,
         # that an invalid alpha fails the row
         split = ModulusRequest(beta=beta, h=h, norm=norm, alpha=a)
         star = tilde if a == beta else star_modulus(f, split)
-        corrected = tilde + near_best_error(f, int(math.floor(1.0 / h)), p)
         return EquivReport(
             fid=fid, beta=beta, alpha=a, h=h, p=p,
             omega=omega, w=w_val, omega_tilde=tilde, omega_star=star,
             r_w=_ratio(omega, w_val), r_tilde=_ratio(omega, tilde),
-            r_star=_ratio(omega, star), corrected=corrected)
+            r_star=_ratio(omega, star))
     except Exception as exc:  # noqa: BLE001 - rows must not kill the scan
         log.warning("scan row (%s, beta=%s, h=%s, p=%s) failed: %s",
                     fid, beta, h, p, exc)

@@ -314,7 +314,9 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
 
     The beta columns are beta_min + i * step, step = (beta_max -
     beta_min) / beta_grid, for i = 0..beta_grid, so the first column
-    sits at beta_min itself.  At beta_min = 0 they start at i = 1
+    sits at beta_min itself.  ``beta_grid`` must be a whole number of at
+    least 2 (InvalidArgumentError otherwise): a fractional one would end
+    the columns short of beta_max.  At beta_min = 0 they start at i = 1
     (beta = step), because z is undefined at beta = 0; a zero with beta
     in (0, step) is then not found (there is none below beta0 ~ 4.84).
 
@@ -347,6 +349,9 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
         raise InvalidArgumentError("t_max must be positive")
     if beta_grid < 2 or t_grid < 2:
         raise InvalidArgumentError("grids must be at least 2")
+    if not float(beta_grid).is_integer():
+        raise InvalidArgumentError(
+            f"beta_grid must be a whole number, got {beta_grid}")
 
     step = (beta_max - beta_min) / beta_grid
     first = 0 if beta_min > 0.0 else 1

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fracsmooth import (ConvergenceError, InvalidArgumentError,
                         ModulusRequest, NormParams, TrigPoly, apply_diff,
                         apply_diff_series, binom_abs_sum, corpus,
-                        diff_symbol, frac_binom, make_g1_g2, symbol_values)
+                        frac_binom, make_g1_g2, symbol_values)
 from fracsmooth.fracdiff import split_order
 from fracsmooth.signal import evaluate, lp_norm
 
@@ -83,18 +83,21 @@ class TestSplitOrder:
 
 class TestDiffSymbol:
     def test_pinned_values(self):
-        assert diff_symbol(1.0, PI, 1).value(1) == pytest.approx(2.0)
-        got = diff_symbol(2.0, PI / 2, 1).value(1)
+        assert symbol_values(1.0, PI, [1])[0] == pytest.approx(2.0)
+        got = symbol_values(2.0, PI / 2, [1])[0]
         assert got == pytest.approx(-2.0j, abs=1e-14)  # (1-i)^2
-        got = diff_symbol(0.5, PI, 1).value(1)
+        got = symbol_values(0.5, PI, [1])[0]
         assert got == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
     def test_zero_frequency_is_exactly_zero(self):
-        assert diff_symbol(2.5, 0.7, 3).value(0) == 0.0
+        f = corpus("random_smooth", 3, seed=1)
+        assert symbol_values(2.5, 0.7, f.freqs)[3] == 0.0
+        assert apply_diff(f, 2.5, 0.7).coeffs[3] == 0.0
 
     def test_zero_step_gives_zero_symbol(self):
-        sym = diff_symbol(1.5, 0.0, 4)
-        assert np.all(sym.values == 0.0)
+        f = corpus("random_smooth", 4, seed=1)
+        assert np.all(symbol_values(1.5, 0.0, f.freqs) == 0.0)
+        assert np.all(apply_diff(f, 1.5, 0.0).coeffs == 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(beta=st.floats(0.1, 8.0), delta=st.floats(-10.0, 10.0),

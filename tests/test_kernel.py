@@ -387,12 +387,12 @@ class TestNonvanishingFloors:
 
 class TestCurveExport:
     def test_points_match_closed_form(self):
-        pts = curve_points(1.0, 0.5, 2.5, 5)
-        assert len(pts) == 5
-        assert pts[0].t == 0.5 and pts[-1].t == 2.5
-        for p in pts:
-            assert p.z == complex(p.x, p.y)
-            assert abs(p.z - z1_exact(p.t)) < 1e-10
+        ts, zs = curve_points(1.0, 0.5, 2.5, 5)
+        assert ts.shape == zs.shape == (5,)
+        assert ts[0] == 0.5 and ts[-1] == 2.5
+        assert np.array_equal(ts, np.linspace(0.5, 2.5, 5))
+        for t, z in zip(ts, zs):
+            assert abs(z - z1_exact(t)) < 1e-10
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -401,28 +401,31 @@ class TestCurveExport:
             curve_points(1.0, 2.5, 0.5, 10)
 
     def test_csv_round_trip(self):
-        pts = curve_points(2.5, 0.3, 4.0, 7)
+        ts, zs = curve_points(2.5, 0.3, 4.0, 7)
         buf = io.StringIO()
-        write_curve_csv(buf, pts)
+        write_curve_csv(buf, 2.5, ts, zs)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "beta,t,x,y"
         assert len(lines) == 8
-        for line, p in zip(lines[1:], pts):
-            beta, t, x, y = (float(s) for s in line.split(","))
-            assert (beta, t, x, y) == (p.beta, p.t, p.x, p.y)
+        for line, t, z in zip(lines[1:], ts, zs):
+            beta, t_got, x, y = (float(s) for s in line.split(","))
+            assert (beta, t_got, x, y) == (2.5, t, z.real, z.imag)
 
     def test_csv_rows_match_fmt17_rendering(self):
         specials = [0.0, -0.0, 5e-324, 1e22, math.inf, -math.inf, math.nan,
                     0.1, -2.5e-300, 1.0 / 3.0, 123456789.0, 2.0 ** 60]
-        pts = [kernel.KernelPoint(b, t, x, y)
-               for b in (2.5, specials[3])
-               for t, x, y in zip(specials, specials[1:] + specials[:1],
-                                  specials[2:] + specials[:2])]
-        pts.append(kernel.KernelPoint(1.0, 2.0, np.float64(-0.0),
-                                      np.float64(1e22)))
-        buf = io.StringIO()
-        write_curve_csv(buf, pts)
-        want = "beta,t,x,y\n" + "".join(
-            f"{fmt17(p.beta)},{fmt17(p.t)},{fmt17(p.x)},{fmt17(p.y)}\n"
-            for p in pts)
-        assert buf.getvalue().encode() == want.encode()
+        ts = np.array(specials)
+        # complex(x, y) keeps both parts as given, infinities and -0.0 too
+        zs = np.array([complex(x, y) for x, y in
+                       zip(specials[1:] + specials[:1],
+                           specials[2:] + specials[:2])])
+        cases = [(2.5, ts, zs), (specials[3], ts, zs),
+                 (1.0, np.array([2.0]), np.array([complex(-0.0, 1e22)])),
+                 (8.26,) + curve_points(8.26, 0.0, 16.0 * math.pi, 8192)]
+        for beta, ts, zs in cases:
+            buf = io.StringIO()
+            write_curve_csv(buf, beta, ts, zs)
+            want = "beta,t,x,y\n" + "".join(
+                f"{fmt17(beta)},{fmt17(t)},{fmt17(z.real)},{fmt17(z.imag)}\n"
+                for t, z in zip(ts, zs))
+            assert buf.getvalue().encode() == want.encode(), beta

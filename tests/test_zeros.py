@@ -251,6 +251,13 @@ class TestScan:
         with pytest.raises(InvalidArgumentError):
             scan_zero_set(8.0, 10.0, beta_grid=1)
 
+    @pytest.mark.parametrize("beta_grid", [2.9, 120.5, math.inf, math.nan])
+    def test_fractional_beta_grid(self, beta_grid):
+        """A fractional beta_grid would stop the columns short of beta_max
+        (2.9 ends them at beta = 9.52 of 12), so it is rejected."""
+        with pytest.raises(InvalidArgumentError):
+            scan_zero_set(12.0, 24.0 * math.pi, beta_grid, 384, beta_min=4.0)
+
     @pytest.mark.parametrize("beta_max, t_max, beta_min", [
         (8.0, math.nan, 0.0), (8.0, math.inf, 0.0), (math.inf, 10.0, 0.0),
         (math.nan, 10.0, 0.0), (8.0, 10.0, math.nan), (8.0, 10.0, -math.inf)])
