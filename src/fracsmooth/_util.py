@@ -1,7 +1,12 @@
 """Small shared helpers."""
-import math
+import numpy as np
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: knots per round of ``bracket_max``; the next bracket spans the two knots
+#: beside the argmax, 2/16 = 1/8 of the bracket
+_BRACKET_KNOTS = 17
+#: rounds of ``bracket_max``: the last bracket is (1/8)^5 = 3.1e-5 of the
+#: first
+_BRACKET_ROUNDS = 5
 
 
 def fmt17(x):
@@ -9,25 +14,24 @@ def fmt17(x):
     return format(float(x), ".17g")
 
 
-def golden_max(fn, lo, hi, iterations=20):
-    """Golden-section maximisation of ``fn`` on [lo, hi].
+def bracket_max(fn, lo, hi, best):
+    """Largest value of ``fn`` found by shrinking [lo, hi] around its argmax.
 
-    Returns (argmax, max).  Plain bracketing loop; ``fn`` is assumed
-    unimodal on the bracket (callers pass a bracket around a grid argmax).
+    ``fn`` maps an array of points to an array of values.  Each round
+    evaluates it once, at ``_BRACKET_KNOTS`` uniform knots of the bracket
+    (the ends included), and shrinks the bracket to the two knots beside
+    the round's argmax.  The search stops when the argmax is an end of the
+    bracket, a point whose value the caller (or the previous round)
+    already had, or after ``_BRACKET_ROUNDS`` rounds.  Returns the maximum
+    of ``best`` and every value seen, so never less than ``best``.  The
+    search is local: callers pass the cell around a grid argmax.
     """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iterations):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    if fc > fd:
-        return c, fc
-    return d, fd
+    for _ in range(_BRACKET_ROUNDS):
+        xs = np.linspace(lo, hi, _BRACKET_KNOTS)
+        vals = fn(xs)
+        j = int(np.argmax(vals))
+        best = max(best, float(vals[j]))
+        if j == 0 or j == _BRACKET_KNOTS - 1:
+            break
+        lo, hi = xs[j - 1], xs[j + 1]
+    return best

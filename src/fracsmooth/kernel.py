@@ -52,6 +52,10 @@ _MIRROR_LO = TWO_PI - _ENDPOINT
 _PANEL = 0.5 * math.pi
 #: truncation order of the endpoint expansion
 _NTERMS = 10
+#: below this order the quadrature cannot overflow: the integrand is at most
+#: 2^beta in modulus, and the sums over the period (values, error estimates,
+#: absolute masses) are at most 2^(beta + 5)
+_NO_OVERFLOW_BETA = 1000.0
 
 
 @dataclass(frozen=True)
@@ -272,6 +276,12 @@ def z_many(beta, ts, cfg=None, with_noise=False):
     Returns
     -------
     ndarray of complex (and optionally ndarray of float)
+
+    Raises
+    ------
+    ConvergenceError
+        When the quadrature exceeds its subdivision budget, or when a
+        value is not finite because (2 sin(phi/2))^beta overflows.
     """
     beta = _check_beta(beta)
     if cfg is None:
@@ -295,12 +305,24 @@ def z_many(beta, ts, cfg=None, with_noise=False):
     interior = ~lattice
     if interior.any():
         uniq, inv = np.unique(t0[interior], return_inverse=True)
-        zb, ab = _base_curve(beta, uniq, cfg)
+        if beta < _NO_OVERFLOW_BETA:
+            zb, ab = _base_curve(beta, uniq, cfg)
+        else:
+            # (2 sin(phi/2))^beta can overflow where the base exceeds 1;
+            # a non-finite result is reported below, once.  The error
+            # state is set only here, because every NumPy call made under
+            # a non-default one is slower
+            with np.errstate(over="ignore", invalid="ignore"):
+                zb, ab = _base_curve(beta, uniq, cfg)
         out[interior] = zb[inv]
         noise[interior] = ab[inv]
     out += TWO_PI * m
     noise += TWO_PI * m + 1.0
     out = np.where(neg, -np.conj(out), out)
+    if not np.isfinite(out).all():
+        raise ConvergenceError(
+            f"z is not finite for beta={beta}: the integrand overflows "
+            f"the float range", partial=out)
     noise *= 8.0 * np.finfo(float).eps
     if with_noise:
         return out, noise

@@ -1,11 +1,12 @@
 """The four moduli of smoothness and the equivalence-ratio experiments.
 
 The classical modulus takes a sup over step sizes and is evaluated by a
-grid maximum plus local golden-section polish.  The integral modulus
-averages the difference norm over steps (Gauss-Legendre in delta).  Both
-evaluate their step grid in one batched call, ``_diff_norms``: the
-(steps x frequencies) symbol matrix of the difference times the
-coefficients, then one row-wise FFT and the row norms (``lp_norms``).
+grid maximum plus a local polish (``bracket_max``: each round of knots in
+one call).  The integral modulus averages the difference norm over steps
+(Gauss-Legendre in delta).  Both evaluate their step grid in one batched
+call, ``_diff_norms``: the (steps x frequencies) symbol matrix of the
+difference times the coefficients, then one row-wise FFT and the row
+norms (``lp_norms``).
 The steps go in blocks of at most ``_BLOCK_ELEMS`` grid values, so a
 high degree never allocates the whole (steps x grid) matrix at once.
 Each value is bit for bit ``lp_norm(apply_diff(f, beta, delta), norm)``.
@@ -30,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._util import fmt17, golden_max
+from ._util import bracket_max, fmt17
 from .errors import InvalidArgumentError, UnsupportedParameterError
 from .fracdiff import split_order, symbol_values
 from .kernel import psi_many
@@ -104,8 +105,10 @@ def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
 
     Grid maximum over ``delta_grid`` uniform steps, evaluated together by
     ``_diff_norms`` (one symbol matrix and one row-wise FFT per block of
-    at most ``_BLOCK_ELEMS`` grid values), then golden-section refinement
-    in the cell around the discrete argmax, one step per call.  The
+    at most ``_BLOCK_ELEMS`` grid values), then ``bracket_max`` in the
+    cell around the discrete argmax: one ``_diff_norms`` call per round
+    of knots.  When the sup sits at delta = h the first round finds no
+    larger value and stops, so the result is the grid value at h.  The
     polish is local — no global unimodality is assumed.
     """
     if req.alpha is not None:
@@ -114,15 +117,9 @@ def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     deltas = np.linspace(req.h / grid, req.h, grid)
     vals = _diff_norms(f, req.beta, deltas, req.norm)
     i = int(np.argmax(vals))
-    best = float(vals[i])
-    lo = deltas[i - 1] if i > 0 else deltas[0]
-    hi = deltas[i + 1] if i + 1 < grid else deltas[-1]
-    if hi > lo:
-        _, refined = golden_max(
-            lambda d: float(_diff_norms(f, req.beta, [d], req.norm)[0]),
-            lo, hi, iterations=20)
-        best = max(best, refined)
-    return float(best)
+    return bracket_max(lambda ds: _diff_norms(f, req.beta, ds, req.norm),
+                       deltas[max(i - 1, 0)], deltas[min(i + 1, grid - 1)],
+                       float(vals[i]))
 
 
 def integral_modulus(f: TrigPoly, req: ModulusRequest) -> float:

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import golden_max
+from ._util import bracket_max
 from .errors import InvalidArgumentError
 
 TWO_PI = 2.0 * math.pi
@@ -76,8 +76,8 @@ class NormParams:
     exact there; p = inf (the grid maximum) and p = 1 (a rectangle rule
     over |f|, which has a kink at each zero of f) are O(dx^2), about
     1e-2 relative at the default oversample of 8 (see ``lp_norm``).
-    ``refine`` adds a golden-section polish around the grid argmax for
-    the sup norm (off by default).
+    ``refine`` adds a local polish around the grid argmax for the sup
+    norm (``bracket_max`` over one grid cell each side; off by default).
     """
     p: float
     oversample: int = 8
@@ -167,10 +167,12 @@ def lp_norms(coeffs, params: NormParams) -> np.ndarray:
             for r in range(rows):
                 f = TrigPoly(degree, c[r])
                 x0 = TWO_PI * int(j[r]) / n
-                _, ref = golden_max(
-                    lambda x: float(np.abs(evaluate(f, [x]))[0]),
-                    x0 - half, x0 + half)
-                best[r] = max(best[r], ref)
+                # one evaluate call per knot, so each value is that of
+                # evaluate(f, [x]) bit for bit: a many-point call runs a
+                # matrix product whose last bits depend on the BLAS kernel
+                best[r] = bracket_max(
+                    lambda xs: np.abs([evaluate(f, [x])[0] for x in xs]),
+                    x0 - half, x0 + half, best[r])
         return best
     vals **= p
     # the root is taken row by row with the scalar power: NumPy's

@@ -14,6 +14,7 @@ check states what it needed and fails honestly.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -59,7 +60,8 @@ BASE_MAX_OMEGA_OVER_W = 3.9995833311636146
 # max omega/tilde and max omega/star of gate 08, computed with every L_p
 # grid doubled (signal.grid_size times 2) as the oracle, not taken from a
 # run on the native grid; both maxima sit at exp:1, h = 0.05 (orders 3
-# and 5 = 4 + 1)
+# and 5 = 4 + 1).  These three exp:1 maxima are checked against closed
+# forms in test_c08_baselines_match_closed_forms
 BASE_MAX_OMEGA_OVER_TILDE = 3.999883327524368
 BASE_MAX_STAR_OVER_OMEGA = 0.35009168633836624
 BASE_MAX_OMEGA_OVER_STAR = 9.999454354031359
@@ -259,6 +261,46 @@ def test_c08_equivalence_scan_bounds(accept, scan_rows, corpus_members):
     accept("08", "modulus chain and bounded ratios on the corpus",
            ok, f"{len(rows)} rows, omega/w {max_w:.3f}, "
                f"omega/tilde {max_t:.3f}")
+
+
+def _psi_integer(n, h):
+    """psi_n(h) = (1/h) int_0^h (1 - e^{i phi})^n dphi at an integer order
+    n, by the finite binomial sum (mpmath at the working precision)."""
+    acc = h
+    for j in range(1, n + 1):
+        acc += (mpmath.binomial(n, j) * (-1) ** j
+                * (mpmath.expj(j * h) - 1) / (1j * j))
+    return acc / h
+
+
+def test_c08_baselines_match_closed_forms(scan_rows, corpus_members):
+    # |e_1| is constant, so every L_p norm of a modulus of e_1 is the
+    # modulus of its symbol; the difference norm (2 sin(delta/2))^beta
+    # increases on (0, pi], so omega at h = 0.05 is its value at h
+    with mpmath.workdps(30):
+        h = mpmath.mpf(0.05)
+        c = mpmath.cos(h / 2)
+        s = 2 * mpmath.sin(h / 2)
+        over_w = float(s ** 3 * h / (16 * (mpmath.mpf(2) / 3 - c
+                                           + c ** 3 / 3)))
+        over_tilde = float(s ** 3 / abs(_psi_integer(3, h)))
+        over_star = float(s ** 5 / abs(_psi_integer(4, h)
+                                       * _psi_integer(1, h)))
+    assert over_w == pytest.approx(BASE_MAX_OMEGA_OVER_W, rel=1e-15)
+    assert over_tilde == pytest.approx(BASE_MAX_OMEGA_OVER_TILDE, rel=1e-15)
+    assert over_star == pytest.approx(BASE_MAX_OMEGA_OVER_STAR, rel=1e-15)
+    # the maxima of gate 08 are these cells
+    assert max(r.omega / r.w for r in scan_rows) == pytest.approx(
+        over_w, rel=1e-12)
+    assert max(r.omega / r.omega_tilde for r in scan_rows) == pytest.approx(
+        over_tilde, rel=1e-12)
+    e1 = dict(corpus_members)["exp:1"]
+    for p in (1.0, 2.0, math.inf):
+        st = star_modulus(e1, ModulusRequest(
+            beta=5.0, h=0.05, norm=NormParams(p=p), alpha=4.0))
+        om = classical_modulus(e1, ModulusRequest(
+            beta=5.0, h=0.05, norm=NormParams(p=p)))
+        assert om / st == pytest.approx(over_star, rel=1e-12), p
 
 
 def test_c09_polynomial_regime_stability(accept):

@@ -141,6 +141,18 @@ class TestExitCodes:
         assert res.returncode == 2
         assert res.stderr.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("args", [
+        ("psi", "--beta", "10000", "--t", "2"),
+        ("curve", "--beta", "10000", "--t-hi", "3", "--samples", "3"),
+    ])
+    def test_non_finite_kernel(self, args):
+        # the integrand overflows at this order; the commands printed nan
+        # and exited 0 before z_many checked its result
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert res.stderr.startswith("numerical failure:")
+        assert "nan" not in res.stdout
+
     def test_io_failure(self, tmp_path):
         target = tmp_path / "no_such_dir" / "out.csv"
         res = run_cli("curve", "--beta", "1", "--t-hi", "3.0",

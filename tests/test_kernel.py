@@ -220,6 +220,31 @@ class TestQuadratureConfig:
             z_eval(0.5, 6.0, cfg)
         assert info.value.achieved > cfg.abs_tol
 
+    def test_overflowing_integrand_raises(self):
+        # past phi = pi/3 the base 2 sin(phi/2) exceeds 1, and at beta = 1e4
+        # its power overflows; z must fail, not return nan.  No overflow
+        # warning may escape either (the suite turns warnings into errors)
+        for ts in ([2.0, 3.0], [0.5, 3.0], [-3.0]):
+            with pytest.raises(ConvergenceError, match="not finite"):
+                z_many(1e4, ts)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            psi_eval(1e4, 2.0)
+
+    def test_no_overflow_below_the_threshold(self):
+        # z_many sets no error state below this order, so nothing may
+        # overflow there, even with the whole period and a budget that
+        # lets every panel through
+        beta = math.nextafter(kernel._NO_OVERFLOW_BETA, 0.0)
+        loose = QuadConfig(abs_tol=1e300, max_subdiv=10**5)
+        zs = z_many(beta, np.linspace(0.01, TWO_PI - 0.01, 64), loose)
+        assert np.isfinite(zs).all()
+
+    def test_underflowing_integrand_stays_finite(self):
+        # below phi = pi/3 the power underflows to 0, which is z to
+        # double precision: 0.495^1e4 is about 1e-3050
+        assert z_many(1e4, [0.5]).tolist() == [0j]
+        assert z_many(1e4, [0.5, -0.25, TWO_PI]).tolist() == [0j, 0j, TWO_PI]
+
     def test_tighter_tolerance_still_converges(self):
         loose = z_eval(2.5, 3.0)
         tight = z_eval(2.5, 3.0, QuadConfig(abs_tol=1e-12, max_subdiv=4000))

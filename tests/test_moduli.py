@@ -29,7 +29,8 @@ from fracsmooth import (
     write_report_csv,
     write_report_json,
 )
-from fracsmooth._util import golden_max
+from fracsmooth import moduli
+from fracsmooth._util import bracket_max
 from fracsmooth.fracdiff import apply_diff
 from fracsmooth.moduli import _BLOCK_ELEMS, _diff_norms, _ratio
 from fracsmooth.signal import grid_size, lp_norm
@@ -90,6 +91,106 @@ class TestClassical:
             classical_modulus(E1, req(2.5, 0.5, 2, alpha=0.5))
 
 
+class TestBracketMax:
+    """The batched bracket search behind both polishes."""
+
+    def test_never_below_best(self):
+        def fn(xs):
+            return -(xs - 0.3) ** 2
+        assert bracket_max(fn, 0.0, 1.0, 10.0) == 10.0
+        # the last knots are 8^-4 / 16 apart, so the argmax is within half
+        # that, 7.6e-6, of the peak
+        got = bracket_max(fn, 0.0, 1.0, -1.0)
+        assert -(7.7e-6) ** 2 < got <= 0.0
+
+    def test_rounds(self):
+        # stop at once when the argmax is an end of the bracket; otherwise
+        # five rounds, each shrinking the bracket eightfold
+        rounds = []
+
+        def fn(xs):
+            rounds.append((xs[0], xs[-1]))
+            return np.sin(xs)
+
+        assert bracket_max(fn, 0.0, 1.0, -1.0) == math.sin(1.0)
+        assert len(rounds) == 1
+        rounds.clear()
+        got = bracket_max(fn, 1.0, 2.0, -1.0)
+        assert len(rounds) == 5
+        assert rounds[-1][1] - rounds[-1][0] == pytest.approx(8.0 ** -4)
+        assert 1.0 - 0.5 * 7.7e-6 ** 2 < got <= 1.0
+
+
+class TestPolish:
+    """The bracket polish of the classical sup against e_1, whose
+    difference norm is (2 sin(delta/2))^beta at every p."""
+
+    BETAS = (0.5, 2.5, 5.0)
+    PS = (1.0, 2.0, math.inf)
+
+    @pytest.mark.parametrize("h", [3.3, 4.0, 5.0])
+    def test_interior_maximum_off_the_grid(self, h):
+        # past pi the sup is 2^beta, reached at delta = pi, which is not a
+        # grid step h k / 256
+        for beta in self.BETAS:
+            for p in self.PS:
+                got = classical_modulus(E1, req(beta, h, p))
+                assert got == pytest.approx(2.0 ** beta, rel=1e-12), (beta, p)
+
+    @pytest.mark.parametrize("h", [0.05, 0.5, 2.0, math.pi])
+    def test_maximum_at_h_is_the_grid_value(self, h):
+        # the norm increases on (0, pi], so the sup is the value at h
+        for beta in self.BETAS:
+            for p in self.PS:
+                got = classical_modulus(E1, req(beta, h, p))
+                want = _diff_norms(E1, beta, [h], NormParams(p=p))[0]
+                assert got == want, (beta, p)
+
+
+class TestPolishBudget:
+    """``_diff_norms`` calls per classical modulus: one for the step grid,
+    then one per bracket round."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        inner = moduli._diff_norms
+
+        def wrapper(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(moduli, "_diff_norms", wrapper)
+        return calls, inner
+
+    def test_corpus_cells(self, monkeypatch, corpus_members):
+        # the sup sits at delta = h in 354 of these 360 cells (default
+        # corpus x 5 orders x 4 steps x 3 exponents); one round suffices
+        # there
+        calls, inner = self.counting(monkeypatch)
+        at_h = 0
+        for fid, f in corpus_members:
+            for beta in (0.5, 1.0, 2.5, 3.5, 5.0):
+                for h in (0.05, 0.2, 0.37, 1.0):
+                    for p in (1.0, 2.0, math.inf):
+                        calls.clear()
+                        got = classical_modulus(f, req(beta, h, p))
+                        cell = (fid, beta, h, p, len(calls))
+                        if got == inner(f, beta, [h], NormParams(p=p))[0]:
+                            at_h += 1
+                            assert len(calls) == 2, cell
+                        else:
+                            assert len(calls) <= 6, cell
+        assert at_h == 354
+
+    def test_single_mode(self, monkeypatch):
+        calls, _ = self.counting(monkeypatch)
+        for h, budget in ((0.5, 2), (2.0, 2), (4.0, 6)):
+            calls.clear()
+            classical_modulus(E1, req(2.5, h, 2))
+            assert len(calls) == budget, h
+
+
 def scalar_norms(f, beta, deltas, norm):
     """One public ``lp_norm(apply_diff(...))`` composition per step."""
     return [lp_norm(apply_diff(f, beta, float(d)), norm) for d in deltas]
@@ -102,10 +203,9 @@ def scalar_classical(f, r):
     vals = scalar_norms(f, r.beta, deltas, r.norm)
     i = int(np.argmax(vals))
     lo, hi = deltas[max(i - 1, 0)], deltas[min(i + 1, grid - 1)]
-    _, refined = golden_max(
-        lambda d: scalar_norms(f, r.beta, [d], r.norm)[0], lo, hi,
-        iterations=20)
-    return max(vals[i], refined)
+    return bracket_max(
+        lambda ds: np.array(scalar_norms(f, r.beta, ds, r.norm)), lo, hi,
+        vals[i])
 
 
 def scalar_integral(f, r):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracsmooth import InvalidArgumentError, NormParams, TrigPoly, corpus
-from fracsmooth._util import golden_max
+from fracsmooth._util import bracket_max
 from fracsmooth.signal import (evaluate, from_samples, grid_size, grid_values,
                               lp_norm, lp_norms)
 
@@ -96,7 +96,8 @@ class TestLpNorm:
 
 def _rectangle_rule(f, params):
     """The norm spelled out from ``grid_values``: mean of |f|^p on the
-    grid (max for p = inf, polished by golden section when asked)."""
+    grid (max for p = inf, polished by ``bracket_max`` when asked, with one
+    scalar evaluation per knot)."""
     n = grid_size(f.degree, params)
     vals = np.abs(grid_values(f, n))
     if math.isinf(params.p):
@@ -104,10 +105,9 @@ def _rectangle_rule(f, params):
         best = float(vals[j])
         if params.refine:
             x0, half = 2 * PI * j / n, 2 * PI / n
-            _, ref = golden_max(
-                lambda x: float(np.abs(evaluate(f, [x]))[0]),
-                x0 - half, x0 + half)
-            best = max(best, ref)
+            best = bracket_max(
+                lambda xs: np.abs([evaluate(f, [x])[0] for x in xs]),
+                x0 - half, x0 + half, best)
         return best
     return float(np.mean(vals ** params.p) ** (1.0 / params.p))
 
