@@ -88,17 +88,15 @@ def best_approx_l2(f: TrigPoly, n: int) -> tuple[TrigPoly, float]:
     return trunc, err
 
 
-def vallee_poussin(f: TrigPoly, h: float, v: CutoffV | None = None) -> TrigPoly:
-    """De la Vallee-Poussin mean: coefficients scaled by v(k h).
+def vallee_poussin(f: TrigPoly, h: float) -> TrigPoly:
+    """De la Vallee-Poussin mean: coefficients scaled by ``CutoffV`` at k h.
 
     Reproduces every coefficient with |k| <= 1/h exactly and annihilates
     |k| >= 2/h; the cutoff's transition handles the band between.
     """
     if not (h > 0.0) or not math.isfinite(h):
         raise InvalidArgumentError("h must be positive and finite")
-    if v is None:
-        v = CutoffV()
-    weights = v(f.freqs * h)
+    weights = CutoffV()(f.freqs * h)
     return f.with_coeffs(f.coeffs * weights)
 
 

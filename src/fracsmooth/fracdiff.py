@@ -21,6 +21,7 @@ from .signal import TrigPoly, evaluate
 TWO_PI = 2.0 * math.pi
 
 _SERIES_CAP = 10_000_000
+_ABS_SUM_TOL = 1e-10
 
 
 def frac_binom(beta: float, nu: int) -> float:
@@ -56,22 +57,22 @@ def _tail_constant(beta: float) -> tuple[int, float]:
     return m, binom_log_abs(beta, m) + (beta + 1.0) * math.log(m)
 
 
-def binom_abs_sum(beta: float, tol: float = 1e-10) -> float:
+def binom_abs_sum(beta: float) -> float:
     """Upper bound for sum_{v>=0} |binom(beta, v)|.
 
     Exact (2^beta) for integer beta; otherwise a partial sum plus the
-    analytic tail bound.  Within tol of the true sum when the required
-    term count fits under the series cap; for small fractional beta the
-    cap binds and the conservative tail term keeps the result an upper
-    bound at reduced accuracy (the tail decays like N^-beta).
+    analytic tail bound.  Within ``_ABS_SUM_TOL`` = 1e-10 of the true sum
+    when the required term count fits under the series cap; for small
+    fractional beta the cap binds and the conservative tail term keeps
+    the result an upper bound at reduced accuracy (the tail ~ N^-beta).
     """
     if beta <= 0.0:
         raise InvalidArgumentError("beta must be positive")
     if beta == round(beta):
         return 2.0 ** beta
     m, log_c = _tail_constant(beta)
-    # choose N with C*N^-beta/beta <= tol
-    log_n = (log_c - math.log(beta) - math.log(tol)) / beta
+    # choose N with C*N^-beta/beta <= _ABS_SUM_TOL
+    log_n = (log_c - math.log(beta) - math.log(_ABS_SUM_TOL)) / beta
     n = max(m, int(math.ceil(math.exp(min(log_n, 20 * math.log(10.0))))))
     n = min(n, _SERIES_CAP)
     j = np.arange(1, n + 1, dtype=float)

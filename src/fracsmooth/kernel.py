@@ -32,6 +32,8 @@ Two independent evaluation routes are provided:
 """
 from __future__ import annotations
 
+import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -86,6 +88,22 @@ def _check_beta(beta):
     if not (beta > 0.0) or not math.isfinite(beta):
         raise InvalidArgumentError(f"beta must be positive and finite, got {beta}")
     return beta
+
+
+def _overflow_quiet(beta):
+    """The error state for quadrature at order beta: the default below
+    ``_NO_OVERFLOW_BETA``, because NumPy calls are slower under another;
+    above, where (2 sin(phi/2))^beta can overflow, warnings are held for
+    the caller's one finiteness check (``_not_finite``)."""
+    if beta < _NO_OVERFLOW_BETA:
+        return contextlib.nullcontext()
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _not_finite(beta, partial):
+    return ConvergenceError(
+        f"z is not finite for beta={beta}: the integrand overflows "
+        f"the float range", partial=partial)
 
 
 # ---------------------------------------------------------------------------
@@ -305,24 +323,15 @@ def z_many(beta, ts, cfg=None, with_noise=False):
     interior = ~lattice
     if interior.any():
         uniq, inv = np.unique(t0[interior], return_inverse=True)
-        if beta < _NO_OVERFLOW_BETA:
+        with _overflow_quiet(beta):
             zb, ab = _base_curve(beta, uniq, cfg)
-        else:
-            # (2 sin(phi/2))^beta can overflow where the base exceeds 1;
-            # a non-finite result is reported below, once.  The error
-            # state is set only here, because every NumPy call made under
-            # a non-default one is slower
-            with np.errstate(over="ignore", invalid="ignore"):
-                zb, ab = _base_curve(beta, uniq, cfg)
         out[interior] = zb[inv]
         noise[interior] = ab[inv]
     out += TWO_PI * m
     noise += TWO_PI * m + 1.0
     out = np.where(neg, -np.conj(out), out)
     if not np.isfinite(out).all():
-        raise ConvergenceError(
-            f"z is not finite for beta={beta}: the integrand overflows "
-            f"the float range", partial=out)
+        raise _not_finite(beta, out)
     noise *= 8.0 * np.finfo(float).eps
     if with_noise:
         return out, noise
@@ -345,7 +354,8 @@ def z_span(beta, a, b):
     A span inside [1e-3, 2pi - 1e-3] skips the segment set-up: its 1-4
     panels go straight to ``_adaptive_panels``, so a span that one GK15
     panel resolves costs one ``gk15_panels`` call.  The value is bit for
-    bit that of ``_segment_sums`` on [a, b].
+    bit that of ``_segment_sums`` on [a, b].  A value or mass that the
+    integrand's overflow makes non-finite raises ConvergenceError.
     """
     beta = _check_beta(beta)
     a, b = float(a), float(b)
@@ -353,20 +363,23 @@ def z_span(beta, a, b):
         raise InvalidArgumentError("need 0 <= a <= b <= 2pi")
     if a == b:
         return 0.0j, 0.0
-    if not (_ENDPOINT <= a and b <= _MIRROR_LO):
-        vals, absmass = _segment_sums(beta, np.array([a, b]), DEFAULT_QUAD)
-        return complex(vals[0]), float(absmass[0])
-    npan = max(1, math.ceil((b - a) / _PANEL))
-    ends = np.arange(npan + 1) * ((b - a) / npan) + a
-    ends[-1] = b
-    vals, absm, _ = _adaptive_panels(beta, ends[:-1], ends[1:],
-                                     np.zeros(npan, dtype=np.intp),
-                                     DEFAULT_QUAD)
+    with _overflow_quiet(beta):
+        if not (_ENDPOINT <= a and b <= _MIRROR_LO):
+            vals, absm = _segment_sums(beta, np.array([a, b]), DEFAULT_QUAD)
+        else:
+            npan = max(1, math.ceil((b - a) / _PANEL))
+            ends = np.arange(npan + 1) * ((b - a) / npan) + a
+            ends[-1] = b
+            vals, absm, _ = _adaptive_panels(beta, ends[:-1], ends[1:],
+                                             np.zeros(npan, dtype=np.intp),
+                                             DEFAULT_QUAD)
     # summed panel by panel from zero, as np.add.at does in _segment_sums
     value, mass = 0j, 0.0
     for v, m in zip(vals.tolist(), absm.tolist()):
         value += v
         mass += m
+    if not (cmath.isfinite(value) and math.isfinite(mass)):
+        raise _not_finite(beta, value)
     return value, mass
 
 

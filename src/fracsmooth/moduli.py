@@ -42,6 +42,10 @@ log = logging.getLogger(__name__)
 # grid values (steps x grid points) of one block of ``_diff_norms``; every
 # step grid of the default corpus (degree <= 16) fits in one block
 _BLOCK_ELEMS = 1 << 18
+#: uniform steps of the classical modulus's grid over (0, h]
+_DELTA_GRID = 256
+#: Gauss-Legendre nodes of the integral modulus over (0, h)
+_QUAD_ORDER = 64
 
 CSV_HEADER = ("fid", "beta", "alpha", "h", "p", "omega", "w",
               "omega_tilde", "omega_star", "r_w", "r_tilde", "r_star")
@@ -49,7 +53,8 @@ CSV_HEADER = ("fid", "beta", "alpha", "h", "p", "omega", "w",
 
 @dataclass(frozen=True)
 class ModulusRequest:
-    """Parameters shared by every modulus computation.
+    """Parameters shared by every modulus computation; the resolutions
+    in the step are the constants ``_DELTA_GRID`` and ``_QUAD_ORDER``.
 
     ``alpha`` is only meaningful for the double-averaged modulus and must
     split beta as beta = alpha + (nonnegative integer) with alpha in
@@ -60,18 +65,12 @@ class ModulusRequest:
     h: float
     norm: NormParams
     alpha: float | None = None
-    delta_grid: int = 256
-    quad_order: int = 64
 
     def __post_init__(self):
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise InvalidArgumentError("beta must be positive and finite")
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise InvalidArgumentError("h must be positive and finite")
-        if self.delta_grid < 8:
-            raise InvalidArgumentError("delta_grid must be at least 8")
-        if self.quad_order < 4:
-            raise InvalidArgumentError("quad_order must be at least 4")
         if self.alpha is not None:
             split_order(self.beta, float(self.alpha))
 
@@ -84,7 +83,7 @@ def _diff_norms(f: TrigPoly, beta: float, deltas,
     step) times the coefficients, then ``lp_norms`` of the rows.
     """
     deltas = np.asarray(deltas, dtype=float)
-    rows = max(1, _BLOCK_ELEMS // grid_size(f.degree, norm))
+    rows = max(1, _BLOCK_ELEMS // grid_size(f.degree))
     out = np.empty(deltas.size)
     for lo in range(0, deltas.size, rows):
         sym = symbol_values(beta, deltas[lo:lo + rows, None], f.freqs)
@@ -103,7 +102,7 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     """sup over steps delta in (0, h] of the difference norm.
 
-    Grid maximum over ``delta_grid`` uniform steps, evaluated together by
+    Grid maximum over ``_DELTA_GRID`` uniform steps, evaluated together by
     ``_diff_norms`` (one symbol matrix and one row-wise FFT per block of
     at most ``_BLOCK_ELEMS`` grid values), then ``bracket_max`` in the
     cell around the discrete argmax: one ``_diff_norms`` call per round
@@ -113,7 +112,7 @@ def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     """
     if req.alpha is not None:
         raise InvalidArgumentError("alpha does not apply to this modulus")
-    grid = int(req.delta_grid)
+    grid = _DELTA_GRID
     deltas = np.linspace(req.h / grid, req.h, grid)
     vals = _diff_norms(f, req.beta, deltas, req.norm)
     i = int(np.argmax(vals))
@@ -125,14 +124,14 @@ def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
 def integral_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     """((1/h) integral of ||diff||_p^p1 over (0, h))^(1/p1), p1 = min(1, p).
 
-    Gauss-Legendre of order ``quad_order`` mapped onto (0, h); the nodes
-    are computed once per order, and the difference norms at all of them
+    Gauss-Legendre of order ``_QUAD_ORDER`` mapped onto (0, h); the nodes
+    are computed on first use, and the difference norms at all of them
     come from one ``_diff_norms`` call, in blocks of at most
     ``_BLOCK_ELEMS`` grid values like the classical grid.
     """
     if req.alpha is not None:
         raise InvalidArgumentError("alpha does not apply to this modulus")
-    nodes, weights = _gauss_legendre(int(req.quad_order))
+    nodes, weights = _gauss_legendre(_QUAD_ORDER)
     deltas = 0.5 * req.h * (nodes + 1.0)
     scale = 0.5  # (1/h) * (h/2): the affine map's Jacobian over the mean
     p1 = req.norm.p1
@@ -311,15 +310,19 @@ def write_report_json(fh, rows: list[EquivReport]) -> None:
 
 
 def read_report_csv(fh) -> list[EquivReport]:
-    """Parse a CSV produced by ``write_report_csv`` back into rows."""
+    """Parse a CSV produced by ``write_report_csv`` back into rows; a bad
+    row (cell count, non-float value) raises InvalidArgumentError."""
     reader = csv.reader(fh)
-    header = next(reader)
+    header = next(reader, [])
     if tuple(header) != CSV_HEADER:
         raise InvalidArgumentError(f"unexpected header: {header!r}")
     out = []
     for rec in reader:
-        vals = dict(zip(CSV_HEADER, rec))
-        out.append(EquivReport(
-            fid=vals["fid"],
-            **{k: float(vals[k]) for k in CSV_HEADER[1:]}))
+        try:
+            if len(rec) != len(CSV_HEADER):
+                raise ValueError(f"{len(rec)} cells, not {len(CSV_HEADER)}")
+            vals = {k: float(v) for k, v in zip(CSV_HEADER[1:], rec[1:])}
+        except ValueError as exc:
+            raise InvalidArgumentError(f"line {reader.line_num}: {exc}")
+        out.append(EquivReport(fid=rec[0], **vals))
     return out

@@ -51,10 +51,10 @@ class MultiplierFn:
         return self.fn(t)
 
 
-def _fd_derivative(fn, step=_FD_STEP):
+def _fd_derivative(fn):
     def deriv(t):
-        return (fn(np.asarray(t, dtype=float) + step)
-                - fn(np.asarray(t, dtype=float) - step)) / (2.0 * step)
+        t = np.asarray(t, dtype=float)
+        return (fn(t + _FD_STEP) - fn(t - _FD_STEP)) / (2.0 * _FD_STEP)
     return deriv
 
 
@@ -117,10 +117,9 @@ def _near_origin_check(order: float, label: str) -> None:
             f"(relative floor {m:.3e})")
 
 
-def _far_field_check(order: float, label: str, hi: float = 50.0,
-                     grid: int = 512) -> None:
-    """Assert the averaging symbol stays away from zero on [1, hi]."""
-    ts = np.linspace(1.0, hi, grid)
+def _far_field_check(order: float, label: str) -> None:
+    """Assert the averaging symbol stays away from zero on [1, 50]."""
+    ts = np.linspace(1.0, 50.0, 512)
     vals = np.abs(psi_many(order, ts))
     m = float(vals.min())
     if m <= 1e-12:
@@ -130,14 +129,14 @@ def _far_field_check(order: float, label: str, hi: float = 50.0,
             f"(floor {m:.3e})")
 
 
-def _ratio_fn(beta, tau, weight, den, limit, small=1e-7):
+def _ratio_fn(beta, tau, weight, den, limit):
     """(1-e^{i tau t})^beta * weight(t) / den(t), with the t=0 limit
-    installed where the numerator and denominator both vanish."""
+    installed on |t| < 1e-7, where numerator and denominator vanish."""
     def fn(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros(ts.shape, dtype=complex)
         wt = np.atleast_1d(np.asarray(weight(ts)))
-        tiny = np.abs(ts) < small
+        tiny = np.abs(ts) < 1e-7
         lim_zone = tiny & (wt != 0.0)
         out[lim_zone] = limit * wt[lim_zone]
         act = (~tiny) & (wt != 0.0)
@@ -150,45 +149,43 @@ def _ratio_fn(beta, tau, weight, den, limit, small=1e-7):
     return fn
 
 
-def make_g_tau(beta: float, tau: float, v: CutoffV | None = None) -> MultiplierFn:
+def make_g_tau(beta: float, tau: float) -> MultiplierFn:
     """The compactly supported comparison function for one order beta.
 
-    g(t) = (1 - e^{i tau t})^beta v(t) / psi_beta(t), supported in
-    [-2, 2].  At t = 0 both factors vanish like t^beta; the limit is
-    tau^beta (beta + 1), installed analytically (numerator ~ (tau t)^beta
-    e^{-i pi beta/2}, z ~ e^{-i pi beta/2} t^{beta+1}/(beta+1)) and
-    guarded by approach probes in the tests.  The averaging symbol has no
-    zeros on (0, 2] — 2 < pi keeps us inside its nonvanishing range —
-    which the constructor asserts.
+    g(t) = (1 - e^{i tau t})^beta v(t) / psi_beta(t), with v the cutoff
+    ``CutoffV``, supported in [-2, 2].  At t = 0 both factors vanish like
+    t^beta; the limit is tau^beta (beta + 1), installed analytically
+    (numerator ~ (tau t)^beta e^{-i pi beta/2}, z ~ e^{-i pi beta/2}
+    t^{beta+1}/(beta+1)) and guarded by approach probes in the tests.
+    The averaging symbol has no zeros on (0, 2] — 2 < pi keeps us inside
+    its nonvanishing range — which the constructor asserts.
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise InvalidArgumentError("beta must be positive and finite")
     tau = _check_tau(tau)
-    if v is None:
-        v = CutoffV()
     _near_origin_check(beta, f"{beta}")
     limit = tau ** beta * (beta + 1.0)
-    fn = _ratio_fn(beta, tau, v, lambda ts: psi_many(beta, ts), limit)
+    fn = _ratio_fn(beta, tau, CutoffV(), lambda ts: psi_many(beta, ts),
+                   limit)
     return MultiplierFn(fn=fn, deriv=_fd_derivative(fn),
                         support="compact", bounds=(-2.0, 2.0))
 
 
-def make_g1_g2(beta: float, alpha: float, tau: float,
-               v: CutoffV | None = None) -> tuple[MultiplierFn, MultiplierFn]:
+def make_g1_g2(beta: float, alpha: float,
+               tau: float) -> tuple[MultiplierFn, MultiplierFn]:
     """The split comparison pair for the double-averaged modulus.
 
-    g1 carries the cutoff v (compact in [-2, 2]); g2 carries 1 - v and
-    divides by the product of the two averaging symbols, whose values
-    approach 1 along the shift identity as |t| grows.  g2 is declared
-    ``decaying`` as specified; ``beurling_bound`` probes that claim at
-    the window edge before integrating.
+    g1 carries the cutoff v = ``CutoffV`` (compact in [-2, 2]); g2
+    carries 1 - v and divides by the product of the two averaging
+    symbols, whose values approach 1 along the shift identity as |t|
+    grows.  g2 is declared ``decaying`` as specified; ``beurling_bound``
+    probes that claim at the window edge before integrating.
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise InvalidArgumentError("beta must be positive and finite")
     tau = _check_tau(tau)
     gap = split_order(beta, alpha)
-    if v is None:
-        v = CutoffV()
+    v = CutoffV()
     _near_origin_check(alpha, f"{alpha}")
     _far_field_check(alpha, f"{alpha}")
     if gap > 0:

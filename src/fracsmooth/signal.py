@@ -11,10 +11,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import bracket_max
 from .errors import InvalidArgumentError
 
 TWO_PI = 2.0 * math.pi
+
+#: grid points per coefficient of the rectangle rule (``grid_size``)
+_OVERSAMPLE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,24 +72,19 @@ class TrigPoly:
 
 @dataclass(frozen=True)
 class NormParams:
-    """How to measure: exponent p in (0, inf], grid oversampling factor.
+    """How to measure: the exponent p in (0, inf].
 
     The norm is read on a uniform grid (``grid_size``).  Only p = 2 is
     exact there; p = inf (the grid maximum) and p = 1 (a rectangle rule
     over |f|, which has a kink at each zero of f) are O(dx^2), about
-    1e-2 relative at the default oversample of 8 (see ``lp_norm``).
-    ``refine`` adds a local polish around the grid argmax for the sup
-    norm (``bracket_max`` over one grid cell each side; off by default).
+    1e-2 relative on the grid of ``_OVERSAMPLE`` = 8 points per
+    coefficient (see ``lp_norm``).
     """
     p: float
-    oversample: int = 8
-    refine: bool = False
 
     def __post_init__(self):
         if not (self.p > 0.0):
             raise InvalidArgumentError("p must be positive (math.inf allowed)")
-        if int(self.oversample) != self.oversample or self.oversample < 1:
-            raise InvalidArgumentError("oversample must be a positive integer")
 
     @property
     def p1(self) -> float:
@@ -131,12 +128,12 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
-def grid_size(degree: int, params: NormParams) -> int:
+def grid_size(degree: int) -> int:
     """Points of the rectangle rule that the L_p norms use at this degree:
-    max(64, oversample*(2*degree+1)), rounded up to an 11-smooth FFT
+    max(64, _OVERSAMPLE*(2*degree+1)), rounded up to an 11-smooth FFT
     length (at degree 1024, 16392 = 2^3*3*683 becomes 16464 = 2^4*3*7^3,
     so the inverse FFT avoids a slow pass for the prime factor 683)."""
-    return _smooth_length(max(64, params.oversample * (2 * degree + 1)))
+    return _smooth_length(max(64, _OVERSAMPLE * (2 * degree + 1)))
 
 
 def lp_norms(coeffs, params: NormParams) -> np.ndarray:
@@ -152,7 +149,7 @@ def lp_norms(coeffs, params: NormParams) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex)
     rows, width = c.shape
     degree = (width - 1) // 2
-    n = grid_size(degree, params)
+    n = grid_size(degree)
     spec = np.zeros((rows, n), dtype=complex)
     spec[:, np.mod(np.arange(-degree, degree + 1), n)] = c
     np.fft.ifft(spec, axis=1, out=spec)  # out= needs NumPy >= 2.0
@@ -160,20 +157,7 @@ def lp_norms(coeffs, params: NormParams) -> np.ndarray:
     vals = np.abs(spec)
     p = params.p
     if math.isinf(p):
-        j = np.argmax(vals, axis=1)
-        best = vals[np.arange(rows), j]
-        if params.refine:
-            half = TWO_PI / n
-            for r in range(rows):
-                f = TrigPoly(degree, c[r])
-                x0 = TWO_PI * int(j[r]) / n
-                # one evaluate call per knot, so each value is that of
-                # evaluate(f, [x]) bit for bit: a many-point call runs a
-                # matrix product whose last bits depend on the BLAS kernel
-                best[r] = bracket_max(
-                    lambda xs: np.abs([evaluate(f, [x])[0] for x in xs]),
-                    x0 - half, x0 + half, best[r])
-        return best
+        return vals.max(axis=1)
     vals **= p
     # the root is taken row by row with the scalar power: NumPy's
     # vectorised power loop can differ from it in the last bit
@@ -188,11 +172,11 @@ def lp_norm(f: TrigPoly, params: NormParams) -> float:
     integrates exactly.  At p = inf it is the grid maximum, O(dx^2) below
     a smooth maximum.  At other p it is a rectangle rule over |f|^p,
     which is smooth only where f has no zero; at p = 1, |f| has a kink
-    at each simple zero of f and the rule is O(dx^2).  Against
-    oversample 64, over ``default_corpus()`` with the difference
-    ``apply_diff(f, beta, h)`` at beta in {0.5, 1, 2.5, 3.5, 5} and 40
-    steps h in [0.01, 1], the default oversample of 8 was off by at most
-    1.2e-2 relative at p = inf and 6.7e-3 at p = 1.
+    at each simple zero of f and the rule is O(dx^2).  Against a grid of
+    64 points per coefficient, over ``default_corpus()`` with the
+    difference ``apply_diff(f, beta, h)`` at beta in {0.5, 1, 2.5, 3.5, 5}
+    and 40 steps h in [0.01, 1], the grid of ``_OVERSAMPLE`` = 8 was off
+    by at most 1.2e-2 relative at p = inf and 6.7e-3 at p = 1.
     """
     return float(lp_norms(f.coeffs[None, :], params)[0])
 

@@ -33,7 +33,7 @@ that only shrinks:
   piece end, an extremum of y), takes the bracket's midpoint instead.
   A bracket takes about 4 evaluations of z.
 * in beta, where g(beta) = x(t*(beta)) + 2pi*k is smooth, Illinois regula
-  falsi, with each iterate held tol_beta/2 inside the bracket and a
+  falsi, with each iterate held _TOL_BETA/2 inside the bracket and a
   bisection step whenever the bracket has not halved within three steps.
   A crossing takes 6-9 steps.  Near beta = 40, where g is not smooth
   at the scale of its rounding noise, the fallback still halves the
@@ -74,6 +74,9 @@ _Y_TARGET = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 _TIGHT = QuadConfig(abs_tol=1e-12, max_subdiv=4000)
+
+#: width in beta to which a crossing's bracket is closed
+_TOL_BETA = 1e-10
 
 #: y carries a sign only where |y| exceeds this multiple of its noise floor
 _SIGN_NOISE = 4.0
@@ -249,8 +252,8 @@ def curve_F(beta):
     return found[3].real + TWO_PI
 
 
-def find_beta0(tol_beta=1e-10):
-    """The smallest pathological order, to ``tol_beta`` in beta.
+def find_beta0():
+    """The smallest pathological order, to ``_TOL_BETA`` = 1e-10 in beta.
 
     beta0 is the sign change of ``curve_F`` on [4, 5]: the k = 1 crossing
     of the zero on the piece m = -1 of y, (pi(1-2/beta), pi), located by
@@ -263,7 +266,7 @@ def find_beta0(tol_beta=1e-10):
     if not (f4 > 0.0 > f5):
         raise BracketError(
             f"expected F(4) > 0 > F(5), got F(4)={f4:.6f}, F(5)={f5:.6f}")
-    rec = _bisect_crossing(4.0, 5.0, f4, f5, -1, 1, tol_beta)
+    rec = _bisect_crossing(4.0, 5.0, f4, f5, -1, 1)
     if rec is None:
         raise BracketError(
             "the piece (pi(1-2/beta), pi) lost its y sign change")
@@ -309,7 +312,7 @@ def _zero_in_window(beta, m):
 
 
 def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
-                  beta_min=0.0, tol_beta=1e-10):
+                  beta_min=0.0):
     """Locate all zeros of z with beta in (beta_min, beta_max], t in (0, t_max].
 
     The beta columns are beta_min + i * step, step = (beta_max -
@@ -327,7 +330,7 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     column grid.  Each sign change of x + 2pi*k between a pair (for every
     shift index k >= 1 that keeps t = t_zero + 2pi*k inside the window)
     is closed in beta on its piece by ``_bisect_crossing`` to a
-    ZeroRecord.  A branch ends where its
+    ZeroRecord, to ``_TOL_BETA`` = 1e-10 in beta.  A branch ends where its
     piece loses its sign change of y; a crossing search that meets such
     an end is dropped with a log note.
 
@@ -369,7 +372,7 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
                 ga, gb = xa + TWO_PI * k, xb + TWO_PI * k
                 if ga == 0.0 or gb == 0.0 or (ga > 0.0) == (gb > 0.0):
                     continue
-                rec = _bisect_crossing(ba, bb, ga, gb, m, k, tol_beta)
+                rec = _bisect_crossing(ba, bb, ga, gb, m, k)
                 if rec is not None:
                     records.append(rec)
     log.debug("scan window beta<=%s t<=%s: %d records",
@@ -378,7 +381,7 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     return records
 
 
-def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, m, k, tol_beta):
+def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, m, k):
     """Locate the beta crossing of g = x(zero on piece m) + 2 pi k on
     [b_lo, b_hi].
 
@@ -386,30 +389,31 @@ def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, m, k, tol_beta):
     opposite signs) is closed by Illinois regula falsi: the next beta is
     the false-position point, and the g of an end that two steps in a row
     leave in place is halved.  Each iterate is clamped at least
-    tol_beta/2 inside the bracket, so that the step after one that lands
+    _TOL_BETA/2 inside the bracket, so that the step after one that lands
     next to the crossing lands across it and the bracket closes to width
-    <= tol_beta; a bracket that has not halved within three steps is
-    bisected once.  An iterate where g is exactly 0 is moved tol_beta/4
+    <= _TOL_BETA; a bracket that has not halved within three steps is
+    bisected once.  An iterate where g is exactly 0 is moved _TOL_BETA/4
     toward the midpoint, so that both ends of the bracket keep a strict
     sign.  The name stays ``_bisect_crossing`` because the
     benchmark's per-layer spans bind it by name.  Returns the
     ZeroRecord at the bracket's midpoint, or None when the piece loses
     its sign change of y (the branch ends).
     """
+    tol = _TOL_BETA
     lo_positive = g_lo > 0.0
     moved = 0  # the end the last step replaced: -1 low, +1 high
     halved_at, stalls = b_hi - b_lo, 0
-    while b_hi - b_lo > tol_beta:
+    while b_hi - b_lo > tol:
         if stalls < 3:
             beta = b_lo - g_lo * (b_hi - b_lo) / (g_hi - g_lo)
         else:
             beta = 0.5 * (b_lo + b_hi)
-        beta = min(max(beta, b_lo + 0.5 * tol_beta), b_hi - 0.5 * tol_beta)
+        beta = min(max(beta, b_lo + 0.5 * tol), b_hi - 0.5 * tol)
         found = _zero_in_window(beta, m)
         if found is not None and found[3].real + TWO_PI * k == 0.0:
             # an exact hit has no sign to end the bracket with: evaluate
-            # tol_beta/4 from it, toward the bracket's midpoint, instead
-            beta += math.copysign(0.25 * tol_beta, 0.5 * (b_lo + b_hi) - beta)
+            # tol/4 from it, toward the bracket's midpoint, instead
+            beta += math.copysign(0.25 * tol, 0.5 * (b_lo + b_hi) - beta)
             found = _zero_in_window(beta, m)
         if found is None:
             log.debug("branch lost at beta=%s on piece %d", beta, m)
@@ -474,10 +478,23 @@ def write_registry(fh, records):
 
 
 def read_registry(fh):
-    """Inverse of ``write_registry``."""
+    """Inverse of ``write_registry``; anything but an array of records of
+    ``registry_payload``'s form raises InvalidArgumentError."""
     data = json.load(fh)
-    return [
-        ZeroRecord(beta_k=d["beta"], t_k=d["t"], residual=d["residual"],
-                   bracket=tuple(d["bracket"]), branch_index=d["branch"])
-        for d in data
-    ]
+    if not isinstance(data, list):
+        raise InvalidArgumentError("a registry is a JSON array of records")
+    out = []
+    for i, d in enumerate(data):
+        try:
+            rec = ZeroRecord(beta_k=float(d["beta"]), t_k=float(d["t"]),
+                             residual=float(d["residual"]),
+                             bracket=tuple(float(x) for x in d["bracket"]),
+                             branch_index=d["branch"])
+            ok = (len(d) == 5 and len(rec.bracket) == 4
+                  and type(rec.branch_index) is int)
+        except (KeyError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise InvalidArgumentError(f"registry record {i}: {d!r}")
+        out.append(rec)
+    return out

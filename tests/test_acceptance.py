@@ -273,6 +273,30 @@ def _psi_integer(n, h):
     return acc / h
 
 
+def _z_quad(beta, t):
+    """z_beta(t) by mpmath quadrature of the principal-branch integrand.
+
+    t is reduced modulo 2 pi first, with z(t + 2 pi) = z(t) + 2 pi: the
+    integrand has a branch point at every multiple of 2 pi."""
+    shifts = mpmath.floor(t / (2 * mpmath.pi))
+    t0 = t - 2 * mpmath.pi * shifts
+    return (mpmath.quad(lambda phi: (1 - mpmath.expj(phi)) ** beta, [0, t0])
+            + 2 * mpmath.pi * shifts)
+
+
+def _star_over_omega_sawtooth():
+    """omega*/omega of sawtooth:8 at beta = alpha = 2.5, h = 1, p = 2, by
+    Parseval: |c_k|^2 = 1/(4 k^2) for 1 <= |k| <= 8, omega* has the
+    symbol psi_2.5(k h), and omega, whose sum over k peaks at delta = h
+    (checked in the test), has the symbol |2 sin(k h/2)|^2.5 there."""
+    beta = mpmath.mpf(2.5)
+    star = mpmath.fsum(abs(_z_quad(beta, k) / k) ** 2 / k ** 2
+                       for k in range(1, 9))
+    omega = mpmath.fsum((2 * abs(mpmath.sin(mpmath.mpf(k) / 2))) ** (2 * beta)
+                        / k ** 2 for k in range(1, 9))
+    return mpmath.sqrt(star / omega)
+
+
 def test_c08_baselines_match_closed_forms(scan_rows, corpus_members):
     # |e_1| is constant, so every L_p norm of a modulus of e_1 is the
     # modulus of its symbol; the difference norm (2 sin(delta/2))^beta
@@ -286,9 +310,24 @@ def test_c08_baselines_match_closed_forms(scan_rows, corpus_members):
         over_tilde = float(s ** 3 / abs(_psi_integer(3, h)))
         over_star = float(s ** 5 / abs(_psi_integer(4, h)
                                        * _psi_integer(1, h)))
+    with mpmath.workdps(25):
+        star_over = float(_star_over_omega_sawtooth())
     assert over_w == pytest.approx(BASE_MAX_OMEGA_OVER_W, rel=1e-15)
     assert over_tilde == pytest.approx(BASE_MAX_OMEGA_OVER_TILDE, rel=1e-15)
     assert over_star == pytest.approx(BASE_MAX_OMEGA_OVER_STAR, rel=1e-15)
+    assert star_over == pytest.approx(BASE_MAX_STAR_OVER_OMEGA, rel=1e-15)
+    # the classical sum over k of |2 sin(k delta/2)|^5 / k^2 peaks at h = 1
+    k = np.arange(1, 9)
+    deltas = np.linspace(1e-3, 1.0, 4000)
+    sums = ((2.0 * np.abs(np.sin(np.outer(deltas, k) / 2.0))) ** 5
+            / k ** 2).sum(1)
+    assert int(np.argmax(sums)) == deltas.size - 1
+    saw = dict(corpus_members)["sawtooth:8"]
+    st = star_modulus(saw, ModulusRequest(
+        beta=2.5, h=1.0, norm=NormParams(p=2.0), alpha=2.5))
+    om = classical_modulus(saw, ModulusRequest(
+        beta=2.5, h=1.0, norm=NormParams(p=2.0)))
+    assert st / om == pytest.approx(star_over, rel=1e-12)
     # the maxima of gate 08 are these cells
     assert max(r.omega / r.w for r in scan_rows) == pytest.approx(
         over_w, rel=1e-12)

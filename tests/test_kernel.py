@@ -230,6 +230,14 @@ class TestQuadratureConfig:
         with pytest.raises(ConvergenceError, match="not finite"):
             psi_eval(1e4, 2.0)
 
+    def test_overflowing_span_raises(self):
+        # both routes of z_span: the direct GK15 panels of a span inside
+        # [1e-3, 2pi - 1e-3], and the segment set-up of one that reaches
+        # the endpoint expansion zone
+        for a in (2.0, 0.0005):
+            with pytest.raises(ConvergenceError, match="not finite"):
+                kernel.z_span(1e4, a, 3.0)
+
     def test_no_overflow_below_the_threshold(self):
         # z_many sets no error state below this order, so nothing may
         # overflow there, even with the whole period and a budget that

@@ -198,7 +198,7 @@ def scalar_norms(f, beta, deltas, norm):
 
 def scalar_classical(f, r):
     """The classical modulus with one scalar difference norm per step."""
-    grid = r.delta_grid
+    grid = moduli._DELTA_GRID
     deltas = np.linspace(r.h / grid, r.h, grid)
     vals = scalar_norms(f, r.beta, deltas, r.norm)
     i = int(np.argmax(vals))
@@ -210,7 +210,7 @@ def scalar_classical(f, r):
 
 def scalar_integral(f, r):
     """The integral modulus with one scalar difference norm per node."""
-    nodes, weights = np.polynomial.legendre.leggauss(r.quad_order)
+    nodes, weights = np.polynomial.legendre.leggauss(moduli._QUAD_ORDER)
     deltas = 0.5 * r.h * (nodes + 1.0)
     p1 = r.norm.p1
     acc = 0.0
@@ -222,10 +222,7 @@ def scalar_integral(f, r):
 class TestBatchedDiffNorms:
     """The batched step grid gives bit for bit the scalar composition."""
 
-    NORMS = [NormParams(p=p, oversample=ov, refine=refine)
-             for p in (0.5, 1.0, 2.0, math.inf)
-             for ov in (1, 8)
-             for refine in ((False, True) if math.isinf(p) else (False,))]
+    NORMS = [NormParams(p=p) for p in (0.5, 1.0, 2.0, math.inf)]
 
     def test_matches_scalar_composition_bitwise(self, corpus_members):
         # the last steps sit on the lattice k delta = 0 mod 2 pi for
@@ -253,16 +250,19 @@ class TestBatchedDiffNorms:
         deltas = np.linspace(0.01, 0.5, 40)
         for norm in (NormParams(p=0.5), NormParams(p=2.0),
                      NormParams(p=math.inf)):
-            assert _BLOCK_ELEMS // grid_size(f.degree, norm) < deltas.size
+            assert _BLOCK_ELEMS // grid_size(f.degree) < deltas.size
             got = _diff_norms(f, 1.5, deltas, norm).tolist()
             assert got == scalar_norms(f, 1.5, deltas, norm), norm
 
-    def test_moduli_match_scalar_step_loops(self, corpus_members):
+    def test_moduli_match_scalar_step_loops(self, monkeypatch,
+                                            corpus_members):
+        # coarse step resolutions keep the scalar loops short
+        monkeypatch.setattr(moduli, "_DELTA_GRID", 32)
+        monkeypatch.setattr(moduli, "_QUAD_ORDER", 16)
         for fid, f in corpus_members[1:4]:
             for norm in (NormParams(p=0.5), NormParams(p=2.0),
-                         NormParams(p=math.inf, refine=True)):
-                r = ModulusRequest(beta=2.5, h=0.7, norm=norm,
-                                   delta_grid=32, quad_order=16)
+                         NormParams(p=math.inf)):
+                r = ModulusRequest(beta=2.5, h=0.7, norm=norm)
                 assert classical_modulus(f, r) == scalar_classical(f, r), fid
                 assert integral_modulus(f, r) == scalar_integral(f, r), fid
 
@@ -273,7 +273,7 @@ class TestIntegral:
         got = integral_modulus(E1, req(1.0, 0.5, 2))
         assert got == pytest.approx(8.0 * (1.0 - math.cos(0.25)), rel=1e-12)
 
-    def test_small_p_uses_p_th_power(self):
+    def test_small_p_uses_p_th_power(self, monkeypatch):
         # p < 1 averages ||.||^p: quadrature oracle on the closed-form
         # integrand (2 sin(delta/2))^(1/2), whose square-root endpoint
         # keeps fixed-order Gauss-Legendre at ~n^-3 accuracy
@@ -281,12 +281,14 @@ class TestIntegral:
                      0.0, 0.8)[0] / 0.8) ** 2.0
         got = integral_modulus(E1, req(1.0, 0.8, 0.5))
         assert got == pytest.approx(want, rel=2e-5)
-        fine = integral_modulus(E1, req(1.0, 0.8, 0.5, quad_order=512))
+        monkeypatch.setattr(moduli, "_QUAD_ORDER", 512)
+        fine = integral_modulus(E1, req(1.0, 0.8, 0.5))
         assert fine == pytest.approx(want, rel=1e-7)
 
-    def test_quad_order_converged(self):
+    def test_quad_order_converged(self, monkeypatch):
         a = integral_modulus(E1, req(2.5, 1.0, 2))
-        b = integral_modulus(E1, req(2.5, 1.0, 2, quad_order=128))
+        monkeypatch.setattr(moduli, "_QUAD_ORDER", 128)
+        b = integral_modulus(E1, req(2.5, 1.0, 2))
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_alpha_not_accepted(self):
@@ -469,8 +471,20 @@ class TestScan:
         assert back == rows
 
     def test_csv_header_checked(self):
-        with pytest.raises(InvalidArgumentError):
-            read_report_csv(io.StringIO("a,b,c\n1,2,3\n"))
+        for text in ("a,b,c\n1,2,3\n", ""):
+            with pytest.raises(InvalidArgumentError):
+                read_report_csv(io.StringIO(text))
+
+    def test_csv_malformed_rows_rejected(self):
+        buf = io.StringIO()
+        write_report_csv(buf, self.small_scan())
+        header, row = buf.getvalue().splitlines()[:2]
+        cells = row.split(",")
+        # a short row, an extra cell, a cell that is not a number
+        for bad in (cells[:3], cells + ["1"], cells[:4] + ["x"] + cells[5:]):
+            text = f"{header}\n{row}\n{','.join(bad)}\n"
+            with pytest.raises(InvalidArgumentError, match="line 3"):
+                read_report_csv(io.StringIO(text))
 
     def test_json_schema(self):
         rows = self.small_scan()
@@ -490,9 +504,3 @@ class TestRequestValidation:
             req(1.0, 0.0, 2)
         with pytest.raises(InvalidArgumentError):
             req(1.0, math.inf, 2)
-        with pytest.raises(InvalidArgumentError):
-            ModulusRequest(beta=1.0, h=0.5, norm=NormParams(p=2),
-                           delta_grid=4)
-        with pytest.raises(InvalidArgumentError):
-            ModulusRequest(beta=1.0, h=0.5, norm=NormParams(p=2),
-                           quad_order=2)

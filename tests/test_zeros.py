@@ -2,6 +2,7 @@
 pathological order."""
 
 import io
+import json
 import math
 
 import pytest
@@ -472,6 +473,20 @@ class TestRegistry:
         write_registry(buf, self.RECORDS)
         back = read_registry(io.StringIO(buf.getvalue()))
         assert back == self.RECORDS
+
+    def test_malformed_registry_rejected(self):
+        buf = io.StringIO()
+        write_registry(buf, self.RECORDS)
+        good = json.loads(buf.getvalue())[0]
+        with pytest.raises(InvalidArgumentError, match="JSON array"):
+            read_registry(io.StringIO("{}"))
+        # a missing field, a bad value type, a short bracket
+        for bad in ({k: v for k, v in good.items() if k != "t"},
+                    {**good, "beta": [4.85]},
+                    {**good, "bracket": good["bracket"][:3]}):
+            text = json.dumps([good, bad])
+            with pytest.raises(InvalidArgumentError, match="record 1"):
+                read_registry(io.StringIO(text))
 
     def test_bytes_deterministic(self):
         a, b = io.StringIO(), io.StringIO()
