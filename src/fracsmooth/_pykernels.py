@@ -14,6 +14,12 @@
     (2 sin(phi/2))^beta * exp(i beta (phi - pi)/2) on each panel [a_j, b_j],
     returning the Kronrod values, the |K - G| error estimates and the
     Kronrod rule applied to the magnitude of the integrand.
+
+``gk15_dbeta(beta, a, b)``
+    The Kronrod values of the beta-derivative of the same integrand,
+    f(phi) (log(2 sin(phi/2)) + i (phi - pi)/2), on panels inside
+    (0, 2pi).  Only the beta-crossing search of ``zeros`` calls it, through
+    ``kernel._z_dbeta``.
 """
 import numpy as np
 
@@ -96,3 +102,20 @@ def gk15_panels(beta, a, b):
     # magnitude of the rule applied to |f|, for conditioning estimates
     absmag = hw * (mag @ _WK)
     return vals, errs, absmag
+
+
+def gk15_dbeta(beta, a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    hw = 0.5 * (b - a)
+    phi = (0.5 * (a + b))[:, None] + hw[:, None] * _NODES[None, :]
+    s = 2.0 * np.sin(0.5 * phi)
+    mag = s ** beta
+    ang = 0.5 * beta * (phi - np.pi)
+    fr = mag * np.cos(ang)
+    fi = mag * np.sin(ang)
+    # f times log(1 - e^(i phi)) = log(s) + i (phi - pi)/2
+    ls = np.log(s)
+    half = 0.5 * (phi - np.pi)
+    return hw * ((fr * ls - fi * half) @ _WK) + 1j * hw * (
+        (fr * half + fi * ls) @ _WK)

@@ -54,6 +54,8 @@ _MIRROR_LO = TWO_PI - _ENDPOINT
 _PANEL = 0.5 * math.pi
 #: truncation order of the endpoint expansion
 _NTERMS = 10
+#: panel width of ``_z_dbeta`` times beta
+_DBETA_PANEL = math.pi
 #: below this order the quadrature cannot overflow: the integrand is at most
 #: 2^beta in modulus, and the sums over the period (values, error estimates,
 #: absolute masses) are at most 2^(beta + 5)
@@ -110,46 +112,46 @@ def _not_finite(beta, partial):
 # endpoint expansion
 # ---------------------------------------------------------------------------
 
-def _poly_mul_trunc(p, q, order):
-    out = np.zeros(order + 1, dtype=complex)
-    for i, pi in enumerate(p):
-        if pi == 0.0:
-            continue
-        hi = min(len(q), order + 1 - i)
-        out[i:i + hi] += pi * np.asarray(q[:hi])
-    return out
+def _endpoint_table():
+    """R with D_n(beta) = exp(-i pi beta/2) i^n sum_j R[n, j] beta^j.
+
+    Near phi = 0 the integrand is phi^beta exp(-i pi beta/2)
+    exp(beta q(phi)), where q(phi) = i phi/2 + log(sin(phi/2)/(phi/2)).
+    Each coefficient of q is i^n times a rational r_n, so the phi^n
+    coefficient of q^j / j! is i^n times that of r^j / j!, which is
+    R[n, j].  The powers of r, to order 10, are built in integers from r
+    scaled by ``den``, and each entry is rounded once (Python's
+    int / int is correctly rounded).
+    """
+    den = math.lcm(2, 24, 2880, 181440, 9676800, 479001600)
+    r = [0, den // 2, den // 24, 0, -den // 2880, 0, den // 181440, 0,
+         -den // 9676800, 0, den // 479001600]
+    power = [1] + [0] * _NTERMS
+    table = np.empty((_NTERMS + 1, _NTERMS + 1))
+    for j in range(_NTERMS + 1):
+        d = den ** j * math.factorial(j)
+        table[:, j] = [c / d for c in power]
+        power = [sum(power[i] * r[n - i] for i in range(n + 1))
+                 for n in range(_NTERMS + 1)]
+    return table
+
+
+_ENDPOINT_TABLE = _endpoint_table()
+_ENDPOINT_POWERS = np.arange(_NTERMS + 1)
+_I_POWERS = np.array([1, 1j, -1, -1j] * 3)[:_NTERMS + 1]
 
 
 @lru_cache(maxsize=64)
 def _endpoint_coeffs(beta):
     """Coefficients D_n with integrand = sum_n D_n phi^(beta+n) near phi=0.
 
-    Uses (2 sin(phi/2))^beta = phi^beta * exp(beta*log(sinc(phi/2))) and
-    exp(i*beta*(phi-pi)/2), both expanded to order 10 (far beyond machine
-    precision for the 1e-3 panel).  Cached per beta; the array is
-    read-only.
+    The order-10 Taylor coefficients of (2 sin(phi/2)/phi)^beta
+    exp(i beta (phi - pi)/2), far beyond machine precision for the 1e-3
+    panel; one product with ``_ENDPOINT_TABLE`` per beta.  Cached per
+    beta; the array is read-only.
     """
-    # beta * log(sin(x)/x) at x = phi/2:  coefficients in phi
-    p = np.zeros(_NTERMS + 1, dtype=complex)
-    p[2] = -beta / 24.0
-    p[4] = -beta / 2880.0
-    p[6] = -beta / 181440.0
-    p[8] = -beta / 9676800.0
-    # exp(p) via the truncated exponential series
-    a = np.zeros(_NTERMS + 1, dtype=complex)
-    a[0] = 1.0
-    term = np.zeros(_NTERMS + 1, dtype=complex)
-    term[0] = 1.0
-    for j in range(1, 6):
-        term = _poly_mul_trunc(term, p, _NTERMS) / j
-        a += term
-    # exp(i*beta*phi/2)
-    b = np.zeros(_NTERMS + 1, dtype=complex)
-    c = 1.0 + 0.0j
-    for m in range(_NTERMS + 1):
-        b[m] = c
-        c *= 0.5j * beta / (m + 1)
-    d = np.exp(-0.5j * beta * math.pi) * _poly_mul_trunc(a, b, _NTERMS)
+    d = (np.exp(-0.5j * beta * math.pi) * _I_POWERS
+         * (_ENDPOINT_TABLE @ beta ** _ENDPOINT_POWERS))
     d.setflags(write=False)
     return d
 
@@ -381,6 +383,32 @@ def z_span(beta, a, b):
     if not (cmath.isfinite(value) and math.isfinite(mass)):
         raise _not_finite(beta, value)
     return value, mass
+
+
+def _z_dbeta(beta, t):
+    """The derivative in beta of z at t in the base period (0, 2pi).
+
+    d z / d beta = integral_0^t f(phi) (log(2 sin(phi/2)) + i (phi - pi)/2)
+    dphi, where f is the integrand of z, by the GK15 rule
+    (``gk15_dbeta``) on equal panels of [1e-3, t], each at most
+    ``_DBETA_PANEL`` / beta wide (a quarter turn of the phase beta phi / 2
+    and at most pi/2), without refinement; past pi, from the mirror
+    d z / d beta (2pi - s) = -conj(d z / d beta (s)).  The endpoint zone
+    is left out: at beta >= 4 it adds less than 1e-14.  Only the
+    beta-crossing search of ``zeros`` calls this, for its Jacobian, which
+    sets the rate of its convergence and not its fixed point; z itself
+    (``z_many``, ``z_span``) never pays for it.
+    """
+    t = float(t)
+    if t > math.pi:
+        # z(2pi - s) = 2pi - conj(z(s)) for every beta
+        return -_z_dbeta(beta, TWO_PI - t).conjugate()
+    lo, hi = _ENDPOINT, t
+    if hi <= lo:
+        return 0j
+    npan = math.ceil((hi - lo) / min(_PANEL, _DBETA_PANEL / beta))
+    ends = np.linspace(lo, hi, npan + 1)
+    return complex(np.sum(_impl.gk15_dbeta(beta, ends[:-1], ends[1:])))
 
 
 def psi_eval(beta, t):

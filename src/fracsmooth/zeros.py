@@ -24,22 +24,33 @@ Every y-zero is found on its piece: ``_piece_bounds`` gives P_m, and
 ``_piece_zeros`` evaluates y at knots across each piece in one
 ``z_many`` call and refines the one sign change that a monotone piece
 can hold (``_bisect_y``).  A column is a map from piece index to zero.
-Both root-finders are safeguarded, so that each keeps a sign bracket
-that only shrinks:
+The two root-finders:
 
-* in t, Newton steps with the closed-form y' (``kernel.xy_prime``) from
-  the false-position point of the bracket.  A step that would leave the
-  current sign bracket, or a point where y' = 0 (a bracket may end at a
-  piece end, an extremum of y), takes the bracket's midpoint instead.
-  A bracket takes about 4 evaluations of z.
-* in beta, where g(beta) = x(t*(beta)) + 2pi*k is smooth, Illinois regula
-  falsi, with each iterate held _TOL_BETA/2 inside the bracket and a
-  bisection step whenever the bracket has not halved within three steps.
-  A crossing takes 6-9 steps.  Near beta = 40, where g is not smooth
-  at the scale of its rounding noise, the fallback still halves the
-  bracket at least every fourth step.
+* in t, safeguarded Newton steps with the closed-form y'
+  (``kernel.xy_prime``) from the false-position point of the bracket.
+  Each evaluated y narrows a sign bracket that only shrinks; a step that
+  would leave it, or a point where y' = 0 (a bracket may end at a piece
+  end, an extremum of y), takes the bracket's midpoint instead.  A
+  bracket takes about 4 evaluations of z.
+* in (beta, t) for a crossing, Newton steps on the complex equation
+  z(beta, t) + 2pi*k = 0, two real equations in two unknowns, with
+  d z / d t in closed form and d z / d beta by quadrature
+  (``kernel._z_dbeta``).  The start is the linear interpolation of the
+  column pair's zeros on the piece, and the stop is the noise floor of
+  z (``_stop_floor``).  Each step evaluates z at one point (``_z_at``,
+  which integrates from the nearer end of the period so that the peak
+  of the integrand at pi stays out of the rounding); a crossing of the
+  zeros-scan window takes 3-4 steps, and 2 more points check the sign
+  change of g(beta) = x(t*(beta)) + 2pi*k across the record's beta
+  bracket of width _TOL_BETA (``_crossing_record``).  An iterate that
+  leaves the column cell or the piece, or a Newton run that does not
+  reach the floor, falls back to Illinois regula falsi on g, whose every
+  step refines the piece's y-zero at a new beta (``_illinois_crossing``).
+  No crossing of the wide census scan_zero_set(40, 40pi, 120|240, 512,
+  beta_min=4) falls back, and its 215 records agree between the two
+  grids to 7e-15 in beta.
 
-Refinement evaluates z incrementally from an anchored value at the
+Refinement in t evaluates z incrementally from an anchored value at the
 bracket's left knot (``kernel.z_span``), so each step integrates a short
 span instead of the whole [0, t] range.
 
@@ -61,8 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, InvalidArgumentError
-from .kernel import (TWO_PI, QuadConfig, _check_beta, xy_prime, z_eval,
-                     z_many, z_span)
+from .kernel import (TWO_PI, QuadConfig, _check_beta, _z_dbeta, xy_prime,
+                     z_eval, z_many, z_span)
 
 log = logging.getLogger(__name__)
 
@@ -78,16 +89,29 @@ _TIGHT = QuadConfig(abs_tol=1e-12, max_subdiv=4000)
 #: width in beta to which a crossing's bracket is closed
 _TOL_BETA = 1e-10
 
+#: Newton steps in (beta, t) before a crossing falls back to Illinois
+_NEWTON_STEPS = 6
+
+#: 2pi = _TWO_PI_HI + _TWO_PI_MID + _TWO_PI_LO: the first two are the float
+#: 2pi split so that k times each is exact for k < 2^26, the last is the
+#: rounding error of the float 2pi
+_TWO_PI_HI = math.ldexp(math.floor(math.ldexp(TWO_PI, 24)), -24)
+_TWO_PI_MID = TWO_PI - _TWO_PI_HI
+_TWO_PI_LO = 2.4492935982947064e-16
+
 #: y carries a sign only where |y| exceeds this multiple of its noise floor
 _SIGN_NOISE = 4.0
 
-#: uniform knots across one monotone piece of y in the beta crossing search.
-#: The piece holds at most one bracket with any number of knots; interior
-#: knots narrow the bracket that Newton starts from.  With the two ends
-#: alone, the census scan_zero_set(40, 40pi, 120, 512, beta_min=4) made
-#: 21784 z_span calls and took 1.37x as long; 4, 8 and 16 knots made 18480,
-#: 15110 and 13705 calls in the same time to within run-to-run noise
-#: (2-vCPU VM).
+#: uniform knots across one monotone piece of y in ``_zero_in_window``
+#: (``find_beta0``'s cell ends, ``curve_F`` and the Illinois fallback of a
+#: crossing).  The piece holds at most one bracket with any number of
+#: knots; interior knots narrow the bracket that Newton in t starts from.
+#: When every crossing was an Illinois search, the census
+#: scan_zero_set(40, 40pi, 120, 512, beta_min=4) made 21784 z_span calls
+#: with the two ends alone and 13705 with 16 knots.  Now that no crossing
+#: of the census falls back, 2, 4, 8 and 16 knots make 15, 11, 9 and 8
+#: z_span calls in ``find_beta0``, and 63, 45, 36 and 39 in an Illinois
+#: search of the beta0 cell (4, 5).
 _PIECE_KNOTS = 16
 
 
@@ -99,6 +123,15 @@ class ZeroRecord:
     residual: float
     bracket: tuple[float, float, float, float]  # (beta_lo, beta_hi, t_lo, t_hi)
     branch_index: int
+
+
+def _shift(t, k):
+    """t + 2pi k, rounded once.
+
+    t + TWO_PI * k can round to the float next to the nearest one, which
+    at |z'| ~ 16 (beta0) moves |z| by up to 1.4e-14.
+    """
+    return math.fsum((t, k * _TWO_PI_HI, k * _TWO_PI_MID, k * _TWO_PI_LO))
 
 
 def _stop_floor(noise):
@@ -261,12 +294,16 @@ def find_beta0():
     z(beta0, t0) = 0 and t0 on the once-shifted branch (between 2pi and
     3pi).
     """
-    f4 = curve_F(4.0)
-    f5 = curve_F(5.0)
+    ends = [_zero_in_window(beta, -1) for beta in (4.0, 5.0)]
+    if None in ends:
+        raise BracketError(
+            "no y sign change on the branch interval for beta=4 or 5")
+    (t4, _, _, z4, _), (t5, _, _, z5, _) = ends
+    f4, f5 = z4.real + TWO_PI, z5.real + TWO_PI
     if not (f4 > 0.0 > f5):
         raise BracketError(
             f"expected F(4) > 0 > F(5), got F(4)={f4:.6f}, F(5)={f5:.6f}")
-    rec = _bisect_crossing(4.0, 5.0, f4, f5, -1, 1)
+    rec = _bisect_crossing(4.0, 5.0, f4, f5, t4, t5, -1, 1)
     if rec is None:
         raise BracketError(
             "the piece (pi(1-2/beta), pi) lost its y sign change")
@@ -372,7 +409,7 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
                 ga, gb = xa + TWO_PI * k, xb + TWO_PI * k
                 if ga == 0.0 or gb == 0.0 or (ga > 0.0) == (gb > 0.0):
                     continue
-                rec = _bisect_crossing(ba, bb, ga, gb, m, k)
+                rec = _bisect_crossing(ba, bb, ga, gb, ta, tb, m, k)
                 if rec is not None:
                     records.append(rec)
     log.debug("scan window beta<=%s t<=%s: %d records",
@@ -381,23 +418,137 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     return records
 
 
-def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, m, k):
+def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k):
     """Locate the beta crossing of g = x(zero on piece m) + 2 pi k on
     [b_lo, b_hi].
 
-    g is smooth in beta, so the bracket [b_lo, b_hi] (g_lo and g_hi of
-    opposite signs) is closed by Illinois regula falsi: the next beta is
-    the false-position point, and the g of an end that two steps in a row
+    g_lo and g_hi have opposite signs, and t_a and t_b are the zeros of y
+    on P_m at b_lo and b_hi.  The crossing is a zero of
+    F(beta, t) = z(beta, t) + 2 pi k with t on P_m, which
+    ``_newton_crossing`` finds by Newton steps in (beta, t).  Where
+    Newton leaves the cell or the piece, does not converge, or its record
+    bracket reads no sign change of g, the Illinois search on g
+    (``_illinois_crossing``) takes over.  The name stays
+    ``_bisect_crossing`` because the benchmark's per-layer spans bind it
+    by name.  Returns the ZeroRecord, whose beta bracket has a
+    width <= _TOL_BETA, holds a strict sign change of g and has beta_k at
+    its midpoint, or None when the piece loses its sign change of y (the
+    branch ends).
+    """
+    rec = _newton_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k)
+    if rec is None:
+        log.debug("Illinois search for the crossing in (%s, %s) on piece "
+                  "%d, k=%d", b_lo, b_hi, m, k)
+        rec = _illinois_crossing(b_lo, b_hi, g_lo, g_hi, m, k)
+    return rec
+
+
+def _newton_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k):
+    """Newton steps on F(beta, t) = z(beta, t) + 2 pi k, two real
+    equations in two unknowns, from the linear interpolation of the
+    column pair's zeros (b_lo, t_a) and (b_hi, t_b) at the false-position
+    beta of g.
+
+    The Jacobian is (d z / d beta, d z / d t): the first by quadrature
+    (``kernel._z_dbeta``), the second in closed form
+    (``kernel.xy_prime``).  Each step evaluates z at one point with its
+    noise floor (``_z_at``); once |F| is at that floor (``_stop_floor``)
+    the step from that point is the last one.  Every iterate must stay
+    inside the cell (b_lo, b_hi) and its t inside P_m; returns None when
+    one leaves, or when ``_NEWTON_STEPS`` steps do not reach the floor.
+    Otherwise returns ``_crossing_record`` at the final point.
+    """
+    def inside(beta, t):
+        p_lo, p_hi = _piece_bounds(beta, m)
+        return b_lo < beta < b_hi and p_lo < t < p_hi
+
+    beta = b_lo - g_lo * (b_hi - b_lo) / (g_hi - g_lo)
+    t = t_a + (t_b - t_a) * (beta - b_lo) / (b_hi - b_lo)
+    for _ in range(_NEWTON_STEPS):
+        if not inside(beta, t):
+            return None
+        z, noise = _z_at(beta, t)
+        f = z + TWO_PI * k
+        dx, dy = xy_prime(beta, t)
+        d_t, d_beta = complex(dx, dy), _z_dbeta(beta, t)
+        det = (d_beta.conjugate() * d_t).imag
+        if det == 0.0:
+            return None
+        beta -= (f.conjugate() * d_t).imag / det
+        t -= (d_beta.conjugate() * f).imag / det
+        if abs(f) <= _stop_floor(noise):
+            if not inside(beta, t):
+                return None
+            return _crossing_record(beta, t, k)
+    return None
+
+
+def _z_at(beta, t):
+    """z and its noise floor at one t of the base period (0, 2pi).
+
+    The integrand's mirror image is its conjugate, so
+    z(2pi - s) = 2pi - conj(z(s)).  Past pi the integral runs over
+    [0, 2pi - t] and so leaves out the peak of |integrand| = 2^beta at pi:
+    at beta = 39.15 and t = 5.04 the plain integral over [0, t] has a
+    noise floor of 8.6e-4 and an error of 4.7e-4 (against mpmath), the
+    mirrored one 2.6e-14 and 4.3e-14.
+    """
+    if t <= math.pi:
+        zs, ns = z_many(beta, [t], with_noise=True)
+        return complex(zs[0]), float(ns[0])
+    zs, ns = z_many(beta, [TWO_PI - t], with_noise=True)
+    return TWO_PI - complex(zs[0]).conjugate(), float(ns[0])
+
+
+def _g_near(beta, t, k):
+    """(g, t + dt): g = x + 2pi k at the zero of y near t, from one z
+    evaluation at (beta, t) and a first-order step dt = -y/y' to that
+    zero, g = x + x' dt + 2pi k."""
+    z, _ = _z_at(beta, t)
+    dx, dy = xy_prime(beta, t)
+    dt = -z.imag / dy
+    return z.real + dx * dt + TWO_PI * k, t + dt
+
+
+def _crossing_record(beta, t, k):
+    """The ZeroRecord of a crossing found at (beta, t), t in the base
+    period, or None when g has no strict sign change across its beta
+    bracket.
+
+    The bracket is beta +- 0.49 _TOL_BETA, so that the rounding of its ends
+    cannot widen it past _TOL_BETA (for beta below 9000; z overflows from
+    about beta = 1024 on).  g at each end is read from one z
+    evaluation (``_g_near``).  The t bracket spans t and the two ends'
+    zeros of y.
+    """
+    half = 0.49 * _TOL_BETA
+    b_lo, b_hi = beta - half, beta + half
+    (g_lo, t_lo), (g_hi, t_hi) = (_g_near(b, t, k) for b in (b_lo, b_hi))
+    if not g_lo * g_hi < 0.0:
+        return None
+    beta_k = 0.5 * (b_lo + b_hi)
+    t_k = _shift(t, k)
+    residual = abs(z_eval(beta_k, t_k, _TIGHT))
+    return ZeroRecord(beta_k=beta_k, t_k=t_k, residual=residual,
+                      bracket=(b_lo, b_hi, _shift(min(t, t_lo, t_hi), k),
+                               _shift(max(t, t_lo, t_hi), k)),
+                      branch_index=k)
+
+
+def _illinois_crossing(b_lo, b_hi, g_lo, g_hi, m, k):
+    """The crossing of g on [b_lo, b_hi] by Illinois regula falsi on g.
+
+    The fallback of ``_bisect_crossing``: each step finds the zero of y on
+    P_m at a new beta (``_zero_in_window``).  The next beta is the
+    false-position point, and the g of an end that two steps in a row
     leave in place is halved.  Each iterate is clamped at least
     _TOL_BETA/2 inside the bracket, so that the step after one that lands
     next to the crossing lands across it and the bracket closes to width
     <= _TOL_BETA; a bracket that has not halved within three steps is
     bisected once.  An iterate where g is exactly 0 is moved _TOL_BETA/4
     toward the midpoint, so that both ends of the bracket keep a strict
-    sign.  The name stays ``_bisect_crossing`` because the
-    benchmark's per-layer spans bind it by name.  Returns the
-    ZeroRecord at the bracket's midpoint, or None when the piece loses
-    its sign change of y (the branch ends).
+    sign.  Returns the ZeroRecord at the bracket's midpoint, or None when
+    the piece loses its sign change of y (the branch ends).
     """
     tol = _TOL_BETA
     lo_positive = g_lo > 0.0
@@ -436,10 +587,10 @@ def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, m, k):
     if found is None:
         return None
     t_base, t_l, t_h, _, _ = found
-    t_k = t_base + TWO_PI * k
+    t_k = _shift(t_base, k)
     residual = abs(z_eval(beta_k, t_k, _TIGHT))
     return ZeroRecord(beta_k=beta_k, t_k=t_k, residual=residual,
-                      bracket=(b_lo, b_hi, t_l + TWO_PI * k, t_h + TWO_PI * k),
+                      bracket=(b_lo, b_hi, _shift(t_l, k), _shift(t_h, k)),
                       branch_index=k)
 
 

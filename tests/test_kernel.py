@@ -190,6 +190,27 @@ class TestDerivative:
             assert abs(quot - complex(dx, dy)) < 1e-6
 
 
+class TestBetaDerivative:
+    """d z / d beta (``kernel._z_dbeta``) against mpmath quadrature of
+    f(phi) (log(2 sin(phi/2)) + i (phi - pi)/2) over [0, t]."""
+
+    @pytest.mark.parametrize("beta", [4.8, 8.0, 16.0, 39.5])
+    def test_matches_mpmath_quadrature(self, beta):
+        # three t in each half-period; the tolerance is relative to the
+        # absolute mass of the integrand, which bounds the rounding of any
+        # quadrature of it (the value itself passes through zero)
+        for t in (0.9, 1.9, 2.9, 3.5, 4.5, 5.5):
+            with mpmath.workdps(15):
+                def df(phi):
+                    w = (mpmath.log(2 * mpmath.sin(phi / 2))
+                         + 0.5j * (phi - mpmath.pi))
+                    return mpmath.exp(beta * w) * w
+                cuts = mpmath.linspace(0, t, 5)
+                want = complex(mpmath.quad(df, cuts))
+                mass = float(mpmath.quad(lambda phi: abs(df(phi)), cuts))
+            assert abs(kernel._z_dbeta(beta, t) - want) <= 1e-12 * mass, t
+
+
 class TestDivergenceProbe:
     def test_first_order_probe_is_zero(self):
         # n = 1 evaluates at t = 0 where the curve starts
@@ -363,6 +384,20 @@ class TestSegmentSums:
         c = kernel._endpoint_coeffs(3.7)
         assert kernel._endpoint_coeffs(3.7) is c
         assert not c.flags.writeable
+
+    @pytest.mark.parametrize("beta", [0.5, 2.5, 4.84, 16.0, 40.0])
+    def test_endpoint_coefficients_match_mpmath_taylor(self, beta):
+        # D_n are the Taylor coefficients of
+        # (2 sin(phi/2)/phi)^beta exp(i beta (phi - pi)/2) at phi = 0
+        with mpmath.workdps(40):
+            def g(phi):
+                if phi == 0:
+                    return mpmath.expj(-beta * mpmath.pi / 2)
+                return ((2 * mpmath.sin(phi / 2) / phi) ** beta
+                        * mpmath.expj(beta * (phi - mpmath.pi) / 2))
+            want = np.array([complex(c) for c in mpmath.taylor(g, 0, 10)])
+        got = kernel._endpoint_coeffs(beta)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), beta
 
 
 class TestCore:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import mpmath
 import pytest
 
 from fracsmooth import (
@@ -277,9 +278,9 @@ def counting(monkeypatch, name):
     calls = []
     inner = getattr(zeros, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(zeros, name, wrapper)
     return calls
@@ -318,7 +319,7 @@ class TestFirstColumn:
 
 
 class TestRootFinders:
-    """Safeguarded Newton in t and Illinois regula falsi in beta."""
+    """Safeguarded Newton in t, and in (beta, t) for a crossing."""
 
     @pytest.mark.parametrize("beta", [4.6, 5.3, 8.2, 12.7])
     def test_column_zeros_are_zeros_of_the_series_route(self, beta):
@@ -349,6 +350,20 @@ class TestRootFinders:
             assert a <= t_lo <= t <= t_hi <= b
             assert abs(z.imag) <= _stop_floor(noise)
             assert abs(z_series(beta, t, tol=1e-11).imag) <= 1e-9
+
+    def test_point_past_pi_leaves_the_peak_out(self):
+        # the quadrature over [0, 5.04] at order 39.15 carries the rounding
+        # of the integrand's peak 2^39 at pi (an error of 4.7e-4); the
+        # integral from the top of the period leaves it out
+        beta, t = 39.15, 5.04
+        with mpmath.workdps(40):
+            def f(phi):
+                return ((2 * mpmath.sin(phi / 2)) ** beta
+                        * mpmath.expj(beta * (phi - mpmath.pi) / 2))
+            want = complex(mpmath.quad(f, mpmath.linspace(0, t, 17)))
+        z, noise = zeros._z_at(beta, t)
+        assert noise < 1e-13
+        assert abs(z - want) <= 4.0 * noise
 
     def test_crossing_brackets_hold_a_sign_change(self, beta0_record):
         tol_beta = 1e-10
@@ -395,6 +410,71 @@ class TestStepBudget:
         assert len(steps) == 8
         assert all(rec is not None for rec in crossings)
         assert max(steps) <= 12, steps
+
+    def test_newton_evaluations_per_crossing(self, monkeypatch):
+        # one z point per Newton step in (beta, t) and one at each end of
+        # the record's bracket (the record's residual comes on top); the
+        # Illinois search took about 7 window searches of 16 knots and 4
+        # z_span steps each
+        evals = counting(monkeypatch, "z_many")
+        fallbacks = counting(monkeypatch, "_illinois_crossing")
+        per_crossing = []
+        inner = zeros._bisect_crossing
+
+        def crossing(*args):
+            before = len(evals)
+            rec = inner(*args)
+            points = sum(len(ts) for _, ts in evals[before:])
+            per_crossing.append((points, rec))
+            return rec
+
+        monkeypatch.setattr(zeros, "_bisect_crossing", crossing)
+        window_scan()
+        assert len(per_crossing) == 8
+        assert all(rec is not None for _, rec in per_crossing)
+        assert max(n for n, _ in per_crossing) <= 6, per_crossing
+        assert fallbacks == []
+
+    @staticmethod
+    def beta0_cell():
+        """Arguments of the beta0 crossing: the cell (4, 5), g and the
+        zeros of y at its ends."""
+        (t4, _, _, z4, _), (t5, _, _, z5, _) = (
+            _zero_in_window(b, -1) for b in (4.0, 5.0))
+        return 4.0, 5.0, z4.real + TWO_PI, z5.real + TWO_PI, t4, t5
+
+    def assert_falls_back(self, monkeypatch, beta0_record):
+        b_lo, b_hi, g_lo, g_hi, t4, t5 = self.beta0_cell()
+        want = zeros._illinois_crossing(b_lo, b_hi, g_lo, g_hi, -1, 1)
+        fallbacks = counting(monkeypatch, "_illinois_crossing")
+        got = zeros._bisect_crossing(b_lo, b_hi, g_lo, g_hi, t4, t5, -1, 1)
+        assert len(fallbacks) == 1
+        assert got == want
+        assert got.beta_k == pytest.approx(beta0_record.beta_k, abs=1e-10)
+        assert got.t_k == pytest.approx(beta0_record.t_k, abs=1e-9)
+
+    def test_newton_out_of_its_cell_falls_back_to_illinois(
+            self, monkeypatch, beta0_record):
+        # d z / d beta shrunk 1000-fold makes the first Newton step in beta
+        # 1000 times too long, out of the cell (4, 5)
+        inner = zeros._z_dbeta
+        monkeypatch.setattr(zeros, "_z_dbeta",
+                            lambda beta, t: 1e-3 * inner(beta, t))
+        self.assert_falls_back(monkeypatch, beta0_record)
+
+    def test_bracket_without_a_sign_change_falls_back_to_illinois(
+            self, monkeypatch, beta0_record):
+        # g read 1e-8 too high near the Newton point moves its zero about
+        # 1e-8 away, so the two ends of the record's bracket, 0.49 _TOL_BETA
+        # from the Newton point, read the same sign
+        inner = zeros._g_near
+
+        def biased(beta, t, k):
+            g, t_zero = inner(beta, t, k)
+            return g + 1e-8, t_zero
+
+        monkeypatch.setattr(zeros, "_g_near", biased)
+        self.assert_falls_back(monkeypatch, beta0_record)
 
 
 class TestPieces:
