@@ -14,14 +14,17 @@ Two independent evaluation routes are provided:
 
 * ``z_eval`` / ``z_many`` — adaptive Gauss-Kronrod quadrature of the
   principal-branch polar form (2 sin(phi/2))^beta * exp(i*beta*(phi-pi)/2)
-  on (0, 2pi), after exact reduction by the symmetry z(-t) = -conj(z(t))
-  and the shift z(t + 2pi) = z(t) + 2pi.  The first and last 1e-3 of the
-  base interval, where the integrand is only Hoelder-smooth, are handled
-  by a 10-term power expansion integrated termwise (its coefficients are
-  cached per beta).  ``_segment_sums`` sets up the GK15 panels of all
-  segments in one vectorised pass and ``_adaptive_panels`` refines them;
-  ``z_span`` hands a span inside [1e-3, 2pi - 1e-3] straight to
-  ``_adaptive_panels``, so a short span costs one ``gk15_panels`` call.
+  on (0, pi], after exact reduction by the symmetry z(-t) = -conj(z(t)),
+  the shift z(t + 2pi) = z(t) + 2pi and the mirror
+  z(2pi - s) = 2pi - conj(z(s)), so no quadrature passes the peak 2^beta
+  of the integrand at pi.  The first 1e-3 of the base interval, where
+  the integrand is only Hoelder-smooth, is handled by a 10-term power
+  expansion integrated termwise (its coefficients are cached per beta).
+  ``_segment_sums`` sets up the GK15 panels of all segments in one
+  vectorised pass and ``_adaptive_panels`` refines them; ``z_span``
+  mirrors a span past pi the same way and hands a span inside
+  [1e-3, pi] straight to ``_adaptive_panels``, so a short span costs one
+  ``gk15_panels`` call.
 * ``z_series`` — direct summation of
 
       x(t) = t + sum_v binom(beta, v) (-1)^v sin(v t)/v
@@ -48,8 +51,6 @@ TWO_PI = 2.0 * math.pi
 
 #: width of the endpoint panels evaluated by power expansion
 _ENDPOINT = 1e-3
-#: start of the mirrored expansion zone at the top of the base period
-_MIRROR_LO = TWO_PI - _ENDPOINT
 #: widest first-pass quadrature panel
 _PANEL = 0.5 * math.pi
 #: truncation order of the endpoint expansion
@@ -166,7 +167,7 @@ def _expansion_integral(beta, coeffs, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# adaptive quadrature driver on the base interval (0, 2*pi)
+# adaptive quadrature driver on the half period (0, pi]
 # ---------------------------------------------------------------------------
 
 def _adaptive_panels(beta, a, b, seg, cfg):
@@ -207,45 +208,37 @@ def _adaptive_panels(beta, a, b, seg, cfg):
 
 
 def _segment_sums(beta, edges, cfg):
-    """Integrate between consecutive edges inside [0, 2pi].
+    """Integrate between consecutive edges inside [0, pi].
 
     Returns (segments, abs_segments): complex values and nonnegative
     magnitudes of integral over each [edges[i], edges[i+1]] (0 where
     edges[i+1] <= edges[i]).
 
-    The set-up is vectorised over the segments.  The parts of a segment
-    inside the expansion zones [0, 1e-3] and [2pi - 1e-3, 2pi] are
-    integrated termwise, in a loop over the few segments that touch them.
-    The rest of each segment, clipped to [1e-3, 2pi - 1e-3], is cut into
-    ceil(width / (pi/2)) equal panels whose ends are those of
-    ``np.linspace`` (lo + j*step, the last end exactly hi); all panels, in
-    segment-then-panel order, go through one ``_adaptive_panels`` pass.
+    The set-up is vectorised over the segments.  The part of a segment
+    inside the expansion zone [0, 1e-3] is integrated termwise, in a loop
+    over the few segments that touch it.  The rest of each segment,
+    clipped to [1e-3, pi], is cut into ceil(width / (pi/2)) equal panels
+    whose ends are those of ``np.linspace`` (lo + j*step, the last end
+    exactly hi); all panels, in segment-then-panel order, go through one
+    ``_adaptive_panels`` pass.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
     seg_vals = np.zeros(a.size, dtype=complex)
     seg_abs = np.zeros(a.size)
 
-    near = np.flatnonzero((b > a) & ((a < _ENDPOINT) | (b > _MIRROR_LO)))
+    near = np.flatnonzero((b > a) & (a < _ENDPOINT))
     if near.size:
         coeffs = _endpoint_coeffs(beta)
         for i in near.tolist():
-            if a[i] < _ENDPOINT:
-                v = _expansion_integral(beta, coeffs, a[i],
-                                        min(b[i], _ENDPOINT))
-                seg_vals[i] += v
-                seg_abs[i] += abs(v)
-            if b[i] > _MIRROR_LO:
-                v = _expansion_integral(beta, coeffs, TWO_PI - b[i],
-                                        TWO_PI - max(a[i], _MIRROR_LO))
-                seg_vals[i] += v.conjugate()
-                seg_abs[i] += abs(v)
+            v = _expansion_integral(beta, coeffs, a[i], min(b[i], _ENDPOINT))
+            seg_vals[i] += v
+            seg_abs[i] += abs(v)
 
     lo = np.maximum(a, _ENDPOINT)
-    hi = np.minimum(b, _MIRROR_LO)
-    inner = np.flatnonzero(hi > lo)
+    inner = np.flatnonzero(b > lo)
     if inner.size:
-        lo, hi = lo[inner], hi[inner]
+        lo, hi = lo[inner], b[inner]
         # bound panel widths so the first Kronrod pass is sane
         npan = np.maximum(1, np.ceil((hi - lo) / _PANEL)).astype(np.intp)
         last = np.cumsum(npan) - 1
@@ -263,24 +256,15 @@ def _segment_sums(beta, edges, cfg):
     return seg_vals, seg_abs
 
 
-def _base_curve(beta, t0s, cfg):
-    """Cumulative z along sorted base points t0s in (0, 2pi].
-
-    Returns (z values, cumulative absolute mass) — the latter feeds
-    conditioning estimates (attainable absolute accuracy is roughly
-    machine epsilon times that mass).
-    """
-    edges = np.concatenate([[0.0], t0s])
-    seg_vals, seg_abs = _segment_sums(beta, edges, cfg)
-    return np.cumsum(seg_vals), np.cumsum(seg_abs)
-
-
 def z_many(beta, ts, cfg=None, with_noise=False):
     """Evaluate z(beta, t) for an array of t values by quadrature.
 
-    Negative arguments use the symmetry z(-t) = -conj(z(t)); arguments
-    beyond one period use the exact shift z(t + 2pi) = z(t) + 2pi, so the
-    quadrature always runs over the base interval (0, 2pi).
+    Negative arguments use the symmetry z(-t) = -conj(z(t)), arguments
+    beyond one period the exact shift z(t + 2pi) = z(t) + 2pi, and base
+    points past pi the mirror z(2pi - s) = 2pi - conj(z(s)), so the
+    quadrature always runs over (0, pi] and a point and its mirror share
+    one quadrature node.  The noise of a mirrored point is that of s plus
+    the rounding of the 2pi it gains.
 
     Parameters
     ----------
@@ -319,18 +303,21 @@ def z_many(beta, ts, cfg=None, with_noise=False):
     m = np.where(hi_snap, m + 1.0, m)
     t0 = np.where(hi_snap, 0.0, t0)
     lattice = t0 <= snap
+    past = t0 > math.pi
 
     out = np.zeros(ts.shape, dtype=complex)
     noise = np.zeros(ts.shape)
     interior = ~lattice
     if interior.any():
-        uniq, inv = np.unique(t0[interior], return_inverse=True)
+        s = np.where(past, TWO_PI - t0, t0)
+        uniq, inv = np.unique(s[interior], return_inverse=True)
         with _overflow_quiet(beta):
-            zb, ab = _base_curve(beta, uniq, cfg)
-        out[interior] = zb[inv]
-        noise[interior] = ab[inv]
-    out += TWO_PI * m
-    noise += TWO_PI * m + 1.0
+            seg_vals, seg_abs = _segment_sums(
+                beta, np.concatenate([[0.0], uniq]), cfg)
+        out[interior] = np.cumsum(seg_vals)[inv]
+        noise[interior] = np.cumsum(seg_abs)[inv]
+    out = np.where(past, TWO_PI - np.conj(out), out) + TWO_PI * m
+    noise += TWO_PI * (m + past) + 1.0
     out = np.where(neg, -np.conj(out), out)
     if not np.isfinite(out).all():
         raise _not_finite(beta, out)
@@ -345,6 +332,33 @@ def z_eval(beta, t, cfg=None):
     return complex(z_many(beta, [float(t)], cfg)[0])
 
 
+def _half_span(beta, a, b):
+    """(value, abs_mass) of the integral over [a, b] inside [0, pi].
+
+    A span inside [1e-3, pi] skips the segment set-up: its 1-2 panels go
+    straight to ``_adaptive_panels``, so a span that one GK15 panel
+    resolves costs one ``gk15_panels`` call.  The value is bit for bit
+    that of ``_segment_sums`` on [a, b].
+    """
+    if a == b:
+        return 0j, 0.0
+    if a < _ENDPOINT:
+        vals, absm = _segment_sums(beta, np.array([a, b]), DEFAULT_QUAD)
+    else:
+        npan = max(1, math.ceil((b - a) / _PANEL))
+        ends = np.arange(npan + 1) * ((b - a) / npan) + a
+        ends[-1] = b
+        vals, absm, _ = _adaptive_panels(beta, ends[:-1], ends[1:],
+                                         np.zeros(npan, dtype=np.intp),
+                                         DEFAULT_QUAD)
+    # summed panel by panel from zero, as np.add.at does in _segment_sums
+    value, mass = 0j, 0.0
+    for v, m in zip(vals.tolist(), absm.tolist()):
+        value += v
+        mass += m
+    return value, mass
+
+
 def z_span(beta, a, b):
     """Integral of the kernel integrand over [a, b] inside the base period.
 
@@ -353,33 +367,21 @@ def z_span(beta, a, b):
     accuracy (rounding floor ~ eps * abs_mass).  Much cheaper than two
     full evaluations when the span is short; used by zero refinement.
 
-    A span inside [1e-3, 2pi - 1e-3] skips the segment set-up: its 1-4
-    panels go straight to ``_adaptive_panels``, so a span that one GK15
-    panel resolves costs one ``gk15_panels`` call.  The value is bit for
-    bit that of ``_segment_sums`` on [a, b].  A value or mass that the
-    integrand's overflow makes non-finite raises ConvergenceError.
+    The integrand's mirror image is its conjugate, f(2pi - phi) =
+    conj(f(phi)), so the part of the span past pi is the conjugate of its
+    mirror image below pi; both parts are integrated inside [0, pi]
+    (``_half_span``).  A value or mass that the integrand's overflow
+    makes non-finite raises ConvergenceError.
     """
     beta = _check_beta(beta)
     a, b = float(a), float(b)
     if not (0.0 <= a <= b <= TWO_PI):
         raise InvalidArgumentError("need 0 <= a <= b <= 2pi")
-    if a == b:
-        return 0.0j, 0.0
     with _overflow_quiet(beta):
-        if not (_ENDPOINT <= a and b <= _MIRROR_LO):
-            vals, absm = _segment_sums(beta, np.array([a, b]), DEFAULT_QUAD)
-        else:
-            npan = max(1, math.ceil((b - a) / _PANEL))
-            ends = np.arange(npan + 1) * ((b - a) / npan) + a
-            ends[-1] = b
-            vals, absm, _ = _adaptive_panels(beta, ends[:-1], ends[1:],
-                                             np.zeros(npan, dtype=np.intp),
-                                             DEFAULT_QUAD)
-    # summed panel by panel from zero, as np.add.at does in _segment_sums
-    value, mass = 0j, 0.0
-    for v, m in zip(vals.tolist(), absm.tolist()):
-        value += v
-        mass += m
+        value, mass = _half_span(beta, min(a, math.pi), min(b, math.pi))
+        if b > math.pi:
+            v, m = _half_span(beta, TWO_PI - b, TWO_PI - max(a, math.pi))
+            value, mass = value + v.conjugate(), mass + m
     if not (cmath.isfinite(value) and math.isfinite(mass)):
         raise _not_finite(beta, value)
     return value, mass

@@ -37,18 +37,17 @@ The two root-finders:
   d z / d t in closed form and d z / d beta by quadrature
   (``kernel._z_dbeta``).  The start is the linear interpolation of the
   column pair's zeros on the piece, and the stop is the noise floor of
-  z (``_stop_floor``).  Each step evaluates z at one point (``_z_at``,
-  which integrates from the nearer end of the period so that the peak
-  of the integrand at pi stays out of the rounding); a crossing of the
-  zeros-scan window takes 3-4 steps, and 2 more points check the sign
-  change of g(beta) = x(t*(beta)) + 2pi*k across the record's beta
-  bracket of width _TOL_BETA (``_crossing_record``).  An iterate that
-  leaves the column cell or the piece, or a Newton run that does not
-  reach the floor, falls back to Illinois regula falsi on g, whose every
-  step refines the piece's y-zero at a new beta (``_illinois_crossing``).
-  No crossing of the wide census scan_zero_set(40, 40pi, 120|240, 512,
-  beta_min=4) falls back, and its 215 records agree between the two
-  grids to 7e-15 in beta.
+  z (``_stop_floor``).  Each step evaluates z at one point (``z_many``,
+  whose quadrature never passes the peak of the integrand at pi); a
+  crossing of the zeros-scan window takes 3-4 steps, and 2 more points
+  check the sign change of g(beta) = x(t*(beta)) + 2pi*k across the
+  record's beta bracket of width _TOL_BETA (``_crossing_record``).  An
+  iterate that leaves the column cell or the piece, or a Newton run that
+  does not reach the floor, falls back to Illinois regula falsi on g,
+  whose every step refines the piece's y-zero at a new beta
+  (``_illinois_crossing``).  No crossing of the wide census
+  scan_zero_set(40, 40pi, 120|240, 512, beta_min=4) falls back, and its
+  215 records agree between the two grids to 7e-15 in beta.
 
 Refinement in t evaluates z incrementally from an anchored value at the
 bracket's left knot (``kernel.z_span``), so each step integrates a short
@@ -239,6 +238,22 @@ def _bisect_y(beta, lo, hi, ylo, yhi, anchor):
     return t, lo, hi, z, noise
 
 
+def _check_grid(name, grid):
+    """A grid size must be a whole number of at least 2."""
+    if not (grid >= 2 and float(grid).is_integer()):
+        raise InvalidArgumentError(
+            f"{name} must be a whole number of at least 2, got {grid}")
+
+
+def _check_window(t_lo, t_hi, grid):
+    """A window needs finite 0 < t_lo < t_hi and a whole grid >= 2."""
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
+        raise InvalidArgumentError("t_lo and t_hi must be finite")
+    if not (0.0 < t_lo < t_hi):
+        raise InvalidArgumentError("need 0 < t_lo < t_hi")
+    _check_grid("grid", grid)
+
+
 def y_zeros(beta, t_lo, t_hi, grid):
     """Ascending zeros of y(beta, .) strictly inside (t_lo, t_hi).
 
@@ -249,14 +264,11 @@ def y_zeros(beta, t_lo, t_hi, grid):
     would only narrow the bracket that Newton starts from, while the
     column, which covers the whole period, would grow without bound as
     the window narrows.  Tangential lattice zeros at t = 2 pi j, where y
-    vanishes by symmetry without a crossing, are not reported.
+    vanishes by symmetry without a crossing, are not reported.  A window
+    that is not finite, or a grid that is not a whole number of at least
+    2, raises InvalidArgumentError (``_check_window``).
     """
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-        raise InvalidArgumentError("t_lo and t_hi must be finite")
-    if not (0.0 < t_lo < t_hi):
-        raise InvalidArgumentError("need 0 < t_lo < t_hi")
-    if grid < 2:
-        raise InvalidArgumentError("grid must be at least 2")
+    _check_window(t_lo, t_hi, grid)
     column = _column(beta, TWO_PI * (int(grid) - 1)
                      / max(t_hi - t_lo, TWO_PI))
     return [t + TWO_PI * j
@@ -354,11 +366,12 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
 
     The beta columns are beta_min + i * step, step = (beta_max -
     beta_min) / beta_grid, for i = 0..beta_grid, so the first column
-    sits at beta_min itself.  ``beta_grid`` must be a whole number of at
-    least 2 (InvalidArgumentError otherwise): a fractional one would end
-    the columns short of beta_max.  At beta_min = 0 they start at i = 1
-    (beta = step), because z is undefined at beta = 0; a zero with beta
-    in (0, step) is then not found (there is none below beta0 ~ 4.84).
+    sits at beta_min itself.  ``beta_grid`` and ``t_grid`` must be whole
+    numbers of at least 2 (InvalidArgumentError otherwise): a fractional
+    beta_grid would end the columns short of beta_max.  At beta_min = 0
+    they start at i = 1 (beta = step), because z is undefined at
+    beta = 0; a zero with beta in (0, step) is then not found (there is
+    none below beta0 ~ 4.84).
 
     A branch is a monotone piece P_m of y (see the module docstring), so
     the zeros of adjacent columns are paired by their piece index m.
@@ -387,11 +400,8 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
         raise InvalidArgumentError("need beta_max > beta_min >= 0")
     if t_max <= 0.0:
         raise InvalidArgumentError("t_max must be positive")
-    if beta_grid < 2 or t_grid < 2:
-        raise InvalidArgumentError("grids must be at least 2")
-    if not float(beta_grid).is_integer():
-        raise InvalidArgumentError(
-            f"beta_grid must be a whole number, got {beta_grid}")
+    _check_grid("beta_grid", beta_grid)
+    _check_grid("t_grid", t_grid)
 
     step = (beta_max - beta_min) / beta_grid
     first = 0 if beta_min > 0.0 else 1
@@ -452,7 +462,7 @@ def _newton_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k):
     The Jacobian is (d z / d beta, d z / d t): the first by quadrature
     (``kernel._z_dbeta``), the second in closed form
     (``kernel.xy_prime``).  Each step evaluates z at one point with its
-    noise floor (``_z_at``); once |F| is at that floor (``_stop_floor``)
+    noise floor (``z_many``); once |F| is at that floor (``_stop_floor``)
     the step from that point is the last one.  Every iterate must stay
     inside the cell (b_lo, b_hi) and its t inside P_m; returns None when
     one leaves, or when ``_NEWTON_STEPS`` steps do not reach the floor.
@@ -467,8 +477,8 @@ def _newton_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k):
     for _ in range(_NEWTON_STEPS):
         if not inside(beta, t):
             return None
-        z, noise = _z_at(beta, t)
-        f = z + TWO_PI * k
+        zs, ns = z_many(beta, [t], with_noise=True)
+        f, noise = complex(zs[0]) + TWO_PI * k, float(ns[0])
         dx, dy = xy_prime(beta, t)
         d_t, d_beta = complex(dx, dy), _z_dbeta(beta, t)
         det = (d_beta.conjugate() * d_t).imag
@@ -483,28 +493,11 @@ def _newton_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k):
     return None
 
 
-def _z_at(beta, t):
-    """z and its noise floor at one t of the base period (0, 2pi).
-
-    The integrand's mirror image is its conjugate, so
-    z(2pi - s) = 2pi - conj(z(s)).  Past pi the integral runs over
-    [0, 2pi - t] and so leaves out the peak of |integrand| = 2^beta at pi:
-    at beta = 39.15 and t = 5.04 the plain integral over [0, t] has a
-    noise floor of 8.6e-4 and an error of 4.7e-4 (against mpmath), the
-    mirrored one 2.6e-14 and 4.3e-14.
-    """
-    if t <= math.pi:
-        zs, ns = z_many(beta, [t], with_noise=True)
-        return complex(zs[0]), float(ns[0])
-    zs, ns = z_many(beta, [TWO_PI - t], with_noise=True)
-    return TWO_PI - complex(zs[0]).conjugate(), float(ns[0])
-
-
 def _g_near(beta, t, k):
     """(g, t + dt): g = x + 2pi k at the zero of y near t, from one z
     evaluation at (beta, t) and a first-order step dt = -y/y' to that
     zero, g = x + x' dt + 2pi k."""
-    z, _ = _z_at(beta, t)
+    z = complex(z_many(beta, [t])[0])
     dx, dy = xy_prime(beta, t)
     dt = -z.imag / dy
     return z.real + dx * dt + TWO_PI * k, t + dt
@@ -595,11 +588,9 @@ def _illinois_crossing(b_lo, b_hi, g_lo, g_hi, m, k):
 
 
 def verify_nonvanishing(beta, t_lo, t_hi, grid):
-    """Minimum of |z(beta, .)| over a uniform grid (shift-reduced)."""
-    if not (0.0 < t_lo < t_hi):
-        raise InvalidArgumentError("need 0 < t_lo < t_hi")
-    if grid < 2:
-        raise InvalidArgumentError("grid must be at least 2")
+    """Minimum of |z(beta, .)| over ``grid`` uniform points of the window
+    (shift-reduced); the window and grid are checked as in ``y_zeros``."""
+    _check_window(t_lo, t_hi, grid)
     ts = np.linspace(t_lo, t_hi, int(grid))
     return float(np.min(np.abs(z_many(beta, ts))))
 

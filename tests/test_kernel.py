@@ -211,6 +211,31 @@ class TestBetaDerivative:
             assert abs(kernel._z_dbeta(beta, t) - want) <= 1e-12 * mass, t
 
 
+class TestMirror:
+    """Past pi, z is the mirror image z(2pi - s) = 2pi - conj(z(s))."""
+
+    def test_point_past_pi_leaves_the_peak_out(self):
+        # the quadrature over [0, 5.04] at order 39.15 carries the rounding
+        # of the integrand's peak 2^39 at pi (an error of 4.7e-4); the
+        # mirror image leaves it out.  The reference reduces t by the exact
+        # 4pi, so the bound adds the rounding of t's reduction by the
+        # float 2pi (a few ulps of t times |z'(t)|)
+        beta = 39.15
+        for t in (5.04, 5.04 + 2.0 * TWO_PI):
+            with mpmath.workdps(40):
+                def f(phi):
+                    return ((2 * mpmath.sin(phi / 2)) ** beta
+                            * mpmath.expj(beta * (phi - mpmath.pi) / 2))
+                shift = 4 * mpmath.pi if t > TWO_PI else 0
+                want = complex(mpmath.quad(
+                    f, mpmath.linspace(0, mpmath.mpf(t) - shift, 17)) + shift)
+            zs, noise = z_many(beta, [t], with_noise=True)
+            assert noise[0] < 1e-13
+            slope = math.hypot(*xy_prime(beta, t))
+            tol = 4.0 * noise[0] + 4.0 * slope * np.finfo(float).eps * t
+            assert abs(zs[0] - want) <= tol, t
+
+
 class TestDivergenceProbe:
     def test_first_order_probe_is_zero(self):
         # n = 1 evaluates at t = 0 where the curve starts
@@ -253,11 +278,12 @@ class TestQuadratureConfig:
 
     def test_overflowing_span_raises(self):
         # both routes of z_span: the direct GK15 panels of a span inside
-        # [1e-3, 2pi - 1e-3], and the segment set-up of one that reaches
-        # the endpoint expansion zone
-        for a in (2.0, 0.0005):
+        # [1e-3, pi], and the segment set-up of one that reaches the
+        # endpoint expansion zone; and a span past pi, whose mirror image
+        # overflows
+        for a, b in ((2.0, 3.0), (0.0005, 3.0), (3.5, 4.0)):
             with pytest.raises(ConvergenceError, match="not finite"):
-                kernel.z_span(1e4, a, 3.0)
+                kernel.z_span(1e4, a, b)
 
     def test_no_overflow_below_the_threshold(self):
         # z_many sets no error state below this order, so nothing may
@@ -273,6 +299,9 @@ class TestQuadratureConfig:
         # double precision: 0.495^1e4 is about 1e-3050
         assert z_many(1e4, [0.5]).tolist() == [0j]
         assert z_many(1e4, [0.5, -0.25, TWO_PI]).tolist() == [0j, 0j, TWO_PI]
+        # past pi, z is 2pi minus the conjugate of its mirror image; the
+        # integral over [0, 2pi - 0.5] would overflow at pi
+        assert z_many(1e4, [TWO_PI - 0.5]).tolist() == [TWO_PI]
 
     def test_tighter_tolerance_still_converges(self):
         loose = z_eval(2.5, 3.0)
@@ -282,9 +311,9 @@ class TestQuadratureConfig:
 
 def _reference_segment_sums(beta, edges, cfg):
     """``_segment_sums`` with its set-up spelled out segment by segment:
-    cut each segment at 1e-3 and 2pi - 1e-3, integrate the endpoint pieces
-    by expansion and split the interior piece with ``np.linspace``."""
-    lo_cut, hi_cut = 1e-3, TWO_PI - 1e-3
+    cut each segment at 1e-3, integrate the piece below it by expansion
+    and split the piece above it with ``np.linspace``."""
+    cut = 1e-3
     nseg = len(edges) - 1
     seg_vals = np.zeros(nseg, dtype=complex)
     seg_abs = np.zeros(nseg)
@@ -294,23 +323,17 @@ def _reference_segment_sums(beta, edges, cfg):
         a, b = edges[i], edges[i + 1]
         if b <= a:
             continue
-        cuts = [a] + [c for c in (lo_cut, hi_cut) if a < c < b] + [b]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi <= lo_cut:
-                v = kernel._expansion_integral(beta, coeffs, lo, hi)
-                seg_vals[i] += v
-                seg_abs[i] += abs(v)
-            elif lo >= hi_cut:
-                v = kernel._expansion_integral(beta, coeffs,
-                                               TWO_PI - hi, TWO_PI - lo)
-                seg_vals[i] += v.conjugate()
-                seg_abs[i] += abs(v)
-            else:
-                npan = max(1, math.ceil((hi - lo) / (0.5 * math.pi)))
-                sub = np.linspace(lo, hi, npan + 1)
-                quad_a += sub[:-1].tolist()
-                quad_b += sub[1:].tolist()
-                quad_seg += [i] * npan
+        if a < cut:
+            v = kernel._expansion_integral(beta, coeffs, a, min(b, cut))
+            seg_vals[i] += v
+            seg_abs[i] += abs(v)
+        lo = max(a, cut)
+        if b > lo:
+            npan = max(1, math.ceil((b - lo) / (0.5 * math.pi)))
+            sub = np.linspace(lo, b, npan + 1)
+            quad_a += sub[:-1].tolist()
+            quad_b += sub[1:].tolist()
+            quad_seg += [i] * npan
     if quad_a:
         vals, absm, seg = kernel._adaptive_panels(
             beta, np.array(quad_a), np.array(quad_b), np.array(quad_seg), cfg)
@@ -329,17 +352,16 @@ class TestSegmentSums:
     shortcut of ``z_span`` against the per-segment construction."""
 
     EDGE_SETS = {
-        "inside both expansion zones": [0.0, 2e-4, 7e-4, 1e-3,
-                                        TWO_PI - 1e-3, TWO_PI - 4e-4, TWO_PI],
-        "crossing both cut points": [5e-4, TWO_PI - 5e-4],
-        "whole period": [0.0, TWO_PI],
-        # 1.28 + 2 * ((3.48 - 1.28) / 2) != 3.48: the last end must be
-        # set to the segment end, as np.linspace does
-        "several panels": [0.3, 1.28, 3.48, 6.1, 6.2],
+        "inside the expansion zone": [0.0, 2e-4, 7e-4, 1e-3],
+        "crossing the cut point": [5e-4, math.pi - 5e-4],
+        "half period": [0.0, math.pi],
+        # 0.7 + 2 * ((3.1 - 0.7) / 2) != 3.1: the last end must be set to
+        # the segment end, as np.linspace does
+        "several panels": [0.3, 0.7, 3.1, math.pi],
         "repeated edges": [0.5, 0.5, 1.7, 1.7, 1.7, 3.0, 2.0, 2.5],
         "lone interior span": [1.234, 1.5],
-        "touching the cut points": [1e-3, 0.5, TWO_PI - 1e-3],
-        "dense": np.linspace(0.0, TWO_PI, 97).tolist(),
+        "touching the cut point and pi": [1e-3, 0.5, math.pi],
+        "dense": np.linspace(0.0, math.pi, 97).tolist(),
     }
 
     @pytest.mark.parametrize("name", sorted(EDGE_SETS))
@@ -355,30 +377,46 @@ class TestSegmentSums:
         rng = np.random.default_rng(11)
         for _ in range(20):
             beta = float(rng.uniform(0.3, 16.0))
-            edges = np.sort(rng.uniform(0.0, TWO_PI, rng.integers(2, 30)))
+            edges = np.sort(rng.uniform(0.0, math.pi, rng.integers(2, 30)))
             got = kernel._segment_sums(beta, edges, DEFAULT_QUAD)
             want = _reference_segment_sums(beta, edges, DEFAULT_QUAD)
             assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
 
     def test_span_equals_segment_sums(self):
+        # below pi a span is the segment sum, bit for bit; past pi it is
+        # the conjugate of its mirror span, and across pi the sum of the
+        # two parts, split at pi
+        def half(beta, a, b):
+            vals, masses = kernel._segment_sums(beta, np.array([a, b]),
+                                                DEFAULT_QUAD)
+            return complex(vals[0]), float(masses[0])
+
         rng = np.random.default_rng(5)
-        spans = [(1e-3, TWO_PI - 1e-3), (0.0, TWO_PI), (2.0, 2.0 + 1e-9)]
+        spans = [(1e-3, TWO_PI - 1e-3), (0.0, TWO_PI), (2.0, 2.0 + 1e-9),
+                 (0.0, math.pi), (math.pi, TWO_PI), (4.0, 4.0 + 1e-9)]
         for _ in range(150):
             a = float(rng.uniform(0.0, TWO_PI))
             spans.append(tuple(sorted((a, float(rng.uniform(0.0, TWO_PI))))))
             w = float(rng.exponential(0.01))
             spans.append((a, min(TWO_PI, a + w)))
-            # spans that start or end inside an expansion zone
+            # spans that start or end inside an expansion zone or its mirror
             lo, hi = rng.uniform(0.0, 2e-3, 2).tolist()
             spans.append(tuple(sorted((lo, 1e-3 + w))))
             spans.append(tuple(sorted((TWO_PI - 1e-3 - w, TWO_PI - hi))))
         for i, (a, b) in enumerate(spans):
             beta = 0.5 + 0.1 * (i % 150)
+            if b <= math.pi:
+                want = half(beta, a, b)
+            elif a >= math.pi:
+                v, m = half(beta, TWO_PI - b, TWO_PI - a)
+                want = v.conjugate(), m
+            else:
+                (v1, m1), (v2, m2) = (half(beta, a, math.pi),
+                                      half(beta, TWO_PI - b, math.pi))
+                want = v1 + v2.conjugate(), m1 + m2
             val, mass = z_span(beta, a, b)
-            vals, masses = kernel._segment_sums(beta, np.array([a, b]),
-                                                DEFAULT_QUAD)
-            assert _same_bits(complex(vals[0]), val), (beta, a, b)
-            assert _same_bits(float(masses[0]), mass), (beta, a, b)
+            assert _same_bits(want[0], val), (beta, a, b)
+            assert _same_bits(want[1], mass), (beta, a, b)
 
     def test_endpoint_coefficients_are_cached_and_read_only(self):
         c = kernel._endpoint_coeffs(3.7)
@@ -451,6 +489,15 @@ class TestNonvanishingFloors:
             verify_nonvanishing(1.0, 0.0, 1.0, 8)
         with pytest.raises(InvalidArgumentError):
             verify_nonvanishing(1.0, 0.5, 1.0, 1)
+
+    @pytest.mark.parametrize("t_hi, grid", [
+        (math.inf, 10), (math.nan, 10), (1.0, math.inf), (1.0, math.nan),
+        (1.0, 10.5)])
+    def test_bad_window_rejected(self, t_hi, grid):
+        # an infinite window made NumPy warn, an infinite grid raised
+        # OverflowError, and a fractional one was truncated
+        with pytest.raises(InvalidArgumentError):
+            verify_nonvanishing(2.5, 0.1, t_hi, grid)
 
 
 class TestCurveExport:
