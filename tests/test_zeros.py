@@ -186,8 +186,7 @@ class TestScan:
     def test_residuals_scale_aware(self, wide_scan):
         # amplitudes grow like 2^beta, but z past pi is the mirror image
         # of z before it, whose quadrature leaves the peak 2^beta at pi
-        # out, so one absolute bound holds up to order 40 (the largest
-        # residual is 4.3e-11; integrating through the peak gave 8.3e-4)
+        # out, so one absolute bound holds up to order 40
         small = [r for r in wide_scan if r.beta_k <= 16.0]
         assert len(small) == WIDE_SCAN_ZEROS_TO_16
         for r in wide_scan:
@@ -264,7 +263,7 @@ class TestScan:
 
     @pytest.mark.parametrize("t_grid", [math.inf, math.nan, 511.5])
     def test_bad_t_grid(self, t_grid):
-        # an infinite or nan t_grid raised OverflowError or ValueError
+        # t_grid must be a whole number >= 2
         with pytest.raises(InvalidArgumentError):
             scan_zero_set(8.0, 10.0, 4, t_grid, beta_min=4.0)
 
@@ -377,9 +376,8 @@ class TestStepBudget:
     """Root-finder step counts, far below those of plain bisection."""
 
     def test_column_evaluations(self, monkeypatch):
-        # bisection made 204 z_span calls for 7 zeros of this column (the
-        # eighth, the mirror of the zero nearest 0, was lost in the
-        # rounding of the integrand's peak at pi)
+        # plain bisection needs about 30 z_span calls per zero; y(2pi - t)
+        # = y(t), so the column holds 4 zeros below pi and their mirrors
         calls = counting(monkeypatch, "z_span")
         assert len(_column(8.2, 384)) == 8
         assert len(calls) <= 40
@@ -530,9 +528,7 @@ class TestSignRule:
     @pytest.mark.parametrize("beta, t_grid", [(6.1, 512), (6.4, 512),
                                               (8.2, 384)])
     def test_column_is_symmetric_about_pi(self, beta, t_grid):
-        # y(2pi - t) = y(t): each zero past pi is the mirror of one below
-        # it.  Integrating through the peak at pi put the mirror of 0.0591
-        # at order 6.1 4.6e-3 off, and lost the mirror of 0.0791 at 8.2
+        # y(2pi - t) = y(t): each zero past pi is the mirror of one below it
         col = [t for t, _, _, _ in _column(beta, t_grid).values()]
         low = [t for t in col if t < math.pi]
         high = [t for t in col if t > math.pi]
