@@ -21,10 +21,13 @@ Two independent evaluation routes are provided:
   the integrand is only Hoelder-smooth, is handled by a 10-term power
   expansion integrated termwise (its coefficients are cached per beta).
   ``_segment_sums`` sets up the GK15 panels of all segments in one
-  vectorised pass and ``_adaptive_panels`` refines them; ``z_span``
-  mirrors a span past pi the same way and hands a span inside
-  [1e-3, pi] straight to ``_adaptive_panels``, so a short span costs one
-  ``gk15_panels`` call.
+  vectorised pass, cutting each segment [lo, hi] geometrically at
+  lo * 2^j, so that no panel spans more than a factor 2 in phi and one
+  GK15 pass resolves the branch point phi^beta at 0;
+  ``_adaptive_panels`` refines any panel that still misses the
+  tolerance.  ``z_span`` mirrors a span past pi the same way and hands
+  a span inside [1e-3, pi] straight to ``_adaptive_panels`` with the same
+  cut, so a short span costs one ``gk15_panels`` call.
 * ``z_series`` — direct summation of
 
       x(t) = t + sum_v binom(beta, v) (-1)^v sin(v t)/v
@@ -51,7 +54,8 @@ TWO_PI = 2.0 * math.pi
 
 #: width of the endpoint panels evaluated by power expansion
 _ENDPOINT = 1e-3
-#: widest first-pass quadrature panel
+#: widest panel of ``_z_dbeta`` (the z quadrature cuts its panels
+#: geometrically instead, see ``_panel_count``)
 _PANEL = 0.5 * math.pi
 #: truncation order of the endpoint expansion
 _NTERMS = 10
@@ -91,6 +95,13 @@ def _check_beta(beta):
     if not (beta > 0.0) or not math.isfinite(beta):
         raise InvalidArgumentError(f"beta must be positive and finite, got {beta}")
     return beta
+
+
+def _check_grid(name, grid):
+    """A grid size must be a whole number of at least 2."""
+    if not (grid >= 2 and float(grid).is_integer()):
+        raise InvalidArgumentError(
+            f"{name} must be a whole number of at least 2, got {grid}")
 
 
 def _overflow_quiet(beta):
@@ -207,6 +218,20 @@ def _adaptive_panels(beta, a, b, seg, cfg):
         absm = np.concatenate([absm[~bad], na])
 
 
+def _panel_count(lo, hi):
+    """Number of panels of the geometric cut of [lo, hi], 0 < lo < hi.
+
+    The cut points are lo * 2^j for every j >= 1 with lo * 2^j < hi, so
+    the count is one more than the number of such j.  With
+    lo = ml * 2^el and hi = mh * 2^eh (``np.frexp``, mantissas in
+    [1/2, 1)), that number is eh - el - [ml >= mh], exactly, with no
+    division to round.  Works on scalars and on arrays.
+    """
+    ml, el = np.frexp(lo)
+    mh, eh = np.frexp(hi)
+    return eh - el + (ml < mh)
+
+
 def _segment_sums(beta, edges, cfg):
     """Integrate between consecutive edges inside [0, pi].
 
@@ -217,10 +242,13 @@ def _segment_sums(beta, edges, cfg):
     The set-up is vectorised over the segments.  The part of a segment
     inside the expansion zone [0, 1e-3] is integrated termwise, in a loop
     over the few segments that touch it.  The rest of each segment,
-    clipped to [1e-3, pi], is cut into ceil(width / (pi/2)) equal panels
-    whose ends are those of ``np.linspace`` (lo + j*step, the last end
-    exactly hi); all panels, in segment-then-panel order, go through one
-    ``_adaptive_panels`` pass.
+    clipped to [lo, hi] inside [1e-3, pi], is cut geometrically at
+    lo * 2^j for every j >= 1 with lo * 2^j < hi (``_panel_count``; the
+    products are exact).  Each panel then spans at most a factor 2 in
+    phi, so the branch point phi^beta at 0 is at least one panel width
+    away and one GK15 pass resolves it; every panel is at most pi/2 wide,
+    and a segment with hi <= 2 lo keeps one panel.  All panels, in
+    segment-then-panel order, go through one ``_adaptive_panels`` call.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
@@ -239,15 +267,12 @@ def _segment_sums(beta, edges, cfg):
     inner = np.flatnonzero(b > lo)
     if inner.size:
         lo, hi = lo[inner], b[inner]
-        # bound panel widths so the first Kronrod pass is sane
-        npan = np.maximum(1, np.ceil((hi - lo) / _PANEL)).astype(np.intp)
-        last = np.cumsum(npan) - 1
-        j = np.arange(last[-1] + 1) - np.repeat(last + 1 - npan, npan)
-        step = np.repeat((hi - lo) / npan, npan)
+        npan = _panel_count(lo, hi)
+        stop = np.cumsum(npan)
+        j = np.arange(stop[-1]) - np.repeat(stop - npan, npan)
         start = np.repeat(lo, npan)
-        pa = j * step + start
-        pb = (j + 1) * step + start
-        pb[last] = hi
+        pa = np.ldexp(start, j)
+        pb = np.minimum(np.ldexp(start, j + 1), np.repeat(hi, npan))
         vals, absm, seg = _adaptive_panels(
             beta, pa, pb, np.repeat(inner, npan), cfg)
         np.add.at(seg_vals, seg, vals)
@@ -263,9 +288,10 @@ def z_many(beta, ts, cfg=None, with_noise=False):
     beyond one period the exact shift z(t + 2pi) = z(t) + 2pi, and base
     points past pi the mirror z(2pi - s) = 2pi - conj(z(s)), so the
     quadrature always runs over (0, pi] and a point and its mirror share
-    one quadrature node.  The noise of a mirrored point is that of s plus
-    the rounding of the 2pi it gains; it leaves out the rounding of the
-    float 2pi in the argument, about |z'(t)| * 2.4e-16 per period.
+    one quadrature node.  The noise of a mirrored or shifted point is
+    that of its base point plus the rounding of the 2pi it gains, and
+    |z'(t)| times 8 eps per float 2pi in its reduced argument, which
+    moves that argument by about 2.4e-16 each.
 
     Parameters
     ----------
@@ -318,14 +344,23 @@ def z_many(beta, ts, cfg=None, with_noise=False):
         out[interior] = np.cumsum(seg_vals)[inv]
         noise[interior] = np.cumsum(seg_abs)[inv]
     out = np.where(past, TWO_PI - np.conj(out), out) + TWO_PI * m
-    noise += TWO_PI * (m + past) + 1.0
     out = np.where(neg, -np.conj(out), out)
     if not np.isfinite(out).all():
         raise _not_finite(beta, out)
+    if not with_noise:
+        return out
+    turns = m + past
+    noise += TWO_PI * turns + 1.0
+    # each float 2pi in the reduction (mirror or shift) is 2.4e-16 short
+    # of 2pi and the reduction rounds, so the reduced argument is off by a
+    # few eps per turn and z by that times |z'(t0)| = (2 sin(t0/2))^beta
+    moved = turns > 0.0
+    if moved.any():
+        with _overflow_quiet(beta):
+            noise[moved] += (turns[moved]
+                             * (2.0 * np.sin(0.5 * t0[moved])) ** beta)
     noise *= 8.0 * np.finfo(float).eps
-    if with_noise:
-        return out, noise
-    return out
+    return out, noise
 
 
 def z_eval(beta, t, cfg=None):
@@ -336,19 +371,19 @@ def z_eval(beta, t, cfg=None):
 def _half_span(beta, a, b):
     """(value, abs_mass) of the integral over [a, b] inside [0, pi].
 
-    A span inside [1e-3, pi] skips the segment set-up: its 1-2 panels go
-    straight to ``_adaptive_panels``, so a span that one GK15 panel
-    resolves costs one ``gk15_panels`` call.  The value is bit for bit
-    that of ``_segment_sums`` on [a, b].
+    A span inside [1e-3, pi] skips the segment set-up: the panels of its
+    geometric cut (``_panel_count``; one panel when b <= 2a) go straight
+    to ``_adaptive_panels``, so a span that one GK15 pass resolves costs
+    one ``gk15_panels`` call.  The panels, and so the value, are bit for
+    bit those of ``_segment_sums`` on [a, b].
     """
     if a == b:
         return 0j, 0.0
     if a < _ENDPOINT:
         vals, absm = _segment_sums(beta, np.array([a, b]), DEFAULT_QUAD)
     else:
-        npan = max(1, math.ceil((b - a) / _PANEL))
-        ends = np.arange(npan + 1) * ((b - a) / npan) + a
-        ends[-1] = b
+        npan = int(_panel_count(a, b))
+        ends = np.minimum(np.ldexp(a, np.arange(npan + 1)), b)
         vals, absm, _ = _adaptive_panels(beta, ends[:-1], ends[1:],
                                          np.zeros(npan, dtype=np.intp),
                                          DEFAULT_QUAD)
@@ -526,14 +561,17 @@ def curve_points(beta, t_lo, t_hi, samples):
     """Uniformly sampled kernel curve: the grid ``ts`` and ``zs = z(beta, ts)``.
 
     ``ts`` is ``np.linspace(t_lo, t_hi, samples)`` and ``zs`` the complex
-    array from ``z_many``; x and y are ``zs.real`` and ``zs.imag``.
+    array from ``z_many``; x and y are ``zs.real`` and ``zs.imag``.  A
+    window whose ends or width are not finite, or a ``samples`` that is
+    not a whole number of at least 2, raises InvalidArgumentError.
     """
     beta = _check_beta(beta)
-    if samples < 2:
-        raise InvalidArgumentError("samples must be at least 2")
+    _check_grid("samples", samples)
+    if not math.isfinite(t_hi - t_lo):
+        raise InvalidArgumentError("t_lo, t_hi and t_hi - t_lo must be finite")
     if not (t_lo < t_hi):
         raise InvalidArgumentError("need t_lo < t_hi")
-    ts = np.linspace(t_lo, t_hi, samples)
+    ts = np.linspace(t_lo, t_hi, int(samples))
     return ts, z_many(beta, ts)
 
 

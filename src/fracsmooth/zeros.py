@@ -71,8 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, InvalidArgumentError
-from .kernel import (TWO_PI, QuadConfig, _check_beta, _z_dbeta, xy_prime,
-                     z_eval, z_many, z_span)
+from .kernel import (TWO_PI, QuadConfig, _check_beta, _check_grid, _z_dbeta,
+                     xy_prime, z_eval, z_many, z_span)
 
 log = logging.getLogger(__name__)
 
@@ -236,13 +236,6 @@ def _bisect_y(beta, lo, hi, ylo, yhi, anchor):
             t = 0.5 * (lo + hi)
     z, noise = _eval_z(beta, t, anchor)
     return t, lo, hi, z, noise
-
-
-def _check_grid(name, grid):
-    """A grid size must be a whole number of at least 2."""
-    if not (grid >= 2 and float(grid).is_integer()):
-        raise InvalidArgumentError(
-            f"{name} must be a whole number of at least 2, got {grid}")
 
 
 def _check_window(t_lo, t_hi, grid):

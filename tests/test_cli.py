@@ -206,6 +206,15 @@ class TestCurve:
         assert res.returncode == 1
         assert res.stderr.startswith("invalid arguments:")
 
+    @pytest.mark.parametrize("window", [("--t-hi", "inf"),
+                                        ("--t-lo", "nan", "--t-hi", "1")])
+    def test_non_finite_window(self, window):
+        # rejected before np.linspace, which printed a RuntimeWarning first
+        res = run_cli("curve", "--beta", "2.5", *window, "--samples", "10")
+        assert res.returncode == 1
+        assert res.stderr.startswith("invalid arguments:")
+        assert "Warning" not in res.stderr
+
 
 class TestZeros:
     ARGS = ("zeros", "--beta-min", "4", "--beta-max", "8",

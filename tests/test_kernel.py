@@ -211,31 +211,76 @@ class TestBetaDerivative:
             assert abs(kernel._z_dbeta(beta, t) - want) <= 1e-12 * mass, t
 
 
+def z_mpmath(beta, t):
+    """z(beta, t) by mpmath quadrature of the principal-branch integrand at
+    30 digits, with t reduced by the exact multiple of 2pi
+    (z(t + 2pi) = z(t) + 2pi)."""
+    with mpmath.workdps(30):
+        two_pi = 2 * mpmath.pi
+        turns = mpmath.floor(mpmath.mpf(t) / two_pi)
+        t0 = mpmath.mpf(t) - two_pi * turns
+
+        def f(phi):
+            return ((2 * mpmath.sin(phi / 2)) ** beta
+                    * mpmath.expj(beta * (phi - mpmath.pi) / 2))
+        return complex(mpmath.quad(f, [0, t0]) + two_pi * turns)
+
+
 class TestMirror:
     """Past pi, z is the mirror image z(2pi - s) = 2pi - conj(z(s))."""
 
     def test_point_past_pi_leaves_the_peak_out(self):
         # z at 5.04 is the mirror image of z at 2pi - 5.04, whose quadrature
-        # leaves the integrand's peak 2^39 at pi out.  The reference
-        # reduces 5.04 + 4pi by the exact 4pi, so its bound adds the
-        # rounding of the reduction by the float 2pi (a few ulps of t
-        # times |z'(t)|)
+        # leaves the integrand's peak 2^39 at pi out: the noise stays far
+        # below the 8 eps 2^39 ~ 1e-3 of a quadrature through the peak
         beta = 39.15
         for t in (5.04, 5.04 + 2.0 * TWO_PI):
-            with mpmath.workdps(40):
-                def f(phi):
-                    return ((2 * mpmath.sin(phi / 2)) ** beta
-                            * mpmath.expj(beta * (phi - mpmath.pi) / 2))
-                shift = 4 * mpmath.pi if t > TWO_PI else 0
-                want = complex(mpmath.quad(
-                    f, mpmath.linspace(0, mpmath.mpf(t) - shift, 17)) + shift)
             zs, noise = z_many(beta, [t], with_noise=True)
-            assert noise[0] < 1e-13
-            slope = math.hypot(*xy_prime(beta, t))
-            tol = 4.0 * noise[0]
-            if shift:
-                tol += 4.0 * slope * np.finfo(float).eps * t
-            assert abs(zs[0] - want) <= tol, t
+            assert noise[0] < 1e-11
+            assert abs(zs[0] - z_mpmath(beta, t)) <= 4.0 * noise[0], t
+
+    @pytest.mark.parametrize("beta, ts", [
+        (12.7, np.linspace(0.5, 40.0, 25)), (66.0, [TWO_PI - 1.2])])
+    def test_noise_covers_the_float_two_pi(self, beta, ts):
+        # the mirror and the period shift reduce t by the float 2pi, which
+        # is 2.4e-16 short of 2pi; the reported noise covers what that
+        # moves z by, |z'(t)| times a few ulps per turn (39.15 at
+        # 5.04 + 4pi is the shifted point of the test above)
+        zs, noise = z_many(beta, ts, with_noise=True)
+        want = np.array([z_mpmath(beta, t) for t in ts])
+        assert np.all(np.abs(zs - want) <= 4.0 * noise), beta
+
+
+class TestCorpusSteps:
+    """psi at the steps k h of the equivalence corpus: each call is one
+    GK15 pass, and its values match mpmath."""
+
+    @pytest.mark.parametrize("beta", [0.5, 2.5])
+    @pytest.mark.parametrize("h", [0.05, 0.2, 1.0])
+    def test_psi_matches_mpmath(self, beta, h):
+        ts = np.arange(1, 17) * h
+        want = np.array([z_mpmath(beta, t) / t for t in ts])
+        err = np.abs(psi_many(beta, ts) - want)
+        assert np.all(err <= 2e-14), (beta, h)
+        assert np.all(err <= 1e-13 * np.abs(want)), (beta, h)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5])
+    def test_one_gk15_pass_per_call(self, beta, monkeypatch):
+        # the geometric cut keeps every panel a factor 2 in phi from the
+        # branch point at 0, so no panel needs a second pass
+        calls = []
+        inner = kernel._impl.gk15_panels
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(kernel._impl, "gk15_panels", counting)
+        for h in (0.05, 0.2, 1.0):
+            for degree in (1, 3, 8, 16):
+                calls.clear()
+                psi_many(beta, np.arange(-degree, degree + 1) * h)
+                assert len(calls) == 1, (beta, h, degree)
 
 
 class TestDivergenceProbe:
@@ -314,7 +359,8 @@ class TestQuadratureConfig:
 def _reference_segment_sums(beta, edges, cfg):
     """``_segment_sums`` with its set-up spelled out segment by segment:
     cut each segment at 1e-3, integrate the piece below it by expansion
-    and split the piece above it with ``np.linspace``."""
+    and cut the piece [lo, hi] above it at lo, 2 lo, 4 lo, ... below hi,
+    doubling one end at a time."""
     cut = 1e-3
     nseg = len(edges) - 1
     seg_vals = np.zeros(nseg, dtype=complex)
@@ -331,11 +377,13 @@ def _reference_segment_sums(beta, edges, cfg):
             seg_abs[i] += abs(v)
         lo = max(a, cut)
         if b > lo:
-            npan = max(1, math.ceil((b - lo) / (0.5 * math.pi)))
-            sub = np.linspace(lo, b, npan + 1)
-            quad_a += sub[:-1].tolist()
-            quad_b += sub[1:].tolist()
-            quad_seg += [i] * npan
+            ends = [lo]
+            while 2.0 * ends[-1] < b:
+                ends.append(2.0 * ends[-1])
+            ends.append(b)
+            quad_a += ends[:-1]
+            quad_b += ends[1:]
+            quad_seg += [i] * (len(ends) - 1)
     if quad_a:
         vals, absm, seg = kernel._adaptive_panels(
             beta, np.array(quad_a), np.array(quad_b), np.array(quad_seg), cfg)
@@ -357,9 +405,11 @@ class TestSegmentSums:
         "inside the expansion zone": [0.0, 2e-4, 7e-4, 1e-3],
         "crossing the cut point": [5e-4, math.pi - 5e-4],
         "half period": [0.0, math.pi],
-        # 0.7 + 2 * ((3.1 - 0.7) / 2) != 3.1: the last end must be set to
-        # the segment end, as np.linspace does
+        # [0.7, 3.1] is cut at 1.4 and 2.8, and [0.3, 0.7] stays whole
         "several panels": [0.3, 0.7, 3.1, math.pi],
+        # hi = lo * 2^10 and hi = lo * 2: no cut at hi itself, and a
+        # segment that spans a factor 2 exactly keeps one panel
+        "ends at a power of two": [0.0, 1e-3 * 1024.0, 2.048, math.pi],
         "repeated edges": [0.5, 0.5, 1.7, 1.7, 1.7, 3.0, 2.0, 2.5],
         "lone interior span": [1.234, 1.5],
         "touching the cut point and pi": [1e-3, 0.5, math.pi],
@@ -515,6 +565,16 @@ class TestCurveExport:
             curve_points(1.0, 0.5, 2.5, 1)
         with pytest.raises(InvalidArgumentError):
             curve_points(1.0, 2.5, 0.5, 10)
+
+    @pytest.mark.parametrize("t_lo, t_hi, samples", [
+        (0.0, math.inf, 10), (-math.inf, 1.0, 10), (math.nan, 1.0, 10),
+        (0.0, math.nan, 10), (-1e308, 1e308, 10), (0.0, 1.0, 10.5),
+        (0.0, 1.0, math.inf), (0.0, 1.0, math.nan)])
+    def test_bad_window_rejected(self, t_lo, t_hi, samples):
+        # the window and its width must be finite and samples a whole
+        # number >= 2; np.linspace would warn or raise TypeError instead
+        with pytest.raises(InvalidArgumentError):
+            curve_points(2.5, t_lo, t_hi, samples)
 
     def test_csv_round_trip(self):
         ts, zs = curve_points(2.5, 0.3, 4.0, 7)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -305,6 +306,17 @@ class TestLinearized:
             got = linearized_modulus(f, req(beta, h, 2))
             want = abs(psi_eval(beta, n * h)) * lp_norm(f, NormParams(p=2))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_small_step_matches_mpmath(self, p):
+        # |e_1| = 1, so the modulus is |psi_2.5(0.05)| at every p:
+        # 1.59682873057901021e-4 by 30-digit quadrature of the integrand
+        with mpmath.workdps(30):
+            h = mpmath.mpf(0.05)
+            want = float(abs(mpmath.quad(
+                lambda phi: (1 - mpmath.expj(phi)) ** 2.5, [0, h])) / h)
+        got = linearized_modulus(E1, req(2.5, 0.05, p))
+        assert abs(got - want) <= 1e-14 * want
 
     def test_rejects_p_below_one(self):
         with pytest.raises(UnsupportedParameterError):
