@@ -41,13 +41,15 @@ The two root-finders:
   whose quadrature never passes the peak of the integrand at pi); a
   crossing of the zeros-scan window takes 3-4 steps, and 2 more points
   check the sign change of g(beta) = x(t*(beta)) + 2pi*k across the
-  record's beta bracket of width _TOL_BETA (``_crossing_record``).  An
-  iterate that leaves the column cell or the piece, or a Newton run that
-  does not reach the floor, falls back to Illinois regula falsi on g,
-  whose every step refines the piece's y-zero at a new beta
-  (``_illinois_crossing``).  No crossing of the wide census
-  scan_zero_set(40, 40pi, 120|240, 512, beta_min=4) falls back, and its
-  215 records agree between the two grids to 7e-15 in beta.
+  record's beta bracket of width _TOL_BETA (``_crossing_record``).  When
+  an iterate leaves the column cell or the piece, the run does not reach
+  the floor, or the bracket reads no sign change, the cell is split at
+  its midpoint beta, where the piece's y-zero gives g, and Newton reruns
+  on the half where g changes sign (``_bisect_crossing``).  So a record
+  does not depend on the grid: the census
+  scan_zero_set(40, 40pi, 12, 128, beta_min=4) splits 73 cells and
+  returns the 215 records of scan_zero_set(40, 40pi, 120, 512,
+  beta_min=4), which splits none, to 7e-15 in beta.
 
 Refinement in t evaluates z incrementally from an anchored value at the
 bracket's left knot (``kernel.z_span``), so each step integrates a short
@@ -88,7 +90,7 @@ _TIGHT = QuadConfig(abs_tol=1e-12, max_subdiv=4000)
 #: width in beta to which a crossing's bracket is closed
 _TOL_BETA = 1e-10
 
-#: Newton steps in (beta, t) before a crossing falls back to Illinois
+#: Newton steps in (beta, t) before a crossing splits its cell
 _NEWTON_STEPS = 6
 
 #: 2pi = _TWO_PI_HI + _TWO_PI_MID + _TWO_PI_LO: the first two are the float
@@ -102,15 +104,11 @@ _TWO_PI_LO = 2.4492935982947064e-16
 _SIGN_NOISE = 4.0
 
 #: uniform knots across one monotone piece of y in ``_zero_in_window``
-#: (``find_beta0``'s cell ends, ``curve_F`` and the Illinois fallback of a
-#: crossing).  The piece holds at most one bracket with any number of
+#: (``find_beta0``'s cell ends, ``curve_F`` and the midpoint of a split
+#: crossing cell).  The piece holds at most one bracket with any number of
 #: knots; interior knots narrow the bracket that Newton in t starts from.
-#: When every crossing was an Illinois search, the census
-#: scan_zero_set(40, 40pi, 120, 512, beta_min=4) made 21784 z_span calls
-#: with the two ends alone and 13705 with 16 knots.  Now that no crossing
-#: of the census falls back, 2, 4, 8 and 16 knots make 15, 11, 9 and 8
-#: z_span calls in ``find_beta0``, and 63, 45, 36 and 39 in an Illinois
-#: search of the beta0 cell (4, 5).
+#: With 2, 4, 8 and 16 knots ``find_beta0`` made 15, 11, 9 and 8 z_span
+#: calls.
 _PIECE_KNOTS = 16
 
 
@@ -371,9 +369,10 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     Each column (``_column``) refines the y-zero of every piece from
     knots at a spacing of at most 2pi / t_grid; ``t_grid`` sets only this
     column grid.  Each sign change of x + 2pi*k between a pair (for every
-    shift index k >= 1 that keeps t = t_zero + 2pi*k inside the window)
-    is closed in beta on its piece by ``_bisect_crossing`` to a
-    ZeroRecord, to ``_TOL_BETA`` = 1e-10 in beta.  A branch ends where its
+    shift index k >= 1 that keeps t = t_zero + 2pi*k inside the window
+    and lies between -x/2pi at the pair's two zeros) is closed in beta on
+    its piece by ``_bisect_crossing`` to a ZeroRecord, to ``_TOL_BETA`` =
+    1e-10 in beta.  A branch ends where its
     piece loses its sign change of y; a crossing search that meets such
     an end is dropped with a log note.
 
@@ -407,8 +406,12 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
         col_a, col_b = columns[i], columns[i + 1]
         for m in sorted(col_a.keys() & col_b.keys()):
             (ta, xa, _, _), (tb, xb, _, _) = col_a[m], col_b[m]
+            # x + 2pi k changes sign only for k between -xa/2pi and
+            # -xb/2pi; one k of slack at each end covers the rounding
             k_max = int(math.floor((t_max - max(ta, tb)) / TWO_PI))
-            for k in range(1, k_max + 1):
+            k_lo = max(1, math.floor(-max(xa, xb) / TWO_PI))
+            k_hi = min(k_max, math.ceil(-min(xa, xb) / TWO_PI))
+            for k in range(k_lo, k_hi + 1):
                 ga, gb = xa + TWO_PI * k, xb + TWO_PI * k
                 if ga == 0.0 or gb == 0.0 or (ga > 0.0) == (gb > 0.0):
                     continue
@@ -430,20 +433,38 @@ def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k):
     F(beta, t) = z(beta, t) + 2 pi k with t on P_m, which
     ``_newton_crossing`` finds by Newton steps in (beta, t).  Where
     Newton leaves the cell or the piece, does not converge, or its record
-    bracket reads no sign change of g, the Illinois search on g
-    (``_illinois_crossing``) takes over.  The name stays
-    ``_bisect_crossing`` because the benchmark's per-layer spans bind it
-    by name.  Returns the ZeroRecord, whose beta bracket has a
-    width <= _TOL_BETA, holds a strict sign change of g and has beta_k at
-    its midpoint, or None when the piece loses its sign change of y (the
-    branch ends).
+    bracket reads no sign change of g, the cell is split: the zero of y
+    at its midpoint beta (``_zero_in_window``) gives g there, and Newton
+    reruns on the half where g changes sign, from that half's pair of
+    zeros.  A midpoint where g is exactly 0 is moved _TOL_BETA/4, so that
+    both ends of every cell keep a strict sign.  A cell no wider than
+    _TOL_BETA is the record's bracket, with the zero at its midpoint.
+    Returns the ZeroRecord, whose beta bracket has a width <= _TOL_BETA,
+    holds a strict sign change of g and has beta_k at its midpoint, or
+    None when the piece loses its sign change of y (the branch ends).
     """
-    rec = _newton_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k)
-    if rec is None:
-        log.debug("Illinois search for the crossing in (%s, %s) on piece "
-                  "%d, k=%d", b_lo, b_hi, m, k)
-        rec = _illinois_crossing(b_lo, b_hi, g_lo, g_hi, m, k)
-    return rec
+    while True:
+        rec = _newton_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k)
+        if rec is not None:
+            return rec
+        beta = 0.5 * (b_lo + b_hi)
+        narrow = b_hi - b_lo <= _TOL_BETA
+        found = _zero_in_window(beta, m)
+        if (found is not None and not narrow
+                and found[3].real + TWO_PI * k == 0.0):
+            beta += 0.25 * _TOL_BETA
+            found = _zero_in_window(beta, m)
+        if found is None:
+            log.debug("branch lost at beta=%s on piece %d", beta, m)
+            return None
+        t, t_lo, t_hi, z, _ = found
+        if narrow:
+            return _record(b_lo, b_hi, t, t_lo, t_hi, k)
+        g = z.real + TWO_PI * k
+        if (g > 0.0) == (g_lo > 0.0):
+            b_lo, g_lo, t_a = beta, g, t
+        else:
+            b_hi, g_hi, t_b = beta, g, t
 
 
 def _newton_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k):
@@ -512,71 +533,18 @@ def _crossing_record(beta, t, k):
     (g_lo, t_lo), (g_hi, t_hi) = (_g_near(b, t, k) for b in (b_lo, b_hi))
     if not g_lo * g_hi < 0.0:
         return None
+    return _record(b_lo, b_hi, t, min(t, t_lo, t_hi), max(t, t_lo, t_hi), k)
+
+
+def _record(b_lo, b_hi, t, t_lo, t_hi, k):
+    """The ZeroRecord of the crossing bracketed by (b_lo, b_hi) in beta and
+    (t_lo, t_hi) in the base period: beta_k is the bracket's midpoint, t
+    the zero of y there, and every t is shifted by 2pi k."""
     beta_k = 0.5 * (b_lo + b_hi)
     t_k = _shift(t, k)
     residual = abs(z_eval(beta_k, t_k, _TIGHT))
     return ZeroRecord(beta_k=beta_k, t_k=t_k, residual=residual,
-                      bracket=(b_lo, b_hi, _shift(min(t, t_lo, t_hi), k),
-                               _shift(max(t, t_lo, t_hi), k)),
-                      branch_index=k)
-
-
-def _illinois_crossing(b_lo, b_hi, g_lo, g_hi, m, k):
-    """The crossing of g on [b_lo, b_hi] by Illinois regula falsi on g.
-
-    The fallback of ``_bisect_crossing``: each step finds the zero of y on
-    P_m at a new beta (``_zero_in_window``).  The next beta is the
-    false-position point, and the g of an end that two steps in a row
-    leave in place is halved.  Each iterate is clamped at least
-    _TOL_BETA/2 inside the bracket, so that the step after one that lands
-    next to the crossing lands across it and the bracket closes to width
-    <= _TOL_BETA; a bracket that has not halved within three steps is
-    bisected once.  An iterate where g is exactly 0 is moved _TOL_BETA/4
-    toward the midpoint, so that both ends of the bracket keep a strict
-    sign.  Returns the ZeroRecord at the bracket's midpoint, or None when
-    the piece loses its sign change of y (the branch ends).
-    """
-    tol = _TOL_BETA
-    lo_positive = g_lo > 0.0
-    moved = 0  # the end the last step replaced: -1 low, +1 high
-    halved_at, stalls = b_hi - b_lo, 0
-    while b_hi - b_lo > tol:
-        if stalls < 3:
-            beta = b_lo - g_lo * (b_hi - b_lo) / (g_hi - g_lo)
-        else:
-            beta = 0.5 * (b_lo + b_hi)
-        beta = min(max(beta, b_lo + 0.5 * tol), b_hi - 0.5 * tol)
-        found = _zero_in_window(beta, m)
-        if found is not None and found[3].real + TWO_PI * k == 0.0:
-            # an exact hit has no sign to end the bracket with: evaluate
-            # tol/4 from it, toward the bracket's midpoint, instead
-            beta += math.copysign(0.25 * tol, 0.5 * (b_lo + b_hi) - beta)
-            found = _zero_in_window(beta, m)
-        if found is None:
-            log.debug("branch lost at beta=%s on piece %d", beta, m)
-            return None
-        g = found[3].real + TWO_PI * k
-        if (g > 0.0) == lo_positive:
-            if moved < 0:
-                g_hi *= 0.5
-            b_lo, g_lo, moved = beta, g, -1
-        else:
-            if moved > 0:
-                g_lo *= 0.5
-            b_hi, g_hi, moved = beta, g, 1
-        if b_hi - b_lo <= 0.5 * halved_at:
-            halved_at, stalls = b_hi - b_lo, 0
-        else:
-            stalls += 1
-    beta_k = 0.5 * (b_lo + b_hi)
-    found = _zero_in_window(beta_k, m)
-    if found is None:
-        return None
-    t_base, t_l, t_h, _, _ = found
-    t_k = _shift(t_base, k)
-    residual = abs(z_eval(beta_k, t_k, _TIGHT))
-    return ZeroRecord(beta_k=beta_k, t_k=t_k, residual=residual,
-                      bracket=(b_lo, b_hi, _shift(t_l, k), _shift(t_h, k)),
+                      bracket=(b_lo, b_hi, _shift(t_lo, k), _shift(t_hi, k)),
                       branch_index=k)
 
 

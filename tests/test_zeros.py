@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import mpmath
 import pytest
 
 from fracsmooth import (
@@ -55,6 +56,35 @@ def wide_scan():
     return scan_zero_set(40.0, 40.0 * math.pi, 120, 512, beta_min=4.0)
 
 
+def mpmath_crossing(beta, t, k):
+    """The root (beta_k, t_k) of z(beta, s) + 2pi k = 0 near (beta, t),
+    s = t - 2pi k in the base period, by ``mpmath.findroot`` on 30-digit
+    quadrature of the polar integrand; shares no code with the library."""
+    with mpmath.workdps(30):
+        cache = {}
+
+        def f(b, s):
+            if (b, s) not in cache:
+                cache[b, s] = mpmath.quad(
+                    lambda phi: (2 * mpmath.sin(phi / 2)) ** b
+                    * mpmath.expj(b * (phi - mpmath.pi) / 2),
+                    [0, s]) + 2 * mpmath.pi * k
+            return cache[b, s]
+
+        b, s = mpmath.findroot(
+            [lambda b, s: f(b, s).real, lambda b, s: f(b, s).imag],
+            (mpmath.mpf(beta), mpmath.mpf(t) - 2 * mpmath.pi * k))
+        return float(b), float(s + 2 * mpmath.pi * k)
+
+
+@pytest.fixture(scope="module")
+def first_crossings():
+    """The roots (beta_k, t_k) of the shift indices k = 1, 2, 3, from
+    starts good to two decimals."""
+    return [mpmath_crossing(4.84, 8.48, 1), mpmath_crossing(5.74, 14.96, 2),
+            mpmath_crossing(6.32, 21.33, 3)]
+
+
 def record_noise(rec):
     """Cancellation floor of one z evaluation at the record's point."""
     _, noise = z_many(rec.beta_k, [rec.t_k], with_noise=True)
@@ -62,10 +92,11 @@ def record_noise(rec):
 
 
 class TestSmallestOrder:
-    def test_frozen_location(self, beta0_record):
+    def test_frozen_location(self, beta0_record, first_crossings):
         r = beta0_record
-        assert r.beta_k == pytest.approx(4.843171446205815, abs=1e-9)
-        assert r.t_k == pytest.approx(8.478812720585928, abs=1e-9)
+        beta, t = first_crossings[0]
+        assert r.beta_k == pytest.approx(beta, abs=1e-13)
+        assert r.t_k == pytest.approx(t, abs=1e-13)
         assert r.residual <= 1e-8
         assert r.branch_index == 1
 
@@ -173,10 +204,12 @@ class TestScan:
                 assert abs(z_series(r.beta_k, r.t_k, tol=1e-11)) <= 1e-8, \
                     r.beta_k
 
-    def test_first_orders_frozen(self, wide_scan):
-        want = [4.843171446223275, 5.737949090695473, 6.318989957950544]
-        for r, w in zip(wide_scan[:3], want):
-            assert r.beta_k == pytest.approx(w, abs=1e-8)
+    def test_first_orders_frozen(self, wide_scan, first_crossings):
+        for k, (r, (beta, t)) in enumerate(
+                zip(wide_scan[:3], first_crossings), 1):
+            assert r.branch_index == k
+            assert r.beta_k == pytest.approx(beta, abs=1e-13)
+            assert r.t_k == pytest.approx(t, abs=1e-13)
 
     def test_scan_agrees_with_direct_search(self, wide_scan, beta0_record):
         assert wide_scan[0].beta_k == pytest.approx(
@@ -242,6 +275,33 @@ class TestScan:
         for a, b in zip(coarse, fine):
             assert a.beta_k == pytest.approx(b.beta_k, abs=1e-9)
             assert a.t_k == pytest.approx(b.t_k, abs=1e-8)
+
+    def test_coarse_census_matches_the_fine_one(self, wide_scan):
+        # the 12-column census splits 73 crossing cells before Newton
+        # converges; its records are those of the 120-column census
+        coarse = scan_zero_set(40.0, 40.0 * math.pi, 12, 128, beta_min=4.0)
+        assert len(coarse) == WIDE_SCAN_ZEROS
+        for a, b in zip(coarse, wide_scan):
+            assert a.branch_index == b.branch_index
+            assert a.beta_k == pytest.approx(b.beta_k, abs=1e-14)
+
+    def test_two_columns_find_zeros_of_eight(self):
+        # two columns miss 5 of the 63 zeros (completeness), but every
+        # zero they find is one of the eight-column scan's
+        fine = scan_zero_set(16.0, 40.0 * math.pi, 8, 512, beta_min=4.0)
+        coarse = scan_zero_set(16.0, 40.0 * math.pi, 2, 64, beta_min=4.0)
+        assert (len(fine), len(coarse)) == (63, 58)
+        for a in coarse:
+            b = min(fine, key=lambda r: abs(r.beta_k - a.beta_k)
+                    + abs(r.t_k - a.t_k))
+            assert a.branch_index == b.branch_index
+            assert a.beta_k == pytest.approx(b.beta_k, abs=1e-14)
+
+    def test_huge_t_max_costs_only_the_shifts_x_reaches(self):
+        # x is bounded on a piece, so the shift indices searched stop where
+        # x + 2pi k has no sign change left, whatever t_max
+        assert (scan_zero_set(8.0, 100.0, 2, 64, beta_min=4.0)
+                == scan_zero_set(8.0, 1e300, 2, 64, beta_min=4.0))
 
     def test_no_zeros_at_low_order(self):
         assert scan_zero_set(4.0, 40.0 * math.pi, 40, 256) == []
@@ -407,27 +467,27 @@ class TestStepBudget:
 
     def test_newton_evaluations_per_crossing(self, monkeypatch):
         # one z point per Newton step in (beta, t) and one at each end of
-        # the record's bracket (the record's residual comes on top); the
-        # Illinois search took about 7 window searches of 16 knots and 4
-        # z_span steps each
+        # the record's bracket (the record's residual comes on top); no
+        # crossing of the window splits its cell, so no window search runs
+        # inside the crossing search
         evals = counting(monkeypatch, "z_many")
-        fallbacks = counting(monkeypatch, "_illinois_crossing")
+        windows = counting(monkeypatch, "_zero_in_window")
         per_crossing = []
         inner = zeros._bisect_crossing
 
         def crossing(*args):
-            before = len(evals)
+            before, windows_before = len(evals), len(windows)
             rec = inner(*args)
             points = sum(len(ts) for _, ts in evals[before:])
-            per_crossing.append((points, rec))
+            per_crossing.append((points, len(windows) - windows_before, rec))
             return rec
 
         monkeypatch.setattr(zeros, "_bisect_crossing", crossing)
         window_scan()
         assert len(per_crossing) == 8
-        assert all(rec is not None for _, rec in per_crossing)
-        assert max(n for n, _ in per_crossing) <= 6, per_crossing
-        assert fallbacks == []
+        assert all(rec is not None for _, _, rec in per_crossing)
+        assert max(n for n, _, _ in per_crossing) <= 6, per_crossing
+        assert sum(w for _, w, _ in per_crossing) == 0
 
     @staticmethod
     def beta0_cell():
@@ -437,30 +497,36 @@ class TestStepBudget:
             _zero_in_window(b, -1) for b in (4.0, 5.0))
         return 4.0, 5.0, z4.real + TWO_PI, z5.real + TWO_PI, t4, t5
 
-    def assert_falls_back(self, monkeypatch, beta0_record):
-        b_lo, b_hi, g_lo, g_hi, t4, t5 = self.beta0_cell()
-        want = zeros._illinois_crossing(b_lo, b_hi, g_lo, g_hi, -1, 1)
-        fallbacks = counting(monkeypatch, "_illinois_crossing")
-        got = zeros._bisect_crossing(b_lo, b_hi, g_lo, g_hi, t4, t5, -1, 1)
-        assert len(fallbacks) == 1
-        assert got == want
-        assert got.beta_k == pytest.approx(beta0_record.beta_k, abs=1e-10)
-        assert got.t_k == pytest.approx(beta0_record.t_k, abs=1e-9)
+    def assert_split_closes(self, monkeypatch, first_crossings, max_windows):
+        """The crossing search closes the beta0 cell to the mpmath root
+        within ``max_windows`` window searches, to a bracket of width
+        <= _TOL_BETA that holds a strict sign change of g."""
+        cell = self.beta0_cell()
+        windows = counting(monkeypatch, "_zero_in_window")
+        got = zeros._bisect_crossing(*cell, -1, 1)
+        assert 0 < len(windows) <= max_windows
+        assert got.beta_k == pytest.approx(first_crossings[0][0], abs=1e-10)
+        b_lo, b_hi = got.bracket[:2]
+        assert 0.0 < b_hi - b_lo <= zeros._TOL_BETA
+        g = [_zero_in_window(b, -1)[3].real + TWO_PI for b in (b_lo, b_hi)]
+        assert g[0] * g[1] < 0.0, g
 
-    def test_newton_out_of_its_cell_falls_back_to_illinois(
-            self, monkeypatch, beta0_record):
-        # d z / d beta shrunk 1000-fold makes the first Newton step in beta
-        # 1000 times too long, out of the cell (4, 5)
+    def test_newton_out_of_its_cell_splits_the_cell(
+            self, monkeypatch, first_crossings):
+        # d z / d beta shrunk 1000-fold makes the Newton steps in beta
+        # 1000 times too long, out of the cell until a split cell is so
+        # narrow that the first step already starts at the noise floor
         inner = zeros._z_dbeta
         monkeypatch.setattr(zeros, "_z_dbeta",
                             lambda beta, t: 1e-3 * inner(beta, t))
-        self.assert_falls_back(monkeypatch, beta0_record)
+        self.assert_split_closes(monkeypatch, first_crossings, 25)
 
-    def test_bracket_without_a_sign_change_falls_back_to_illinois(
-            self, monkeypatch, beta0_record):
+    def test_bracket_without_a_sign_change_splits_the_cell(
+            self, monkeypatch, first_crossings):
         # g read 1e-8 too high near the Newton point moves its zero about
         # 1e-8 away, so the two ends of the record's bracket, 0.49 _TOL_BETA
-        # from the Newton point, read the same sign
+        # from the Newton point, read the same sign; the split runs until
+        # the cell itself is the bracket, whose g is read without _g_near
         inner = zeros._g_near
 
         def biased(beta, t, k):
@@ -468,7 +534,14 @@ class TestStepBudget:
             return g + 1e-8, t_zero
 
         monkeypatch.setattr(zeros, "_g_near", biased)
-        self.assert_falls_back(monkeypatch, beta0_record)
+        self.assert_split_closes(monkeypatch, first_crossings, 40)
+
+    def test_split_alone_closes_the_beta0_cell(
+            self, monkeypatch, first_crossings):
+        # halving (4, 5) to 1e-10 takes 34 splits and one window search
+        # at the last cell's midpoint
+        monkeypatch.setattr(zeros, "_newton_crossing", lambda *args: None)
+        self.assert_split_closes(monkeypatch, first_crossings, 40)
 
 
 class TestPieces:
