@@ -284,6 +284,7 @@ class TestScan:
         for a, b in zip(coarse, wide_scan):
             assert a.branch_index == b.branch_index
             assert a.beta_k == pytest.approx(b.beta_k, abs=1e-14)
+            assert a.t_k == pytest.approx(b.t_k, abs=1e-13)
 
     def test_two_columns_find_zeros_of_eight(self):
         # two columns miss 5 of the 63 zeros (completeness), but every
@@ -296,6 +297,7 @@ class TestScan:
                     + abs(r.t_k - a.t_k))
             assert a.branch_index == b.branch_index
             assert a.beta_k == pytest.approx(b.beta_k, abs=1e-14)
+            assert a.t_k == pytest.approx(b.t_k, abs=1e-13)
 
     def test_huge_t_max_costs_only_the_shifts_x_reaches(self):
         # x is bounded on a piece, so the shift indices searched stop where
@@ -500,16 +502,26 @@ class TestStepBudget:
     def assert_split_closes(self, monkeypatch, first_crossings, max_windows):
         """The crossing search closes the beta0 cell to the mpmath root
         within ``max_windows`` window searches, to a bracket of width
-        <= _TOL_BETA that holds a strict sign change of g."""
+        <= _TOL_BETA that holds a strict sign change of g, and with t_k the
+        zero of y at beta_k."""
         cell = self.beta0_cell()
         windows = counting(monkeypatch, "_zero_in_window")
         got = zeros._bisect_crossing(*cell, -1, 1)
         assert 0 < len(windows) <= max_windows
         assert got.beta_k == pytest.approx(first_crossings[0][0], abs=1e-10)
-        b_lo, b_hi = got.bracket[:2]
+        assert got.t_k == pytest.approx(first_crossings[0][1], abs=1e-10)
+        b_lo, b_hi, t_lo, t_hi = got.bracket
         assert 0.0 < b_hi - b_lo <= zeros._TOL_BETA
-        g = [_zero_in_window(b, -1)[3].real + TWO_PI for b in (b_lo, b_hi)]
-        assert g[0] * g[1] < 0.0, g
+        assert b_lo <= got.beta_k <= b_hi
+        assert t_lo <= got.t_k <= t_hi
+        found = [_zero_in_window(b, -1) for b in (b_lo, got.beta_k, b_hi)]
+        g = [f[3].real + TWO_PI for f in found]
+        assert g[0] * g[2] < 0.0, g
+        # a t read at an end of the bracket, such as a stale t_a, is off
+        # by twice this bound
+        t_end, t_mid, t_end2 = (f[0] + TWO_PI for f in found)
+        assert abs(got.t_k - t_mid) <= 0.25 * abs(t_end2 - t_end), (
+            got.t_k, t_end, t_mid, t_end2)
 
     def test_newton_out_of_its_cell_splits_the_cell(
             self, monkeypatch, first_crossings):
