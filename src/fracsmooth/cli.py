@@ -14,6 +14,7 @@ failure (non-convergence, lost brackets, vanishing denominators),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -85,7 +86,11 @@ def _open_out(path):
         yield fh
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of ``main``, built once per process.  Parsing leaves it
+    as it was: each call gets a fresh namespace, and ``append`` copies its
+    default list before appending."""
     p = _Parser(prog="fracsmooth",
                 description="fractional smoothness toolkit")
     sub = p.add_subparsers(dest="command", required=True)

@@ -281,12 +281,7 @@ def equivalence_scan(corpus, betas, hs, ps, *, alpha: float | None = None,
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return fmt17(v)
+    return fmt17(value)
 
 
 def write_report_csv(fh, rows: list[EquivReport]) -> None:

@@ -366,6 +366,26 @@ class TestEquiv:
         assert len(rows) == 1
         assert math.isnan(float(rows[0]["omega_tilde"]))
 
+    def test_in_process_calls_share_no_state(self, capsys):
+        # the parser is built once per process; the flags of one call must
+        # not reach the next, neither through an appended --fn nor
+        # through the default --betas list
+        from fracsmooth import cli
+        assert cli.main(["equiv", "--fn", "sawtooth:4", "--fn", "exp:1",
+                         "--betas", "0.5", "--hs", "0.2", "--ps", "2"]) == 0
+        first = [line.split(",")[:2]
+                 for line in capsys.readouterr().out.splitlines()[1:]]
+        assert cli.main(["equiv", "--fn", "exp:3",
+                         "--hs", "0.2", "--ps", "2"]) == 0
+        second = [line.split(",")[:2]
+                  for line in capsys.readouterr().out.splitlines()[1:]]
+        assert first == [["exp:1", "0.5"], ["sawtooth:4", "0.5"]]
+        assert second == [["exp:3", "0.5"], ["exp:3", "1"], ["exp:3", "2.5"]]
+        assert cli._build_parser() is cli._build_parser()
+        args = cli._build_parser().parse_args(["equiv"])
+        assert args.fn == []
+        assert args.betas == [0.5, 1.0, 2.5]
+
     def test_file_output_round_trip(self, tmp_path):
         target = tmp_path / "report.csv"
         args = ("equiv", "--fn", "abssin:8", "--betas", "1.0",

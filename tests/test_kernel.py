@@ -595,9 +595,30 @@ class TestCurveExport:
         zs = np.array([complex(x, y) for x, y in
                        zip(specials[1:] + specials[:1],
                            specials[2:] + specials[:2])])
+        # every power of 2 and of 10 with both float neighbours; odd
+        # multiples of 2^-25, among them exact ties at 17 digits (2^-25 =
+        # 2.98023223876953125e-08); subnormals; random bit patterns, NaN
+        # payloads included
+        powers = np.array([2.0 ** i for i in range(-1074, 1024)]
+                          + [float(f"1e{i}") for i in range(-323, 309)])
+        rng = np.random.default_rng(20171)
+        values = np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            np.arange(1, 4096, 2) * 2.0 ** -25,
+            rng.integers(1, 2 ** 52, 2000, dtype=np.uint64).view(np.float64),
+            rng.integers(0, 2 ** 64, 6000, dtype=np.uint64).view(np.float64)])
+        values = np.concatenate([values, -values])
+        values = np.concatenate([values, np.zeros(-values.size % 3)])
+        t, x, y = values.reshape(-1, 3).T
+        z = np.empty(t.size, dtype=complex)
+        z.real, z.imag = x, y
+        # one row past a block, so that a block boundary is crossed
+        rows = kernel._CSV_BLOCK + 1
         cases = [(2.5, ts, zs), (specials[3], ts, zs),
                  (1.0, np.array([2.0]), np.array([complex(-0.0, 1e22)])),
+                 (-0.0, t, z), (5e-324, t[:rows], z[:rows]),
                  (8.26,) + curve_points(8.26, 0.0, 16.0 * math.pi, 8192)]
+        assert t.size > rows
         for beta, ts, zs in cases:
             buf = io.StringIO()
             write_curve_csv(buf, beta, ts, zs)
@@ -605,3 +626,13 @@ class TestCurveExport:
                 f"{fmt17(beta)},{fmt17(t)},{fmt17(z.real)},{fmt17(z.imag)}\n"
                 for t, z in zip(ts, zs))
             assert buf.getvalue().encode() == want.encode(), beta
+
+    @pytest.mark.parametrize("ts, zs", [
+        (np.zeros(3), np.zeros(1, dtype=complex)),
+        (np.zeros(1), np.zeros(3, dtype=complex)),
+        (np.zeros((2, 2)), np.zeros((2, 2), dtype=complex)),
+        (np.zeros(2), np.zeros((2, 1), dtype=complex))])
+    def test_csv_rejects_mismatched_samples(self, ts, zs):
+        # zip would stop at the shorter array and drop rows unseen
+        with pytest.raises(InvalidArgumentError):
+            write_curve_csv(io.StringIO(), 2.5, ts, zs)
