@@ -15,10 +15,9 @@ from .errors import (BracketError, ConvergenceError, DomainTooSmallError,
                      UnsupportedParameterError, ZeroDenominatorError)
 from .fracdiff import (apply_diff, apply_diff_series, binom_abs_sum,
                        frac_binom, symbol_values)
-from .kernel import (DEFAULT_QUAD, QuadConfig, curve_points, psi_eval,
-                     psi_many, series_terms_needed, write_curve_csv,
-                     xn_divergence_probe, xy_prime, z_eval, z_many, z_series,
-                     z_series_many, z_span)
+from .kernel import (curve_points, psi_eval, psi_many, series_terms_needed,
+                     write_curve_csv, xn_divergence_probe, xy_prime, z_eval,
+                     z_many, z_series, z_series_many, z_span)
 from .moduli import (CSV_HEADER, EquivReport, ModulusRequest,
                      classical_modulus, default_alpha, equivalence_scan,
                      integral_modulus, linearized_modulus, read_report_csv,
@@ -37,7 +36,6 @@ __all__ = [
     "CSV_HEADER",
     "ConvergenceError",
     "CutoffV",
-    "DEFAULT_QUAD",
     "DomainTooSmallError",
     "EquivReport",
     "FracsmoothError",
@@ -45,7 +43,6 @@ __all__ = [
     "ModulusRequest",
     "MultiplierFn",
     "NormParams",
-    "QuadConfig",
     "TrigPoly",
     "UnsupportedParameterError",
     "ZeroDenominatorError",

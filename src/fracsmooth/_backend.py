@@ -1,9 +1,12 @@
 """The numerical core: the NumPy kernels of ``_pykernels``.
 
-There is one core.  This module and ``backend_name`` remain only because
-the benchmark in ``perfbench/`` binds the primitives through
-``fracsmooth._backend.impl`` and records ``fracsmooth.backend_name()``;
-removing them is a change to the benchmark, made on its own.
+There is one core, which ``kernel`` imports directly.  This module and
+``backend_name`` remain only because the benchmark in ``perfbench/``
+binds the primitives through ``fracsmooth._backend.impl`` and records
+``fracsmooth.backend_name()``; removing them is a change to the
+benchmark, made on its own.  ``impl`` is the module object of
+``_pykernels`` itself, so a wrapper that the benchmark sets on it is the
+function that ``kernel`` calls.
 """
 from . import _pykernels as impl
 

@@ -1,6 +1,6 @@
 """The NumPy kernels: the package's one numerical core.
 
-``kernel`` calls two primitives through ``_backend.impl``:
+``kernel`` imports this module and calls its three primitives:
 
 ``z_series_sum_batch(beta, ts, nterms)``
     Partial sums of the sine/cosine series for the accumulated difference

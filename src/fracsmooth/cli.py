@@ -132,7 +132,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--hs", type=_floats, default=[0.05, 0.2, 1.0])
     q.add_argument("--ps", type=_floats, default=[1.0, 2.0, math.inf])
     q.add_argument("--alpha", type=float, default=None)
-    q.add_argument("--threads", type=int, default=1)
     q.add_argument("--format", choices=("csv", "json"), default="csv")
     q.add_argument("--out", default="-")
     return p
@@ -169,9 +168,8 @@ def _cmd_modulus(args) -> int:
     from .moduli import (ModulusRequest, classical_modulus, integral_modulus,
                          linearized_modulus, star_modulus)
     _, f = parse_fn(args.fn)
-    alpha = args.alpha if args.kind == "star" else None
     req = ModulusRequest(beta=args.beta, h=args.h,
-                         norm=NormParams(p=args.p), alpha=alpha)
+                         norm=NormParams(p=args.p), alpha=args.alpha)
     dispatch = {"omega": classical_modulus, "w": integral_modulus,
                 "tilde": linearized_modulus, "star": star_modulus}
     print(fmt17(dispatch[args.kind](f, req)))
@@ -183,7 +181,7 @@ def _cmd_equiv(args) -> int:
     corp = list(default_corpus()) if args.full_corpus else []
     corp.extend(parse_fn(spec) for spec in args.fn)
     rows = equivalence_scan(corp, args.betas, args.hs, args.ps,
-                            alpha=args.alpha, threads=args.threads)
+                            alpha=args.alpha)
     with _open_out(args.out) as fh:
         if args.format == "json":
             write_report_json(fh, rows)

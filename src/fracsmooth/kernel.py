@@ -24,10 +24,12 @@ Two independent evaluation routes are provided:
   vectorised pass, cutting each segment [lo, hi] geometrically at
   lo * 2^j, so that no panel spans more than a factor 2 in phi and one
   GK15 pass resolves the branch point phi^beta at 0;
-  ``_adaptive_panels`` refines any panel that still misses the
-  tolerance.  ``z_span`` mirrors a span past pi the same way and hands
-  a span inside [1e-3, pi] straight to ``_adaptive_panels`` with the same
-  cut, so a short span costs one ``gk15_panels`` call.
+  ``_adaptive_panels`` refines any panel that still misses the one
+  quadrature setting: 1e-10 absolute per value, 2000 splits per call and
+  a rounding floor of 8 eps times a panel's absolute mass, the factor of
+  ``z_many``'s noise.  ``z_span`` mirrors a span past pi the same way
+  and hands a span inside [1e-3, pi] straight to ``_adaptive_panels``
+  with the same cut, so a short span costs one ``gk15_panels`` call.
 * ``z_series`` — direct summation of
 
       x(t) = t + sum_v binom(beta, v) (-1)^v sin(v t)/v
@@ -41,12 +43,11 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._backend import impl as _impl
+from . import _pykernels as _impl
 from ._util import fmt17, fmt17_rows
 from .errors import ConvergenceError, InvalidArgumentError
 from .fracdiff import _SERIES_CAP, _tail_constant
@@ -62,6 +63,13 @@ _PANEL = 0.5 * math.pi
 _NTERMS = 10
 #: panel width of ``_z_dbeta`` times beta
 _DBETA_PANEL = math.pi
+#: the quadrature setting of z (``_adaptive_panels``): the absolute error
+#: target of one value, the panel splits one call may make, and the
+#: rounding floor per unit of absolute mass, below which splitting a panel
+#: does not lower its estimate; ``z_many``'s noise is the same factor
+_ABS_TOL = 1e-10
+_MAX_SPLITS = 2000
+_ROUND = 8.0 * float(np.finfo(float).eps)
 #: below this order the quadrature cannot overflow: the integrand is at most
 #: 2^beta in modulus, and the sums over the period (values, error estimates,
 #: absolute masses) are at most 2^(beta + 5)
@@ -70,29 +78,6 @@ _NO_OVERFLOW_BETA = 1000.0
 #: of one block peak at about 1.4 MiB, below the 1.8 MiB that the text of
 #: an 8192-row curve took when it was built whole
 _CSV_BLOCK = 3072
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances for the adaptive quadrature behind ``z_eval``.
-
-    abs_tol : float
-        Absolute error target for one z value (error estimates are the
-        summed Kronrod-vs-Gauss differences, usually very conservative).
-    max_subdiv : int
-        Panel budget before giving up with a convergence error.
-    """
-    abs_tol: float = 1e-10
-    max_subdiv: int = 2000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0):
-            raise InvalidArgumentError("abs_tol must be positive")
-        if self.max_subdiv < 4:
-            raise InvalidArgumentError("max_subdiv must be at least 4")
-
-
-DEFAULT_QUAD = QuadConfig()
 
 
 def _check_beta(beta):
@@ -186,28 +171,29 @@ def _expansion_integral(beta, coeffs, lo, hi):
 # adaptive quadrature driver on the half period (0, pi]
 # ---------------------------------------------------------------------------
 
-def _adaptive_panels(beta, a, b, seg, cfg):
+def _adaptive_panels(beta, a, b, seg):
     """Refine GK15 panels [a_j, b_j] until the quadrature tolerance holds.
+
+    The batch is done when its error estimates sum to at most
+    ``_ABS_TOL``, or when each panel's estimate is within its share of
+    ``_ABS_TOL`` per unit width or below ``_ROUND`` times its absolute
+    mass; more than ``_MAX_SPLITS`` splits raise ConvergenceError.
 
     ``seg`` tags each panel with the segment it belongs to; halves inherit
     the tag.  Returns (values, abs_masses, tags) of the final panels: the
     panels kept unsplit in their order, then the halves of the last pass.
     """
     vals, errs, absm = _impl.gk15_panels(beta, a, b)
-    budget = cfg.abs_tol / TWO_PI
-    eps = np.finfo(float).eps
+    budget = _ABS_TOL / TWO_PI
     splits = 0
     while True:
-        # a panel is done when it meets its share of the absolute budget
-        # OR its error is at the rounding floor of its own absolute mass
-        # (splitting cannot reduce that floor)
-        bad = (errs > budget * (b - a)) & (errs > 4.0 * eps * absm)
-        if errs.sum() <= cfg.abs_tol or not bad.any():
+        bad = (errs > budget * (b - a)) & (errs > _ROUND * absm)
+        if errs.sum() <= _ABS_TOL or not bad.any():
             return vals, absm, seg
         splits += int(bad.sum())
-        if splits > cfg.max_subdiv:
+        if splits > _MAX_SPLITS:
             raise ConvergenceError(
-                f"quadrature needs more than {cfg.max_subdiv} "
+                f"quadrature needs more than {_MAX_SPLITS} "
                 f"subdivisions for beta={beta}",
                 partial=None, achieved=float(errs.sum()))
         mid = 0.5 * (a[bad] + b[bad])
@@ -237,7 +223,7 @@ def _panel_count(lo, hi):
     return eh - el + (ml < mh)
 
 
-def _segment_sums(beta, edges, cfg):
+def _segment_sums(beta, edges):
     """Integrate between consecutive edges inside [0, pi].
 
     Returns (segments, abs_segments): complex values and nonnegative
@@ -279,24 +265,30 @@ def _segment_sums(beta, edges, cfg):
         pa = np.ldexp(start, j)
         pb = np.minimum(np.ldexp(start, j + 1), np.repeat(hi, npan))
         vals, absm, seg = _adaptive_panels(
-            beta, pa, pb, np.repeat(inner, npan), cfg)
+            beta, pa, pb, np.repeat(inner, npan))
         np.add.at(seg_vals, seg, vals)
         np.add.at(seg_abs, seg, absm)
 
     return seg_vals, seg_abs
 
 
-def z_many(beta, ts, cfg=None, with_noise=False):
+def z_many(beta, ts, with_noise=False):
     """Evaluate z(beta, t) for an array of t values by quadrature.
 
     Negative arguments use the symmetry z(-t) = -conj(z(t)), arguments
     beyond one period the exact shift z(t + 2pi) = z(t) + 2pi, and base
     points past pi the mirror z(2pi - s) = 2pi - conj(z(s)), so the
     quadrature always runs over (0, pi] and a point and its mirror share
-    one quadrature node.  The noise of a mirrored or shifted point is
-    that of its base point plus the rounding of the 2pi it gains, and
-    |z'(t)| times 8 eps per float 2pi in its reduced argument, which
-    moves that argument by about 2.4e-16 each.
+    one quadrature node.
+
+    The GK15 panels of all points of the call are refined together
+    until their error estimates sum to at most 1e-10, or until each
+    panel meets its share of that or a rounding floor of 8 eps times its
+    absolute mass; more than 2000 splits raise.  The noise is the same
+    8 eps times the absolute mass up to the point, plus, for a mirrored
+    or shifted point, the rounding of the 2pi it gains and |z'(t)| per
+    float 2pi in its reduced argument, which moves that argument by
+    about 2.4e-16 each.
 
     Parameters
     ----------
@@ -304,7 +296,6 @@ def z_many(beta, ts, cfg=None, with_noise=False):
         Order of the difference, > 0.
     ts : array_like
         Evaluation points (any real values).
-    cfg : QuadConfig, optional
     with_noise : bool
         When true, also return a per-point estimate of the attainable
         absolute accuracy (cancellation floor) at that point.
@@ -320,8 +311,6 @@ def z_many(beta, ts, cfg=None, with_noise=False):
         value is not finite because (2 sin(phi/2))^beta overflows.
     """
     beta = _check_beta(beta)
-    if cfg is None:
-        cfg = DEFAULT_QUAD
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if not np.isfinite(ts).all():
         raise InvalidArgumentError("t values must be finite")
@@ -345,7 +334,7 @@ def z_many(beta, ts, cfg=None, with_noise=False):
         uniq, inv = np.unique(s[interior], return_inverse=True)
         with _overflow_quiet(beta):
             seg_vals, seg_abs = _segment_sums(
-                beta, np.concatenate([[0.0], uniq]), cfg)
+                beta, np.concatenate([[0.0], uniq]))
         out[interior] = np.cumsum(seg_vals)[inv]
         noise[interior] = np.cumsum(seg_abs)[inv]
     out = np.where(past, TWO_PI - np.conj(out), out) + TWO_PI * m
@@ -364,13 +353,13 @@ def z_many(beta, ts, cfg=None, with_noise=False):
         with _overflow_quiet(beta):
             noise[moved] += (turns[moved]
                              * (2.0 * np.sin(0.5 * t0[moved])) ** beta)
-    noise *= 8.0 * np.finfo(float).eps
+    noise *= _ROUND
     return out, noise
 
 
-def z_eval(beta, t, cfg=None):
+def z_eval(beta, t):
     """z(beta, t) by adaptive quadrature (see ``z_many``)."""
-    return complex(z_many(beta, [float(t)], cfg)[0])
+    return complex(z_many(beta, [float(t)])[0])
 
 
 def _half_span(beta, a, b):
@@ -385,13 +374,12 @@ def _half_span(beta, a, b):
     if a == b:
         return 0j, 0.0
     if a < _ENDPOINT:
-        vals, absm = _segment_sums(beta, np.array([a, b]), DEFAULT_QUAD)
+        vals, absm = _segment_sums(beta, np.array([a, b]))
     else:
         npan = int(_panel_count(a, b))
         ends = np.minimum(np.ldexp(a, np.arange(npan + 1)), b)
         vals, absm, _ = _adaptive_panels(beta, ends[:-1], ends[1:],
-                                         np.zeros(npan, dtype=np.intp),
-                                         DEFAULT_QUAD)
+                                         np.zeros(npan, dtype=np.intp))
     # summed panel by panel from zero, as np.add.at does in _segment_sums
     value, mass = 0j, 0.0
     for v, m in zip(vals.tolist(), absm.tolist()):

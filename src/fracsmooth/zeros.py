@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, InvalidArgumentError
-from .kernel import (TWO_PI, QuadConfig, _check_beta, _check_grid, _z_dbeta,
+from .kernel import (_ROUND, TWO_PI, _check_beta, _check_grid, _z_dbeta,
                      xy_prime, z_eval, z_many, z_span)
 
 log = logging.getLogger(__name__)
@@ -84,8 +84,6 @@ log = logging.getLogger(__name__)
 _Y_TARGET = 1e-12
 
 _EPS = float(np.finfo(float).eps)
-
-_TIGHT = QuadConfig(abs_tol=1e-12, max_subdiv=4000)
 
 #: width in beta to which a crossing's bracket is closed
 _TOL_BETA = 1e-10
@@ -114,7 +112,11 @@ _PIECE_KNOTS = 16
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """One located zero (beta_k, t_k) of z, with refinement provenance."""
+    """One located zero (beta_k, t_k) of z, with refinement provenance.
+
+    ``residual`` is |z(beta_k, t_k)| by ``z_eval``, at the one quadrature
+    setting of ``kernel``.
+    """
     beta_k: float
     t_k: float
     residual: float
@@ -163,7 +165,7 @@ def _eval_z(beta, t, anchor):
     """
     t_a, z_a, n_a = anchor
     val, mass = z_span(beta, t_a, t)
-    return z_a + val, n_a + 8.0 * _EPS * mass
+    return z_a + val, n_a + _ROUND * mass
 
 
 def _piece_bounds(beta, m):
@@ -542,7 +544,7 @@ def _record(b_lo, b_hi, t, t_lo, t_hi, k):
     the zero of y there, and every t is shifted by 2pi k."""
     beta_k = 0.5 * (b_lo + b_hi)
     t_k = _shift(t, k)
-    residual = abs(z_eval(beta_k, t_k, _TIGHT))
+    residual = abs(z_eval(beta_k, t_k))
     return ZeroRecord(beta_k=beta_k, t_k=t_k, residual=residual,
                       bracket=(b_lo, b_hi, _shift(t_lo, k), _shift(t_hi, k)),
                       branch_index=k)

@@ -17,6 +17,7 @@ import sys
 import pytest
 
 import fracsmooth
+from test_kernel import z_mpmath
 
 _COMPLEX_LINE = re.compile(
     r"^(z|psi) = (-?[0-9][0-9.e+-]*) ([+-]) ([0-9][0-9.e+-]*)i$")
@@ -206,6 +207,19 @@ class TestCurve:
         assert res.returncode == 1
         assert res.stderr.startswith("invalid arguments:")
 
+    def test_order_seventy_matches_mpmath(self):
+        res = run_cli("curve", "--beta", "70", "--t-hi", "6.283",
+                      "--samples", "600")
+        assert res.returncode == 0
+        rows = [[float(c) for c in line.split(",")]
+                for line in res.stdout.splitlines()[1:]]
+        assert len(rows) == 600
+        # below pi, around the peak 2^70 at pi, past pi, and next to 2pi
+        for i in (100, 250, 300, 450, 599):
+            _, t, x, y = rows[i]
+            want = z_mpmath(70.0, t)
+            assert abs(complex(x, y) - want) <= 1e-13 * max(1.0, abs(want))
+
     @pytest.mark.parametrize("window", [("--t-hi", "inf"),
                                         ("--t-lo", "nan", "--t-hi", "1")])
     def test_non_finite_window(self, window):
@@ -251,6 +265,15 @@ class TestZeros:
         assert res.returncode == 1
         assert res.stderr.startswith("invalid arguments:")
 
+    def test_orders_forty_to_sixty(self):
+        res = run_cli("zeros", "--beta-min", "40", "--beta-max", "60",
+                      "--beta-grid", "20")
+        assert res.returncode == 0
+        data = json.loads(res.stdout)
+        assert len(data) > 0
+        for rec in data[::16]:
+            assert abs(z_mpmath(rec["beta"], rec["t"])) <= 1e-10
+
     @pytest.mark.parametrize("bound", [("--t-max", "nan"), ("--t-max", "inf"),
                                        ("--beta-max", "inf")])
     def test_non_finite_bound(self, bound):
@@ -292,6 +315,21 @@ class TestModulus:
         assert star.returncode == 0
         assert star.stdout == tilde.stdout
 
+    @pytest.mark.parametrize("kind", ["omega", "w", "tilde"])
+    @pytest.mark.parametrize("alpha, message", [
+        ("0.5", "alpha does not apply to this modulus"),
+        ("7", "alpha must lie in (0, 4]")])
+    def test_alpha_is_rejected_where_it_does_not_apply(self, kind, alpha,
+                                                       message):
+        # 0.5 splits the order 2.5 and 7 does not; either way only the
+        # gapped modulus takes an alpha
+        res = run_cli("modulus", "--kind", kind, "--fn", "exp:1",
+                      "--beta", "2.5", "--h", "0.1", "--p", "2",
+                      "--alpha", alpha)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == f"invalid arguments: {message}\n"
+
     def test_constant_is_annihilated(self):
         res = run_cli("modulus", "--kind", "omega", "--fn", "const",
                       "--beta", "1.5", "--h", "1.0", "--p", "inf")
@@ -328,18 +366,6 @@ class TestEquiv:
         assert len(lines) == 1 + 6
         assert fids == {"exp:1", "exp:3", "random:8:1", "random:16:2",
                         "sawtooth:8", "abssin:8"}
-
-    def test_threads_do_not_change_bytes(self):
-        for members, threads in ((("--fn", "exp:1"), "3"),
-                                 (("--full-corpus",), "2")):
-            for fmt in ("csv", "json"):
-                serial = run_cli("equiv", *members, "--format", fmt,
-                                 "--threads", "1")
-                threaded = run_cli("equiv", *members, "--format", fmt,
-                                   "--threads", threads)
-                assert serial.returncode == 0
-                assert threaded.returncode == 0
-                assert threaded.stdout == serial.stdout
 
     def test_json_agrees_with_csv(self):
         args = ("equiv", "--fn", "exp:1", "--betas", "2.5",

@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 from fracsmooth import _pykernels as pyk
 from fracsmooth import kernel
 from fracsmooth import (
-    DEFAULT_QUAD,
     ConvergenceError,
     InvalidArgumentError,
-    QuadConfig,
     curve_points,
     psi_eval,
     psi_many,
@@ -251,6 +249,18 @@ class TestMirror:
         assert np.all(np.abs(zs - want) <= 4.0 * noise), beta
 
 
+class TestLargeOrder:
+    """Orders from 70 to 100, where a panel converges only by its
+    rounding floor, 8 eps times its absolute mass: a GK15 estimate
+    computed in floating point does not reach 4 eps there."""
+
+    @pytest.mark.parametrize("beta, t", [
+        (80.0, 4.5), (100.0, 2.0), (100.0, 1.7832), (70.0, 2.5)])
+    def test_point_matches_mpmath(self, beta, t):
+        want = z_mpmath(beta, t)
+        assert abs(z_eval(beta, t) - want) <= 1e-13 * abs(want)
+
+
 class TestCorpusSteps:
     """psi at the steps k h of the equivalence corpus: each call is one
     GK15 pass, and its values match mpmath."""
@@ -300,18 +310,15 @@ class TestDivergenceProbe:
 
 
 class TestQuadratureConfig:
-    def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            QuadConfig(abs_tol=0.0)
-        with pytest.raises(InvalidArgumentError):
-            QuadConfig(max_subdiv=3)
-        assert QuadConfig() == DEFAULT_QUAD
+    """The one quadrature setting of ``kernel``: its tolerance, its split
+    budget and the overflow threshold of its error state."""
 
-    def test_budget_exhaustion_raises(self):
-        cfg = QuadConfig(abs_tol=1e-14, max_subdiv=4)
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_ABS_TOL", 1e-14)
+        monkeypatch.setattr(kernel, "_MAX_SPLITS", 4)
         with pytest.raises(ConvergenceError, match="subdivisions") as info:
-            z_eval(0.5, 6.0, cfg)
-        assert info.value.achieved > cfg.abs_tol
+            z_eval(0.5, 6.0)
+        assert info.value.achieved > 1e-14
 
     def test_overflowing_integrand_raises(self):
         # past phi = pi/3 the base 2 sin(phi/2) exceeds 1, and at beta = 1e4
@@ -332,13 +339,14 @@ class TestQuadratureConfig:
             with pytest.raises(ConvergenceError, match="not finite"):
                 kernel.z_span(1e4, a, b)
 
-    def test_no_overflow_below_the_threshold(self):
+    def test_no_overflow_below_the_threshold(self, monkeypatch):
         # z_many sets no error state below this order, so nothing may
         # overflow there, even with the whole period and a budget that
         # lets every panel through
+        monkeypatch.setattr(kernel, "_ABS_TOL", 1e300)
+        monkeypatch.setattr(kernel, "_MAX_SPLITS", 10**5)
         beta = math.nextafter(kernel._NO_OVERFLOW_BETA, 0.0)
-        loose = QuadConfig(abs_tol=1e300, max_subdiv=10**5)
-        zs = z_many(beta, np.linspace(0.01, TWO_PI - 0.01, 64), loose)
+        zs = z_many(beta, np.linspace(0.01, TWO_PI - 0.01, 64))
         assert np.isfinite(zs).all()
 
     def test_underflowing_integrand_stays_finite(self):
@@ -351,12 +359,13 @@ class TestQuadratureConfig:
         assert z_many(1e4, [TWO_PI - 0.5]).tolist() == [TWO_PI]
 
     def test_tighter_tolerance_still_converges(self):
-        loose = z_eval(2.5, 3.0)
-        tight = z_eval(2.5, 3.0, QuadConfig(abs_tol=1e-12, max_subdiv=4000))
-        assert abs(loose - tight) < 1e-9
+        # the series route at a tolerance 100 times below the quadrature's
+        # shares no code with it
+        want = z_series(2.5, 3.0, tol=1e-12)
+        assert abs(z_eval(2.5, 3.0) - want) < 1e-10
 
 
-def _reference_segment_sums(beta, edges, cfg):
+def _reference_segment_sums(beta, edges):
     """``_segment_sums`` with its set-up spelled out segment by segment:
     cut each segment at 1e-3, integrate the piece below it by expansion
     and cut the piece [lo, hi] above it at lo, 2 lo, 4 lo, ... below hi,
@@ -386,7 +395,7 @@ def _reference_segment_sums(beta, edges, cfg):
             quad_seg += [i] * (len(ends) - 1)
     if quad_a:
         vals, absm, seg = kernel._adaptive_panels(
-            beta, np.array(quad_a), np.array(quad_b), np.array(quad_seg), cfg)
+            beta, np.array(quad_a), np.array(quad_b), np.array(quad_seg))
         np.add.at(seg_vals, seg, vals)
         np.add.at(seg_abs, seg, absm)
     return seg_vals, seg_abs
@@ -420,8 +429,8 @@ class TestSegmentSums:
     def test_matches_per_segment_reference(self, name):
         edges = np.array(self.EDGE_SETS[name])
         for beta in (0.5, 2.5, 8.0, 13.3):
-            got = kernel._segment_sums(beta, edges, DEFAULT_QUAD)
-            want = _reference_segment_sums(beta, edges, DEFAULT_QUAD)
+            got = kernel._segment_sums(beta, edges)
+            want = _reference_segment_sums(beta, edges)
             assert _same_bits(got[0], want[0]), (name, beta)
             assert _same_bits(got[1], want[1]), (name, beta)
 
@@ -430,8 +439,8 @@ class TestSegmentSums:
         for _ in range(20):
             beta = float(rng.uniform(0.3, 16.0))
             edges = np.sort(rng.uniform(0.0, math.pi, rng.integers(2, 30)))
-            got = kernel._segment_sums(beta, edges, DEFAULT_QUAD)
-            want = _reference_segment_sums(beta, edges, DEFAULT_QUAD)
+            got = kernel._segment_sums(beta, edges)
+            want = _reference_segment_sums(beta, edges)
             assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
 
     def test_span_equals_segment_sums(self):
@@ -439,8 +448,7 @@ class TestSegmentSums:
         # the conjugate of its mirror span, and across pi the sum of the
         # two parts, split at pi
         def half(beta, a, b):
-            vals, masses = kernel._segment_sums(beta, np.array([a, b]),
-                                                DEFAULT_QUAD)
+            vals, masses = kernel._segment_sums(beta, np.array([a, b]))
             return complex(vals[0]), float(masses[0])
 
         rng = np.random.default_rng(5)

@@ -12,7 +12,6 @@ from fracsmooth import (
     InvalidArgumentError,
     ModulusRequest,
     NormParams,
-    QuadConfig,
     ZeroRecord,
     corpus,
     curve_F,
@@ -22,7 +21,6 @@ from fracsmooth import (
     write_registry,
     xy_prime,
     y_zeros,
-    z_eval,
     z_many,
     z_series,
 )
@@ -34,6 +32,7 @@ from fracsmooth.zeros import (
     _stop_floor,
     _zero_in_window,
 )
+from test_kernel import z_mpmath
 
 TWO_PI = 2.0 * math.pi
 
@@ -226,10 +225,16 @@ class TestScan:
             assert r.residual <= 1e-10, r.beta_k
 
     def test_residual_stable_under_tighter_quadrature(self, wide_scan):
-        tight = QuadConfig(abs_tol=1e-11, max_subdiv=4000)
+        # the residual is |z| at the record by the library's quadrature;
+        # the series route (orders <= 16) and 30-digit mpmath (every 8th
+        # record above) share no code with it
         for r in wide_scan:
-            requad = abs(z_eval(r.beta_k, r.t_k, tight))
-            assert abs(requad - r.residual) < 1e-8, r.beta_k
+            if r.beta_k <= 16.0:
+                want = abs(z_series(r.beta_k, r.t_k, tol=1e-13))
+                assert abs(want - r.residual) < 1e-10, r.beta_k
+        for r in [r for r in wide_scan if r.beta_k > 16.0][::8]:
+            want = abs(z_mpmath(r.beta_k, r.t_k))
+            assert abs(want - r.residual) <= 4.0 * record_noise(r), r.beta_k
 
     def test_linearized_modulus_closes_at_each_record(self, wide_scan):
         # at a zero the linearized modulus of e^(it) degenerates:
@@ -335,6 +340,35 @@ class TestScan:
     def test_non_finite_bounds(self, beta_max, t_max, beta_min):
         with pytest.raises(InvalidArgumentError):
             scan_zero_set(beta_max, t_max, 4, 64, beta_min=beta_min)
+
+
+class TestPastForty:
+    """Orders from 40 to 60, where a batch of z values converges only by
+    the rounding floor of its panels, 8 eps times their absolute mass."""
+
+    def test_column_at_fifty_nine(self):
+        col = _column(59.0, 512)
+        assert len(col) > 0
+        for m, (t, _, _, _) in col.items():
+            lo, hi = _piece_bounds(59.0, m)
+            assert lo <= t <= hi, m
+        # the y-zeros are zeros of 30-digit mpmath to the stop of the
+        # Newton refinement in t, 8 times the noise or 1e-12
+        for m, (t, _, _, _) in list(col.items())[::9]:
+            _, noise = z_many(59.0, [t], with_noise=True)
+            assert abs(z_mpmath(59.0, t).imag) <= max(1e-12, 8.0 * noise[0])
+
+    def test_census_to_sixty_does_not_depend_on_the_grid(self):
+        coarse = scan_zero_set(60.0, 40.0 * math.pi, 20, 512, beta_min=40.0)
+        fine = scan_zero_set(60.0, 40.0 * math.pi, 30, 512, beta_min=40.0)
+        assert len(coarse) == len(fine) > 0
+        assert coarse[-1].beta_k > 59.0
+        for a, b in zip(coarse, fine):
+            assert a.branch_index == b.branch_index
+            assert a.beta_k == pytest.approx(b.beta_k, abs=1e-13)
+            assert a.t_k == pytest.approx(b.t_k, abs=1e-12)
+        for r in coarse[::16]:
+            assert abs(z_mpmath(r.beta_k, r.t_k)) <= 1e-10, r.beta_k
 
 
 def window_scan():
