@@ -101,18 +101,20 @@ def symbol_values(beta: float, delta: float, k) -> np.ndarray:
     """(1 - e^{ik*delta})^beta on an array of integer frequencies.
 
     Principal branch via the polar form
-    (2 sin(theta/2))^beta * exp(i*beta*(theta-pi)/2), theta = k*delta
-    reduced to [0, 2pi); exactly 0 on the lattice theta = 0.
+    (2 sin(theta/2))^beta * exp(i*beta*(theta-pi)/2), theta = |k*delta|
+    reduced to [0, 2pi), conjugated where k*delta < 0; exactly 0 on the
+    lattice theta = 0.  So the symbol at -k is the conjugate of the one
+    at k bit for bit, and a real f keeps a real difference.
     """
     if beta <= 0.0:
         raise InvalidArgumentError("beta must be positive")
-    k = np.asarray(k, dtype=float)
-    theta = np.mod(k * delta, TWO_PI)
+    x = np.asarray(k, dtype=float) * delta
+    theta = np.mod(np.abs(x), TWO_PI)
     s = np.maximum(2.0 * np.sin(0.5 * theta), 0.0)
     mag = s ** beta
     out = mag * np.exp(0.5j * beta * (theta - math.pi))
     out[s == 0.0] = 0.0
-    return out
+    return np.conj(out, out=out, where=x < 0.0)
 
 
 def apply_diff(f: TrigPoly, beta: float, delta: float) -> TrigPoly:

@@ -5,8 +5,10 @@ grid maximum plus a local polish (``bracket_max``: each round of knots in
 one call).  The integral modulus averages the difference norm over steps
 (Gauss-Legendre in delta).  Both evaluate their step grid in one batched
 call, ``_diff_norms``: the (steps x frequencies) symbol matrix of the
-difference times the coefficients, then one row-wise FFT and the row
-norms (``lp_norms``).
+difference times the coefficients, then the row norms (``lp_norms``):
+Parseval's sum at p = 2, otherwise a row-wise real inverse FFT of the
+half spectra (one for a real f, whose differences stay real) and the
+rectangle rule.
 The steps go in blocks of at most ``_BLOCK_ELEMS`` grid values, so a
 high degree never allocates the whole (steps x grid) matrix at once.
 Each value is bit for bit ``lp_norm(apply_diff(f, beta, delta), norm)``.
@@ -80,13 +82,18 @@ def _diff_norms(f: TrigPoly, beta: float, deltas,
     """||D_delta^beta f||_p for every step delta in ``deltas``.
 
     Per block of steps: the symbol matrix of the difference (one row per
-    step) times the coefficients, then ``lp_norms`` of the rows.
+    step) times the coefficients, then ``lp_norms`` of the rows.  The
+    symbol is computed for k = 0..M and mirrored, sigma(-k) =
+    conj(sigma(k)), which is bit for bit what ``symbol_values`` gives at
+    -k.
     """
     deltas = np.asarray(deltas, dtype=float)
     rows = max(1, _BLOCK_ELEMS // grid_size(f.degree))
+    half = np.arange(f.degree + 1)
     out = np.empty(deltas.size)
     for lo in range(0, deltas.size, rows):
-        sym = symbol_values(beta, deltas[lo:lo + rows, None], f.freqs)
+        sym = symbol_values(beta, deltas[lo:lo + rows, None], half)
+        sym = np.concatenate([np.conj(sym[:, :0:-1]), sym], axis=1)
         out[lo:lo + rows] = lp_norms(f.coeffs * sym, norm)
     return out
 
@@ -103,8 +110,8 @@ def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     """sup over steps delta in (0, h] of the difference norm.
 
     Grid maximum over ``_DELTA_GRID`` uniform steps, evaluated together by
-    ``_diff_norms`` (one symbol matrix and one row-wise FFT per block of
-    at most ``_BLOCK_ELEMS`` grid values), then ``bracket_max`` in the
+    ``_diff_norms`` (one symbol matrix and one ``lp_norms`` call per block
+    of at most ``_BLOCK_ELEMS`` grid values), then ``bracket_max`` in the
     cell around the discrete argmax: one ``_diff_norms`` call per round
     of knots.  When the sup sits at delta = h the first round finds no
     larger value and stops, so the result is the grid value at h.  The

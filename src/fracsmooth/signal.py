@@ -74,11 +74,11 @@ class TrigPoly:
 class NormParams:
     """How to measure: the exponent p in (0, inf].
 
-    The norm is read on a uniform grid (``grid_size``).  Only p = 2 is
-    exact there; p = inf (the grid maximum) and p = 1 (a rectangle rule
-    over |f|, which has a kink at each zero of f) are O(dx^2), about
-    1e-2 relative on the grid of ``_OVERSAMPLE`` = 8 points per
-    coefficient (see ``lp_norm``).
+    p = 2 is exact: Parseval's sum of |c_k|^2, with no grid.  Every other
+    p is read on a uniform grid (``grid_size``); p = inf (the grid
+    maximum) and p = 1 (a rectangle rule over |f|, which has a kink at
+    each zero of f) are O(dx^2) there, about 1e-2 relative on the grid of
+    ``_OVERSAMPLE`` = 8 points per coefficient (see ``lp_norm``).
     """
     p: float
 
@@ -104,14 +104,37 @@ def evaluate(f: TrigPoly, points) -> np.ndarray:
     return out
 
 
+def _synthesis(c, n: int):
+    """Values on the uniform grid x_j = 2 pi j / n of the rows of the 2-D
+    array ``c`` of coefficients c[-M..M], n >= 2M + 1, as (u, v): the real
+    part u and the imaginary part v, each a row-wise real inverse FFT of
+    the k = 0..M half spectrum of (f + conj f)/2 and (f - conj f)/(2i).
+
+    v is None when every row is exactly Hermitian (c_{-k} = conj(c_k), a
+    real function), so a real batch costs one ``irfft``; in a batch that
+    needs v, a Hermitian row gets a v of exact zeros.
+    """
+    degree = (c.shape[1] - 1) // 2
+    pos = c[:, degree:]
+    neg = np.conj(c[:, degree::-1])
+    u = np.fft.irfft((pos + neg) * 0.5, n, axis=1, norm="forward")
+    diff = pos - neg
+    if not diff.any():
+        return u, None
+    return u, np.fft.irfft(diff * -0.5j, n, axis=1, norm="forward")
+
+
 def grid_values(f: TrigPoly, n: int) -> np.ndarray:
-    """Values on the uniform grid x_j = 2 pi j / n via FFT synthesis."""
+    """Values on the uniform grid x_j = 2 pi j / n (complex), from the
+    real-input synthesis of the real and imaginary parts that the L_p
+    norms use (``_synthesis``)."""
     if n < 2 * f.degree + 1:
         raise InvalidArgumentError("grid too coarse for the degree")
-    spec = np.zeros(n, dtype=complex)
-    k = f.freqs
-    spec[np.mod(k, n)] = f.coeffs
-    return n * np.fft.ifft(spec)
+    u, v = _synthesis(f.coeffs[None, :], n)
+    out = u[0].astype(complex)
+    if v is not None:
+        out.imag = v[0]
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -140,22 +163,22 @@ def lp_norms(coeffs, params: NormParams) -> np.ndarray:
     """L_p norm of each polynomial whose coefficients c[-M..M] are a row
     of the 2-D array ``coeffs``.
 
-    The rows are synthesised on the uniform grid of ``grid_size`` points
-    by one row-wise inverse FFT, in place, and each row is reduced by the
-    rectangle rule (the grid maximum at p = inf); ``lp_norm`` is the
-    one-row case, so a batch of rows gives bit for bit the values of one
-    ``lp_norm`` call per row, with the accuracy stated there.
+    At p = 2 the value is Parseval's (sum_k |c_k|^2)^(1/2), which is what
+    the grid rule below computes in exact arithmetic, and no grid is
+    built.  Any other p synthesises the rows on the uniform grid of
+    ``grid_size`` points (``_synthesis``: one row-wise real inverse FFT,
+    two when some row is not real), takes |f| as |u| or hypot(u, v), and
+    reduces each row by the rectangle rule (the grid maximum at
+    p = inf).  ``lp_norm`` is the one-row case, so a batch of rows gives
+    bit for bit the values of one ``lp_norm`` call per row, with the
+    accuracy stated there.
     """
     c = np.asarray(coeffs, dtype=complex)
-    rows, width = c.shape
-    degree = (width - 1) // 2
-    n = grid_size(degree)
-    spec = np.zeros((rows, n), dtype=complex)
-    spec[:, np.mod(np.arange(-degree, degree + 1), n)] = c
-    np.fft.ifft(spec, axis=1, out=spec)  # out= needs NumPy >= 2.0
-    spec *= n
-    vals = np.abs(spec)
     p = params.p
+    if p == 2.0:
+        return np.sqrt(np.sum(c.real ** 2 + c.imag ** 2, axis=1))
+    u, v = _synthesis(c, grid_size((c.shape[1] - 1) // 2))
+    vals = np.abs(u, out=u) if v is None else np.hypot(u, v, out=u)
     if math.isinf(p):
         return vals.max(axis=1)
     vals **= p
@@ -167,16 +190,16 @@ def lp_norms(coeffs, params: NormParams) -> np.ndarray:
 def lp_norm(f: TrigPoly, params: NormParams) -> float:
     """L_p norm (quasi-norm for p < 1) on the circle.
 
-    Uses the uniform rectangle rule on the ``grid_size`` points.  At
-    p = 2 it is exact: |f|^2 is a polynomial of degree 2M, which the grid
-    integrates exactly.  At p = inf it is the grid maximum, O(dx^2) below
-    a smooth maximum.  At other p it is a rectangle rule over |f|^p,
-    which is smooth only where f has no zero; at p = 1, |f| has a kink
-    at each simple zero of f and the rule is O(dx^2).  Against a grid of
-    64 points per coefficient, over ``default_corpus()`` with the
-    difference ``apply_diff(f, beta, h)`` at beta in {0.5, 1, 2.5, 3.5, 5}
-    and 40 steps h in [0.01, 1], the grid of ``_OVERSAMPLE`` = 8 was off
-    by at most 1.2e-2 relative at p = inf and 6.7e-3 at p = 1.
+    At p = 2 it is exact: Parseval's sum of |c_k|^2.  Other p use the
+    uniform rectangle rule on the ``grid_size`` points.  At p = inf it is
+    the grid maximum, O(dx^2) below a smooth maximum.  At other p it is a
+    rectangle rule over |f|^p, which is smooth only where f has no zero;
+    at p = 1, |f| has a kink at each simple zero of f and the rule is
+    O(dx^2).  Against a grid of 64 points per coefficient, over
+    ``default_corpus()`` with the difference ``apply_diff(f, beta, h)``
+    at beta in {0.5, 1, 2.5, 3.5, 5} and 40 steps h in [0.01, 1], the
+    grid of ``_OVERSAMPLE`` = 8 was off by at most 1.2e-2 relative at
+    p = inf and 6.7e-3 at p = 1.
     """
     return float(lp_norms(f.coeffs[None, :], params)[0])
 

@@ -14,6 +14,7 @@ from fracsmooth.fracdiff import split_order
 from fracsmooth.signal import evaluate, lp_norm
 
 PI = math.pi
+TWO_PI = 2.0 * PI
 
 
 class TestFracBinom:
@@ -108,6 +109,35 @@ class TestDiffSymbol:
         a = symbol_values(beta, delta, np.array([k]))[0]
         b = symbol_values(beta, -delta, np.array([-k]))[0]
         assert a == b
+
+    @pytest.mark.parametrize("beta", [0.5, 2.5, 7.3])
+    @pytest.mark.parametrize("delta, lattice", [
+        (0.05, False), (0.7, False), (3.0, False), (PI, True),
+        (TWO_PI / 4.0, True), (TWO_PI / 3.0, True), (TWO_PI, True)])
+    def test_minus_k_is_the_conjugate_bitwise(self, beta, delta, lattice):
+        # the half-spectrum synthesis of a real difference relies on it.
+        # The steps 2pi/m put some k*delta on the lattice 2pi*Z (exact
+        # zeros where the float product is a multiple of the float 2pi)
+        # and the other multiples of 2pi within rounding of it
+        k = np.arange(1, 41)
+        pos = symbol_values(beta, delta, k)
+        neg = symbol_values(beta, delta, -k)
+        assert np.array_equal(neg.view(np.uint64),
+                              np.conj(pos).view(np.uint64)), (beta, delta)
+        on = np.mod(k * delta, TWO_PI) == 0.0
+        assert on.any() == lattice
+        assert np.all(pos[on] == 0.0) and np.all(neg[on] == 0.0)
+
+    def test_small_negative_steps_against_mpmath(self):
+        # reducing k*delta < 0 into [0, 2pi) as 2pi - |k*delta| would
+        # lose |k*delta| to rounding: 2.0e-8 relative at -1e-7
+        for beta in (0.5, 3.9):
+            for x in (-1e-7, -1e-4, -0.01, 1e-7):
+                got = symbol_values(beta, x, np.array([1]))[0]
+                with mpmath.workdps(40):
+                    want = complex((1 - mpmath.exp(1j * mpmath.mpf(x)))
+                                   ** mpmath.mpf(beta))
+                assert abs(got - want) <= 4e-15 * abs(want), (beta, x)
 
     def test_magnitude_identity(self):
         # |(1-e^{i theta})^beta| = (2|sin(theta/2)|)^beta

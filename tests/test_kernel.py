@@ -82,6 +82,17 @@ class TestIdentities:
                 got = z_eval(beta, -t)
                 assert abs(got + np.conj(z_eval(beta, t))) < 1e-10
 
+    @pytest.mark.parametrize("beta", [0.5, 2.5, 7.3])
+    def test_psi_at_minus_t_is_the_conjugate_bitwise(self, beta):
+        # the symbols of the linearized and star moduli at -k h, and so
+        # the real synthesis of a real f; t = 2pi m lies on the lattice
+        ts = np.concatenate([np.arange(1, 17) * 0.2, np.arange(1, 9) * 1.1,
+                             TWO_PI * np.arange(1, 4), [math.pi, 5.04]])
+        pos = psi_many(beta, ts)
+        neg = psi_many(beta, -ts)
+        assert np.array_equal(neg.view(np.uint64),
+                              np.conj(pos).view(np.uint64)), beta
+
     def test_period_shift_adds_full_turn(self):
         for beta in (0.5, 2.5):
             for t in (0.3, 3.0, 6.0):

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from fracsmooth import InvalidArgumentError, NormParams, TrigPoly, corpus
 from fracsmooth import signal
+from fracsmooth.fracdiff import apply_diff
 from fracsmooth.signal import (evaluate, from_samples, grid_size, grid_values,
                               lp_norm, lp_norms)
 
 PI = math.pi
+EPS = np.finfo(float).eps
 
 
 def e_n(n):
@@ -106,11 +108,30 @@ class TestLpNorm:
 
 def _rectangle_rule(f, params):
     """The norm spelled out from ``grid_values``: mean of |f|^p on the
-    grid (max for p = inf)."""
-    vals = np.abs(grid_values(f, grid_size(f.degree)))
+    grid (max for p = inf), with |f| the hypot of the real and imaginary
+    parts (NumPy's complex ``abs`` differs from hypot in the last bit);
+    at p = 2, Parseval's sum of |c_k|^2, which the rule computes in exact
+    arithmetic."""
+    if params.p == 2.0:
+        c = f.coeffs
+        return float(np.sqrt(np.sum(c.real ** 2 + c.imag ** 2)))
+    g = grid_values(f, grid_size(f.degree))
+    vals = np.hypot(g.real, g.imag)
     if math.isinf(params.p):
         return float(vals.max())
     return float(np.mean(vals ** params.p) ** (1.0 / params.p))
+
+
+def _complex_ifft_rule(f, p):
+    """The rectangle rule by a full complex inverse FFT of the scattered
+    coefficients on the ``grid_size`` grid (max for p = inf)."""
+    n = grid_size(f.degree)
+    spec = np.zeros(n, dtype=complex)
+    spec[np.mod(f.freqs, n)] = f.coeffs
+    vals = np.abs(n * np.fft.ifft(spec))
+    if math.isinf(p):
+        return float(vals.max())
+    return float(np.mean(vals ** p) ** (1.0 / p))
 
 
 class TestLpNorms:
@@ -126,13 +147,72 @@ class TestLpNorms:
 
     def test_rows_are_the_rectangle_rule_bitwise(self):
         # enough rows for NumPy's vectorised loops to engage; at p = 1.5
-        # and 3 a vectorised root would differ from the scalar one
+        # and 3 a vectorised root would differ from the scalar one.  The
+        # Hermitian batch (real functions) takes the one-irfft path
         rng = np.random.default_rng(11)
         rows = (rng.standard_normal((64, 21))
                 + 1j * rng.standard_normal((64, 21)))
-        for params in self.PARAMS:
-            want = [_rectangle_rule(TrigPoly(10, r), params) for r in rows]
-            assert lp_norms(rows, params).tolist() == want, params
+        real = rows + np.conj(rows[:, ::-1])
+        assert signal._synthesis(real, 64)[1] is None
+        for batch in (rows, real):
+            for params in self.PARAMS:
+                want = [_rectangle_rule(TrigPoly(10, r), params)
+                        for r in batch]
+                assert lp_norms(batch, params).tolist() == want, params
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 3.0, math.inf])
+    def test_against_the_complex_ifft_rule(self, corpus_members, p):
+        rng = np.random.default_rng(5)
+        members = list(corpus_members) + [
+            (f"complex:{m}", TrigPoly(m, rng.standard_normal(2 * m + 1)
+                                      + 1j * rng.standard_normal(2 * m + 1)))
+            for m in (0, 3, 10, 40)]
+        for fid, f in members:
+            for g in (f, apply_diff(f, 2.5, 0.2), apply_diff(f, 0.5, 1.0)):
+                got = lp_norm(g, NormParams(p=p))
+                want = _complex_ifft_rule(g, p)
+                tol = 1e-14 * want
+                if p < 1.0:
+                    # | |a|^p - |b|^p | <= |a - b|^p, so a grid value at an
+                    # exact zero of f carries each synthesis's rounding
+                    # (a few eps times sum |c_k|) to the power p: at x = pi
+                    # the sawtooth reads 0.0 here and 5.7e-17 by the
+                    # complex ifft, 1.3e-10 apart in its p = 0.5 norm
+                    floor = 8.0 * EPS * np.sum(np.abs(g.coeffs))
+                    tol += floor ** p * want ** (1.0 - p) / p
+                assert abs(got - want) <= tol, (fid, p)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5, 7.3])
+    def test_p2_on_a_difference_of_a_mode_is_the_closed_form(self, beta):
+        # ||D_delta^beta e_n||_2 = |1 - e^{in delta}|^beta
+        #                        = (2 |sin(n delta / 2)|)^beta
+        for n in (-3, -1, 1, 3, 16):
+            for delta in (0.05, 0.2, 1.0, 2.9):
+                got = lp_norm(apply_diff(e_n(n), beta, delta),
+                              NormParams(p=2.0))
+                want = (2.0 * abs(math.sin(0.5 * n * delta))) ** beta
+                assert got == pytest.approx(want, rel=4e-15), (n, delta)
+
+    def test_p2_builds_no_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("p = 2 synthesised a grid")
+        monkeypatch.setattr(signal, "_synthesis", no_grid)
+        f = corpus("random_smooth", 8, seed=1)
+        assert lp_norm(f, NormParams(p=2.0)) > 0.0
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, math.inf])
+    def test_a_row_does_not_depend_on_its_batch(self, p):
+        # a real row alone takes one irfft; batched with complex rows it
+        # also gets an imaginary part of exact zeros, and hypot(u, 0) = |u|
+        real = corpus("random_smooth", 10, seed=3).coeffs
+        rng = np.random.default_rng(2)
+        noise = rng.standard_normal((3, 21)) + 1j * rng.standard_normal((3, 21))
+        alone = lp_norms(real[None, :], NormParams(p=p))[0]
+        mixed = lp_norms(np.vstack([noise[:2], real, noise[2:]]),
+                         NormParams(p=p))
+        assert mixed[2] == alone
+        assert np.array_equal(
+            mixed[[0, 1, 3]], lp_norms(noise, NormParams(p=p)))
 
     def test_grid_size(self):
         assert grid_size(0) == 64
