@@ -17,19 +17,18 @@ Two independent evaluation routes are provided:
   on (0, pi], after reduction by the symmetry z(-t) = -conj(z(t)),
   the shift z(t + 2pi) = z(t) + 2pi and the mirror
   z(2pi - s) = 2pi - conj(z(s)), so no quadrature passes the peak 2^beta
-  of the integrand at pi.  The first 1e-3 of the base interval, where
-  the integrand is only Hoelder-smooth, is handled by a 10-term power
-  expansion integrated termwise (its coefficients are cached per beta).
-  ``_segment_sums`` sets up the GK15 panels of all segments in one
-  vectorised pass, cutting each segment [lo, hi] geometrically at
-  lo * 2^j, so that no panel spans more than a factor 2 in phi and one
-  GK15 pass resolves the branch point phi^beta at 0;
-  ``_adaptive_panels`` refines any panel that still misses the one
-  quadrature setting: 1e-10 absolute per value, 2000 splits per call and
-  a rounding floor of 8 eps times a panel's absolute mass, the factor of
-  ``z_many``'s noise.  ``z_span`` mirrors a span past pi the same way
-  and hands a span inside [1e-3, pi] straight to ``_adaptive_panels``
-  with the same cut, so a short span costs one ``gk15_panels`` call.
+  of the integrand at pi.  ``_segment_sums`` sets up the GK15 panels of
+  all segments in one vectorised pass, cutting each segment [lo, hi]
+  geometrically at lo * 2^j, so that no panel spans more than a factor 2
+  in phi and one GK15 pass resolves the branch point phi^beta at 0.  A
+  segment from 0 starts at a power of two at most 2^-J hi (``_head``),
+  with J(beta) so large that the dropped head is below 2^-55 of the
+  segment's mass.  ``_adaptive_panels`` refines any panel that still
+  misses the one quadrature setting: 1e-10 absolute per value, 2000
+  splits per call and a rounding floor of 8 eps times a panel's absolute
+  mass, the factor of ``z_many``'s noise.  ``z_span`` mirrors a span past
+  pi the same way and hands a span straight to ``_adaptive_panels`` with
+  the same head and cut, so a short span costs one ``gk15_panels`` call.
 * ``z_series`` — direct summation of
 
       x(t) = t + sum_v binom(beta, v) (-1)^v sin(v t)/v
@@ -43,7 +42,6 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,13 +52,11 @@ from .fracdiff import _SERIES_CAP, _tail_constant
 
 TWO_PI = 2.0 * math.pi
 
-#: width of the endpoint panels evaluated by power expansion
-_ENDPOINT = 1e-3
+#: lower limit of ``_z_dbeta``'s quadrature
+_DBETA_LO = 1e-3
 #: widest panel of ``_z_dbeta`` (the z quadrature cuts its panels
 #: geometrically instead, see ``_panel_count``)
 _PANEL = 0.5 * math.pi
-#: truncation order of the endpoint expansion
-_NTERMS = 10
 #: panel width of ``_z_dbeta`` times beta
 _DBETA_PANEL = math.pi
 #: the quadrature setting of z (``_adaptive_panels``): the absolute error
@@ -108,63 +104,6 @@ def _not_finite(beta, partial):
     return ConvergenceError(
         f"z is not finite for beta={beta}: the integrand overflows "
         f"the float range", partial=partial)
-
-
-# ---------------------------------------------------------------------------
-# endpoint expansion
-# ---------------------------------------------------------------------------
-
-def _endpoint_table():
-    """R with D_n(beta) = exp(-i pi beta/2) i^n sum_j R[n, j] beta^j.
-
-    Near phi = 0 the integrand is phi^beta exp(-i pi beta/2)
-    exp(beta q(phi)), where q(phi) = i phi/2 + log(sin(phi/2)/(phi/2)).
-    Each coefficient of q is i^n times a rational r_n, so the phi^n
-    coefficient of q^j / j! is i^n times that of r^j / j!, which is
-    R[n, j].  The powers of r, to order 10, are built in integers from r
-    scaled by ``den``, and each entry is rounded once (Python's
-    int / int is correctly rounded).
-    """
-    den = math.lcm(2, 24, 2880, 181440, 9676800, 479001600)
-    r = [0, den // 2, den // 24, 0, -den // 2880, 0, den // 181440, 0,
-         -den // 9676800, 0, den // 479001600]
-    power = [1] + [0] * _NTERMS
-    table = np.empty((_NTERMS + 1, _NTERMS + 1))
-    for j in range(_NTERMS + 1):
-        d = den ** j * math.factorial(j)
-        table[:, j] = [c / d for c in power]
-        power = [sum(power[i] * r[n - i] for i in range(n + 1))
-                 for n in range(_NTERMS + 1)]
-    return table
-
-
-_ENDPOINT_TABLE = _endpoint_table()
-_ENDPOINT_POWERS = np.arange(_NTERMS + 1)
-_I_POWERS = np.array([1, 1j, -1, -1j] * 3)[:_NTERMS + 1]
-
-
-@lru_cache(maxsize=64)
-def _endpoint_coeffs(beta):
-    """Coefficients D_n with integrand = sum_n D_n phi^(beta+n) near phi=0.
-
-    The order-10 Taylor coefficients of (2 sin(phi/2)/phi)^beta
-    exp(i beta (phi - pi)/2), far beyond machine precision for the 1e-3
-    panel; one product with ``_ENDPOINT_TABLE`` per beta.  Cached per
-    beta; the array is read-only.
-    """
-    d = (np.exp(-0.5j * beta * math.pi) * _I_POWERS
-         * (_ENDPOINT_TABLE @ beta ** _ENDPOINT_POWERS))
-    d.setflags(write=False)
-    return d
-
-
-def _expansion_integral(beta, coeffs, lo, hi):
-    """integral_lo^hi of the expanded integrand, 0 <= lo < hi <= _ENDPOINT."""
-    n = np.arange(_NTERMS + 1)
-    powers = hi ** (beta + n + 1.0)
-    if lo > 0.0:
-        powers = powers - lo ** (beta + n + 1.0)
-    return complex(np.sum(coeffs * powers / (beta + n + 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +162,25 @@ def _panel_count(lo, hi):
     return eh - el + (ml < mh)
 
 
+def _head(beta, a, b):
+    """Where the quadrature of [a, b] inside [0, pi] starts.
+
+    That is lo = max(a, 2^(e - 1 - J)), with b = m * 2^e (``np.frexp``,
+    m in [1/2, 1)) and J = ceil(55/(beta + 1)) + 2, and [a, lo] is
+    dropped.  As |f(phi)| <= phi^beta, the dropped part is at most
+    lo^(beta+1)/(beta+1) <= (b 2^-J)^(beta+1)/(beta+1), and the mass of
+    [b/2, b] is at least (b/2)(0.9 b/2)^beta for b <= pi, so the drop is
+    below 2^(1 + 1.16 beta - J (beta + 1)) <= 2^-55 of the segment's mass,
+    under the 8 eps of ``z_many``'s noise.  From a power of two the cuts
+    lo * 2^j are powers of two, so the top panel [2^(e-1), b] is no wider
+    than the one below it.  The exponent stops at the least subnormal's,
+    so lo > 0.  Works on scalars and on arrays.
+    """
+    depth = math.ceil(55.0 / (beta + 1.0)) + 2
+    _, e = np.frexp(b)
+    return np.maximum(a, np.ldexp(1.0, np.maximum(e - 1 - depth, -1074)))
+
+
 def _segment_sums(beta, edges):
     """Integrate between consecutive edges inside [0, pi].
 
@@ -230,31 +188,22 @@ def _segment_sums(beta, edges):
     magnitudes of integral over each [edges[i], edges[i+1]] (0 where
     edges[i+1] <= edges[i]).
 
-    The set-up is vectorised over the segments.  The part of a segment
-    inside the expansion zone [0, 1e-3] is integrated termwise, in a loop
-    over the few segments that touch it.  The rest of each segment,
-    clipped to [lo, hi] inside [1e-3, pi], is cut geometrically at
+    The set-up is vectorised over the segments.  Each segment starts at
+    lo = ``_head(beta, a, b)``, and [lo, hi = b] is cut geometrically at
     lo * 2^j for every j >= 1 with lo * 2^j < hi (``_panel_count``; the
     products are exact).  Each panel then spans at most a factor 2 in
     phi, so the branch point phi^beta at 0 is at least one panel width
-    away and one GK15 pass resolves it; every panel is at most pi/2 wide,
-    and a segment with hi <= 2 lo keeps one panel.  All panels, in
-    segment-then-panel order, go through one ``_adaptive_panels`` call.
+    away and one GK15 pass resolves it, down to the head of the segment;
+    every panel is at most pi/2 wide, and a segment with hi <= 2 lo keeps
+    one panel.  All panels, in segment-then-panel order, go through one
+    ``_adaptive_panels`` call.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
     seg_vals = np.zeros(a.size, dtype=complex)
     seg_abs = np.zeros(a.size)
 
-    near = np.flatnonzero((b > a) & (a < _ENDPOINT))
-    if near.size:
-        coeffs = _endpoint_coeffs(beta)
-        for i in near.tolist():
-            v = _expansion_integral(beta, coeffs, a[i], min(b[i], _ENDPOINT))
-            seg_vals[i] += v
-            seg_abs[i] += abs(v)
-
-    lo = np.maximum(a, _ENDPOINT)
+    lo = _head(beta, a, b)
     inner = np.flatnonzero(b > lo)
     if inner.size:
         lo, hi = lo[inner], b[inner]
@@ -281,7 +230,10 @@ def z_many(beta, ts, with_noise=False):
     quadrature always runs over (0, pi] and a point and its mirror share
     one quadrature node.
 
-    The GK15 panels of all points of the call are refined together
+    The segments between the sorted reduced points are cut
+    geometrically (``_segment_sums``), the first from a head at most 2^-J
+    times the least point, whose dropped part is below 2^-55 of the segment's
+    mass.  The GK15 panels of all points of the call are refined together
     until their error estimates sum to at most 1e-10, or until each
     panel meets its share of that or a rounding floor of 8 eps times its
     absolute mass; more than 2000 splits raise.  The noise is the same
@@ -365,21 +317,19 @@ def z_eval(beta, t):
 def _half_span(beta, a, b):
     """(value, abs_mass) of the integral over [a, b] inside [0, pi].
 
-    A span inside [1e-3, pi] skips the segment set-up: the panels of its
-    geometric cut (``_panel_count``; one panel when b <= 2a) go straight
-    to ``_adaptive_panels``, so a span that one GK15 pass resolves costs
-    one ``gk15_panels`` call.  The panels, and so the value, are bit for
-    bit those of ``_segment_sums`` on [a, b].
+    The span skips the segment set-up: it starts at ``_head`` and the
+    panels of its geometric cut (``_panel_count``; one panel when
+    b <= 2 lo) go straight to ``_adaptive_panels``, so a span that one
+    GK15 pass resolves costs one ``gk15_panels`` call.  The panels, and so
+    the value, are bit for bit those of ``_segment_sums`` on [a, b].
     """
-    if a == b:
+    lo = float(_head(beta, a, b))
+    if b <= lo:
         return 0j, 0.0
-    if a < _ENDPOINT:
-        vals, absm = _segment_sums(beta, np.array([a, b]))
-    else:
-        npan = int(_panel_count(a, b))
-        ends = np.minimum(np.ldexp(a, np.arange(npan + 1)), b)
-        vals, absm, _ = _adaptive_panels(beta, ends[:-1], ends[1:],
-                                         np.zeros(npan, dtype=np.intp))
+    npan = int(_panel_count(lo, b))
+    ends = np.minimum(np.ldexp(lo, np.arange(npan + 1)), b)
+    vals, absm, _ = _adaptive_panels(beta, ends[:-1], ends[1:],
+                                     np.zeros(npan, dtype=np.intp))
     # summed panel by panel from zero, as np.add.at does in _segment_sums
     value, mass = 0j, 0.0
     for v, m in zip(vals.tolist(), absm.tolist()):
@@ -424,17 +374,17 @@ def _z_dbeta(beta, t):
     (``gk15_dbeta``) on equal panels of [1e-3, t], each at most
     ``_DBETA_PANEL`` / beta wide (a quarter turn of the phase beta phi / 2
     and at most pi/2), without refinement; past pi, from the mirror
-    d z / d beta (2pi - s) = -conj(d z / d beta (s)).  The endpoint zone
-    is left out: at beta >= 4 it adds less than 1e-14.  Only the
-    beta-crossing search of ``zeros`` calls this, for its Jacobian, which
-    sets the rate of its convergence and not its fixed point; z itself
-    (``z_many``, ``z_span``) never pays for it.
+    d z / d beta (2pi - s) = -conj(d z / d beta (s)).  [0, 1e-3]
+    (``_DBETA_LO``) is left out: at beta >= 4 it adds less than 1e-14.
+    Only the beta-crossing search of ``zeros`` calls this, for its
+    Jacobian, which sets the rate of its convergence and not its fixed
+    point; z itself (``z_many``, ``z_span``) never pays for it.
     """
     t = float(t)
     if t > math.pi:
         # z(2pi - s) = 2pi - conj(z(s)) for every beta
         return -_z_dbeta(beta, TWO_PI - t).conjugate()
-    lo, hi = _ENDPOINT, t
+    lo, hi = _DBETA_LO, t
     if hi <= lo:
         return 0j
     npan = math.ceil((hi - lo) / min(_PANEL, _DBETA_PANEL / beta))

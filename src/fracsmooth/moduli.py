@@ -23,6 +23,7 @@ ratios (with a divide-by-zero infinity flag).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -266,12 +267,18 @@ def equivalence_scan(corpus, betas, hs, ps, *, alpha: float | None = None,
                      threads: int = 1) -> list[EquivReport]:
     """All four moduli on corpus x betas x hs x ps, with ratio columns.
 
-    ``corpus`` is an iterable of (fid, TrigPoly).  Rows are independent;
-    ``threads`` > 1 maps them over a thread pool.  A failing row is
-    recorded with nan values and its message rather than aborting the
-    scan.  Rows come back sorted by (fid, beta, h, p).
+    ``corpus`` is an iterable of (fid, TrigPoly).  A beta or h that is
+    not positive and finite, or a p that is not positive, raises
+    InvalidArgumentError before any row runs.  Rows are independent;
+    ``threads`` > 1 maps them over a thread pool.  A failing row (an
+    alpha that does not split its beta, p < 1 for the linearized
+    modulus) is recorded with nan values and its message rather than
+    aborting the scan.  Rows come back sorted by (fid, beta, h, p).
     """
-    jobs = [(fid, f, float(b), float(h), float(p))
+    betas, hs, ps = ([float(v) for v in grid] for grid in (betas, hs, ps))
+    for b, h, p in itertools.product(betas, hs, ps):
+        ModulusRequest(beta=b, h=h, norm=NormParams(p=p))
+    jobs = [(fid, f, b, h, p)
             for fid, f in corpus for b in betas for h in hs for p in ps]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:

@@ -21,7 +21,7 @@ from .approx import CutoffV
 from .errors import (DomainTooSmallError, InvalidArgumentError,
                      ZeroDenominatorError)
 from .fracdiff import split_order, symbol_values
-from .kernel import psi_many
+from .kernel import psi_many, z_many
 from .signal import TrigPoly
 
 _FD_STEP = 1e-6
@@ -107,7 +107,6 @@ def _near_origin_check(order: float, label: str) -> None:
     order law must stay of order one.
     """
     ts = np.geomspace(1e-3, 2.0, 128)
-    from .kernel import z_many
     rel = np.abs(z_many(order, ts)) * (order + 1.0) / ts ** (order + 1.0)
     m = float(np.nanmin(rel))
     if m <= 0.05:
@@ -192,7 +191,6 @@ def make_g1_g2(beta: float, alpha: float,
         _near_origin_check(float(gap), f"{gap}")
         _far_field_check(float(gap), f"{gap}")
 
-    if gap > 0:
         def den(ts):
             return psi_many(alpha, ts) * psi_many(float(gap), ts)
     else:

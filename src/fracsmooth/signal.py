@@ -26,8 +26,12 @@ class TrigPoly:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not float(self.degree).is_integer():
+            raise InvalidArgumentError(
+                f"degree must be a whole number, got {self.degree}")
         if self.degree < 0:
             raise InvalidArgumentError("degree must be nonnegative")
+        object.__setattr__(self, "degree", int(self.degree))
         c = np.asarray(self.coeffs, dtype=complex)
         if c.shape != (2 * self.degree + 1,):
             raise InvalidArgumentError(

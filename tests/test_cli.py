@@ -392,6 +392,19 @@ class TestEquiv:
         assert len(rows) == 1
         assert math.isnan(float(rows[0]["omega_tilde"]))
 
+    @pytest.mark.parametrize("flag", [
+        "--betas=-1", "--betas=inf", "--hs=0", "--hs=nan", "--ps=0"])
+    def test_invalid_grid_value_exits_1(self, flag):
+        # a value outside the domain of every row fails the scan before
+        # any row runs, where a row that fails on its own is recorded
+        grid = {"--betas": "1", "--hs": "0.2", "--ps": "2"}
+        grid[flag.split("=")[0]] = flag.split("=")[1]
+        res = run_cli("equiv", "--fn", "exp:1",
+                      *(f"{k}={v}" for k, v in grid.items()))
+        assert res.returncode == 1
+        assert res.stderr.startswith("invalid arguments:")
+        assert res.stdout == ""
+
     def test_in_process_calls_share_no_state(self, capsys):
         # the parser is built once per process; the flags of one call must
         # not reach the next, neither through an appended --fn nor

@@ -261,12 +261,13 @@ class TestMirror:
 
 
 class TestLargeOrder:
-    """Orders from 70 to 100, where a panel converges only by its
+    """Orders from 70 to 120, where a panel converges only by its
     rounding floor, 8 eps times its absolute mass: a GK15 estimate
     computed in floating point does not reach 4 eps there."""
 
     @pytest.mark.parametrize("beta, t", [
-        (80.0, 4.5), (100.0, 2.0), (100.0, 1.7832), (70.0, 2.5)])
+        (80.0, 4.5), (100.0, 2.0), (100.0, 1.7832), (70.0, 2.5),
+        (120.0, 2.0), (120.0, 3.0)])
     def test_point_matches_mpmath(self, beta, t):
         want = z_mpmath(beta, t)
         assert abs(z_eval(beta, t) - want) <= 1e-13 * abs(want)
@@ -342,10 +343,8 @@ class TestQuadratureConfig:
             psi_eval(1e4, 2.0)
 
     def test_overflowing_span_raises(self):
-        # both routes of z_span: the direct GK15 panels of a span inside
-        # [1e-3, pi], and the segment set-up of one that reaches the
-        # endpoint expansion zone; and a span past pi, whose mirror image
-        # overflows
+        # spans inside [0, pi], one from near 0, and a span past pi, whose
+        # mirror image overflows
         for a, b in ((2.0, 3.0), (0.0005, 3.0), (3.5, 4.0)):
             with pytest.raises(ConvergenceError, match="not finite"):
                 kernel.z_span(1e4, a, b)
@@ -378,32 +377,27 @@ class TestQuadratureConfig:
 
 def _reference_segment_sums(beta, edges):
     """``_segment_sums`` with its set-up spelled out segment by segment:
-    cut each segment at 1e-3, integrate the piece below it by expansion
-    and cut the piece [lo, hi] above it at lo, 2 lo, 4 lo, ... below hi,
-    doubling one end at a time."""
-    cut = 1e-3
+    start each segment [a, b] at lo = max(a, 2^(e - 1 - J)), where
+    b = m 2^e with m in [1/2, 1) and J = ceil(55/(beta + 1)) + 2, drop
+    [a, lo] and cut [lo, b] at lo, 2 lo, 4 lo, ... below b, doubling one
+    end at a time."""
+    depth = math.ceil(55.0 / (beta + 1.0)) + 2
     nseg = len(edges) - 1
     seg_vals = np.zeros(nseg, dtype=complex)
     seg_abs = np.zeros(nseg)
-    coeffs = kernel._endpoint_coeffs(beta)
     quad_a, quad_b, quad_seg = [], [], []
     for i in range(nseg):
         a, b = edges[i], edges[i + 1]
-        if b <= a:
+        lo = max(a, math.ldexp(1.0, math.frexp(b)[1] - 1 - depth))
+        if b <= lo:
             continue
-        if a < cut:
-            v = kernel._expansion_integral(beta, coeffs, a, min(b, cut))
-            seg_vals[i] += v
-            seg_abs[i] += abs(v)
-        lo = max(a, cut)
-        if b > lo:
-            ends = [lo]
-            while 2.0 * ends[-1] < b:
-                ends.append(2.0 * ends[-1])
-            ends.append(b)
-            quad_a += ends[:-1]
-            quad_b += ends[1:]
-            quad_seg += [i] * (len(ends) - 1)
+        ends = [lo]
+        while 2.0 * ends[-1] < b:
+            ends.append(2.0 * ends[-1])
+        ends.append(b)
+        quad_a += ends[:-1]
+        quad_b += ends[1:]
+        quad_seg += [i] * (len(ends) - 1)
     if quad_a:
         vals, absm, seg = kernel._adaptive_panels(
             beta, np.array(quad_a), np.array(quad_b), np.array(quad_seg))
@@ -418,21 +412,22 @@ def _same_bits(u, v):
 
 
 class TestSegmentSums:
-    """The vectorised panel set-up of ``_segment_sums`` and the interior
-    shortcut of ``z_span`` against the per-segment construction."""
+    """The vectorised panel set-up of ``_segment_sums`` and the one-span
+    path of ``z_span`` against the per-segment construction."""
 
     EDGE_SETS = {
-        "inside the expansion zone": [0.0, 2e-4, 7e-4, 1e-3],
-        "crossing the cut point": [5e-4, math.pi - 5e-4],
+        "short segments near zero": [0.0, 2e-4, 7e-4, 1e-3],
+        "from near zero to near pi": [5e-4, math.pi - 5e-4],
         "half period": [0.0, math.pi],
         # [0.7, 3.1] is cut at 1.4 and 2.8, and [0.3, 0.7] stays whole
         "several panels": [0.3, 0.7, 3.1, math.pi],
-        # hi = lo * 2^10 and hi = lo * 2: no cut at hi itself, and a
-        # segment that spans a factor 2 exactly keeps one panel
+        # [1.024, 2.048] spans a factor 2 exactly and keeps one panel
         "ends at a power of two": [0.0, 1e-3 * 1024.0, 2.048, math.pi],
+        # the head 2^-J of [0, 1] is a power of two: no cut at hi itself
+        "from zero to a power of two": [0.0, 1.0],
         "repeated edges": [0.5, 0.5, 1.7, 1.7, 1.7, 3.0, 2.0, 2.5],
         "lone interior span": [1.234, 1.5],
-        "touching the cut point and pi": [1e-3, 0.5, math.pi],
+        "from 1e-3 to pi": [1e-3, 0.5, math.pi],
         "dense": np.linspace(0.0, math.pi, 97).tolist(),
     }
 
@@ -470,7 +465,7 @@ class TestSegmentSums:
             spans.append(tuple(sorted((a, float(rng.uniform(0.0, TWO_PI))))))
             w = float(rng.exponential(0.01))
             spans.append((a, min(TWO_PI, a + w)))
-            # spans that start or end inside an expansion zone or its mirror
+            # spans that start or end within 2e-3 of 0 or of 2pi
             lo, hi = rng.uniform(0.0, 2e-3, 2).tolist()
             spans.append(tuple(sorted((lo, 1e-3 + w))))
             spans.append(tuple(sorted((TWO_PI - 1e-3 - w, TWO_PI - hi))))
@@ -489,24 +484,27 @@ class TestSegmentSums:
             assert _same_bits(want[0], val), (beta, a, b)
             assert _same_bits(want[1], mass), (beta, a, b)
 
-    def test_endpoint_coefficients_are_cached_and_read_only(self):
-        c = kernel._endpoint_coeffs(3.7)
-        assert kernel._endpoint_coeffs(3.7) is c
-        assert not c.flags.writeable
-
-    @pytest.mark.parametrize("beta", [0.5, 2.5, 4.84, 16.0, 40.0])
-    def test_endpoint_coefficients_match_mpmath_taylor(self, beta):
-        # D_n are the Taylor coefficients of
-        # (2 sin(phi/2)/phi)^beta exp(i beta (phi - pi)/2) at phi = 0
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 2.5, 4.84, 16.0, 40.0])
+    def test_head_matches_mpmath_taylor(self, beta):
+        # near 0, z is the termwise integral of the Taylor series
+        # sum_n D_n phi^(beta+n) of the integrand, where D_n are the Taylor
+        # coefficients of (2 sin(phi/2)/phi)^beta exp(i beta (phi - pi)/2);
+        # one call per t, so the segment of each t starts at its own head
+        ts = [1e-12, 1e-9, 1e-6, 1e-4, 5e-4, 1e-3, 2e-3, 1e-2, 0.05]
         with mpmath.workdps(40):
             def g(phi):
                 if phi == 0:
                     return mpmath.expj(-beta * mpmath.pi / 2)
                 return ((2 * mpmath.sin(phi / 2) / phi) ** beta
                         * mpmath.expj(beta * (phi - mpmath.pi) / 2))
-            want = np.array([complex(c) for c in mpmath.taylor(g, 0, 10)])
-        got = kernel._endpoint_coeffs(beta)
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), beta
+            coeffs = mpmath.taylor(g, 0, 24)
+            want = [complex(sum(c * mpmath.mpf(t) ** (beta + n + 1)
+                                / (beta + n + 1)
+                                for n, c in enumerate(coeffs)))
+                    for t in ts]
+        for t, w in zip(ts, want):
+            got = z_eval(beta, t)
+            assert abs(got - w) <= 1e-13 * abs(w), (beta, t)
 
 
 class TestCore:

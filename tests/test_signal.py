@@ -28,6 +28,17 @@ class TestTrigPoly:
         with pytest.raises(InvalidArgumentError):
             TrigPoly(-1, np.ones(1))
 
+    @pytest.mark.parametrize("degree", [2.5, math.nan, math.inf])
+    def test_fractional_degree_rejected(self, degree):
+        # 2.5 would give the frequencies -2.5, ..., 2.5
+        with pytest.raises(InvalidArgumentError, match="whole number"):
+            TrigPoly(degree, np.ones(6))
+
+    def test_whole_float_degree_is_an_int(self):
+        f = TrigPoly(2.0, np.arange(5, dtype=complex))
+        assert type(f.degree) is int
+        assert f.coeff(2) == 4.0
+
     def test_nonfinite_coeffs_rejected(self):
         with pytest.raises(InvalidArgumentError):
             TrigPoly(0, np.array([np.nan]))
