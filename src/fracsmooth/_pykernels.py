@@ -1,6 +1,8 @@
-"""The NumPy kernels: the package's one numerical core.
+"""The NumPy kernels: series sums and Gauss-Kronrod panel rules.
 
-``kernel`` imports this module and calls its three primitives:
+``kernel`` imports this module for its series route and for the
+derivative in beta; z itself comes from the Legendre tables of
+``kernel``, not from here.  The three primitives:
 
 ``z_series_sum_batch(beta, ts, nterms)``
     Partial sums of the sine/cosine series for the accumulated difference
@@ -13,7 +15,10 @@
     15-point Gauss-Kronrod rule applied to the polar-form integrand
     (2 sin(phi/2))^beta * exp(i beta (phi - pi)/2) on each panel [a_j, b_j],
     returning the Kronrod values, the |K - G| error estimates and the
-    Kronrod rule applied to the magnitude of the integrand.
+    Kronrod rule applied to the magnitude of the integrand.  The library
+    no longer calls it: it stays only because the benchmark in
+    ``perfbench/`` traces it as a span, until the benchmark's own change
+    listed in ROADMAP.md drops that span.
 
 ``gk15_dbeta(beta, a, b)``
     The Kronrod values of the beta-derivative of the same integrand,

@@ -104,15 +104,20 @@ def symbol_values(beta: float, delta: float, k) -> np.ndarray:
     (2 sin(theta/2))^beta * exp(i*beta*(theta-pi)/2), theta = |k*delta|
     reduced to [0, 2pi), conjugated where k*delta < 0; exactly 0 on the
     lattice theta = 0.  So the symbol at -k is the conjugate of the one
-    at k bit for bit, and a real f keeps a real difference.
+    at k bit for bit, and a real f keeps a real difference.  A scalar k
+    gives a 0-d array.  A beta that is not positive and finite, or a
+    k*delta that is not finite, raises InvalidArgumentError.
     """
-    if beta <= 0.0:
-        raise InvalidArgumentError("beta must be positive")
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise InvalidArgumentError(
+            f"beta must be positive and finite, got {beta}")
     x = np.asarray(k, dtype=float) * delta
+    if not np.isfinite(x).all():
+        raise InvalidArgumentError("k * delta must be finite")
     theta = np.mod(np.abs(x), TWO_PI)
     s = np.maximum(2.0 * np.sin(0.5 * theta), 0.0)
     mag = s ** beta
-    out = mag * np.exp(0.5j * beta * (theta - math.pi))
+    out = np.asarray(mag * np.exp(0.5j * beta * (theta - math.pi)))
     out[s == 0.0] = 0.0
     return np.conj(out, out=out, where=x < 0.0)
 

@@ -10,40 +10,37 @@ periodic function is psi(beta, k*h) times the coefficient of the function,
 which is why everything downstream (linearized moduli, multiplier bounds,
 zero scans) reduces to evaluating z accurately.
 
-Two independent evaluation routes are provided:
+``z_eval`` / ``z_many`` / ``z_span`` evaluate z by spectral integration
+of the principal-branch polar form (2 sin(phi/2))^beta *
+exp(i*beta*(phi-pi)/2) on (0, pi], after reduction by the symmetry
+z(-t) = -conj(z(t)), the shift z(t + 2pi) = z(t) + 2pi and the mirror
+z(2pi - s) = 2pi - conj(z(s)), so no sum passes the peak 2^beta of the
+integrand at pi.  Each order has one Legendre table (``_Table``) on panels
+whose edges depend on beta only (``_edges``), built as far as the calls
+reach.  z at s is the prefix sum of the panels from the head of s
+(``_depth``) plus one Legendre sum in the panel that holds s, and the
+noise is the rounding of the same sums of |f|, so a value depends on
+(beta, t) alone.
 
-* ``z_eval`` / ``z_many`` — adaptive Gauss-Kronrod quadrature of the
-  principal-branch polar form (2 sin(phi/2))^beta * exp(i*beta*(phi-pi)/2)
-  on (0, pi], after reduction by the symmetry z(-t) = -conj(z(t)),
-  the shift z(t + 2pi) = z(t) + 2pi and the mirror
-  z(2pi - s) = 2pi - conj(z(s)), so no quadrature passes the peak 2^beta
-  of the integrand at pi.  ``_segment_sums`` sets up the GK15 panels of
-  all segments in one vectorised pass, cutting each segment [lo, hi]
-  geometrically at lo * 2^j, so that no panel spans more than a factor 2
-  in phi and one GK15 pass resolves the branch point phi^beta at 0.  A
-  segment from 0 starts at a power of two at most 2^-J hi (``_head``),
-  with J(beta) so large that the dropped head is below 2^-55 of the
-  segment's mass.  ``_adaptive_panels`` refines any panel that still
-  misses the one quadrature setting: 1e-10 absolute per value, 2000
-  splits per call and a rounding floor of 8 eps times a panel's absolute
-  mass, the factor of ``z_many``'s noise.  ``z_span`` mirrors a span past
-  pi the same way and hands a span straight to ``_adaptive_panels`` with
-  the same head and cut, so a short span costs one ``gk15_panels`` call.
-* ``z_series`` — direct summation of
+``z_series`` is the independent oracle route: direct summation of
 
-      x(t) = t + sum_v binom(beta, v) (-1)^v sin(v t)/v
-      y(t) =     sum_v binom(beta, v) (-1)^v (1 - cos(v t))/v
+    x(t) = t + sum_v binom(beta, v) (-1)^v sin(v t)/v
+    y(t) =     sum_v binom(beta, v) (-1)^v (1 - cos(v t))/v
 
-  truncated by an analytic tail bound.  No reduction is applied, so the
-  two routes share no code path and can serve as mutual oracles.
+truncated by an analytic tail bound.  No reduction is applied, so the two
+routes share no code path and can serve as mutual oracles.
 """
 from __future__ import annotations
 
 import cmath
 import contextlib
 import math
+import threading
+from bisect import bisect_left
+from collections import OrderedDict
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from . import _pykernels as _impl
 from ._util import fmt17, fmt17_rows
@@ -52,23 +49,43 @@ from .fracdiff import _SERIES_CAP, _tail_constant
 
 TWO_PI = 2.0 * math.pi
 
+_EPS = float(np.finfo(float).eps)
 #: lower limit of ``_z_dbeta``'s quadrature
 _DBETA_LO = 1e-3
-#: widest panel of ``_z_dbeta`` (the z quadrature cuts its panels
-#: geometrically instead, see ``_panel_count``)
+#: widest panel of ``_z_dbeta``
 _PANEL = 0.5 * math.pi
 #: panel width of ``_z_dbeta`` times beta
 _DBETA_PANEL = math.pi
-#: the quadrature setting of z (``_adaptive_panels``): the absolute error
-#: target of one value, the panel splits one call may make, and the
-#: rounding floor per unit of absolute mass, below which splitting a panel
-#: does not lower its estimate; ``z_many``'s noise is the same factor
-_ABS_TOL = 1e-10
-_MAX_SPLITS = 2000
-_ROUND = 8.0 * float(np.finfo(float).eps)
+#: rounding of z per unit of absolute mass up to order ``_ROUND_BETA``
+#: (``_round``)
+_ROUND = 8.0 * _EPS
+_ROUND_BETA = 32.0
+#: Gauss-Legendre nodes per panel of the z table
+_NODES = 24
+#: |f| grows by at most e^_GROWTH across a panel (``_edges``)
+_GROWTH = 4.0
+#: halvings of one panel before ConvergenceError
+_MAX_SPLITS = 8
+#: panels of one table before ConvergenceError: the edges need beta/4 a
+#: binade, and up to order 1000 a table holds at most about 2,000
+_MAX_PANELS = 2 ** 15
+#: z tables kept: at most ``_CACHE``, and besides the last one used at
+#: most ``_CACHE_PANELS`` panels in all (up to 1.4 KiB a panel with its
+#: prefix sums), the least recently used dropped first
+_CACHE = 16
+_CACHE_PANELS = 8192
+#: prefix sums (by head) and coefficient rows (by panel) a table memoises
+_MEMO = 16
+#: points summed per block
+_BLOCK = 2048
+#: up to this many points go one at a time (``_point``): a point costs 10-20
+#: us there, a vectorised call 150-300 us whatever its size, so the two
+#: break even at 16 points without noise and 20-24 with it (orders 0.5 to
+#: 40, warm tables)
+_SCALAR_POINTS = 16
 #: below this order the quadrature cannot overflow: the integrand is at most
-#: 2^beta in modulus, and the sums over the period (values, error estimates,
-#: absolute masses) are at most 2^(beta + 5)
+#: 2^beta in modulus, and the sums over the period (values, coefficients,
+#: absolute masses) are at most 2^(beta + 4)
 _NO_OVERFLOW_BETA = 1000.0
 #: rows of ``write_curve_csv`` rendered and written at a time; the arrays
 #: of one block peak at about 1.4 MiB, below the 1.8 MiB that the text of
@@ -106,161 +123,285 @@ def _not_finite(beta, partial):
         f"the float range", partial=partial)
 
 
+def _round(beta):
+    """Rounding of z per unit of absolute mass: 8 eps, times beta/32 past
+    order 32, where the integrand's own rounding grows like beta (s^beta
+    multiplies the relative error of s = 2 sin(phi/2) by beta, and the
+    phase beta (phi - pi)/2 is off by about beta eps)."""
+    return _ROUND * max(1.0, beta / _ROUND_BETA)
+
+
+def _depth(beta):
+    """(J, lowest): a point s = m 2^e (m in [1/2, 1)) has its head at
+    2^h, h = max(e - 1 - J, lowest), and the integral below is dropped.
+    With J = ceil(55/(beta + 1)) + 2, as |f(phi)| <= phi^beta, the drop is
+    at most (s 2^-J)^(beta+1)/(beta+1), and the mass of [s/2, s] is at
+    least (s/2)(0.9 s/2)^beta for s <= pi, so the drop is below
+    2^(1 + 1.16 beta - J (beta + 1)) <= 2^-55 of the mass up to s.  With
+    lowest = max(-ceil(1074/(beta + 1)), -1022), the integral up to
+    2^lowest is at most 2^-1074/(beta + 1), below the least subnormal (at
+    most 2^-1022 at orders under 0.051), so a point at or below 2^lowest
+    has z = 0, and no table
+    reaches below the normal floats, whose nodes a panel resolves."""
+    return (math.ceil(55.0 / (beta + 1.0)) + 2,
+            max(-math.ceil(1074.0 / (beta + 1.0)), -1022))
+
+
 # ---------------------------------------------------------------------------
-# adaptive quadrature driver on the half period (0, pi]
+# the Legendre table of z on the half period (0, pi]
 # ---------------------------------------------------------------------------
 
-def _adaptive_panels(beta, a, b, seg):
-    """Refine GK15 panels [a_j, b_j] until the quadrature tolerance holds.
+#: the Gauss-Legendre nodes by Newton steps on P_24 (no LAPACK call, whose
+#: set-up costs a mebibyte), and the matrix from an integrand's values
+#: there to the columns a panel keeps: 0-24 the Legendre coefficients of
+#: its antiderivative from -1, 25 its integral (the Gauss weights), 26-27
+#: its coefficients a_22 and a_23, and 28 the sum of the moduli of 26-27,
+#: which applied to |f| bounds their rounding
+_X = -np.cos(math.pi * (np.arange(_NODES) + 0.75) / (_NODES + 0.5))
+for _ in range(5):
+    _P = legendre.legvander(_X, _NODES)
+    _X -= (1.0 - _X * _X) * _P[:, -1] / (_NODES * (_P[:, -2] - _X * _P[:, -1]))
+_W = 2.0 * (1.0 - _X * _X) / (_NODES * _P[:, -2]) ** 2
+_FIT = (np.arange(_NODES) + 0.5)[:, None] * _W * _P[:, :-1].T
+_ROWS = np.vstack([legendre.legint(_FIT, lbnd=-1), _W, _FIT[-2:],
+                   np.abs(_FIT[-2:]).sum(0)]).T.copy()
+#: the recurrence P_(n+1) = _U[n] x P_n - _V[n] P_(n-1)
+_U = np.arange(1, 2 * _NODES, 2) / np.arange(1.0, _NODES + 1)
+_V = np.arange(_NODES) / np.arange(1.0, _NODES + 1)
+_RECURRENCE = tuple(zip(_U[1:].tolist(), _V[1:].tolist()))
+#: trailing coefficients below this are the subnormal range's rounding
+_TINY = float(np.finfo(float).tiny) / _EPS
 
-    The batch is done when its error estimates sum to at most
-    ``_ABS_TOL``, or when each panel's estimate is within its share of
-    ``_ABS_TOL`` per unit width or below ``_ROUND`` times its absolute
-    mass; more than ``_MAX_SPLITS`` splits raise ConvergenceError.
 
-    ``seg`` tags each panel with the segment it belongs to; halves inherit
-    the tag.  Returns (values, abs_masses, tags) of the final panels: the
-    panels kept unsplit in their order, then the halves of the last pass.
-    """
-    vals, errs, absm = _impl.gk15_panels(beta, a, b)
-    budget = _ABS_TOL / TWO_PI
-    splits = 0
-    while True:
-        bad = (errs > budget * (b - a)) & (errs > _ROUND * absm)
-        if errs.sum() <= _ABS_TOL or not bad.any():
-            return vals, absm, seg
+def _edges(beta, k_a, k_b):
+    """The panel edges of binades k_a to k_b, the last one's right end
+    included.  Binade k, [2^k, min(2^(k+1), pi)], is cut into n equal
+    panels: at most pi/(2 beta) wide, and n >= beta/_GROWTH, so that
+    (1 + 1/n)^beta <= e^_GROWTH bounds the growth of |f| ~ phi^beta
+    across a panel.  More than ``_MAX_PANELS`` raise ConvergenceError."""
+    binades = []
+    for k in range(k_a, k_b + 1):
+        lo = math.ldexp(1.0, k)
+        width = min(2.0 * lo, math.pi) - lo
+        binades.append((lo, width, max(math.ceil(beta / _GROWTH), math.ceil(
+            width * (2.0 * beta / math.pi)))))
+    panels = sum(n for _, _, n in binades)
+    if panels > _MAX_PANELS:
+        raise ConvergenceError(
+            f"the z table needs {panels} panels for beta={beta}, more than "
+            f"{_MAX_PANELS}", partial=None)
+    return np.array([lo + width * (i / n) for lo, width, n in binades
+                     for i in range(n)] + [lo + width])
+
+
+def _tail_floor(beta):
+    """Rounding floor of |a_22| + |a_23| per unit of their bound: (8 + beta)
+    eps.  On the panels of ``_edges`` they were measured at up to 1.9
+    (beta <= 0.5), 4.8 (16), 19 (40), 45 (100) and 380 (1000) eps times the
+    bound; a panel that is not resolved stands far above."""
+    return (8.0 + beta) * _EPS
+
+
+def _build_panels(beta, edges):
+    """(left ends, right ends, rows, halvings) of the panels between the
+    edges.  The real and imaginary parts of f and |f| at each panel's
+    nodes go through ``_ROWS`` by one matrix product per panel, so a panel
+    does not depend on the others; one whose trailing coefficients stand
+    above their floor is halved, at most ``_MAX_SPLITS`` times."""
+    a, b, kept, splits = edges[:-1], edges[1:], [], 0
+    for depth in range(_MAX_SPLITS + 1):
+        phi = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _X
+        f = np.empty((a.size, 3, _NODES))
+        np.power(np.maximum(2.0 * np.sin(0.5 * phi), 0.0), beta, out=f[:, 2])
+        ang = 0.5 * beta * (phi - math.pi)
+        np.multiply(f[:, 2], np.cos(ang), out=f[:, 0])
+        np.multiply(f[:, 2], np.sin(ang), out=f[:, 1])
+        rows = np.matmul(f, _ROWS)
+        tail = (np.hypot(rows[:, 0, 26], rows[:, 1, 26])
+                + np.hypot(rows[:, 0, 27], rows[:, 1, 27]))
+        bad = tail > _tail_floor(beta) * rows[:, 2, 28] + _TINY
+        if not bad.any():
+            break
+        kept.append((a[~bad], b[~bad], rows[~bad]))
         splits += int(bad.sum())
-        if splits > _MAX_SPLITS:
-            raise ConvergenceError(
-                f"quadrature needs more than {_MAX_SPLITS} "
-                f"subdivisions for beta={beta}",
-                partial=None, achieved=float(errs.sum()))
+        worst = float(np.max((b - a) * tail))
         mid = 0.5 * (a[bad] + b[bad])
-        new_a = np.concatenate([a[bad], mid])
-        new_b = np.concatenate([mid, b[bad]])
-        new_s = np.concatenate([seg[bad], seg[bad]])
-        nv, ne, na = _impl.gk15_panels(beta, new_a, new_b)
-        a = np.concatenate([a[~bad], new_a])
-        b = np.concatenate([b[~bad], new_b])
-        seg = np.concatenate([seg[~bad], new_s])
-        vals = np.concatenate([vals[~bad], nv])
-        errs = np.concatenate([errs[~bad], ne])
-        absm = np.concatenate([absm[~bad], na])
+        a, b = np.concatenate([a[bad], mid]), np.concatenate([mid, b[bad]])
+    else:
+        raise ConvergenceError(
+            f"the z table needs more than {_MAX_SPLITS} subdivisions of a "
+            f"panel for beta={beta}", partial=None, achieved=worst)
+    if kept:
+        kept.append((a, b, rows))
+        a, b, rows = (np.concatenate(part) for part in zip(*kept))
+        order = np.argsort(a)
+        a, b, rows = a[order], b[order], rows[order]
+    return a, b, rows, splits
 
 
-def _panel_count(lo, hi):
-    """Number of panels of the geometric cut of [lo, hi], 0 < lo < hi.
+class _Table:
+    """The Legendre table of z at one order, from 2^k_lo to the panel that
+    holds top: per panel the left end, midpoint, half width, ``coef`` (the
+    antiderivative's coefficients of f and of |f|, times the half width,
+    complex, shape (2, 25, panels)) and ``total`` (their integrals, shape
+    (2, panels)); ``panels`` and ``splits`` count the panels and the
+    halvings that made them."""
 
-    The cut points are lo * 2^j for every j >= 1 with lo * 2^j < hi, so
-    the count is one more than the number of such j.  With
-    lo = ml * 2^el and hi = mh * 2^eh (``np.frexp``, mantissas in
-    [1/2, 1)), that number is eh - el - [ml >= mh], exactly, with no
-    division to round.  Works on scalars and on arrays.
-    """
-    ml, el = np.frexp(lo)
-    mh, eh = np.frexp(hi)
-    return eh - el + (ml < mh)
+    def __init__(self, beta, k_lo, top):
+        edges = _edges(beta, k_lo, min(math.frexp(top)[1] - 1, 1))
+        edges = edges[:np.searchsorted(edges, top) + 1]
+        a, b, rows, self.splits = _build_panels(beta, edges)
+        self.left, self.mid, self.hw = a, 0.5 * (a + b), 0.5 * (b - a)
+        coef = np.zeros((2, _NODES + 2, a.size), dtype=complex)
+        coef.real[0], coef.imag[0], coef.real[1] = (
+            rows[:, :, :_NODES + 2].transpose(1, 2, 0) * self.hw)
+        self.coef, self.total = coef[:, :-1].copy(), coef[:, -1].copy()
+        self.k_lo, self.right, self.panels = k_lo, float(edges[-1]), a.size
+        # for ``_point``: the left ends and, by panel, the coefficients
+        self.left_list, self.rows, self._prefix = self.left.tolist(), {}, {}
+
+    def prefix(self, h):
+        """(start, sums): the index of the panel at 2^h, and sums[:, j]
+        the totals of the j panels from it, summed in order."""
+        found = self._prefix.get(h)
+        if found is None:
+            start = int(np.searchsorted(self.left, math.ldexp(1.0, h)))
+            sums = np.zeros((2, self.panels - start + 1), dtype=complex)
+            np.cumsum(self.total[:, start:], axis=1, out=sums[:, 1:])
+            found = _memo(self._prefix, h, (start, sums))
+        return found
 
 
-def _head(beta, a, b):
-    """Where the quadrature of [a, b] inside [0, pi] starts.
-
-    That is lo = max(a, 2^(e - 1 - J)), with b = m * 2^e (``np.frexp``,
-    m in [1/2, 1)) and J = ceil(55/(beta + 1)) + 2, and [a, lo] is
-    dropped.  As |f(phi)| <= phi^beta, the dropped part is at most
-    lo^(beta+1)/(beta+1) <= (b 2^-J)^(beta+1)/(beta+1), and the mass of
-    [b/2, b] is at least (b/2)(0.9 b/2)^beta for b <= pi, so the drop is
-    below 2^(1 + 1.16 beta - J (beta + 1)) <= 2^-55 of the segment's mass,
-    under the 8 eps of ``z_many``'s noise.  From a power of two the cuts
-    lo * 2^j are powers of two, so the top panel [2^(e-1), b] is no wider
-    than the one below it.  The exponent stops at the least subnormal's,
-    so lo > 0.  Works on scalars and on arrays.
-    """
-    depth = math.ceil(55.0 / (beta + 1.0)) + 2
-    _, e = np.frexp(b)
-    return np.maximum(a, np.ldexp(1.0, np.maximum(e - 1 - depth, -1074)))
+def _memo(memo, key, value):
+    """memo[key] = value, emptying the memo first when it holds ``_MEMO``
+    keys; each step is one dict operation, so threads may share it."""
+    if len(memo) >= _MEMO:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
-def _segment_sums(beta, edges):
-    """Integrate between consecutive edges inside [0, pi].
+_TABLES = OrderedDict()
+_TABLES_LOCK = threading.Lock()
 
-    Returns (segments, abs_segments): complex values and nonnegative
-    magnitudes of integral over each [edges[i], edges[i+1]] (0 where
-    edges[i+1] <= edges[i]).
 
-    The set-up is vectorised over the segments.  Each segment starts at
-    lo = ``_head(beta, a, b)``, and [lo, hi = b] is cut geometrically at
-    lo * 2^j for every j >= 1 with lo * 2^j < hi (``_panel_count``; the
-    products are exact).  Each panel then spans at most a factor 2 in
-    phi, so the branch point phi^beta at 0 is at least one panel width
-    away and one GK15 pass resolves it, down to the head of the segment;
-    every panel is at most pi/2 wide, and a segment with hi <= 2 lo keeps
-    one panel.  All panels, in segment-then-panel order, go through one
-    ``_adaptive_panels`` call.
-    """
-    edges = np.asarray(edges, dtype=float)
-    a, b = edges[:-1], edges[1:]
-    seg_vals = np.zeros(a.size, dtype=complex)
-    seg_abs = np.zeros(a.size)
+def _table(beta, k_lo, top):
+    """The cached table of order beta that covers [2^k_lo, top]; one that
+    does not is rebuilt over both ranges, on the same edges.  A build runs
+    outside the lock, so threads may build the same table twice; as a
+    value does not depend on a table's reach, either copy serves."""
+    with _TABLES_LOCK:
+        tab = _TABLES.get(beta)
+        if tab is not None and tab.k_lo <= k_lo and top <= tab.right:
+            _TABLES.move_to_end(beta)
+            return tab
+    if tab is not None:
+        k_lo, top = min(k_lo, tab.k_lo), max(top, tab.right)
+    tab = _Table(beta, k_lo, top)
+    with _TABLES_LOCK:
+        _TABLES[beta] = tab
+        _TABLES.move_to_end(beta)
+        held = sum(t.panels for t in _TABLES.values())
+        while len(_TABLES) > 1 and (len(_TABLES) > _CACHE
+                                    or held - tab.panels > _CACHE_PANELS):
+            held -= _TABLES.popitem(last=False)[1].panels
+    return tab
 
-    lo = _head(beta, a, b)
-    inner = np.flatnonzero(b > lo)
-    if inner.size:
-        lo, hi = lo[inner], b[inner]
-        npan = _panel_count(lo, hi)
-        stop = np.cumsum(npan)
-        j = np.arange(stop[-1]) - np.repeat(stop - npan, npan)
-        start = np.repeat(lo, npan)
-        pa = np.ldexp(start, j)
-        pb = np.minimum(np.ldexp(start, j + 1), np.repeat(hi, npan))
-        vals, absm, seg = _adaptive_panels(
-            beta, pa, pb, np.repeat(inner, npan))
-        np.add.at(seg_vals, seg, vals)
-        np.add.at(seg_abs, seg, absm)
 
-    return seg_vals, seg_abs
+def _legendre(coef, k, x):
+    """sum_m coef[m, k] P_m(x) per point: P_m(x) by the recurrence and the
+    terms added in m order, block by block (``_point`` is the same
+    arithmetic on one point)."""
+    out = np.empty(x.size, dtype=complex)
+    for i in range(0, x.size, _BLOCK):
+        xb, kb, acc = x[i:i + _BLOCK], k[i:i + _BLOCK], out[i:i + _BLOCK]
+        ux = np.multiply.outer(_U, xb)
+        acc[...] = coef[0].take(kb)
+        acc += coef[1].take(kb) * xb
+        p0, p1 = 1.0, xb
+        for n in range(1, _NODES):
+            p0, p1 = p1, ux[n] * p1 - _V[n] * p0
+            acc += coef[n + 1].take(kb) * p1
+    return out
+
+
+def _sums(beta, s, noise=True):
+    """z from the head of each point s in (0, pi] to s, and, with noise,
+    the mass of |f| (else None): the table's prefix sum from the head plus
+    the Legendre sum of the panel that holds s.  The table is made to
+    cover the batch first, so up to ``_SCALAR_POINTS`` points go through
+    ``_point`` one at a time without a rebuild.  Every s must lie above
+    2^lowest (``_depth``), the least head."""
+    depth, floor = _depth(beta)
+    head = np.maximum(np.frexp(s)[1] - 1 - depth, floor)
+    lowest = int(head.min())
+    tab = _table(beta, lowest, float(s.max()))
+    if s.size <= _SCALAR_POINTS:
+        value, mass = zip(*[_point(beta, v) for v in s.tolist()])
+        return np.array(value), np.array(mass) if noise else None
+    k = np.searchsorted(tab.left, s) - 1
+    present = np.bincount(head - lowest) > 0
+    parts, offset, at = [], [], 0
+    for h in (np.flatnonzero(present) + lowest).tolist():
+        start, sums = tab.prefix(h)
+        parts.append(sums[:1 + noise])
+        offset.append(at - start)
+        at += sums.shape[1]
+    group = np.cumsum(present)[head - lowest] - 1
+    prefix = np.concatenate(parts, axis=1).take(
+        np.array(offset)[group] + k, axis=1)
+    x = (s - tab.mid[k]) / tab.hw[k]
+    value = prefix[0] + _legendre(tab.coef[0], k, x)
+    return value, (prefix[1] + _legendre(tab.coef[1], k, x)).real if noise \
+        else None
+
+
+def _point(beta, s):
+    """(value, mass) of the integral from the head of s to s in [0, pi],
+    in Python floats: bit for bit what ``_sums`` gives for s, as a complex
+    times a real is its real and imaginary parts times the real."""
+    depth, lowest = _depth(beta)
+    h = max(math.frexp(s)[1] - 1 - depth, lowest)
+    if s <= math.ldexp(1.0, h):
+        # at or below the least head, where z is 0 (``_depth``)
+        return 0j, 0.0
+    tab = _table(beta, h, s)
+    k = bisect_left(tab.left_list, s) - 1
+    start, sums = tab.prefix(h)
+    rows = tab.rows.get(k)
+    if rows is None:
+        c = tab.coef[:, :, k]
+        rows = _memo(tab.rows, k, list(zip(
+            c[0].real.tolist(), c[0].imag.tolist(), c[1].real.tolist())))
+    x = (s - tab.mid.item(k)) / tab.hw.item(k)
+    (re, im, mass), (r, i, m) = rows[:2]
+    re, im, mass = re + r * x, im + i * x, mass + m * x
+    p0, p1 = 1.0, x
+    for (u, v), (r, i, m) in zip(_RECURRENCE, rows[2:]):
+        p0, p1 = p1, u * x * p1 - v * p0
+        re += r * p1
+        im += i * p1
+        mass += m * p1
+    value, total = sums[:, k - start].tolist()
+    return complex(value.real + re, value.imag + im), total.real + mass
 
 
 def z_many(beta, ts, with_noise=False):
-    """Evaluate z(beta, t) for an array of t values by quadrature.
+    """Evaluate z(beta, t) for an array of t values from the z table.
 
     Negative arguments use the symmetry z(-t) = -conj(z(t)), arguments
     beyond one period the exact shift z(t + 2pi) = z(t) + 2pi, and base
-    points past pi the mirror z(2pi - s) = 2pi - conj(z(s)), so the
-    quadrature always runs over (0, pi] and a point and its mirror share
-    one quadrature node.
+    points past pi the mirror z(2pi - s) = 2pi - conj(z(s)), so the sums
+    always run over (0, pi] and a point and its mirror share one value.
+    A value depends on beta and t alone (see the module docstring).
 
-    The segments between the sorted reduced points are cut
-    geometrically (``_segment_sums``), the first from a head at most 2^-J
-    times the least point, whose dropped part is below 2^-55 of the segment's
-    mass.  The GK15 panels of all points of the call are refined together
-    until their error estimates sum to at most 1e-10, or until each
-    panel meets its share of that or a rounding floor of 8 eps times its
-    absolute mass; more than 2000 splits raise.  The noise is the same
-    8 eps times the absolute mass up to the point, plus, for a mirrored
-    or shifted point, the rounding of the 2pi it gains and |z'(t)| per
-    float 2pi in its reduced argument, which moves that argument by
-    about 2.4e-16 each.
-
-    Parameters
-    ----------
-    beta : float
-        Order of the difference, > 0.
-    ts : array_like
-        Evaluation points (any real values).
-    with_noise : bool
-        When true, also return a per-point estimate of the attainable
-        absolute accuracy (cancellation floor) at that point.
-
-    Returns
-    -------
-    ndarray of complex (and optionally ndarray of float)
-
-    Raises
-    ------
-    ConvergenceError
-        When the quadrature exceeds its subdivision budget, or when a
-        value is not finite because (2 sin(phi/2))^beta overflows.
+    With ``with_noise``, also returns the attainable absolute accuracy
+    per point: ``_round(beta)`` times the absolute mass up to the point
+    plus 1, plus, for a mirrored or shifted point, the rounding of the 2pi
+    it gains and |z'(t)| per float 2pi (2.4e-16 short) in its reduced
+    argument.  Raises ConvergenceError when a panel needs more than
+    ``_MAX_SPLITS`` halvings, a table more than ``_MAX_PANELS`` panels,
+    or (2 sin(phi/2))^beta overflows.
     """
     beta = _check_beta(beta)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -280,15 +421,15 @@ def z_many(beta, ts, with_noise=False):
 
     out = np.zeros(ts.shape, dtype=complex)
     noise = np.zeros(ts.shape)
-    interior = ~lattice
+    s = np.where(past, TWO_PI - t0, t0)
+    # z is 0 up to the least head (``_depth``)
+    interior = ~lattice & (s > math.ldexp(1.0, _depth(beta)[1]))
     if interior.any():
-        s = np.where(past, TWO_PI - t0, t0)
-        uniq, inv = np.unique(s[interior], return_inverse=True)
+        s = s[interior]
         with _overflow_quiet(beta):
-            seg_vals, seg_abs = _segment_sums(
-                beta, np.concatenate([[0.0], uniq]))
-        out[interior] = np.cumsum(seg_vals)[inv]
-        noise[interior] = np.cumsum(seg_abs)[inv]
+            out[interior], mass = _sums(beta, s, with_noise)
+        if with_noise:
+            noise[interior] = mass
     out = np.where(past, TWO_PI - np.conj(out), out) + TWO_PI * m
     out = np.where(neg, -np.conj(out), out)
     if not np.isfinite(out).all():
@@ -305,62 +446,38 @@ def z_many(beta, ts, with_noise=False):
         with _overflow_quiet(beta):
             noise[moved] += (turns[moved]
                              * (2.0 * np.sin(0.5 * t0[moved])) ** beta)
-    noise *= _ROUND
+    noise *= _round(beta)
     return out, noise
 
 
 def z_eval(beta, t):
-    """z(beta, t) by adaptive quadrature (see ``z_many``)."""
+    """z(beta, t) from the z table (see ``z_many``)."""
     return complex(z_many(beta, [float(t)])[0])
-
-
-def _half_span(beta, a, b):
-    """(value, abs_mass) of the integral over [a, b] inside [0, pi].
-
-    The span skips the segment set-up: it starts at ``_head`` and the
-    panels of its geometric cut (``_panel_count``; one panel when
-    b <= 2 lo) go straight to ``_adaptive_panels``, so a span that one
-    GK15 pass resolves costs one ``gk15_panels`` call.  The panels, and so
-    the value, are bit for bit those of ``_segment_sums`` on [a, b].
-    """
-    lo = float(_head(beta, a, b))
-    if b <= lo:
-        return 0j, 0.0
-    npan = int(_panel_count(lo, b))
-    ends = np.minimum(np.ldexp(lo, np.arange(npan + 1)), b)
-    vals, absm, _ = _adaptive_panels(beta, ends[:-1], ends[1:],
-                                     np.zeros(npan, dtype=np.intp))
-    # summed panel by panel from zero, as np.add.at does in _segment_sums
-    value, mass = 0j, 0.0
-    for v, m in zip(vals.tolist(), absm.tolist()):
-        value += v
-        mass += m
-    return value, mass
 
 
 def z_span(beta, a, b):
     """Integral of the kernel integrand over [a, b] inside the base period.
 
-    Returns (value, abs_mass): the complex increment z(b) - z(a) and the
-    absolute-magnitude mass of the span, which bounds the attainable
-    accuracy (rounding floor ~ eps * abs_mass).  Much cheaper than two
-    full evaluations when the span is short; used by zero refinement.
-
-    The integrand's mirror image is its conjugate, f(2pi - phi) =
-    conj(f(phi)), so the part of the span past pi is the conjugate of its
-    mirror image below pi; both parts are integrated inside [0, pi]
-    (``_half_span``).  A value or mass that the integrand's overflow
-    makes non-finite raises ConvergenceError.
+    Returns (value, abs_mass): z(b) - z(a) and the absolute mass of the
+    span, as differences of the table sums to b and to a (``_point``), so
+    they round to about ``_round(beta)`` times the mass up to b.  Past pi
+    the span is the conjugate of its mirror image below pi, as
+    f(2pi - phi) = conj(f(phi)).  A value or mass that the integrand's
+    overflow makes non-finite raises ConvergenceError.
     """
     beta = _check_beta(beta)
     a, b = float(a), float(b)
     if not (0.0 <= a <= b <= TWO_PI):
         raise InvalidArgumentError("need 0 <= a <= b <= 2pi")
+    ends = [(min(b, math.pi), min(a, math.pi), 1.0)]
+    if b > math.pi:
+        ends.append((TWO_PI - max(a, math.pi), TWO_PI - b, -1.0))
+    value, mass = 0j, 0.0
     with _overflow_quiet(beta):
-        value, mass = _half_span(beta, min(a, math.pi), min(b, math.pi))
-        if b > math.pi:
-            v, m = _half_span(beta, TWO_PI - b, TWO_PI - max(a, math.pi))
-            value, mass = value + v.conjugate(), mass + m
+        for hi, lo, sign in ends:
+            (v1, m1), (v0, m0) = _point(beta, hi), _point(beta, lo)
+            value += complex((v1 - v0).real, sign * (v1 - v0).imag)
+            mass += m1 - m0
     if not (cmath.isfinite(value) and math.isfinite(mass)):
         raise _not_finite(beta, value)
     return value, mass

@@ -51,9 +51,9 @@ The two root-finders:
   returns the 215 records of scan_zero_set(40, 40pi, 120, 512,
   beta_min=4), which splits none, to 7e-15 in beta.
 
-Refinement in t evaluates z incrementally from an anchored value at the
-bracket's left knot (``kernel.z_span``), so each step integrates a short
-span instead of the whole [0, t] range.
+Refinement in t evaluates z as the anchored value at the bracket's left
+knot plus ``kernel.z_span`` from there, the difference of two sums of the
+order's z table.
 
 Every sign of y is read by one rule (``_y_signs``): y has a sign only
 where |y| exceeds ``_SIGN_NOISE`` times the cancellation floor that
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, InvalidArgumentError
-from .kernel import (_ROUND, TWO_PI, _check_beta, _check_grid, _z_dbeta,
+from .kernel import (TWO_PI, _check_beta, _check_grid, _round, _z_dbeta,
                      xy_prime, z_eval, z_many, z_span)
 
 log = logging.getLogger(__name__)
@@ -165,7 +165,7 @@ def _eval_z(beta, t, anchor):
     """
     t_a, z_a, n_a = anchor
     val, mass = z_span(beta, t_a, t)
-    return z_a + val, n_a + _ROUND * mass
+    return z_a + val, n_a + _round(beta) * mass
 
 
 def _piece_bounds(beta, m):

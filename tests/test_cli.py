@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import fracsmooth
@@ -136,11 +137,23 @@ class TestExitCodes:
         assert "alpha" in res.stderr
 
     def test_numerical_failure(self):
-        # the integrand overflows for such a large order, so the
-        # quadrature budget runs out instead of converging
-        res = run_cli("psi", "--beta", "800", "--t", "3.0")
+        # past 2^1024 the integrand overflows the float range, so z is
+        # not finite; order 800 converges (next test)
+        res = run_cli("psi", "--beta", "1100", "--t", "3.0")
         assert res.returncode == 2
         assert res.stderr.startswith("numerical failure:")
+
+    def test_large_order_converges(self):
+        res = run_cli("psi", "--beta", "800", "--t", "3.0")
+        assert res.returncode == 0, res.stderr
+        z = complex(res.stdout.splitlines()[0].removeprefix("z = ")
+                    .replace(" ", "").replace("i", "j"))
+        with mpmath.workdps(30):
+            want = complex(mpmath.quad(
+                lambda phi: ((2 * mpmath.sin(phi / 2)) ** 800
+                             * mpmath.expj(400 * (phi - mpmath.pi))),
+                mpmath.linspace(0, 3, 61)))
+        assert abs(z - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("args", [
         ("psi", "--beta", "10000", "--t", "2"),

@@ -139,6 +139,25 @@ class TestDiffSymbol:
                                    ** mpmath.mpf(beta))
                 assert abs(got - want) <= 4e-15 * abs(want), (beta, x)
 
+    def test_scalar_frequency(self):
+        # a scalar k gives a 0-d array, the value of the one-element call
+        got = symbol_values(2.5, 0.1, 3)
+        assert got.shape == ()
+        assert got == symbol_values(2.5, 0.1, [3])[0]
+        assert symbol_values(2.5, -0.1, 3) == np.conj(got)
+        assert symbol_values(2.5, 0.0, 3) == 0.0
+
+    @pytest.mark.parametrize("beta, delta, k", [
+        (math.nan, 0.1, [1, 2]), (math.inf, 0.1, [1]), (0.0, 0.1, [1]),
+        (2.5, math.inf, [1, 2]), (2.5, -math.inf, [1]),
+        (2.5, math.nan, [1]), (2.5, 0.1, [math.inf]),
+        (2.5, np.array([[0.1], [math.inf]]), [1, 2])])
+    def test_rejects_non_finite(self, beta, delta, k):
+        # a NaN would pass into every symbol unnoticed; the error names
+        # the argument instead
+        with pytest.raises(InvalidArgumentError):
+            symbol_values(beta, delta, k)
+
     def test_magnitude_identity(self):
         # |(1-e^{i theta})^beta| = (2|sin(theta/2)|)^beta
         for beta in (0.5, 1.7, 3.0):

@@ -3,6 +3,7 @@
 import cmath
 import io
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -235,6 +236,19 @@ def z_mpmath(beta, t):
         return complex(mpmath.quad(f, [0, t0]) + two_pi * turns)
 
 
+def counting_builds(monkeypatch):
+    """Record the panel count of every ``kernel._build_panels`` call."""
+    builds = []
+    inner = kernel._build_panels
+
+    def counting(beta, edges):
+        builds.append(edges.size - 1)
+        return inner(beta, edges)
+
+    monkeypatch.setattr(kernel, "_build_panels", counting)
+    return builds
+
+
 class TestMirror:
     """Past pi, z is the mirror image z(2pi - s) = 2pi - conj(z(s))."""
 
@@ -261,9 +275,8 @@ class TestMirror:
 
 
 class TestLargeOrder:
-    """Orders from 70 to 120, where a panel converges only by its
-    rounding floor, 8 eps times its absolute mass: a GK15 estimate
-    computed in floating point does not reach 4 eps there."""
+    """Orders from 70 to 120, where the integrand's own rounding grows
+    like beta, and so does the table's rounding floor."""
 
     @pytest.mark.parametrize("beta, t", [
         (80.0, 4.5), (100.0, 2.0), (100.0, 1.7832), (70.0, 2.5),
@@ -272,10 +285,19 @@ class TestLargeOrder:
         want = z_mpmath(beta, t)
         assert abs(z_eval(beta, t) - want) <= 1e-13 * abs(want)
 
+    def test_large_batch_converges(self):
+        # a wide batch converges whenever its points converge alone; every
+        # 512th point against mpmath, within 4 times its noise
+        ts = np.linspace(0.05, math.pi, 8192)
+        zs, noise = z_many(100.0, ts, with_noise=True)
+        for i in range(0, ts.size, 512):
+            err = abs(zs[i] - z_mpmath(100.0, ts[i]))
+            assert err <= 4.0 * noise[i], (ts[i], err / noise[i])
+
 
 class TestCorpusSteps:
-    """psi at the steps k h of the equivalence corpus: each call is one
-    GK15 pass, and its values match mpmath."""
+    """psi at the steps k h of the equivalence corpus: the table's panels
+    need no halving, and the values match mpmath."""
 
     @pytest.mark.parametrize("beta", [0.5, 2.5])
     @pytest.mark.parametrize("h", [0.05, 0.2, 1.0])
@@ -287,22 +309,20 @@ class TestCorpusSteps:
         assert np.all(err <= 1e-13 * np.abs(want)), (beta, h)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5])
-    def test_one_gk15_pass_per_call(self, beta, monkeypatch):
-        # the geometric cut keeps every panel a factor 2 in phi from the
-        # branch point at 0, so no panel needs a second pass
-        calls = []
-        inner = kernel._impl.gk15_panels
-
-        def counting(*args):
-            calls.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(kernel._impl, "gk15_panels", counting)
-        for h in (0.05, 0.2, 1.0):
-            for degree in (1, 3, 8, 16):
-                calls.clear()
-                psi_many(beta, np.arange(-degree, degree + 1) * h)
-                assert len(calls) == 1, (beta, h, degree)
+    def test_no_split_and_no_rebuild(self, beta, monkeypatch):
+        # the table's edges resolve every panel without halving, and once
+        # the table reaches the largest step, no call builds panels again
+        builds = counting_builds(monkeypatch)
+        kernel._TABLES.pop(beta, None)
+        for _ in range(2):
+            builds.clear()
+            for h in (0.05, 0.2, 1.0):
+                for degree in (1, 3, 8, 16):
+                    psi_many(beta, np.arange(-degree, degree + 1) * h)
+        assert builds == []
+        tab = kernel._TABLES[beta]
+        assert tab.splits == 0
+        assert tab.panels == tab.left.size > 0
 
 
 class TestDivergenceProbe:
@@ -322,15 +342,19 @@ class TestDivergenceProbe:
 
 
 class TestQuadratureConfig:
-    """The one quadrature setting of ``kernel``: its tolerance, its split
-    budget and the overflow threshold of its error state."""
+    """The one quadrature setting of ``kernel``: the z table's split cap
+    and rounding floor, and the overflow threshold of its error state."""
 
     def test_budget_exhaustion_raises(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_ABS_TOL", 1e-14)
+        # with no rounding floor every panel splits, until one has been
+        # halved more often than the cap allows; no table is cached
+        monkeypatch.setattr(kernel, "_tail_floor", lambda beta: 0.0)
         monkeypatch.setattr(kernel, "_MAX_SPLITS", 4)
+        kernel._TABLES.pop(0.5, None)
         with pytest.raises(ConvergenceError, match="subdivisions") as info:
             z_eval(0.5, 6.0)
-        assert info.value.achieved > 1e-14
+        assert info.value.achieved > 0.0
+        assert 0.5 not in kernel._TABLES
 
     def test_overflowing_integrand_raises(self):
         # past phi = pi/3 the base 2 sin(phi/2) exceeds 1, and at beta = 1e4
@@ -342,6 +366,14 @@ class TestQuadratureConfig:
         with pytest.raises(ConvergenceError, match="not finite"):
             psi_eval(1e4, 2.0)
 
+    def test_table_size_is_capped(self):
+        # at order 1e5 the table up to 1.5 would need about 89k panels; it
+        # is refused before any is built
+        kernel._TABLES.pop(1e5, None)
+        with pytest.raises(ConvergenceError, match="panels"):
+            z_many(1e5, [1.5])
+        assert 1e5 not in kernel._TABLES
+
     def test_overflowing_span_raises(self):
         # spans inside [0, pi], one from near 0, and a span past pi, whose
         # mirror image overflows
@@ -349,15 +381,15 @@ class TestQuadratureConfig:
             with pytest.raises(ConvergenceError, match="not finite"):
                 kernel.z_span(1e4, a, b)
 
-    def test_no_overflow_below_the_threshold(self, monkeypatch):
+    def test_no_overflow_below_the_threshold(self):
         # z_many sets no error state below this order, so nothing may
-        # overflow there, even with the whole period and a budget that
-        # lets every panel through
-        monkeypatch.setattr(kernel, "_ABS_TOL", 1e300)
-        monkeypatch.setattr(kernel, "_MAX_SPLITS", 10**5)
+        # overflow there: a table over the whole half period, built cold
         beta = math.nextafter(kernel._NO_OVERFLOW_BETA, 0.0)
-        zs = z_many(beta, np.linspace(0.01, TWO_PI - 0.01, 64))
-        assert np.isfinite(zs).all()
+        kernel._TABLES.pop(beta, None)
+        ts = np.append(np.linspace(0.01, TWO_PI - 0.01, 64), math.pi)
+        zs, noise = z_many(beta, ts, with_noise=True)
+        assert np.isfinite(zs).all() and np.isfinite(noise).all()
+        assert kernel._TABLES[beta].right == math.pi
 
     def test_underflowing_integrand_stays_finite(self):
         # below phi = pi/3 the power underflows to 0, which is z to
@@ -375,55 +407,24 @@ class TestQuadratureConfig:
         assert abs(z_eval(2.5, 3.0) - want) < 1e-10
 
 
-def _reference_segment_sums(beta, edges):
-    """``_segment_sums`` with its set-up spelled out segment by segment:
-    start each segment [a, b] at lo = max(a, 2^(e - 1 - J)), where
-    b = m 2^e with m in [1/2, 1) and J = ceil(55/(beta + 1)) + 2, drop
-    [a, lo] and cut [lo, b] at lo, 2 lo, 4 lo, ... below b, doubling one
-    end at a time."""
-    depth = math.ceil(55.0 / (beta + 1.0)) + 2
-    nseg = len(edges) - 1
-    seg_vals = np.zeros(nseg, dtype=complex)
-    seg_abs = np.zeros(nseg)
-    quad_a, quad_b, quad_seg = [], [], []
-    for i in range(nseg):
-        a, b = edges[i], edges[i + 1]
-        lo = max(a, math.ldexp(1.0, math.frexp(b)[1] - 1 - depth))
-        if b <= lo:
-            continue
-        ends = [lo]
-        while 2.0 * ends[-1] < b:
-            ends.append(2.0 * ends[-1])
-        ends.append(b)
-        quad_a += ends[:-1]
-        quad_b += ends[1:]
-        quad_seg += [i] * (len(ends) - 1)
-    if quad_a:
-        vals, absm, seg = kernel._adaptive_panels(
-            beta, np.array(quad_a), np.array(quad_b), np.array(quad_seg))
-        np.add.at(seg_vals, seg, vals)
-        np.add.at(seg_abs, seg, absm)
-    return seg_vals, seg_abs
-
-
 def _same_bits(u, v):
     u, v = np.asarray(u), np.asarray(v)
     return u.dtype == v.dtype and u.tobytes() == v.tobytes()
 
 
 class TestSegmentSums:
-    """The vectorised panel set-up of ``_segment_sums`` and the one-span
-    path of ``z_span`` against the per-segment construction."""
+    """Sums of the z table between edges: the vectorised path of
+    ``z_many`` (``_sums``) against the one-point path of ``z_span``
+    (``_point``), bit for bit, and the segments between edges against
+    the values at their ends."""
 
     EDGE_SETS = {
         "short segments near zero": [0.0, 2e-4, 7e-4, 1e-3],
         "from near zero to near pi": [5e-4, math.pi - 5e-4],
         "half period": [0.0, math.pi],
-        # [0.7, 3.1] is cut at 1.4 and 2.8, and [0.3, 0.7] stays whole
         "several panels": [0.3, 0.7, 3.1, math.pi],
-        # [1.024, 2.048] spans a factor 2 exactly and keeps one panel
+        # edges at powers of two are panel edges of every table
         "ends at a power of two": [0.0, 1e-3 * 1024.0, 2.048, math.pi],
-        # the head 2^-J of [0, 1] is a power of two: no cut at hi itself
         "from zero to a power of two": [0.0, 1.0],
         "repeated edges": [0.5, 0.5, 1.7, 1.7, 1.7, 3.0, 2.0, 2.5],
         "lone interior span": [1.234, 1.5],
@@ -431,31 +432,42 @@ class TestSegmentSums:
         "dense": np.linspace(0.0, math.pi, 97).tolist(),
     }
 
-    @pytest.mark.parametrize("name", sorted(EDGE_SETS))
-    def test_matches_per_segment_reference(self, name):
-        edges = np.array(self.EDGE_SETS[name])
-        for beta in (0.5, 2.5, 8.0, 13.3):
-            got = kernel._segment_sums(beta, edges)
-            want = _reference_segment_sums(beta, edges)
-            assert _same_bits(got[0], want[0]), (name, beta)
-            assert _same_bits(got[1], want[1]), (name, beta)
+    @staticmethod
+    def check(beta, edges):
+        pts = edges[edges > 0.0]
+        value, mass = kernel._sums(beta, pts)
+        want = [np.array(w) for w in zip(*[kernel._point(beta, p)
+                                           for p in pts])]
+        assert _same_bits(value, want[0]), beta
+        assert _same_bits(mass, want[1]), beta
+        zs, noise = z_many(beta, edges, with_noise=True)
+        for i in np.flatnonzero(edges[:-1] <= edges[1:]):
+            val, mass = z_span(beta, edges[i], edges[i + 1])
+            assert abs(val - (zs[i + 1] - zs[i])) <= (
+                noise[i] + noise[i + 1] + kernel._round(beta) * mass)
 
-    def test_random_edges_match_reference(self):
+    @pytest.mark.parametrize("name", sorted(EDGE_SETS))
+    def test_matches_per_segment_reference(self, name, monkeypatch):
+        # the vectorised path even for a short set
+        monkeypatch.setattr(kernel, "_SCALAR_POINTS", 0)
+        for beta in (0.5, 2.5, 8.0, 13.3):
+            self.check(beta, np.array(self.EDGE_SETS[name]))
+
+    def test_random_edges_match_reference(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_SCALAR_POINTS", 0)
         rng = np.random.default_rng(11)
         for _ in range(20):
             beta = float(rng.uniform(0.3, 16.0))
-            edges = np.sort(rng.uniform(0.0, math.pi, rng.integers(2, 30)))
-            got = kernel._segment_sums(beta, edges)
-            want = _reference_segment_sums(beta, edges)
-            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+            self.check(beta, np.sort(rng.uniform(0.0, math.pi,
+                                                 rng.integers(2, 30))))
 
     def test_span_equals_segment_sums(self):
-        # below pi a span is the segment sum, bit for bit; past pi it is
-        # the conjugate of its mirror span, and across pi the sum of the
-        # two parts, split at pi
+        # below pi a span is the difference of the one-point sums, bit for
+        # bit; past pi it is the conjugate of its mirror span, and across
+        # pi the sum of the two parts, split at pi
         def half(beta, a, b):
-            vals, masses = kernel._segment_sums(beta, np.array([a, b]))
-            return complex(vals[0]), float(masses[0])
+            (v1, m1), (v0, m0) = kernel._point(beta, b), kernel._point(beta, a)
+            return v1 - v0, m1 - m0
 
         rng = np.random.default_rng(5)
         spans = [(1e-3, TWO_PI - 1e-3), (0.0, TWO_PI), (2.0, 2.0 + 1e-9),
@@ -483,6 +495,10 @@ class TestSegmentSums:
             val, mass = z_span(beta, a, b)
             assert _same_bits(want[0], val), (beta, a, b)
             assert _same_bits(want[1], mass), (beta, a, b)
+            if a == 0.0 and b <= math.pi:
+                # from 0, a span is what z_many sums for its end
+                zs, noise = z_many(beta, [b], with_noise=True)
+                assert _same_bits(zs[0], val)
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 2.5, 4.84, 16.0, 40.0])
     def test_head_matches_mpmath_taylor(self, beta):
@@ -505,6 +521,100 @@ class TestSegmentSums:
         for t, w in zip(ts, want):
             got = z_eval(beta, t)
             assert abs(got - w) <= 1e-13 * abs(w), (beta, t)
+
+
+class TestTable:
+    """The Legendre tables of z, one per order, and their cache."""
+
+    def test_second_call_builds_no_panels(self, monkeypatch):
+        builds = counting_builds(monkeypatch)
+        kernel._TABLES.pop(3.7, None)
+        ts = np.linspace(-20.0, 20.0, 301)
+        first = z_many(3.7, ts, with_noise=True)
+        assert builds
+        builds.clear()
+        second = z_many(3.7, ts, with_noise=True)
+        assert builds == []
+        assert all(_same_bits(u, v) for u, v in zip(first, second))
+
+    def test_cache_holds_at_most_sixteen_tables(self):
+        betas = [1.0 + 0.01 * i for i in range(100)]
+        for beta in betas:
+            z_many(beta, [0.5, 2.0])
+        assert len(kernel._TABLES) == kernel._CACHE == 16
+        assert list(kernel._TABLES)[-16:] == betas[-16:]
+
+    def test_cache_memory_stays_bounded(self):
+        # near order 1000 a table holds about 1,800 panels (1.6 MiB) from
+        # its least head 2^-2, below which z underflows to 0, however small
+        # t is; besides the last table used, the cache keeps at most
+        # kernel._CACHE_PANELS panels, so of 16 such tables 5 stay
+        tracemalloc.start()
+        try:
+            for i in range(16):
+                zs = z_many(999.0 - i, [1e-13, 0.3, 3.0])
+                assert zs[0] == 0.0
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        panels = [tab.panels for tab in kernel._TABLES.values()]
+        assert max(panels) < 2000
+        assert sum(panels) - panels[-1] <= kernel._CACHE_PANELS
+        assert held <= 12 * 2 ** 20
+
+    @pytest.mark.parametrize("beta", [0.01, 0.5, 40.0])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_span_at_the_least_subnormal(self, beta, warm):
+        # up to its least head z is 0, below the least subnormal (below
+        # 2^-1022 at order 0.01): on a cold table, which has no panel
+        # below it, and on a warm one that reaches down to it
+        tiny, lowest = 5e-324, kernel._depth(beta)[1]
+        kernel._TABLES.pop(beta, None)
+        if warm:
+            z_span(beta, math.ldexp(1.5, lowest), 2.0)
+            assert kernel._TABLES[beta].k_lo == lowest
+        assert z_span(beta, 0.0, tiny) == (0j, 0.0)
+        assert z_span(beta, tiny, tiny) == (0j, 0.0)
+        assert z_span(beta, tiny, 1.0) == z_span(beta, 0.0, 1.0)
+        assert z_span(beta, 1e-320, 1.0) == z_span(beta, 0.0, 1.0)
+        val, mass = z_span(beta, tiny, 1.0)
+        assert abs(val - z_mpmath(beta, 1.0)) <= 4.0 * kernel._round(beta) * (
+            mass + 1.0)
+
+    def test_counts_panels_and_splits(self, monkeypatch):
+        # with one panel per binade near 0, a panel [a, 2a] holds
+        # phi^40 times a factor near 1, which grows by 2^40 across it, and
+        # 24 nodes do not resolve that: those panels split, and the values
+        # stay within the noise of the table whose edges need no split
+        beta = 40.0
+        ts = np.linspace(0.05, math.pi, 200)
+        kernel._TABLES.pop(beta, None)
+        want, noise = z_many(beta, ts, with_noise=True)
+        tab = kernel._TABLES.pop(beta)
+        assert tab.splits == 0 and tab.panels == tab.left.size
+        monkeypatch.setattr(kernel, "_GROWTH", 1e9)
+        got = z_many(beta, ts)
+        split = kernel._TABLES.pop(beta)
+        assert split.splits > 0 and split.panels == split.left.size
+        assert np.all(np.abs(got - want) <= 4.0 * noise)
+
+    @pytest.mark.parametrize("beta", [0.5, 4.84, 12.7, 40.0])
+    def test_value_depends_on_beta_and_t_alone(self, beta):
+        # a point's value and noise do not depend on the batch it comes
+        # in, nor on how far the cached table reaches
+        ts = np.random.default_rng(400).uniform(-40.0, 40.0, 400)
+        kernel._TABLES.pop(beta, None)
+        batch = z_many(beta, ts, with_noise=True)
+        for warm in (False, True):
+            for i, t in enumerate(ts):
+                if not warm:
+                    kernel._TABLES.pop(beta, None)
+                one = z_many(beta, [t], with_noise=True)
+                assert _same_bits(one[0][0], batch[0][i]), (warm, t)
+                assert _same_bits(one[1][0], batch[1][i]), (warm, t)
+        again = z_many(beta, ts, with_noise=True)
+        assert _same_bits(again[0], batch[0])
+        assert _same_bits(again[1], batch[1])
 
 
 class TestCore:
@@ -592,6 +702,18 @@ class TestCurveExport:
         # number >= 2; np.linspace would warn or raise TypeError instead
         with pytest.raises(InvalidArgumentError):
             curve_points(2.5, t_lo, t_hi, samples)
+
+    def test_memory_stays_bounded(self):
+        # the table holds a few hundred panels and the points are summed
+        # in blocks of kernel._BLOCK, so memory does not grow with samples
+        kernel._TABLES.pop(8.26, None)
+        tracemalloc.start()
+        try:
+            curve_points(8.26, 0.0, 16.0 * math.pi, 65536)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20
 
     def test_csv_round_trip(self):
         ts, zs = curve_points(2.5, 0.3, 4.0, 7)
