@@ -343,7 +343,8 @@ class TestDivergenceProbe:
 
 class TestQuadratureConfig:
     """The one quadrature setting of ``kernel``: the z table's split cap
-    and rounding floor, and the overflow threshold of its error state."""
+    and rounding floor, its panel cap, and its reach, past which the
+    integrand overflows."""
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         # with no rounding floor every panel splits, until one has been
@@ -367,12 +368,25 @@ class TestQuadratureConfig:
             psi_eval(1e4, 2.0)
 
     def test_table_size_is_capped(self):
-        # at order 1e5 the table up to 1.5 would need about 89k panels; it
-        # is refused before any is built
+        # at order 1e5 the table up to 1.05, inside its reach, would need
+        # about 95k panels; it is refused before any is built
         kernel._TABLES.pop(1e5, None)
+        assert 1.05 < kernel._reach(1e5)
         with pytest.raises(ConvergenceError, match="panels"):
-            z_many(1e5, [1.5])
+            z_many(1e5, [1.05])
         assert 1e5 not in kernel._TABLES
+
+    def test_overflow_raises_before_any_build(self, monkeypatch):
+        # the reach tells in advance where the integrand overflows, so no
+        # panel is built for a point past it
+        builds = counting_builds(monkeypatch)
+        kernel._TABLES.pop(1e4, None)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            z_many(1e4, [2.0])
+        with pytest.raises(ConvergenceError, match="not finite"):
+            kernel.z_span(1e4, 2.0, 3.0)
+        assert builds == []
+        assert 1e4 not in kernel._TABLES
 
     def test_overflowing_span_raises(self):
         # spans inside [0, pi], one from near 0, and a span past pi, whose
@@ -382,9 +396,10 @@ class TestQuadratureConfig:
                 kernel.z_span(1e4, a, b)
 
     def test_no_overflow_below_the_threshold(self):
-        # z_many sets no error state below this order, so nothing may
-        # overflow there: a table over the whole half period, built cold
-        beta = math.nextafter(kernel._NO_OVERFLOW_BETA, 0.0)
+        # up to order 1000 a table reaches pi, and nothing may overflow
+        # there: a table over the whole half period, built cold
+        beta = 1000.0
+        assert kernel._reach(beta) == math.pi
         kernel._TABLES.pop(beta, None)
         ts = np.append(np.linspace(0.01, TWO_PI - 0.01, 64), math.pi)
         zs, noise = z_many(beta, ts, with_noise=True)
@@ -585,14 +600,16 @@ class TestTable:
         # with one panel per binade near 0, a panel [a, 2a] holds
         # phi^40 times a factor near 1, which grows by 2^40 across it, and
         # 24 nodes do not resolve that: those panels split, and the values
-        # stay within the noise of the table whose edges need no split
+        # stay within the noise of the table whose edges need no split.
+        # A growth of e^40 a panel allows one panel per binade and still
+        # bounds the growth, so the table's reach stays at pi
         beta = 40.0
         ts = np.linspace(0.05, math.pi, 200)
         kernel._TABLES.pop(beta, None)
         want, noise = z_many(beta, ts, with_noise=True)
         tab = kernel._TABLES.pop(beta)
         assert tab.splits == 0 and tab.panels == tab.left.size
-        monkeypatch.setattr(kernel, "_GROWTH", 1e9)
+        monkeypatch.setattr(kernel, "_GROWTH", beta)
         got = z_many(beta, ts)
         split = kernel._TABLES.pop(beta)
         assert split.splits > 0 and split.panels == split.left.size
@@ -601,20 +618,35 @@ class TestTable:
     @pytest.mark.parametrize("beta", [0.5, 4.84, 12.7, 40.0])
     def test_value_depends_on_beta_and_t_alone(self, beta):
         # a point's value and noise do not depend on the batch it comes
-        # in, nor on how far the cached table reaches
+        # in, nor on how far the cached table reaches: on a cold table, a
+        # warm one, and a warm one that first reaches its least head
         ts = np.random.default_rng(400).uniform(-40.0, 40.0, 400)
         kernel._TABLES.pop(beta, None)
         batch = z_many(beta, ts, with_noise=True)
-        for warm in (False, True):
+        shallow = kernel._TABLES[beta]
+        for table in ("cold", "warm", "deep"):
+            if table == "deep":
+                z_span(beta, math.ldexp(1.5, kernel._depth(beta)[1]), 2.0)
             for i, t in enumerate(ts):
-                if not warm:
+                if table == "cold":
                     kernel._TABLES.pop(beta, None)
                 one = z_many(beta, [t], with_noise=True)
-                assert _same_bits(one[0][0], batch[0][i]), (warm, t)
-                assert _same_bits(one[1][0], batch[1][i]), (warm, t)
+                assert _same_bits(one[0][0], batch[0][i]), (table, t)
+                assert _same_bits(one[1][0], batch[1][i]), (table, t)
         again = z_many(beta, ts, with_noise=True)
         assert _same_bits(again[0], batch[0])
         assert _same_bits(again[1], batch[1])
+        # a panel of the shallow table whose head it reaches has the
+        # prefix of the same panel of the deep table, bit for bit
+        deep = kernel._TABLES[beta]
+        assert deep.k_lo == kernel._depth(beta)[1] < shallow.k_lo
+        shared = np.searchsorted(deep.left, shallow.left)
+        assert np.array_equal(deep.left[shared], shallow.left)
+        read = (np.frexp(shallow.left)[1] - 1 - kernel._depth(beta)[0]
+                >= shallow.k_lo)
+        assert read.any()
+        assert _same_bits(deep.prefix[:, shared[read]],
+                          shallow.prefix[:, read])
 
 
 class TestCore:
@@ -704,8 +736,8 @@ class TestCurveExport:
             curve_points(2.5, t_lo, t_hi, samples)
 
     def test_memory_stays_bounded(self):
-        # the table holds a few hundred panels and the points are summed
-        # in blocks of kernel._BLOCK, so memory does not grow with samples
+        # the table holds a few hundred panels, and the Legendre sums of
+        # the points take a few arrays of their size
         kernel._TABLES.pop(8.26, None)
         tracemalloc.start()
         try:
