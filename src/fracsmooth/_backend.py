@@ -6,9 +6,10 @@ binds the primitives through ``fracsmooth._backend.impl`` and records
 ``fracsmooth.backend_name()``; removing them is a change to the
 benchmark, made on its own.  ``impl`` is the module object of
 ``_pykernels`` itself, so a wrapper that the benchmark sets on it is the
-function that ``kernel`` calls.  ``gk15_panels``, which z no longer
-uses, stays for that benchmark span alone until the same change
-listed in ROADMAP.md.
+function that ``kernel`` calls.  ``gk15_panels``, which nothing in
+the library calls any more, stays for that benchmark span alone; the
+same change listed in ROADMAP.md deletes it, the last Gauss-Kronrod
+code.
 """
 from . import _pykernels as impl
 

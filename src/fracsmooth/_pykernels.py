@@ -1,8 +1,8 @@
-"""The NumPy kernels: series sums and Gauss-Kronrod panel rules.
+"""The NumPy kernels: series sums and a Gauss-Kronrod panel rule.
 
-``kernel`` imports this module for its series route and for the
-derivative in beta; z itself comes from the Legendre tables of
-``kernel``, not from here.  The three primitives:
+``kernel`` imports this module for its series route only; z and its
+derivative in beta come from the Gauss-Legendre rule of ``kernel``, not
+from here.  The two primitives:
 
 ``z_series_sum_batch(beta, ts, nterms)``
     Partial sums of the sine/cosine series for the accumulated difference
@@ -18,13 +18,8 @@ derivative in beta; z itself comes from the Legendre tables of
     Kronrod rule applied to the magnitude of the integrand.  The library
     no longer calls it: it stays only because the benchmark in
     ``perfbench/`` traces it as a span, until the benchmark's own change
-    listed in ROADMAP.md drops that span.
-
-``gk15_dbeta(beta, a, b)``
-    The Kronrod values of the beta-derivative of the same integrand,
-    f(phi) (log(2 sin(phi/2)) + i (phi - pi)/2), on panels inside
-    (0, 2pi).  Only the beta-crossing search of ``zeros`` calls it, through
-    ``kernel._z_dbeta``.
+    listed in ROADMAP.md drops that span, and the Gauss-Kronrod rule
+    with it.
 """
 import numpy as np
 
@@ -107,20 +102,3 @@ def gk15_panels(beta, a, b):
     # magnitude of the rule applied to |f|, for conditioning estimates
     absmag = hw * (mag @ _WK)
     return vals, errs, absmag
-
-
-def gk15_dbeta(beta, a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    hw = 0.5 * (b - a)
-    phi = (0.5 * (a + b))[:, None] + hw[:, None] * _NODES[None, :]
-    s = 2.0 * np.sin(0.5 * phi)
-    mag = s ** beta
-    ang = 0.5 * beta * (phi - np.pi)
-    fr = mag * np.cos(ang)
-    fi = mag * np.sin(ang)
-    # f times log(1 - e^(i phi)) = log(s) + i (phi - pi)/2
-    ls = np.log(s)
-    half = 0.5 * (phi - np.pi)
-    return hw * ((fr * ls - fi * half) @ _WK) + 1j * hw * (
-        (fr * half + fi * ls) @ _WK)

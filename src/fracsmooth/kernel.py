@@ -43,7 +43,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from . import _pykernels as _impl
-from ._util import fmt17, fmt17_rows
+from ._util import fmt17, fmt17_rows, gauss_legendre
 from .errors import ConvergenceError, InvalidArgumentError
 from .fracdiff import _SERIES_CAP, _tail_constant
 
@@ -64,8 +64,6 @@ _ROUND_BETA = 32.0
 _NODES = 24
 #: |f| grows by at most e^_GROWTH across a panel (``_edges``)
 _GROWTH = 4.0
-#: halvings of one panel before ConvergenceError
-_MAX_SPLITS = 8
 #: panels of one table before ConvergenceError: the edges need beta/4 a
 #: binade, and up to order 1000 a table holds at most about 2,000
 _MAX_PANELS = 2 ** 15
@@ -137,18 +135,13 @@ def _head(beta, s):
 # the Legendre table of z on the half period (0, pi]
 # ---------------------------------------------------------------------------
 
-#: the Gauss-Legendre nodes by Newton steps on P_24 (no LAPACK call, whose
-#: set-up costs a mebibyte), and the matrix from an integrand's values
-#: there to the columns a panel keeps: 0-24 the Legendre coefficients of
-#: its antiderivative from -1, 25 its integral (the Gauss weights), 26-27
-#: its coefficients a_22 and a_23, and 28 the sum of the moduli of 26-27,
-#: which applied to |f| bounds their rounding
-_X = -np.cos(math.pi * (np.arange(_NODES) + 0.75) / (_NODES + 0.5))
-for _ in range(5):
-    _P = legendre.legvander(_X, _NODES)
-    _X -= (1.0 - _X * _X) * _P[:, -1] / (_NODES * (_P[:, -2] - _X * _P[:, -1]))
-_W = 2.0 * (1.0 - _X * _X) / (_NODES * _P[:, -2]) ** 2
-_FIT = (np.arange(_NODES) + 0.5)[:, None] * _W * _P[:, :-1].T
+#: the Gauss-Legendre rule (``gauss_legendre``), and the matrix from an
+#: integrand's values at its nodes to the columns a panel keeps: 0-24 the
+#: Legendre coefficients of its antiderivative from -1, 25 its integral
+#: (the Gauss weights), 26-27 its coefficients a_22 and a_23, and 28 the
+#: sum of the moduli of 26-27, which applied to |f| bounds their rounding
+_X, _W, _P = gauss_legendre(_NODES)
+_FIT = (np.arange(_NODES) + 0.5)[:, None] * _W * _P.T
 _ROWS = np.vstack([legendre.legint(_FIT, lbnd=-1), _W, _FIT[-2:],
                    np.abs(_FIT[-2:]).sum(0)]).T.copy()
 #: the recurrence P_(n+1) = _U[n] x P_n - _V[n] P_(n-1)
@@ -163,12 +156,18 @@ _GAIN = float(np.abs(_ROWS).sum(0).max())
 
 
 def _reach(beta):
-    """The largest s <= pi at which a table stays finite: the panel that
-    holds s ends where |f| is at most e^_GROWTH times |f(s)| =
-    (2 sin(s/2))^beta (``_edges``), and a row is at most ``_GAIN`` times
-    the largest |f| at the panel's nodes."""
-    room = (math.log(np.finfo(float).max) - _GROWTH - math.log(_GAIN)) / beta
-    return 2.0 * math.asin(min(1.0, 0.5 * math.exp(min(room, 1.0))))
+    """The largest s <= pi at which a table stays finite.  A row is at
+    most ``_GAIN`` times the largest |f| at its panel's nodes, and |f| =
+    (2 sin(phi/2))^beta increases on (0, pi], so that is at most |f| at
+    the right end of the panel, which lies at most pi/(2 beta) past s
+    (``_edges``) and never past pi.  So the reach is pi while 2^beta
+    ``_GAIN`` is finite (up to order 1020.32), and above that pi/(2 beta)
+    short of the r where (2 sin(r/2))^beta ``_GAIN`` leaves the floats:
+    3.079 at order 1021 and 3.009 at 1023.5."""
+    room = (math.log(np.finfo(float).max) - math.log(_GAIN)) / beta
+    if room >= math.log(2.0):
+        return math.pi
+    return 2.0 * math.asin(0.5 * math.exp(room)) - 0.5 * math.pi / beta
 
 
 def _edges(beta, k_a, k_b):
@@ -201,40 +200,30 @@ def _tail_floor(beta):
 
 
 def _build_panels(beta, edges):
-    """(left ends, right ends, rows, halvings) of the panels between the
-    edges.  The real and imaginary parts of f and |f| at each panel's
-    nodes go through ``_ROWS`` by one matrix product per panel, so a panel
-    does not depend on the others; one whose trailing coefficients stand
-    above their floor is halved, at most ``_MAX_SPLITS`` times."""
-    a, b, kept, splits = edges[:-1], edges[1:], [], 0
-    for depth in range(_MAX_SPLITS + 1):
-        phi = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _X
-        f = np.empty((a.size, 3, _NODES))
-        np.power(np.maximum(2.0 * np.sin(0.5 * phi), 0.0), beta, out=f[:, 2])
-        ang = 0.5 * beta * (phi - math.pi)
-        np.multiply(f[:, 2], np.cos(ang), out=f[:, 0])
-        np.multiply(f[:, 2], np.sin(ang), out=f[:, 1])
-        rows = np.matmul(f, _ROWS)
-        tail = (np.hypot(rows[:, 0, 26], rows[:, 1, 26])
-                + np.hypot(rows[:, 0, 27], rows[:, 1, 27]))
-        bad = tail > _tail_floor(beta) * rows[:, 2, 28] + _TINY
-        if not bad.any():
-            break
-        kept.append((a[~bad], b[~bad], rows[~bad]))
-        splits += int(bad.sum())
-        worst = float(np.max((b - a) * tail))
-        mid = 0.5 * (a[bad] + b[bad])
-        a, b = np.concatenate([a[bad], mid]), np.concatenate([mid, b[bad]])
-    else:
+    """The rows of the panels between the edges, one (3, 29) block per
+    panel: the real and imaginary parts of f and |f| at the panel's nodes
+    through ``_ROWS``, by one matrix product per panel, so a panel does
+    not depend on the others.  The edges resolve every panel; one whose
+    trailing coefficients stand above their floor (``_tail_floor``) raises
+    ConvergenceError, with the largest of its width times those
+    coefficients as ``achieved``."""
+    a, b = edges[:-1], edges[1:]
+    phi = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _X
+    f = np.empty((a.size, 3, _NODES))
+    np.power(np.maximum(2.0 * np.sin(0.5 * phi), 0.0), beta, out=f[:, 2])
+    ang = 0.5 * beta * (phi - math.pi)
+    np.multiply(f[:, 2], np.cos(ang), out=f[:, 0])
+    np.multiply(f[:, 2], np.sin(ang), out=f[:, 1])
+    rows = np.matmul(f, _ROWS)
+    tail = (np.hypot(rows[:, 0, 26], rows[:, 1, 26])
+            + np.hypot(rows[:, 0, 27], rows[:, 1, 27]))
+    bad = tail > _tail_floor(beta) * rows[:, 2, 28] + _TINY
+    if bad.any():
         raise ConvergenceError(
-            f"the z table needs more than {_MAX_SPLITS} subdivisions of a "
-            f"panel for beta={beta}", partial=None, achieved=worst)
-    if kept:
-        kept.append((a, b, rows))
-        a, b, rows = (np.concatenate(part) for part in zip(*kept))
-        order = np.argsort(a)
-        a, b, rows = a[order], b[order], rows[order]
-    return a, b, rows, splits
+            f"{int(bad.sum())} of {a.size} panels of the z table for "
+            f"beta={beta} are not resolved", partial=None,
+            achieved=float(np.max(((b - a) * tail)[bad])))
+    return rows
 
 
 class _Table:
@@ -243,8 +232,7 @@ class _Table:
     antiderivative's coefficients of f and of |f|, times the half width,
     complex, shape (2, 25, panels)) and ``prefix`` (the integrals of f and
     of |f| from the head of the panel's binade b (``_head``) to its left
-    end, shape (2, panels)); ``panels`` and ``splits`` count the panels
-    and the halvings that made them.
+    end, shape (2, panels)); ``panels`` counts the panels.
 
     A prefix sums the totals of binades b - J to b - 1, then those of the
     panels of b before the panel, each in order; a binade below k_lo counts
@@ -255,7 +243,7 @@ class _Table:
     def __init__(self, beta, k_lo, top):
         edges = _edges(beta, k_lo, min(math.frexp(top)[1] - 1, 1))
         edges = edges[:np.searchsorted(edges, top) + 1]
-        a, b, rows, self.splits = _build_panels(beta, edges)
+        a, b, rows = edges[:-1], edges[1:], _build_panels(beta, edges)
         self.left, self.mid, self.hw = a, 0.5 * (a + b), 0.5 * (b - a)
         coef = np.zeros((2, _NODES + 2, a.size), dtype=complex)
         coef.real[0], coef.imag[0], coef.real[1] = (
@@ -388,10 +376,10 @@ def z_many(beta, ts, with_noise=False):
     per point: ``_round(beta)`` times the absolute mass up to the point
     plus 1, plus, for a mirrored or shifted point, the rounding of the 2pi
     it gains and |z'(t)| per float 2pi (2.4e-16 short) in its reduced
-    argument.  Raises ConvergenceError when a panel needs more than
-    ``_MAX_SPLITS`` halvings, a table more than ``_MAX_PANELS`` panels,
-    or a point lies past ``_reach(beta)``, where (2 sin(phi/2))^beta
-    overflows.
+    argument.  Raises ConvergenceError when a panel of the table is not
+    resolved (``_build_panels``), a table needs more than ``_MAX_PANELS``
+    panels, or a point lies past ``_reach(beta)``, where the table would
+    overflow.
     """
     beta = _check_beta(beta)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -468,11 +456,11 @@ def _z_dbeta(beta, t):
     """The derivative in beta of z at t in the base period (0, 2pi).
 
     d z / d beta = integral_0^t f(phi) (log(2 sin(phi/2)) + i (phi - pi)/2)
-    dphi, where f is the integrand of z, by the GK15 rule
-    (``gk15_dbeta``) on equal panels of [1e-3, t], each at most
-    ``_DBETA_PANEL`` / beta wide (a quarter turn of the phase beta phi / 2
-    and at most pi/2), without refinement; past pi, from the mirror
-    d z / d beta (2pi - s) = -conj(d z / d beta (s)).  [0, 1e-3]
+    dphi, where f is the integrand of z, by the 24-node Gauss-Legendre
+    rule of the z table (``_X``, ``_W``) on equal panels of [1e-3, t],
+    each at most ``_DBETA_PANEL`` / beta wide (a quarter turn of the phase
+    beta phi / 2 and at most pi/2), without refinement; past pi, from the
+    mirror d z / d beta (2pi - s) = -conj(d z / d beta (s)).  [0, 1e-3]
     (``_DBETA_LO``) is left out: at beta >= 4 it adds less than 1e-14.
     Only the beta-crossing search of ``zeros`` calls this, for its
     Jacobian, which sets the rate of its convergence and not its fixed
@@ -487,7 +475,13 @@ def _z_dbeta(beta, t):
         return 0j
     npan = math.ceil((hi - lo) / min(_PANEL, _DBETA_PANEL / beta))
     ends = np.linspace(lo, hi, npan + 1)
-    return complex(np.sum(_impl.gk15_dbeta(beta, ends[:-1], ends[1:])))
+    hw = 0.5 * (ends[1:] - ends[:-1])[:, None]
+    phi = 0.5 * (ends[:-1] + ends[1:])[:, None] + hw * _X
+    s = 2.0 * np.sin(0.5 * phi)
+    # f times d log f / d beta = log(1 - e^(i phi)) = log(s) + i (phi - pi)/2
+    dlog = np.log(s) + 0.5j * (phi - math.pi)
+    f = s ** beta * np.exp(0.5j * beta * (phi - math.pi))
+    return complex(np.sum(hw * _W * f * dlog))
 
 
 def psi_eval(beta, t):

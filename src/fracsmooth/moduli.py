@@ -29,12 +29,10 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from ._util import bracket_max, fmt17
+from ._util import bracket_max, fmt17, gauss_legendre
 from .errors import InvalidArgumentError, UnsupportedParameterError
 from .fracdiff import split_order, symbol_values
 from .kernel import psi_many
@@ -99,14 +97,6 @@ def _diff_norms(f: TrigPoly, beta: float, deltas,
     return out
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = leggauss(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     """sup over steps delta in (0, h] of the difference norm.
 
@@ -132,14 +122,14 @@ def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
 def integral_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     """((1/h) integral of ||diff||_p^p1 over (0, h))^(1/p1), p1 = min(1, p).
 
-    Gauss-Legendre of order ``_QUAD_ORDER`` mapped onto (0, h); the nodes
-    are computed on first use, and the difference norms at all of them
-    come from one ``_diff_norms`` call, in blocks of at most
-    ``_BLOCK_ELEMS`` grid values like the classical grid.
+    Gauss-Legendre of order ``_QUAD_ORDER`` (``gauss_legendre``) mapped
+    onto (0, h); the difference norms at all of its nodes come from one
+    ``_diff_norms`` call, in blocks of at most ``_BLOCK_ELEMS`` grid
+    values like the classical grid.
     """
     if req.alpha is not None:
         raise InvalidArgumentError("alpha does not apply to this modulus")
-    nodes, weights = _gauss_legendre(_QUAD_ORDER)
+    nodes, weights, _ = gauss_legendre(_QUAD_ORDER)
     deltas = 0.5 * req.h * (nodes + 1.0)
     scale = 0.5  # (1/h) * (h/2): the affine map's Jacobian over the mean
     p1 = req.norm.p1

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
+from ._util import gauss_legendre
 from .approx import CutoffV
 from .errors import (DomainTooSmallError, InvalidArgumentError,
                      ZeroDenominatorError)
@@ -83,7 +83,7 @@ def beurling_bound(g: MultiplierFn, domain_halfwidth: float) -> float:
             return 0.0
     npan = max(1, int(math.ceil((hi - lo) / _PANEL)))
     edges = np.linspace(lo, hi, npan + 1)
-    nodes, weights = leggauss(_GL_ORDER)
+    nodes, weights, _ = gauss_legendre(_GL_ORDER)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()

@@ -68,6 +68,8 @@ BASE_MAX_OMEGA_OVER_STAR = 9.999454354031359
 BASE_REGIME_HALF = 6.998752744772986
 BASE_REGIME_QUARTER = 6.999674314236898
 BASE_PROBE_20 = -4118670861.0726085
+# max Jackson ratio of gate 11 (sawtooth:8, n = 4); checked against a
+# Parseval oracle in test_c11_baseline_matches_parseval
 BASE_JACKSON = 0.2811733882019196
 BASE_GTAU_SUP = 11.666914095518907
 BASE_FLOORS_WIDE = {0.5: 0.007453353622552306,
@@ -385,6 +387,62 @@ def test_c11_jackson_ratio(accept, corpus_members):
           and abs(worst - BASE_JACKSON) <= TOL_REGRESSION * BASE_JACKSON)
     accept("11", "near-best error against the second-order modulus",
            ok, f"max ratio {worst:.6f}")
+
+
+def _cutoff_v(t):
+    """``approx.CutoffV`` in closed form: w(2 - |t|), with the transition
+    w(u) = s(u) / (s(u) + s(1 - u)) and s(u) = exp(-1/u)."""
+    u = 2 - abs(t)
+    if u >= 1:
+        return mpmath.mpf(1)
+    if u <= 0:
+        return mpmath.mpf(0)
+    a, b = mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
+    return a / (a + b)
+
+
+def _jackson_parseval(f, n):
+    """The Jackson ratio of gate 11 at p = 2 by Parseval: the error of the
+    de la Vallee-Poussin mean, (sum |c_k|^2 (1 - v(k/n))^2)^(1/2), over the
+    sup in delta in (0, 1/n] of (sum |c_k|^2 (2 sin(k delta/2))^4)^(1/2),
+    the second-order modulus.  The sup is the largest of a grid of 2000
+    steps, refined by ``findroot`` on the derivative in delta."""
+    mask = f.freqs != 0
+    k = f.freqs[mask]
+    c2 = np.abs(f.coeffs[mask]) ** 2
+    with mpmath.workdps(30):
+        terms = [(mpmath.mpf(int(j)), mpmath.mpf(float(c)))
+                 for j, c in zip(k, c2)]
+        num = mpmath.fsum(c * (1 - _cutoff_v(j / n)) ** 2 for j, c in terms)
+        if num == 0:
+            return 0.0
+
+        def modulus(d):
+            return mpmath.fsum(c * (2 * mpmath.sin(j * d / 2)) ** 4
+                               for j, c in terms)
+
+        def slope(d):
+            return mpmath.fsum(c * 32 * j * mpmath.sin(j * d / 2) ** 3
+                               * mpmath.cos(j * d / 2) for j, c in terms)
+
+        h = mpmath.mpf(1) / n
+        grid = np.linspace(0.0, 1.0 / n, 2001)[1:]
+        i = int(np.argmax(((2.0 * np.sin(np.outer(grid, k) / 2.0)) ** 4
+                           * c2).sum(1)))
+        best = modulus(h)
+        if i < grid.size - 1:
+            best = max(best, modulus(mpmath.findroot(slope, grid[i])))
+        return float(mpmath.sqrt(num / best))
+
+
+def test_c11_baseline_matches_parseval(corpus_members):
+    oracle = {(fid, n): _jackson_parseval(f, n)
+              for fid, f in corpus_members for n in (4, 8, 16)}
+    assert max(oracle.values()) == pytest.approx(BASE_JACKSON, rel=1e-12)
+    for fid, f in corpus_members:
+        for n in (4, 8, 16):
+            assert jackson_ratio(f, 2, n, 2.0) == pytest.approx(
+                oracle[fid, n], rel=1e-12, abs=0.0), (fid, n)
 
 
 def test_c12a_comparison_function_bounds(accept):

@@ -16,7 +16,10 @@ from fracsmooth import kernel
 from fracsmooth import (
     ConvergenceError,
     InvalidArgumentError,
+    beurling_bound,
     curve_points,
+    equivalence_scan,
+    make_g_tau,
     psi_eval,
     psi_many,
     series_terms_needed,
@@ -30,7 +33,8 @@ from fracsmooth import (
     z_series_many,
     z_span,
 )
-from fracsmooth._util import fmt17
+from fracsmooth._util import fmt17, gauss_legendre
+from fracsmooth.signal import corpus
 
 TWO_PI = 2.0 * math.pi
 
@@ -296,8 +300,8 @@ class TestLargeOrder:
 
 
 class TestCorpusSteps:
-    """psi at the steps k h of the equivalence corpus: the table's panels
-    need no halving, and the values match mpmath."""
+    """psi at the steps k h of the equivalence corpus: the table is built
+    once, and the values match mpmath."""
 
     @pytest.mark.parametrize("beta", [0.5, 2.5])
     @pytest.mark.parametrize("h", [0.05, 0.2, 1.0])
@@ -310,8 +314,8 @@ class TestCorpusSteps:
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5])
     def test_no_split_and_no_rebuild(self, beta, monkeypatch):
-        # the table's edges resolve every panel without halving, and once
-        # the table reaches the largest step, no call builds panels again
+        # the table's edges resolve every panel, and once the table
+        # reaches the largest step, no call builds panels again
         builds = counting_builds(monkeypatch)
         kernel._TABLES.pop(beta, None)
         for _ in range(2):
@@ -321,7 +325,6 @@ class TestCorpusSteps:
                     psi_many(beta, np.arange(-degree, degree + 1) * h)
         assert builds == []
         tab = kernel._TABLES[beta]
-        assert tab.splits == 0
         assert tab.panels == tab.left.size > 0
 
 
@@ -342,20 +345,65 @@ class TestDivergenceProbe:
 
 
 class TestQuadratureConfig:
-    """The one quadrature setting of ``kernel``: the z table's split cap
-    and rounding floor, its panel cap, and its reach, past which the
-    integrand overflows."""
+    """The one quadrature setting of ``kernel``: the z table's rounding
+    floor, its panel cap, and its reach, past which the table would
+    overflow."""
 
     def test_budget_exhaustion_raises(self, monkeypatch):
-        # with no rounding floor every panel splits, until one has been
-        # halved more often than the cap allows; no table is cached
+        # with no rounding floor no panel is resolved, and the table is
+        # refused, not cached
         monkeypatch.setattr(kernel, "_tail_floor", lambda beta: 0.0)
-        monkeypatch.setattr(kernel, "_MAX_SPLITS", 4)
         kernel._TABLES.pop(0.5, None)
-        with pytest.raises(ConvergenceError, match="subdivisions") as info:
+        with pytest.raises(ConvergenceError, match="not resolved") as info:
             z_eval(0.5, 6.0)
         assert info.value.achieved > 0.0
         assert 0.5 not in kernel._TABLES
+
+    @pytest.mark.parametrize("beta", np.geomspace(1e-3, 1020.0, 50))
+    def test_edges_resolve_every_panel(self, beta):
+        # one pass builds the whole table, from the least head to the
+        # reach, with no panel above its floor
+        tab = kernel._Table(beta, kernel._depth(beta)[1], kernel._reach(beta))
+        assert tab.panels == tab.left.size > 0
+        assert np.isfinite(tab.coef).all() and np.isfinite(tab.prefix).all()
+
+    def test_reach_near_pi(self, monkeypatch):
+        # up to order 1020.32 a table reaches pi; above, a point computes
+        # within the reach (3.009 at order 1023.5) and raises "not finite"
+        # past it, before any panel is built
+        builds = counting_builds(monkeypatch)
+        betas, refused = np.arange(1000.0, 1024.0, 0.5), []
+        for beta in betas:
+            reach = kernel._reach(beta)
+            assert (reach == math.pi) == (beta <= 1020.0), beta
+            for t in (2.9, 3.0, math.pi):
+                kernel._TABLES.pop(beta, None)
+                builds.clear()
+                if t > reach:
+                    with pytest.raises(ConvergenceError, match="not finite"):
+                        z_many(beta, [t])
+                    assert builds == [], (beta, t)
+                    refused.append((beta, t))
+                else:
+                    zs, noise = z_many(beta, [t], with_noise=True)
+                    assert np.isfinite(zs).all() and np.isfinite(noise).all()
+            kernel._TABLES.pop(beta, None)
+        assert refused == [(beta, math.pi) for beta in betas[betas > 1020.0]]
+
+    @pytest.mark.parametrize("beta", [1016.0, 1020.0])
+    def test_near_pi_matches_mpmath(self, beta):
+        # points that the reach refused while it allowed e^_GROWTH of
+        # growth across a panel
+        t = 3.0
+        zs, noise = z_many(beta, [t], with_noise=True)
+        with mpmath.workdps(40):
+            # on [0, 2.5], |f| is below e^-50 of its value at 3
+            def f(phi):
+                return mpmath.exp(beta * (mpmath.log(2 * mpmath.sin(phi / 2))
+                                          + 0.5j * (phi - mpmath.pi)))
+            want = complex(mpmath.quad(f, mpmath.linspace(2.5, t, 21),
+                                       method="gauss-legendre"))
+        assert abs(zs[0] - want) <= 4.0 * noise[0]
 
     def test_overflowing_integrand_raises(self):
         # past phi = pi/3 the base 2 sin(phi/2) exceeds 1, and at beta = 1e4
@@ -596,24 +644,22 @@ class TestTable:
         assert abs(val - z_mpmath(beta, 1.0)) <= 4.0 * kernel._round(beta) * (
             mass + 1.0)
 
-    def test_counts_panels_and_splits(self, monkeypatch):
+    def test_under_resolved_table_raises(self, monkeypatch):
         # with one panel per binade near 0, a panel [a, 2a] holds
         # phi^40 times a factor near 1, which grows by 2^40 across it, and
-        # 24 nodes do not resolve that: those panels split, and the values
-        # stay within the noise of the table whose edges need no split.
-        # A growth of e^40 a panel allows one panel per binade and still
-        # bounds the growth, so the table's reach stays at pi
+        # 24 nodes do not resolve that: the table is refused, not cached,
+        # where the edges of e^_GROWTH a panel build it
         beta = 40.0
         ts = np.linspace(0.05, math.pi, 200)
         kernel._TABLES.pop(beta, None)
-        want, noise = z_many(beta, ts, with_noise=True)
+        z_many(beta, ts)
         tab = kernel._TABLES.pop(beta)
-        assert tab.splits == 0 and tab.panels == tab.left.size
+        assert tab.panels == tab.left.size
         monkeypatch.setattr(kernel, "_GROWTH", beta)
-        got = z_many(beta, ts)
-        split = kernel._TABLES.pop(beta)
-        assert split.splits > 0 and split.panels == split.left.size
-        assert np.all(np.abs(got - want) <= 4.0 * noise)
+        with pytest.raises(ConvergenceError, match="not resolved") as info:
+            z_many(beta, ts)
+        assert info.value.achieved > 0.0
+        assert beta not in kernel._TABLES
 
     @pytest.mark.parametrize("beta", [0.5, 4.84, 12.7, 40.0])
     def test_value_depends_on_beta_and_t_alone(self, beta):
@@ -647,6 +693,46 @@ class TestTable:
         assert read.any()
         assert _same_bits(deep.prefix[:, shared[read]],
                           shallow.prefix[:, read])
+
+
+class TestGaussLegendre:
+    """The one Gauss-Legendre rule of the library, ``gauss_legendre``: the
+    z table, d z / d beta, the integral modulus and the Beurling bracket
+    all take their nodes from it."""
+
+    @pytest.mark.parametrize("n", [16, 24, 64])
+    def test_rule_is_exact_to_degree_2n_minus_1(self, n):
+        x, w, p = gauss_legendre(n)
+        assert not any(a.flags.writeable for a in (x, w, p))
+        # the nodes within an ulp of the eigenvalue route's
+        ref = np.polynomial.legendre.leggauss(n)[0]
+        assert np.all(np.abs(x - ref) <= np.spacing(np.abs(ref)))
+        # every monomial to 1e-14 of the integral of 1
+        for j in range(2 * n):
+            exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+            assert abs(np.dot(w, x ** j) - exact) <= 2e-14, j
+        # P_0 to P_(n-1), as the last Newton step evaluated them, within
+        # an ulp of the nodes
+        assert np.allclose(p, np.polynomial.legendre.legvander(x, n - 1),
+                           rtol=0.0, atol=1e-12)
+
+    def test_no_eigensolver(self, monkeypatch):
+        # leggauss takes its nodes from LAPACK's eigvalsh, whose set-up
+        # costs a mebibyte; no quadrature of the library calls it
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        with pytest.raises(AssertionError, match="eigvalsh"):
+            np.polynomial.legendre.leggauss(8)
+        gauss_legendre.cache_clear()
+        kernel._TABLES.pop(2.7, None)
+        assert np.isfinite(psi_many(2.7, np.linspace(0.1, 6.0, 40))).all()
+        rows = equivalence_scan([("exp:3", corpus("exponential", 3))],
+                                [2.5], [0.3], [2.0])
+        assert rows[0].error is None and math.isfinite(rows[0].w)
+        assert math.isfinite(beurling_bound(make_g_tau(2.5, 0.5), 3.0))
+        assert cmath.isfinite(kernel._z_dbeta(4.84, 2.2))
 
 
 class TestCore:

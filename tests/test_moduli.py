@@ -31,7 +31,7 @@ from fracsmooth import (
     write_report_json,
 )
 from fracsmooth import moduli
-from fracsmooth._util import bracket_max
+from fracsmooth._util import bracket_max, gauss_legendre
 from fracsmooth.fracdiff import apply_diff
 from fracsmooth.moduli import _BLOCK_ELEMS, _diff_norms, _ratio
 from fracsmooth.signal import grid_size, lp_norm
@@ -211,7 +211,7 @@ def scalar_classical(f, r):
 
 def scalar_integral(f, r):
     """The integral modulus with one scalar difference norm per node."""
-    nodes, weights = np.polynomial.legendre.leggauss(moduli._QUAD_ORDER)
+    nodes, weights, _ = gauss_legendre(moduli._QUAD_ORDER)
     deltas = 0.5 * r.h * (nodes + 1.0)
     p1 = r.norm.p1
     acc = 0.0
