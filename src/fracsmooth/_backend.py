@@ -1,15 +1,12 @@
-"""The numerical core: the NumPy kernels of ``_pykernels``.
+"""The module the benchmark binds its primitive span to.
 
-There is one core, which ``kernel`` imports directly.  This module and
-``backend_name`` remain only because the benchmark in ``perfbench/``
-binds the primitives through ``fracsmooth._backend.impl`` and records
-``fracsmooth.backend_name()``; removing them is a change to the
-benchmark, made on its own.  ``impl`` is the module object of
-``_pykernels`` itself, so a wrapper that the benchmark sets on it is the
-function that ``kernel`` calls.  ``gk15_panels``, which nothing in
-the library calls any more, stays for that benchmark span alone; the
-same change listed in ROADMAP.md deletes it, the last Gauss-Kronrod
-code.
+Nothing in the library calls ``_pykernels``; the package imports this
+module only to export ``backend_name``.  Both remain only because the benchmark in ``perfbench/``
+traces ``gk15_panels`` through ``fracsmooth._backend.impl`` and records
+``fracsmooth.backend_name()``.  ``impl`` is the module object of
+``_pykernels`` itself.  ``gk15_panels`` stays for that benchmark span
+alone; the benchmark's own change listed in ROADMAP.md deletes it, the
+last Gauss-Kronrod code, together with this module and ``backend_name``.
 """
 from . import _pykernels as impl
 

@@ -1,29 +1,18 @@
-"""The NumPy kernels: series sums and a Gauss-Kronrod panel rule.
-
-``kernel`` imports this module for its series route only; z and its
-derivative in beta come from the Gauss-Legendre rule of ``kernel``, not
-from here.  The two primitives:
-
-``z_series_sum_batch(beta, ts, nterms)``
-    Partial sums of the sine/cosine series for the accumulated difference
-    kernel at each t of a vector:
-    x = t + sum_{v=1..n} s_v sin(v t)/v, y = sum s_v (1 - cos(v t))/v
-    with s_v = (-1)^v binom(beta, v) obtained from the recurrence
-    s_v = s_{v-1} (v - 1 - beta)/v.
+"""The 15-point Gauss-Kronrod panel rule, kept for the benchmark alone.
 
 ``gk15_panels(beta, a, b)``
     15-point Gauss-Kronrod rule applied to the polar-form integrand
     (2 sin(phi/2))^beta * exp(i beta (phi - pi)/2) on each panel [a_j, b_j],
     returning the Kronrod values, the |K - G| error estimates and the
-    Kronrod rule applied to the magnitude of the integrand.  The library
-    no longer calls it: it stays only because the benchmark in
-    ``perfbench/`` traces it as a span, until the benchmark's own change
-    listed in ROADMAP.md drops that span, and the Gauss-Kronrod rule
-    with it.
+    Kronrod rule applied to the magnitude of the integrand.
+
+The library calls nothing here: z and its derivative in beta come from
+the Gauss-Legendre rule of ``kernel``, and the series sums live in
+``kernel`` and ``fracdiff``.  The rule stays only because the benchmark
+in ``perfbench/`` traces it as a span; the benchmark's own change listed
+in ROADMAP.md drops that span, and this module with it.
 """
 import numpy as np
-
-_CHUNK = 1 << 16
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss weights on the odd-indexed nodes.
@@ -59,27 +48,6 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])           # ascending, 15
 _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])               # Kronrod weights
 _WG_FULL = np.zeros(15)
 _WG_FULL[1:15:2] = np.concatenate([_WG[:-1], _WG[::-1]])    # Gauss on odd slots
-
-
-def z_series_sum_batch(beta, ts, nterms):
-    ts = np.asarray(ts, dtype=np.float64)
-    xs = ts.copy()
-    ys = np.zeros_like(ts)
-    # keep the nu x t work matrix at a sane size
-    chunk = max(1, min(_CHUNK, int(5e7) // max(1, ts.size)))
-    carry = 1.0
-    lo = 1
-    while lo <= nterms:
-        hi = min(lo + chunk, nterms + 1)
-        nu = np.arange(lo, hi, dtype=np.float64)
-        s = carry * np.cumprod((nu - 1.0 - beta) / nu)
-        carry = s[-1]
-        ang = np.multiply.outer(nu, ts)
-        w = s / nu
-        xs += w @ np.sin(ang)
-        ys += w @ (1.0 - np.cos(ang))
-        lo = hi
-    return xs, ys
 
 
 def gk15_panels(beta, a, b):

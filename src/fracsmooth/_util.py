@@ -5,6 +5,8 @@ import math
 import numpy as np
 from numpy.polynomial import legendre
 
+from .errors import InvalidArgumentError
+
 #: knots per round of ``bracket_max``; the next bracket spans the two knots
 #: beside the argmax, 2/16 = 1/8 of the bracket
 _BRACKET_KNOTS = 17
@@ -39,6 +41,16 @@ _ASCII4 = np.zeros(10000, dtype="<u4")
 _TZ4 = np.zeros(10000, dtype=np.uint8)
 #: sort keys of ``_fields`` past the fixed classes X + 4 in 0..20
 _SCIENTIFIC, _FALLBACK = 21, 22
+
+
+def check_beta(beta):
+    """An order as a float; one that is not positive and finite raises
+    InvalidArgumentError."""
+    beta = float(beta)
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise InvalidArgumentError(
+            f"beta must be positive and finite, got {beta}")
+    return beta
 
 
 def fmt17(x):

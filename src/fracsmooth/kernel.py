@@ -29,12 +29,14 @@ so does a value on (beta, t).
     x(t) = t + sum_v binom(beta, v) (-1)^v sin(v t)/v
     y(t) =     sum_v binom(beta, v) (-1)^v (1 - cos(v t))/v
 
-truncated by an analytic tail bound.  No reduction is applied, so the two
+truncated where its exact tail (``fracdiff._tail``) falls below the
+tolerance.  No reduction is applied, so the two
 routes share no code path and can serve as mutual oracles.
 """
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
@@ -42,10 +44,9 @@ from collections import OrderedDict
 import numpy as np
 from numpy.polynomial import legendre
 
-from . import _pykernels as _impl
-from ._util import fmt17, fmt17_rows, gauss_legendre
+from ._util import check_beta, fmt17, fmt17_rows, gauss_legendre
 from .errors import ConvergenceError, InvalidArgumentError
-from .fracdiff import _SERIES_CAP, _tail_constant
+from .fracdiff import _SERIES_CAP, _binomial_slices, _least_terms, _tail
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,13 +84,6 @@ _SCALAR_POINTS = 16
 #: of one block peak at about 1.4 MiB, below the 1.8 MiB that the text of
 #: an 8192-row curve took when it was built whole
 _CSV_BLOCK = 3072
-
-
-def _check_beta(beta):
-    beta = float(beta)
-    if not (beta > 0.0) or not math.isfinite(beta):
-        raise InvalidArgumentError(f"beta must be positive and finite, got {beta}")
-    return beta
 
 
 def _check_grid(name, grid):
@@ -381,7 +375,7 @@ def z_many(beta, ts, with_noise=False):
     panels, or a point lies past ``_reach(beta)``, where the table would
     overflow.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if not np.isfinite(ts).all():
         raise InvalidArgumentError("t values must be finite")
@@ -412,13 +406,15 @@ def z_many(beta, ts, with_noise=False):
         return out
     turns = m + past
     noise += TWO_PI * turns + 1.0
+    noise *= _round(beta)
     # each float 2pi in the reduction (mirror or shift) is 2.4e-16 short
     # of 2pi and the reduction rounds, so the reduced argument is off by a
-    # few eps per turn and z by that times |z'(t0)| = (2 sin(t0/2))^beta
+    # few eps per turn and z by that times |z'(t0)| = (2 sin(t0/2))^beta,
+    # scaled before the turns multiply it: near 2^beta, it would overflow
     moved = turns > 0.0
     if moved.any():
-        noise[moved] += turns[moved] * (2.0 * np.sin(0.5 * t0[moved])) ** beta
-    noise *= _round(beta)
+        noise[moved] += turns[moved] * (
+            _round(beta) * (2.0 * np.sin(0.5 * t0[moved])) ** beta)
     return out, noise
 
 
@@ -434,14 +430,15 @@ def z_span(beta, a, b):
     span, as differences of the table sums to b and to a (``_point``), so
     they round to about ``_round(beta)`` times the mass up to b.  Past pi
     the span is the conjugate of its mirror image below pi, as
-    f(2pi - phi) = conj(f(phi)).  An end past ``_reach(beta)``, where the
+    f(2pi - phi) = conj(f(phi)); the piece below pi is read only when a
+    lies below pi.  An end past ``_reach(beta)``, where the
     integrand overflows, raises ConvergenceError.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     a, b = float(a), float(b)
     if not (0.0 <= a <= b <= TWO_PI):
         raise InvalidArgumentError("need 0 <= a <= b <= 2pi")
-    ends = [(min(b, math.pi), min(a, math.pi), 1.0)]
+    ends = [(min(b, math.pi), a, 1.0)] if a < math.pi else []
     if b > math.pi:
         ends.append((TWO_PI - max(a, math.pi), TWO_PI - b, -1.0))
     value, mass = 0j, 0.0
@@ -488,7 +485,7 @@ def psi_eval(beta, t):
     """Averaging kernel psi(beta, t) = z(beta, t)/t, with psi(beta, 0) = 0."""
     t = float(t)
     if t == 0.0:
-        _check_beta(beta)
+        check_beta(beta)
         return 0.0j
     return z_eval(beta, t) / t
 
@@ -501,7 +498,7 @@ def psi_many(beta, ts):
     if nz.any():
         out[nz] = z_many(beta, ts[nz]) / ts[nz]
     else:
-        _check_beta(beta)
+        check_beta(beta)
     return out
 
 
@@ -512,21 +509,18 @@ def psi_many(beta, ts):
 def series_terms_needed(beta, tol):
     """Number of series terms for absolute tail error below tol in x and y.
 
-    For non-integer beta the tail of sum |binom(beta, v)|/v is bounded by
-    C(beta) * N^(-beta-1)/(beta+1), with m and C(beta) from
-    ``fracdiff._tail_constant``.  The y series carries an extra factor of
-    2 from |1 - cos|; both components are held below tol/2.
+    The least N with beta T(N)/N <= tol/4, T(N) = sum_{v>N}
+    |binom(beta, v)| exact (``fracdiff._tail``): past floor(beta),
+    |binom(beta, v)| = beta T(v - 1)/v, so beta T(N)/N bounds the tail of
+    sum |binom(beta, v)|/v.  The y series carries an extra factor of 2
+    from |1 - cos|, so x stays below tol/4 and y below tol/2.  At an
+    integer beta, T(beta) = 0 and N = beta.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     if not (tol > 0.0):
         raise InvalidArgumentError("tol must be positive")
-    if beta == round(beta):
-        return int(round(beta))
-    m, log_c = _tail_constant(beta)
-    log_n = (math.log(4.0) + log_c - math.log(beta + 1.0)
-             - math.log(tol)) / (beta + 1.0)
-    n = int(math.ceil(math.exp(min(log_n, 25.0 * math.log(10.0)))))
-    return max(n, m)
+    return _least_terms(lambda n: 4.0 * beta * _tail(beta, n) <= tol * n,
+                        sys.maxsize)
 
 
 def z_series(beta, t, tol=1e-9, cap=_SERIES_CAP):
@@ -540,15 +534,27 @@ def z_series(beta, t, tol=1e-9, cap=_SERIES_CAP):
 
 
 def z_series_many(beta, ts, tol=1e-9, cap=_SERIES_CAP):
-    """``z_series`` at every t of ts (one shared coefficient sweep)."""
-    beta = _check_beta(beta)
+    """``z_series`` at every t of ts (one shared coefficient sweep).
+
+    The coefficients go in slices of up to 2^16 terms, and of at most
+    5e7 entries of the term-by-point matrix.  Past ``cap`` terms it raises
+    ConvergenceError with the tolerance the cap reaches, 4 beta
+    T(cap)/cap, as ``achieved``.
+    """
+    beta = check_beta(beta)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = series_terms_needed(beta, tol)
     if n > cap:
         raise ConvergenceError(
             f"series for beta={beta} needs {n} terms for tol={tol} "
-            f"(cap {cap})", achieved=tol * (n / cap) ** (beta + 1.0))
-    xs, ys = _impl.z_series_sum_batch(beta, ts, n)
+            f"(cap {cap})", achieved=4.0 * beta * _tail(beta, cap) / cap)
+    xs, ys = ts.copy(), np.zeros_like(ts)
+    size = max(1, min(1 << 16, 50_000_000 // max(1, ts.size)))
+    for nu, s in _binomial_slices(beta, 1, n, size):
+        ang = np.multiply.outer(nu, ts)
+        w = s / nu
+        xs += w @ np.sin(ang)
+        ys += w @ (1.0 - np.cos(ang))
     return xs + 1j * ys
 
 
@@ -563,7 +569,7 @@ def xy_prime(beta, t):
     y' = sin(beta*(t-pi)/2) * (2 sin(t/2))^beta;
     the derivative is 2pi-periodic, so t is reduced modulo 2pi first.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     tr = math.fmod(float(t), TWO_PI)
     if tr < 0.0:
         tr += TWO_PI
@@ -583,9 +589,7 @@ def xn_divergence_probe(n):
     n = int(n)
     if n < 1:
         raise InvalidArgumentError("n must be a positive integer")
-    t = math.pi * (1.0 - 1.0 / n)
-    xs, _ = _impl.z_series_sum_batch(float(2 * n), [t], 2 * n)
-    return float(xs[0])
+    return z_series(float(2 * n), math.pi * (1.0 - 1.0 / n)).real
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +604,7 @@ def curve_points(beta, t_lo, t_hi, samples):
     window whose ends or width are not finite, or a ``samples`` that is
     not a whole number of at least 2, raises InvalidArgumentError.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     _check_grid("samples", samples)
     if not math.isfinite(t_hi - t_lo):
         raise InvalidArgumentError("t_lo, t_hi and t_hi - t_lo must be finite")

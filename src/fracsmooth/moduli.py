@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import bracket_max, fmt17, gauss_legendre
+from ._util import bracket_max, check_beta, fmt17, gauss_legendre
 from .errors import InvalidArgumentError, UnsupportedParameterError
 from .fracdiff import split_order, symbol_values
 from .kernel import psi_many
@@ -68,8 +68,7 @@ class ModulusRequest:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise InvalidArgumentError("beta must be positive and finite")
+        check_beta(self.beta)
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise InvalidArgumentError("h must be positive and finite")
         if self.alpha is not None:
@@ -218,6 +217,7 @@ def default_alpha(beta: float) -> float:
     """Splitting rule for the double average: the fractional part of beta
     when there is one (beta = alpha + floor(beta)), otherwise beta capped
     at 4 (beta = alpha + 0 or alpha + (beta - 4))."""
+    check_beta(beta)
     frac = beta - math.floor(beta)
     if frac > 1e-9:
         return frac

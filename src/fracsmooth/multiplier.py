@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import gauss_legendre
+from ._util import check_beta, gauss_legendre
 from .approx import CutoffV
 from .errors import (DomainTooSmallError, InvalidArgumentError,
                      ZeroDenominatorError)
@@ -159,8 +159,7 @@ def make_g_tau(beta: float, tau: float) -> MultiplierFn:
     The averaging symbol has no zeros on (0, 2] — 2 < pi keeps us inside
     its nonvanishing range — which the constructor asserts.
     """
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise InvalidArgumentError("beta must be positive and finite")
+    check_beta(beta)
     tau = _check_tau(tau)
     _near_origin_check(beta, f"{beta}")
     limit = tau ** beta * (beta + 1.0)
@@ -180,8 +179,7 @@ def make_g1_g2(beta: float, alpha: float,
     grows.  g2 is declared ``decaying`` as specified; ``beurling_bound``
     probes that claim at the window edge before integrating.
     """
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise InvalidArgumentError("beta must be positive and finite")
+    check_beta(beta)
     tau = _check_tau(tau)
     gap = split_order(beta, alpha)
     v = CutoffV()

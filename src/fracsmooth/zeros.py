@@ -72,9 +72,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_beta
 from .errors import BracketError, InvalidArgumentError
-from .kernel import (TWO_PI, _check_beta, _check_grid, _round, _z_dbeta,
-                     xy_prime, z_eval, z_many, z_span)
+from .kernel import (TWO_PI, _check_grid, _round, _z_dbeta, xy_prime,
+                     z_eval, z_many, z_span)
 
 log = logging.getLogger(__name__)
 
@@ -331,7 +332,7 @@ def _column(beta, t_grid):
     ascending in m and so in t, for the pieces where y changes sign;
     [t_lo, t_hi] is the sign bracket that held t.
     """
-    half = math.ceil(_check_beta(beta) / 2.0)
+    half = math.ceil(check_beta(beta) / 2.0)
     knots = {}
     for m in range(-half, half):
         lo, hi = _piece_bounds(beta, m)

@@ -1,16 +1,19 @@
 """Tests for fractional binomials and the difference operator."""
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracsmooth
 from fracsmooth import (ConvergenceError, InvalidArgumentError,
                         ModulusRequest, NormParams, TrigPoly, apply_diff,
                         apply_diff_series, binom_abs_sum, corpus,
-                        frac_binom, make_g1_g2, symbol_values)
-from fracsmooth.fracdiff import split_order
+                        frac_binom, make_g1_g2, series_terms_needed,
+                        symbol_values)
+from fracsmooth.fracdiff import _least_terms, _tail, split_order
 from fracsmooth.signal import evaluate, lp_norm
 
 PI = math.pi
@@ -50,10 +53,149 @@ class TestFracBinom:
     def test_abs_sum_half_order_is_tight_upper_bound(self):
         # exact value: binom(1/2,0)=1 and sum_{v>=1}|binom(1/2,v)| = 1
         # (telescoping against (1-x)^{1/2} at x=1), so the sum is 2.
-        # The term cap binds at beta=1/2, leaving the conservative tail
-        # bound in place: an upper estimate, close at ~1e-4 scale.
-        got = binom_abs_sum(0.5)
-        assert 2.0 - 1e-12 <= got <= 2.0 + 1e-3
+        # The tail past v = 0 is |binom(-1/2, 0)| = 1, one product
+        # (beta - 0)/beta = 1 exactly, so the sum reads 2 to the bit.
+        assert binom_abs_sum(0.5) == 2.0
+
+
+def _mp_tail(beta, n):
+    """|binom(beta - 1, n)| in 40 digits: the tail past n from n =
+    floor(beta) on."""
+    with mpmath.workdps(40):
+        return abs(mpmath.binomial(mpmath.mpf(beta) - 1, n))
+
+
+class TestExactTail:
+    """T(N) = sum_{v>N} |binom(beta, v)| = |binom(beta - 1, N)| past
+    floor(beta) (``fracdiff._tail``), and the least N that meets a bound
+    (``fracdiff._least_terms``)."""
+
+    @pytest.mark.parametrize("beta", [4.8431, 12.7])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_identity_matches_nsum(self, beta, which):
+        # nsum's extrapolation of the tail is the oracle here; at small
+        # orders the tail decays too slowly for it (2e-3 off at 0.7)
+        n = (math.floor(beta), 20, 40)[which]
+        with mpmath.workdps(40):
+            want = mpmath.nsum(lambda v: abs(mpmath.binomial(beta, v)),
+                               [n + 1, mpmath.inf])
+        assert _tail(beta, n) == pytest.approx(float(want), rel=1e-10)
+
+    def test_below_floor_and_at_integers(self):
+        assert _tail(2.5, 1) == math.inf
+        assert _tail(3.0, 3) == 0.0 and _tail(3.0, 2) == math.inf
+
+    @pytest.mark.parametrize("beta, bounds", [
+        (0.5, (1e-1, 1e-2, 1e-3)), (2.5, (1e-3, 1e-6, 1e-9)),
+        (6.1, (1e-4, 1e-8, 1e-12))])
+    def test_least_terms_for_the_tail(self, beta, bounds):
+        for bound in bounds:
+            n = _least_terms(lambda k: _tail(beta, k) <= bound, 10 ** 9)
+            assert n > math.floor(beta)
+            assert _mp_tail(beta, n) <= bound < _mp_tail(beta, n - 1)
+
+    @pytest.mark.parametrize("beta, bounds", [
+        (0.5, (1e-4, 1e-6, 1e-9)), (2.5, (1e-4, 1e-8, 1e-12)),
+        (6.1, (1e-4, 1e-8, 1e-12))])
+    def test_least_terms_for_the_weighted_tail(self, beta, bounds):
+        # series_terms_needed(beta, tol): the least N with
+        # beta T(N)/N <= tol/4
+        for bound in bounds:
+            n = series_terms_needed(beta, 4.0 * bound)
+            assert n > math.floor(beta)
+            assert (beta * _mp_tail(beta, n) / n <= bound
+                    < beta * _mp_tail(beta, n - 1) / (n - 1))
+
+    def test_least_terms_past_the_cap(self):
+        assert _least_terms(lambda k: k >= 10, 4) == 5
+        assert _least_terms(lambda k: k >= 10, 10) == 10
+        assert _least_terms(lambda k: True, 0) == 0
+
+
+class TestAbsSum:
+    """sum_v |binom(beta, v)| in closed form from (1 - 1)^beta = 0: the
+    terms past floor(beta) sum to minus the signed terms up to it."""
+
+    @pytest.mark.parametrize("beta", [1e-300, 0.01, 0.3, 0.5, 0.99])
+    def test_two_below_one(self, beta):
+        assert binom_abs_sum(beta) == 2.0
+
+    @pytest.mark.parametrize("beta", [1.01, 1.5, 1.9])
+    def test_two_beta_between_one_and_two(self, beta):
+        assert binom_abs_sum(beta) == pytest.approx(2.0 * beta, rel=1e-15)
+
+    @pytest.mark.parametrize("beta", [2.01, 2.5, 2.9])
+    def test_between_two_and_three(self, beta):
+        want = 2.0 + beta * (beta - 1.0)
+        assert binom_abs_sum(beta) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 60])
+    def test_power_of_two_at_integers(self, n):
+        assert binom_abs_sum(float(n)) == pytest.approx(2.0 ** n, rel=1e-14)
+
+    def test_beyond_the_floats_is_infinite(self):
+        assert binom_abs_sum(1100.5) == math.inf
+        assert binom_abs_sum(1e300) == math.inf
+
+    def test_memory_does_not_grow_with_a_term_cap(self):
+        tracemalloc.start()
+        try:
+            assert binom_abs_sum(0.01) == 2.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+class TestOrderCheck:
+    """Every public entry that takes an order rejects one that is not
+    positive and finite with InvalidArgumentError (``_util.check_beta``).
+    ``frac_binom`` takes any real order and ``write_curve_csv`` only
+    prints it, so neither is listed."""
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_every_entry_rejects(self, beta):
+        f = corpus("random_smooth", 4, seed=1)
+        fs = fracsmooth
+        calls = {
+            "symbol_values": lambda: symbol_values(beta, 0.5, [1]),
+            "binom_abs_sum": lambda: binom_abs_sum(beta),
+            "apply_diff": lambda: apply_diff(f, beta, 0.5),
+            "apply_diff_series": lambda: apply_diff_series(f, beta, 0.5,
+                                                           0.0),
+            "ModulusRequest": lambda: ModulusRequest(
+                beta=beta, h=0.1, norm=NormParams(p=2)),
+            "default_alpha": lambda: fs.default_alpha(beta),
+            "equivalence_scan": lambda: fs.equivalence_scan(
+                [("f", f)], [beta], [0.1], [2.0]),
+            "make_g_tau": lambda: fs.make_g_tau(beta, 0.5),
+            "make_g1_g2": lambda: make_g1_g2(beta, 0.5, 0.5),
+            "z_eval": lambda: fs.z_eval(beta, 1.0),
+            "z_many": lambda: fs.z_many(beta, [1.0]),
+            "z_span": lambda: fs.z_span(beta, 0.5, 1.0),
+            "psi_eval": lambda: fs.psi_eval(beta, 0.0),
+            "psi_many": lambda: fs.psi_many(beta, [0.0, 1.0]),
+            "series_terms_needed": lambda: series_terms_needed(beta, 1e-9),
+            "z_series": lambda: fs.z_series(beta, 1.0),
+            "z_series_many": lambda: fs.z_series_many(beta, [1.0]),
+            "xy_prime": lambda: fs.xy_prime(beta, 1.0),
+            "curve_points": lambda: fs.curve_points(beta, 0.0, 1.0, 4),
+            "curve_F": lambda: fs.curve_F(beta),
+            "y_zeros": lambda: fs.y_zeros(beta, 0.5, 6.0, 16),
+            "verify_nonvanishing": lambda: fs.verify_nonvanishing(
+                beta, 0.5, 6.0, 16),
+        }
+        missed = {}
+        for name, call in calls.items():
+            try:
+                call()
+            except InvalidArgumentError:
+                continue
+            except Exception as exc:  # noqa: BLE001 - reported below
+                missed[name] = repr(exc)
+            else:
+                missed[name] = "no error"
+        assert not missed
 
 
 class TestSplitOrder:
@@ -229,6 +371,13 @@ class TestSeriesOracle:
         got = apply_diff_series(f, 2.5, 0.2, 1.0, tol=1e-8)
         want = evaluate(apply_diff(f, 2.5, 0.2), [1.0])[0]
         assert abs(got - want) <= 1e-8
+
+    def test_rejects_a_tolerance_that_is_not_positive(self):
+        # a tail is never below 0, so the search would sum to the cap
+        f = corpus("random_smooth", 4, seed=1)
+        for tol in (0.0, -1e-8, math.nan):
+            with pytest.raises(InvalidArgumentError, match="tol"):
+                apply_diff_series(f, 2.5, 0.5, 0.0, tol=tol)
 
     def test_unreachable_tolerance_reports_partial(self):
         # at beta=0.7 the tail decays like N^-0.7: 1e-12 needs ~1e17 terms

@@ -125,6 +125,25 @@ class TestIdentities:
         assert abs(val - want) < 1e-9
         assert mass > 0.0
 
+    @pytest.mark.parametrize("a, b, reads", [
+        (math.pi, 4.0, 2), (3.5, 5.0, 2), (1.0, 4.0, 4), (1.0, 2.0, 2)])
+    def test_span_reads_only_the_pieces_it_spans(self, a, b, reads,
+                                                 monkeypatch):
+        # a span that starts at or past pi has no piece below pi, so it
+        # reads its two mirrored ends and nothing at pi
+        calls = []
+        inner = kernel._point
+
+        def counting(beta, s):
+            calls.append(s)
+            return inner(beta, s)
+
+        monkeypatch.setattr(kernel, "_point", counting)
+        val, mass = z_span(2.5, a, b)
+        assert len(calls) == reads
+        assert abs(val - (z_eval(2.5, b) - z_eval(2.5, a))) < 1e-9
+        assert mass > 0.0
+
     def test_span_degenerate_and_invalid(self):
         assert z_span(2.5, 1.0, 1.0) == (0.0j, 0.0)
         with pytest.raises(InvalidArgumentError):
@@ -157,6 +176,13 @@ class TestSeriesRoute:
             quad = z_many(beta, ts)
             series = z_series_many(beta, ts, tol=1e-10)
             assert np.max(np.abs(quad - series)) <= 1e-8, beta
+
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.5, 4.85])
+    def test_within_tol_of_mpmath(self, beta):
+        ts = [0.3, 2.0, math.pi, 5.5, 13.0]
+        got = z_series_many(beta, ts, tol=1e-9)
+        for t, z in zip(ts, got):
+            assert abs(z - z_mpmath(beta, t)) <= 1e-9, t
 
     def test_cap_exceeded_reports_terms(self):
         # slow tail at small order: the default cap cannot reach 1e-9
@@ -276,6 +302,17 @@ class TestMirror:
         zs, noise = z_many(beta, ts, with_noise=True)
         want = np.array([z_mpmath(beta, t) for t in ts])
         assert np.all(np.abs(zs - want) <= 4.0 * noise), beta
+
+    def test_shifted_noise_stays_finite_at_the_top_orders(self):
+        # 40 turns times |z'(3)| ~ 7e306 leave the floats unless the
+        # rounding factor scales |z'| first; the suite turns the overflow
+        # warning into an error
+        beta, t = 1023.0, 3.0 + 80.0 * math.pi
+        zs, noise = z_many(beta, [t], with_noise=True)
+        assert np.isfinite(zs).all() and np.isfinite(noise).all()
+        t0 = t - 40.0 * TWO_PI
+        slope = kernel._round(beta) * (2.0 * math.sin(0.5 * t0)) ** beta
+        assert 40.0 * slope <= noise[0] <= 1.01 * 40.0 * slope
 
 
 class TestLargeOrder:
