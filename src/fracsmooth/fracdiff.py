@@ -66,6 +66,15 @@ def _tail(beta: float, n: int) -> float:
     return gamma * abs(math.sin(math.pi * frac)) / math.pi
 
 
+def _check_cap(cap) -> int:
+    """A term cap as an int; one that is not a whole number >= 1 (0, -1,
+    2.5, nan, inf) raises InvalidArgumentError."""
+    if not (cap >= 1 and float(cap).is_integer()):
+        raise InvalidArgumentError(
+            f"cap must be a whole number of at least 1, got {cap}")
+    return int(cap)
+
+
 def _least_terms(holds, cap: int) -> int:
     """The least n >= 0 at which ``holds(n)``, for a test that fails up to
     some n and holds from there on, by doubling and bisection; cap + 1
@@ -173,11 +182,13 @@ def apply_diff_series(f: TrigPoly, beta: float, delta: float, x: float,
     sup|f| T(N) <= tol, with T(N) = sum_{v>N} |binom(beta, v)| exact
     (``_tail``) and sup|f| bounded by the coefficient mass sum|c_k|.  Past
     ``cap`` terms it raises ConvergenceError with the sum to the cap as
-    ``partial`` and sup|f| T(cap) as ``achieved``.
+    ``partial`` and sup|f| T(cap) as ``achieved``.  A ``cap`` that is not
+    a whole number of at least 1 raises InvalidArgumentError.
     """
     beta = check_beta(beta)
     if not (tol > 0.0):
         raise InvalidArgumentError("tol must be positive")
+    cap = _check_cap(cap)
     fmax = float(np.sum(np.abs(f.coeffs)))
     if fmax == 0.0:
         return 0.0j

@@ -46,7 +46,8 @@ from numpy.polynomial import legendre
 
 from ._util import check_beta, fmt17, fmt17_rows, gauss_legendre
 from .errors import ConvergenceError, InvalidArgumentError
-from .fracdiff import _SERIES_CAP, _binomial_slices, _least_terms, _tail
+from .fracdiff import (_SERIES_CAP, _binomial_slices, _check_cap,
+                       _least_terms, _tail)
 
 TWO_PI = 2.0 * math.pi
 
@@ -539,9 +540,11 @@ def z_series_many(beta, ts, tol=1e-9, cap=_SERIES_CAP):
     The coefficients go in slices of up to 2^16 terms, and of at most
     5e7 entries of the term-by-point matrix.  Past ``cap`` terms it raises
     ConvergenceError with the tolerance the cap reaches, 4 beta
-    T(cap)/cap, as ``achieved``.
+    T(cap)/cap, as ``achieved``; a ``cap`` that is not a whole number of
+    at least 1 raises InvalidArgumentError.
     """
     beta = check_beta(beta)
+    cap = _check_cap(cap)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = series_terms_needed(beta, tol)
     if n > cap:

@@ -15,7 +15,14 @@ Each value is bit for bit ``lp_norm(apply_diff(f, beta, delta), norm)``.
 
 The linearized and double-averaged moduli never integrate differences
 numerically: averaging a fractional difference over the step is exactly
-a Fourier multiplier, so their values come from kernel symbols.
+a Fourier multiplier, so their values come from kernel symbols.  The
+symbol psi(order, k h) depends on the order, the step and the degree, not
+on p or on the function, so ``_psi_symbol`` computes it on k >= 0 once per
+(order, h, degree) and the moduli mirror it, psi(-k h) = conj(psi(k h)),
+bit for bit what ``psi_many`` gives at -k h.  The memo holds at most
+``_SYMBOLS`` = 16 half spectra: within one scan the reuse is the p of a
+(beta, h) pair and consecutive corpus members of equal degree, which 16
+entries already serve, and a degree-1024 half spectrum is 16 KiB.
 
 The scan engine computes all four on a corpus grid and the pairwise
 ratios (with a divide-by-zero infinity flag).
@@ -23,6 +30,7 @@ ratios (with a divide-by-zero infinity flag).
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import logging
@@ -47,6 +55,9 @@ _BLOCK_ELEMS = 1 << 18
 _DELTA_GRID = 256
 #: Gauss-Legendre nodes of the integral modulus over (0, h)
 _QUAD_ORDER = 64
+#: half spectra held by ``_psi_symbol``; more entries would mostly keep
+#: symbols that one scan never asks for again
+_SYMBOLS = 16
 
 CSV_HEADER = ("fid", "beta", "alpha", "h", "p", "omega", "w",
               "omega_tilde", "omega_star", "r_w", "r_tilde", "r_star")
@@ -75,25 +86,40 @@ class ModulusRequest:
             split_order(self.beta, float(self.alpha))
 
 
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """A symbol on k = -M..M from its values on k = 0..M (the last axis),
+    by sigma(-k) = conj(sigma(k))."""
+    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
+
+
 def _diff_norms(f: TrigPoly, beta: float, deltas,
                 norm: NormParams) -> np.ndarray:
     """||D_delta^beta f||_p for every step delta in ``deltas``.
 
     Per block of steps: the symbol matrix of the difference (one row per
     step) times the coefficients, then ``lp_norms`` of the rows.  The
-    symbol is computed for k = 0..M and mirrored, sigma(-k) =
-    conj(sigma(k)), which is bit for bit what ``symbol_values`` gives at
-    -k.
+    symbol is computed for k = 0..M and mirrored (``_mirror``), which is
+    bit for bit what ``symbol_values`` gives at -k.
     """
     deltas = np.asarray(deltas, dtype=float)
     rows = max(1, _BLOCK_ELEMS // grid_size(f.degree))
     half = np.arange(f.degree + 1)
     out = np.empty(deltas.size)
     for lo in range(0, deltas.size, rows):
-        sym = symbol_values(beta, deltas[lo:lo + rows, None], half)
-        sym = np.concatenate([np.conj(sym[:, :0:-1]), sym], axis=1)
+        sym = _mirror(symbol_values(beta, deltas[lo:lo + rows, None], half))
         out[lo:lo + rows] = lp_norms(f.coeffs * sym, norm)
     return out
+
+
+@functools.lru_cache(maxsize=_SYMBOLS)
+def _psi_symbol(order: float, h: float, degree: int) -> np.ndarray:
+    """psi(order, k h) for k = 0..degree, read-only: one ``psi_many``
+    call per (order, h, degree) while the memo holds it.  An invalid
+    order raises and is not held.  ``psi_many`` is looked up at call
+    time, so a wrapper set on ``moduli.psi_many`` sees every miss."""
+    sym = psi_many(order, np.arange(degree + 1) * h)
+    sym.flags.writeable = False
+    return sym
 
 
 def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
@@ -145,15 +171,17 @@ def linearized_modulus(f: TrigPoly, req: ModulusRequest) -> float:
 
     Averaging the difference over delta in (0, h) multiplies the k-th
     coefficient by the averaging symbol at k h, so the value is exact up
-    to kernel quadrature — no delta integration happens here.  Defined
-    for p >= 1 only.
+    to kernel quadrature — no delta integration happens here.  The
+    symbol is computed on k >= 0, mirrored, and memoised per (beta, h,
+    degree) in at most 16 entries (``_psi_symbol``).  Defined for p >= 1
+    only.
     """
     if req.alpha is not None:
         raise InvalidArgumentError("alpha does not apply to this modulus")
     if req.norm.p < 1.0:
         raise UnsupportedParameterError(
             "the averaged difference needs an integrable function: p >= 1")
-    sym = psi_many(req.beta, f.freqs * req.h)
+    sym = _mirror(_psi_symbol(req.beta, req.h, f.degree))
     return lp_norm(f.with_coeffs(f.coeffs * sym), req.norm)
 
 
@@ -162,7 +190,8 @@ def star_modulus(f: TrigPoly, req: ModulusRequest) -> float:
 
     The two averaging symbols multiply; when beta = alpha the first
     factor is identically 1 and the value coincides with the linearized
-    modulus.
+    modulus.  Each factor is computed on k >= 0, mirrored, and memoised
+    per (order, h, degree) in at most 16 entries (``_psi_symbol``).
     """
     if req.alpha is None:
         raise InvalidArgumentError("alpha is required for this modulus")
@@ -171,9 +200,9 @@ def star_modulus(f: TrigPoly, req: ModulusRequest) -> float:
             "the averaged difference needs an integrable function: p >= 1")
     alpha = float(req.alpha)
     gap = split_order(req.beta, alpha)
-    sym = psi_many(alpha, f.freqs * req.h)
+    sym = _mirror(_psi_symbol(alpha, req.h, f.degree))
     if gap > 0:
-        sym = sym * psi_many(float(gap), f.freqs * req.h)
+        sym = sym * _mirror(_psi_symbol(float(gap), req.h, f.degree))
     return lp_norm(f.with_coeffs(f.coeffs * sym), req.norm)
 
 

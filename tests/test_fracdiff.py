@@ -379,6 +379,12 @@ class TestSeriesOracle:
             with pytest.raises(InvalidArgumentError, match="tol"):
                 apply_diff_series(f, 2.5, 0.5, 0.0, tol=tol)
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, math.nan])
+    def test_rejects_a_cap_that_is_not_a_whole_number(self, cap):
+        f = corpus("random_smooth", 4, seed=1)
+        with pytest.raises(InvalidArgumentError, match="cap"):
+            apply_diff_series(f, 2.5, 0.5, 0.0, cap=cap)
+
     def test_unreachable_tolerance_reports_partial(self):
         # at beta=0.7 the tail decays like N^-0.7: 1e-12 needs ~1e17 terms
         f = corpus("random_smooth", 4, seed=1)

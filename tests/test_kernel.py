@@ -191,6 +191,13 @@ class TestSeriesRoute:
                 route(0.15, 1.0)
             assert info.value.achieved > 1e-9
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, math.nan])
+    def test_rejects_a_cap_that_is_not_a_whole_number(self, cap):
+        # an argument error, not a series that outgrows its cap
+        for route in (z_series, z_series_many):
+            with pytest.raises(InvalidArgumentError, match="cap"):
+                route(2.5, 1.0, cap=cap)
+
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             series_terms_needed(2.0, 0.0)

@@ -33,6 +33,7 @@ from fracsmooth import (
 from fracsmooth import moduli
 from fracsmooth._util import bracket_max, gauss_legendre
 from fracsmooth.fracdiff import apply_diff
+from fracsmooth.kernel import psi_many
 from fracsmooth.moduli import _BLOCK_ELEMS, _diff_norms, _ratio
 from fracsmooth.signal import grid_size, lp_norm
 
@@ -353,6 +354,85 @@ class TestStar:
     def test_rejects_p_below_one(self):
         with pytest.raises(UnsupportedParameterError):
             star_modulus(E1, req(2.5, 0.5, 0.5, alpha=2.5))
+
+
+def row_bits(rows):
+    """Each row's key and the uint64 bits of its float columns."""
+    return [(r.fid, r.error, np.array([getattr(r, name) for name in
+                                       CSV_HEADER[1:]]).view(np.uint64)
+             .tolist()) for r in rows]
+
+
+class TestSymbolMemo:
+    """``_psi_symbol`` holds psi(order, k h) for k >= 0 per (order, h,
+    degree); the moduli mirror it."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        moduli._psi_symbol.cache_clear()
+        yield
+        moduli._psi_symbol.cache_clear()
+
+    def test_mirror_matches_psi_many_bitwise(self, beta0_record):
+        # k h runs past pi (h = 3.3) and past 2 pi (h = 7, and 1024 h for
+        # every h); degree 0 is the lone k = 0
+        orders = (0.5, 1.0, 2.0, 2.5, 4.0, 12.7, beta0_record.beta_k)
+        for order in orders:
+            for h in (0.05, 0.731, 3.3, 7.0):
+                for degree in (0, 1, 8, 1024):
+                    got = moduli._mirror(
+                        moduli._psi_symbol(order, h, degree))
+                    k = np.arange(-degree, degree + 1)
+                    want = psi_many(order, k * h)
+                    assert np.array_equal(got.view(np.uint64),
+                                          want.view(np.uint64)), \
+                        (order, h, degree)
+
+    def test_half_spectrum_is_read_only(self):
+        half = moduli._psi_symbol(2.5, 0.2, 8)
+        with pytest.raises(ValueError):
+            half[1] = 0.0
+        assert moduli._psi_symbol(2.5, 0.2, 8) is half
+
+    @pytest.mark.parametrize("degree", [0, 8])
+    def test_invalid_order_is_not_held(self, degree):
+        with pytest.raises(InvalidArgumentError):
+            moduli._psi_symbol(-1.0, 0.2, degree)
+        assert moduli._psi_symbol.cache_info().currsize == 0
+        half = moduli._psi_symbol(1.5, 0.2, degree)
+        assert half.shape == (degree + 1,)
+        assert moduli._psi_symbol.cache_info().currsize == 1
+
+    def test_scan_reuses_symbols(self, monkeypatch, corpus_members):
+        # 27 rows need 12 symbols: psi at beta for each of the 9 (beta,
+        # h), plus the gap order 2 of beta = 2.5 for each h (its alpha 0.5
+        # is the beta = 0.5 symbol)
+        member = [m for m in corpus_members if m[0] == "random:8:1"]
+        grid = ([0.5, 1.0, 2.5], [0.05, 0.2, 1.0], [1.0, 2.0, math.inf])
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return psi_many(*args)
+
+        monkeypatch.setattr(moduli, "psi_many", counting)
+        rows = equivalence_scan(member, *grid)
+        assert len(calls) == 12
+        assert moduli._psi_symbol.cache_info().maxsize == 16
+        assert all(r.error is None for r in rows)
+
+        scan_row = moduli._scan_row
+
+        def cold_row(*args):
+            moduli._psi_symbol.cache_clear()
+            return scan_row(*args)
+
+        monkeypatch.setattr(moduli, "_scan_row", cold_row)
+        cold = equivalence_scan(member, *grid)
+        monkeypatch.setattr(moduli, "_scan_row", scan_row)
+        threaded = equivalence_scan(member, *grid, threads=3)
+        assert row_bits(cold) == row_bits(rows)
+        assert row_bits(threaded) == row_bits(rows)
 
 
 class TestDefaultAlpha:
