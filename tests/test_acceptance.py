@@ -40,6 +40,8 @@ from fracsmooth import (
 )
 from fracsmooth.errors import DomainTooSmallError
 from fracsmooth.signal import NormParams, corpus, evaluate
+from test_approx import cutoff_mpmath
+from test_multiplier import bracket_mpmath
 
 # pinned tolerances, one place
 TOL_CHECKPOINT = 2e-3       # three-decimal reference points
@@ -71,7 +73,9 @@ BASE_PROBE_20 = -4118670861.0726085
 # max Jackson ratio of gate 11 (sawtooth:8, n = 4); checked against a
 # Parseval oracle in test_c11_baseline_matches_parseval
 BASE_JACKSON = 0.2811733882019196
-BASE_GTAU_SUP = 11.666914095518907
+# sup of gate 12a, at (beta, tau) = (3.9, 0.9); checked against an
+# mpmath oracle in test_c12a_baseline_matches_oracle
+BASE_GTAU_SUP = 11.666914150298086
 BASE_FLOORS_WIDE = {0.5: 0.007453353622552306,
                     1.0: 0.001249913196855684,
                     2.5: 7.984143652895052e-06,
@@ -389,18 +393,6 @@ def test_c11_jackson_ratio(accept, corpus_members):
            ok, f"max ratio {worst:.6f}")
 
 
-def _cutoff_v(t):
-    """``approx.CutoffV`` in closed form: w(2 - |t|), with the transition
-    w(u) = s(u) / (s(u) + s(1 - u)) and s(u) = exp(-1/u)."""
-    u = 2 - abs(t)
-    if u >= 1:
-        return mpmath.mpf(1)
-    if u <= 0:
-        return mpmath.mpf(0)
-    a, b = mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
-    return a / (a + b)
-
-
 def _jackson_parseval(f, n):
     """The Jackson ratio of gate 11 at p = 2 by Parseval: the error of the
     de la Vallee-Poussin mean, (sum |c_k|^2 (1 - v(k/n))^2)^(1/2), over the
@@ -413,7 +405,8 @@ def _jackson_parseval(f, n):
     with mpmath.workdps(30):
         terms = [(mpmath.mpf(int(j)), mpmath.mpf(float(c)))
                  for j, c in zip(k, c2)]
-        num = mpmath.fsum(c * (1 - _cutoff_v(j / n)) ** 2 for j, c in terms)
+        num = mpmath.fsum(c * (1 - cutoff_mpmath(j / n)) ** 2
+                          for j, c in terms)
         if num == 0:
             return 0.0
 
@@ -443,6 +436,13 @@ def test_c11_baseline_matches_parseval(corpus_members):
         for n in (4, 8, 16):
             assert jackson_ratio(f, 2, n, 2.0) == pytest.approx(
                 oracle[fid, n], rel=1e-12, abs=0.0), (fid, n)
+
+
+def test_c12a_baseline_matches_oracle():
+    oracle = bracket_mpmath(3.9, 0.9, (3.9,))
+    assert oracle == pytest.approx(BASE_GTAU_SUP, rel=1e-12)
+    assert beurling_bound(make_g_tau(3.9, 0.9), 3.0) == pytest.approx(
+        oracle, rel=1e-10, abs=0.0)
 
 
 def test_c12a_comparison_function_bounds(accept):

@@ -3,6 +3,7 @@ Jackson-quotient probe."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,18 @@ from fracsmooth import (
     vallee_poussin,
 )
 from fracsmooth.signal import evaluate, grid_size, lp_norm
+
+
+def cutoff_mpmath(t):
+    """``approx.CutoffV`` in closed form: w(2 - |t|), with the transition
+    w(u) = s(u) / (s(u) + s(1 - u)) and s(u) = exp(-1/u)."""
+    u = 2 - abs(t)
+    if u >= 1:
+        return mpmath.mpf(1)
+    if u <= 0:
+        return mpmath.mpf(0)
+    a, b = mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
+    return a / (a + b)
 
 
 class TestBestL2:
@@ -82,6 +95,12 @@ class TestCutoff:
         for t in (-1.7, 0.2, 1.3, 1.7, 2.5):
             fd = (self.V(t + h) - self.V(t - h)) / (2.0 * h)
             assert self.V.derivative(t) == pytest.approx(fd, abs=1e-5)
+
+    def test_derivative_matches_mpmath(self):
+        with mpmath.workdps(30):
+            for t in (-1.99, -1.7, -1.3, -1.01, 1.02, 1.25, 1.5, 1.8, 1.97):
+                want = float(mpmath.diff(cutoff_mpmath, t))
+                assert abs(self.V.derivative(t) - want) <= 1e-12, t
 
     def test_derivative_vanishes_off_transition(self):
         assert self.V.derivative(0.0) == 0.0

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,11 +21,20 @@ from fracsmooth import (
     psi_many,
     symbol_values,
 )
+from fracsmooth import multiplier
 from fracsmooth.signal import lp_norm
+from test_approx import cutoff_mpmath
 
 V = CutoffV()
 V_FN = MultiplierFn(fn=V, deriv=V.derivative, support="compact",
                     bounds=(-2.0, 2.0))
+
+
+#: (label, beta, tau, averaging orders) of the comparison functions
+#: checked against mpmath: three g_tau and the g1 of the split pair
+#: (3.5, 2.5, 0.5), whose orders are alpha and the gap
+CASES = [("g_tau", 2.5, 0.5, (2.5,)), ("g_tau", 0.5, 0.3, (0.5,)),
+         ("g_tau", 3.9, 0.9, (3.9,)), ("g1", 3.5, 0.5, (2.5, 1.0))]
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +42,84 @@ def split_pair():
     return make_g1_g2(3.5, 2.5, 0.5)
 
 
+def make_case(label, beta, tau, orders):
+    if label == "g1":
+        return make_g1_g2(beta, orders[0], tau)[0]
+    return make_g_tau(beta, tau)
+
+
+def _integrand(order, t):
+    """(1 - e^{it})^order on the principal branch, in polar form."""
+    return (2 * mpmath.sin(t / 2)) ** order * mpmath.expj(
+        order * (t - mpmath.pi) / 2)
+
+
+def _psis_mpmath(orders, t):
+    return [mpmath.quad(lambda s: _integrand(a, s), [0, t]) / t
+            for a in orders]
+
+
+def g_mpmath(beta, tau, orders, t):
+    """(1 - e^{i tau t})^beta v(t) / prod_a psi_a(t) at the mpmath working
+    precision, with each z_a by ``mpmath.quad`` of its integrand."""
+    t = mpmath.mpf(t)
+    return (_integrand(beta, tau * t) * cutoff_mpmath(t)
+            / mpmath.fprod(_psis_mpmath(orders, t)))
+
+
+def g_and_deriv_mpmath(beta, tau, orders, t):
+    """``g_mpmath`` and its derivative by the closed form
+    g (N'/N - sum_a psi_a'/psi_a) + N v'/D, with v' by ``mpmath.diff``."""
+    t = mpmath.mpf(t)
+    psis = _psis_mpmath(orders, t)
+    num = _integrand(beta, tau * t)
+    den = mpmath.fprod(psis)
+    g = num * cutoff_mpmath(t) / den
+    dlog = beta * tau / 2 * (mpmath.cot(tau * t / 2) + 1j) - mpmath.fsum(
+        (_integrand(a, t) / p - 1) / t for a, p in zip(orders, psis))
+    return g, g * dlog + num * mpmath.diff(cutoff_mpmath, t) / den
+
+
+def bracket_mpmath(beta, tau, orders):
+    """The Beurling bracket of ``g_mpmath`` on [-2, 2] at 20 digits.
+
+    |g|^2 and |g'|^2 are even, so each integral is twice the one over
+    [0, 2], taken by 24 Gauss-Legendre nodes on each of 8 panels, twice
+    the panels of ``beurling_bound``; with 16 panels the bracket of
+    g_tau(3.9, 0.9) moves by 2e-14.
+    """
+    x, w = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(0.0, 2.0, 9)
+    with mpmath.workdps(20):
+        sums = [mpmath.mpf(0), mpmath.mpf(0)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            for xi, wi in zip(x, w):
+                vals = g_and_deriv_mpmath(
+                    beta, tau, orders, 0.5 * (lo + hi + (hi - lo) * xi))
+                for k in (0, 1):
+                    sums[k] += 0.5 * (hi - lo) * wi * abs(vals[k]) ** 2
+        return float(mpmath.sqrt(2 * sums[0]) + mpmath.sqrt(2 * sums[1]))
+
+
+def counting_psi(monkeypatch):
+    """Replace ``multiplier.psi_many`` by a wrapper that records the order
+    and the number of points of each call."""
+    calls = []
+    inner = multiplier.psi_many
+
+    def wrapper(order, ts):
+        calls.append((order, np.size(ts)))
+        return inner(order, ts)
+
+    monkeypatch.setattr(multiplier, "psi_many", wrapper)
+    return calls
+
+
 class TestBeurlingBound:
     def test_cutoff_frozen(self):
+        # sqrt(int v^2) + sqrt(int v'^2) over [-2, 2] by mpmath.quad
         got = beurling_bound(V_FN, 3.0)
-        assert got == pytest.approx(3.4868479721565127, rel=1e-10)
+        assert got == pytest.approx(3.4868479912450583, rel=1e-10)
 
     def test_window_clipped_to_support(self):
         a = beurling_bound(V_FN, 3.0)
@@ -86,7 +170,7 @@ class TestGTau:
         step = 1e-5
         for t in rng.uniform(-2.2, 2.2, 10):
             fd = (g(t + step) - g(t - step)) / (2.0 * step)
-            assert abs(g.deriv(t) - fd) <= 1e-4 * (1.0 + abs(fd))
+            assert abs(g.deriv(t) - fd) <= 1e-8 * (1.0 + abs(fd))
 
     def test_bracket_finite_with_frozen_peak(self):
         worst = 0.0
@@ -95,7 +179,8 @@ class TestGTau:
                 b = beurling_bound(make_g_tau(beta, float(tau)), 3.0)
                 assert math.isfinite(b) and b < 20.0, (beta, tau)
                 worst = max(worst, b)
-        assert worst == pytest.approx(11.666914095518907, rel=1e-8)
+        # the sup sits at (3.9, 0.9); pinned from ``bracket_mpmath``
+        assert worst == pytest.approx(11.666914150298086, rel=1e-10)
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -106,11 +191,52 @@ class TestGTau:
             make_g_tau(0.0, 0.5)
 
 
+@pytest.mark.parametrize("case", CASES,
+                         ids=lambda c: "-".join(map(str, c[:3])))
+class TestClosedFormDerivative:
+    def test_matches_mpmath_diff(self, case):
+        # flat part, cutoff transition 1 < |t| < 2, both signs
+        g = make_case(*case)
+        with mpmath.workdps(20):
+            for t in (0.4, 1.3, 1.75, -0.8, -1.5):
+                want = complex(mpmath.diff(
+                    lambda x: g_mpmath(*case[1:], x), t))
+                assert abs(g.deriv(t) - want) <= 1e-11 * (1 + abs(want)), t
+
+    def test_slope_at_the_origin(self, case):
+        _, beta, tau, orders = case
+        g = make_case(*case)
+        limit = tau ** beta * math.prod(a + 1.0 for a in orders)
+        slope = limit * 0.5j * (beta * tau - sum(a * (a + 1.0) / (a + 2.0)
+                                                 for a in orders))
+        assert g.deriv(0.0) == g.deriv(1e-8) == g.deriv(-1e-8)
+        assert g.deriv(0.0) == pytest.approx(slope, rel=1e-14)
+        with mpmath.workdps(30):
+            at_zero = complex(mpmath.diff(
+                lambda x: g_mpmath(beta, tau, orders, x), 1e-12))
+            near = complex(mpmath.diff(
+                lambda x: g_mpmath(beta, tau, orders, x), 1e-5))
+        assert abs(slope - at_zero) <= 1e-11 * (1 + abs(slope))
+        # off the limit zone, (f/psi - 1)/t cancels against the cot term
+        # of N'/N, so the rounding of psi is amplified by 1/t
+        assert abs(g.deriv(1e-5) - near) <= 1e-8 * (1 + abs(near))
+
+    def test_bracket_cost(self, case, monkeypatch):
+        # values, then derivatives: one psi_many batch each per order, on
+        # the 8 panels x 24 nodes of the support [-2, 2] less the outermost
+        # node at each end, where v underflows to 0
+        g = make_case(*case)
+        calls = counting_psi(monkeypatch)
+        beurling_bound(g, 3.0)
+        assert calls == [(a, 190) for a in case[3]] * 2
+
+
 class TestSplitPair:
     def test_inner_part_bracket_frozen(self, split_pair):
         g1, _ = split_pair
         got = beurling_bound(g1, 3.0)
-        assert got == pytest.approx(2.4487131978916783, rel=1e-8)
+        # pinned from bracket_mpmath(3.5, 0.5, (2.5, 1.0))
+        assert got == pytest.approx(2.4487132048124898, rel=1e-10)
 
     def test_outer_part_vanishes_on_the_plateau(self, split_pair):
         _, g2 = split_pair
