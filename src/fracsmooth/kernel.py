@@ -52,12 +52,6 @@ from .fracdiff import (_SERIES_CAP, _binomial_slices, _check_cap,
 TWO_PI = 2.0 * math.pi
 
 _EPS = float(np.finfo(float).eps)
-#: lower limit of ``_z_dbeta``'s quadrature
-_DBETA_LO = 1e-3
-#: widest panel of ``_z_dbeta``
-_PANEL = 0.5 * math.pi
-#: panel width of ``_z_dbeta`` times beta
-_DBETA_PANEL = math.pi
 #: rounding of z per unit of absolute mass up to order ``_ROUND_BETA``
 #: (``_round``)
 _ROUND = 8.0 * _EPS
@@ -453,13 +447,16 @@ def z_span(beta, a, b):
 def _z_dbeta(beta, t):
     """The derivative in beta of z at t in the base period (0, 2pi).
 
-    d z / d beta = integral_0^t f(phi) (log(2 sin(phi/2)) + i (phi - pi)/2)
-    dphi, where f is the integrand of z, by the 24-node Gauss-Legendre
-    rule of the z table (``_X``, ``_W``) on equal panels of [1e-3, t],
-    each at most ``_DBETA_PANEL`` / beta wide (a quarter turn of the phase
-    beta phi / 2 and at most pi/2), without refinement; past pi, from the
-    mirror d z / d beta (2pi - s) = -conj(d z / d beta (s)).  [0, 1e-3]
-    (``_DBETA_LO``) is left out: at beta >= 4 it adds less than 1e-14.
+    d z / d beta = integral_0^t f(phi) L(phi) dphi, L = log(2 sin(phi/2))
+    + i (phi - pi)/2 and f = exp(beta L) the integrand of z, by the
+    24-node rule of the z table (``_X``, ``_W``) on the table's panels
+    (``_edges``) from the head 2^h of t (``_head``) through t's binade,
+    the last one cut at t; past pi, from the mirror d z / d beta (2pi - s)
+    = -conj(d z / d beta (s)).  As for z (``_depth``), the integral below
+    the head is dropped, and at or below the least head the value is 0:
+    below the head |L| <= |log phi| + 1.6, and |L| >= log 2 on (0, pi], so
+    the drop is at most (|h| + 4) 2^-55 of the mass of |f L| up to t.  It
+    reads no table and builds none, so a value depends on (beta, t) alone.
     Only the beta-crossing search of ``zeros`` calls this, for its
     Jacobian, which sets the rate of its convergence and not its fixed
     point; z itself (``z_many``, ``z_span``) never pays for it.
@@ -468,18 +465,17 @@ def _z_dbeta(beta, t):
     if t > math.pi:
         # z(2pi - s) = 2pi - conj(z(s)) for every beta
         return -_z_dbeta(beta, TWO_PI - t).conjugate()
-    lo, hi = _DBETA_LO, t
-    if hi <= lo:
+    h = _head(beta, t)
+    if t <= math.ldexp(1.0, h):
         return 0j
-    npan = math.ceil((hi - lo) / min(_PANEL, _DBETA_PANEL / beta))
-    ends = np.linspace(lo, hi, npan + 1)
-    hw = 0.5 * (ends[1:] - ends[:-1])[:, None]
-    phi = 0.5 * (ends[:-1] + ends[1:])[:, None] + hw * _X
-    s = 2.0 * np.sin(0.5 * phi)
-    # f times d log f / d beta = log(1 - e^(i phi)) = log(s) + i (phi - pi)/2
-    dlog = np.log(s) + 0.5j * (phi - math.pi)
-    f = s ** beta * np.exp(0.5j * beta * (phi - math.pi))
-    return complex(np.sum(hw * _W * f * dlog))
+    edges = _edges(beta, h, math.frexp(math.nextafter(t, 0.0))[1] - 1)
+    edges = edges[:np.searchsorted(edges, t) + 1]
+    edges[-1] = t
+    hw = 0.5 * (edges[1:] - edges[:-1])
+    phi = 0.5 * (edges[:-1] + edges[1:])[:, None] + hw[:, None] * _X
+    # f L, with L = d log f / d beta = log(1 - e^(i phi)) and f = e^(beta L)
+    dlog = np.log(2.0 * np.sin(0.5 * phi)) + 0.5j * (phi - math.pi)
+    return complex(hw @ (np.exp(beta * dlog) * dlog @ _W))
 
 
 def psi_eval(beta, t):

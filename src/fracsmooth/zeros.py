@@ -34,7 +34,8 @@ The two root-finders:
   bracket takes about 4 evaluations of z.
 * in (beta, t) for a crossing, Newton steps on the complex equation
   z(beta, t) + 2pi*k = 0, two real equations in two unknowns, with
-  d z / d t in closed form and d z / d beta by quadrature
+  d z / d t in closed form and d z / d beta by quadrature on the z
+  table's panels from the head of t, without reading or building a table
   (``kernel._z_dbeta``).  The start is the linear interpolation of the
   column pair's zeros on the piece, and the stop is the noise floor of
   z (``_stop_floor``).  Each step evaluates z at one point (``z_many``,
@@ -477,7 +478,8 @@ def _newton_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k):
     beta of g.
 
     The Jacobian is (d z / d beta, d z / d t): the first by quadrature
-    (``kernel._z_dbeta``), the second in closed form
+    on the z table's panels from the head of t (``kernel._z_dbeta``), a
+    value of (beta, t) alone, the second in closed form
     (``kernel.xy_prime``).  Each step evaluates z at one point with its
     noise floor (``z_many``); once |F| is at that floor (``_stop_floor``)
     the step from that point is the last one.  Every iterate must stay

@@ -12,6 +12,7 @@ the split comparison pair levels off instead of decaying, so no finite
 window can certify its smoothness bound by direct integration; the
 check states what it needed and fails honestly.
 """
+import functools
 import math
 
 import mpmath
@@ -41,7 +42,7 @@ from fracsmooth import (
 from fracsmooth.errors import DomainTooSmallError
 from fracsmooth.signal import NormParams, corpus, evaluate
 from test_approx import cutoff_mpmath
-from test_multiplier import bracket_mpmath
+from test_multiplier import _psis_mpmath, bracket_mpmath
 
 # pinned tolerances, one place
 TOL_CHECKPOINT = 2e-3       # three-decimal reference points
@@ -67,8 +68,11 @@ BASE_MAX_OMEGA_OVER_W = 3.9995833311636146
 BASE_MAX_OMEGA_OVER_TILDE = 3.999883327524368
 BASE_MAX_STAR_OVER_OMEGA = 0.35009168633836624
 BASE_MAX_OMEGA_OVER_STAR = 9.999454354031359
-BASE_REGIME_HALF = 6.998752744772986
-BASE_REGIME_QUARTER = 6.999674314236898
+# max classical over linearized modulus of gate 09 at steps 1/(2n) and
+# 1/(4n); checked against a Parseval oracle in
+# test_c09_baseline_matches_parseval
+BASE_REGIME_HALF = 6.998752744772975
+BASE_REGIME_QUARTER = 6.9996743142368745
 BASE_PROBE_20 = -4118670861.0726085
 # max Jackson ratio of gate 11 (sawtooth:8, n = 4); checked against a
 # Parseval oracle in test_c11_baseline_matches_parseval
@@ -348,22 +352,63 @@ def test_c08_baselines_match_closed_forms(scan_rows, corpus_members):
         assert om / st == pytest.approx(over_star, rel=1e-12), p
 
 
-def test_c09_polynomial_regime_stability(accept):
-    def regime_max(scale):
-        worst = 0.0
-        for n in (4, 8, 16):
-            fs = [corpus("random_smooth", n, seed=5),
-                  corpus("sawtooth_truncated", n)]
-            h = scale / n
-            for beta in (0.5, 2.5, 4.85, 6.0):
-                for f in fs:
-                    req = ModulusRequest(beta=beta, h=h, norm=NormParams(p=2))
-                    worst = max(worst, classical_modulus(f, req)
-                                / linearized_modulus(f, req))
-        return worst
+#: the cells of gate 09: degree n, orders beta and the two corpus members
+#: at p = 2, each with the step h = scale/n
+REGIME_DEGREES = (4, 8, 16)
+REGIME_ORDERS = (0.5, 2.5, 4.85, 6.0)
 
-    r_half = regime_max(0.5)
-    r_quarter = regime_max(0.25)
+
+def _regime_max(scale):
+    """The largest classical over linearized modulus of gate 09."""
+    worst = 0.0
+    for n in REGIME_DEGREES:
+        fs = [corpus("random_smooth", n, seed=5),
+              corpus("sawtooth_truncated", n)]
+        h = scale / n
+        for beta in REGIME_ORDERS:
+            for f in fs:
+                req = ModulusRequest(beta=beta, h=h, norm=NormParams(p=2))
+                worst = max(worst, classical_modulus(f, req)
+                            / linearized_modulus(f, req))
+    return worst
+
+
+@functools.cache
+def _abs_psi2_mpmath(beta, t):
+    """|psi_beta(t)|^2 by ``mpmath.quad`` at 30 digits, memoised: the
+    steps of gate 09 are powers of two, so its two scales share half of
+    their points."""
+    with mpmath.workdps(30):
+        return abs(_psis_mpmath((beta,), t)[0]) ** 2
+
+
+def _regime_parseval(scale):
+    """``_regime_max`` by Parseval at 30 digits.  Every k h is at most
+    scale <= 1/2, so each |2 sin(k delta/2)| increases on (0, h] and the
+    classical sup sits at delta = h; the ratio is then (sum_k |c_k|^2
+    (2 sin(k h/2))^(2 beta) / sum_k |c_k|^2 |psi_beta(k h)|^2)^(1/2), over
+    k = 1..n (-k gives the same terms, and k = 0 none), with |c_k|^2 =
+    (1 + k)^-4 for random_smooth, whose phases drop out, and 1/(4 k^2)
+    for the sawtooth, and |psi|^2 from ``_abs_psi2_mpmath``."""
+    worst = 0.0
+    with mpmath.workdps(30):
+        for n in REGIME_DEGREES:
+            ks = [mpmath.mpf(k) for k in range(1, n + 1)]
+            h = mpmath.mpf(scale) / n
+            members = ([(1 + k) ** -4 for k in ks],
+                       [1 / (4 * k * k) for k in ks])
+            for beta in REGIME_ORDERS:
+                diff = [(2 * mpmath.sin(k * h / 2)) ** (2 * beta) for k in ks]
+                avg = [_abs_psi2_mpmath(beta, k * h) for k in ks]
+                for c2 in members:
+                    worst = max(worst, float(mpmath.sqrt(
+                        mpmath.fdot(c2, diff) / mpmath.fdot(c2, avg))))
+    return worst
+
+
+def test_c09_polynomial_regime_stability(accept):
+    r_half = _regime_max(0.5)
+    r_quarter = _regime_max(0.25)
     drift = abs(r_quarter - r_half) / r_half
     ok = (math.isfinite(r_half) and drift < 0.10
           and abs(r_half - BASE_REGIME_HALF)
@@ -373,6 +418,15 @@ def test_c09_polynomial_regime_stability(accept):
     accept("09", "short-step ratios stable for polynomials",
            ok, f"R(h/2n) {r_half:.4f}, halved {r_quarter:.4f}, "
                f"drift {drift:.2%}")
+
+
+def test_c09_baseline_matches_parseval():
+    for scale, base in ((0.5, BASE_REGIME_HALF),
+                        (0.25, BASE_REGIME_QUARTER)):
+        oracle = _regime_parseval(scale)
+        assert oracle == pytest.approx(base, rel=1e-12)
+        assert _regime_max(scale) == pytest.approx(oracle, rel=1e-10,
+                                                   abs=0.0), scale
 
 
 def test_c10_divergence_trend(accept):

@@ -241,12 +241,12 @@ class TestBetaDerivative:
     """d z / d beta (``kernel._z_dbeta``) against mpmath quadrature of
     f(phi) (log(2 sin(phi/2)) + i (phi - pi)/2) over [0, t]."""
 
-    @pytest.mark.parametrize("beta", [4.8, 8.0, 16.0, 39.5])
-    def test_matches_mpmath_quadrature(self, beta):
-        # three t in each half-period; the tolerance is relative to the
-        # absolute mass of the integrand, which bounds the rounding of any
-        # quadrature of it (the value itself passes through zero)
-        for t in (0.9, 1.9, 2.9, 3.5, 4.5, 5.5):
+    @staticmethod
+    def assert_matches_mpmath(beta, ts):
+        # the tolerance is relative to the absolute mass of the integrand,
+        # which bounds the rounding of any quadrature of it (the value
+        # itself passes through zero)
+        for t in ts:
             with mpmath.workdps(15):
                 def df(phi):
                     w = (mpmath.log(2 * mpmath.sin(phi / 2))
@@ -256,6 +256,41 @@ class TestBetaDerivative:
                 want = complex(mpmath.quad(df, cuts))
                 mass = float(mpmath.quad(lambda phi: abs(df(phi)), cuts))
             assert abs(kernel._z_dbeta(beta, t) - want) <= 1e-12 * mass, t
+
+    @pytest.mark.parametrize("beta", [4.8, 8.0, 16.0, 39.5])
+    def test_matches_mpmath_quadrature(self, beta):
+        # three t in each half-period
+        self.assert_matches_mpmath(beta, (0.9, 1.9, 2.9, 3.5, 4.5, 5.5))
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
+    def test_small_t_matches_mpmath_quadrature(self, beta):
+        # the integral runs from the head of t, so [0, 1e-3] counts too;
+        # at larger beta the 15-digit oracle itself is off by 4e-12 to
+        # 4e-10 of the mass at t = 0.01
+        self.assert_matches_mpmath(beta, (1e-3, 1e-2, 0.3))
+
+    @pytest.mark.parametrize("beta", [0.5, 4.84, 12.7])
+    def test_continuous_across_binade_edges(self, beta):
+        # past 2^k the head moves up a binade; the integral it drops is
+        # below the rounding
+        for k in (-3, 0, 1):
+            t = math.ldexp(1.0, k)
+            below = kernel._z_dbeta(beta, t)
+            above = kernel._z_dbeta(beta, math.nextafter(t, math.pi))
+            assert abs(above - below) <= 1e-14 * abs(below), k
+
+    def test_zero_at_and_below_the_least_head(self):
+        beta = 0.5
+        least = math.ldexp(1.0, kernel._depth(beta)[1])
+        assert kernel._z_dbeta(beta, least) == 0j
+        assert kernel._z_dbeta(beta, 0.0) == 0j
+
+    def test_builds_no_table(self, monkeypatch):
+        builds = counting_builds(monkeypatch)
+        kernel._TABLES.clear()
+        for beta, t in ((0.5, 0.01), (4.84, 2.2), (12.7, 5.0)):
+            assert cmath.isfinite(kernel._z_dbeta(beta, t))
+        assert builds == [] and not kernel._TABLES
 
 
 def z_mpmath(beta, t):

@@ -7,7 +7,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from fracsmooth import (
     CSV_HEADER,
@@ -279,8 +278,8 @@ class TestIntegral:
         # p < 1 averages ||.||^p: quadrature oracle on the closed-form
         # integrand (2 sin(delta/2))^(1/2), whose square-root endpoint
         # keeps fixed-order Gauss-Legendre at ~n^-3 accuracy
-        want = (quad(lambda d: (2.0 * math.sin(0.5 * d)) ** 0.5,
-                     0.0, 0.8)[0] / 0.8) ** 2.0
+        want = (float(mpmath.quad(lambda d: (2 * mpmath.sin(d / 2)) ** 0.5,
+                                  [0, 0.8])) / 0.8) ** 2.0
         got = integral_modulus(E1, req(1.0, 0.8, 0.5))
         assert got == pytest.approx(want, rel=2e-5)
         monkeypatch.setattr(moduli, "_QUAD_ORDER", 512)

@@ -209,17 +209,31 @@ class TestClosedFormDerivative:
         limit = tau ** beta * math.prod(a + 1.0 for a in orders)
         slope = limit * 0.5j * (beta * tau - sum(a * (a + 1.0) / (a + 2.0)
                                                  for a in orders))
-        assert g.deriv(0.0) == g.deriv(1e-8) == g.deriv(-1e-8)
         assert g.deriv(0.0) == pytest.approx(slope, rel=1e-14)
         with mpmath.workdps(30):
-            at_zero = complex(mpmath.diff(
-                lambda x: g_mpmath(beta, tau, orders, x), 1e-12))
-            near = complex(mpmath.diff(
-                lambda x: g_mpmath(beta, tau, orders, x), 1e-5))
+            def diff(t):
+                return complex(mpmath.diff(
+                    lambda x: g_mpmath(beta, tau, orders, x), t))
+            at_zero, tiny, near = diff(1e-12), diff(1e-8), diff(1e-5)
         assert abs(slope - at_zero) <= 1e-11 * (1 + abs(slope))
-        # off the limit zone, (f/psi - 1)/t cancels against the cot term
-        # of N'/N, so the rounding of psi is amplified by 1/t
-        assert abs(g.deriv(1e-5) - near) <= 1e-8 * (1 + abs(near))
+        # g(-t) = conj(g(t)), so g'(-t) = -conj(g'(t))
+        assert abs(g.deriv(1e-8) - tiny) <= 1e-12 * (1 + abs(tiny))
+        assert abs(g.deriv(-1e-8) + tiny.conjugate()) <= 1e-12 * (
+            1 + abs(tiny))
+        assert abs(g.deriv(1e-5) - near) <= 1e-10 * (1 + abs(near))
+
+    def test_matches_mpmath_diff_near_the_origin(self, case):
+        # the series of g'/g below 1e-3, whose error grows like t^3 toward
+        # the edge of its zone, and the closed form at 1e-3, where the
+        # rounding of psi, amplified by 1/t, stays below 1e-9
+        g = make_case(*case)
+        with mpmath.workdps(30):
+            for t in (1e-8, 1e-6, 1e-5, 1e-4, 3e-4, 9e-4, 1e-3):
+                want = complex(mpmath.diff(
+                    lambda x: g_mpmath(*case[1:], x), t))
+                assert abs(g.deriv(t) - want) <= 1e-9 * abs(want), t
+                assert abs(g.deriv(-t) + want.conjugate()) <= 1e-9 * abs(
+                    want), t
 
     def test_bracket_cost(self, case, monkeypatch):
         # values, then derivatives: one psi_many batch each per order, on

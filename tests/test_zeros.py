@@ -24,6 +24,7 @@ from fracsmooth import (
     z_many,
     z_series,
 )
+import fracsmooth.kernel as kernel
 import fracsmooth.zeros as zeros
 from fracsmooth.zeros import (
     _column,
@@ -32,7 +33,7 @@ from fracsmooth.zeros import (
     _stop_floor,
     _zero_in_window,
 )
-from test_kernel import z_mpmath
+from test_kernel import counting_builds, z_mpmath
 
 TWO_PI = 2.0 * math.pi
 
@@ -524,6 +525,16 @@ class TestStepBudget:
         assert all(rec is not None for _, _, rec in per_crossing)
         assert max(n for n, _, _ in per_crossing) <= 6, per_crossing
         assert sum(w for _, w, _ in per_crossing) == 0
+
+    def test_table_builds_per_job(self, monkeypatch):
+        # d z / d beta builds no table, so a job of the zeros-scan
+        # benchmark (window scan, then find_beta0) builds one per order
+        # that z reads, from an empty cache
+        builds = counting_builds(monkeypatch)
+        kernel._TABLES.clear()
+        window_scan()
+        zeros.find_beta0()
+        assert len(builds) == 67
 
     @staticmethod
     def beta0_cell():
