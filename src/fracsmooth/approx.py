@@ -19,55 +19,41 @@ from .signal import NormParams, TrigPoly, lp_norm
 class CutoffV:
     """Even C-infinity cutoff: 1 on [-1, 1], 0 outside (-2, 2).
 
-    Built from the standard bump s(u) = exp(-1/u) (u > 0): the transition
-    w(u) = s(u) / (s(u) + s(1-u)) climbs from 0 to 1 on [0, 1], and
-    v(t) = w(2 - |t|).  Monotone on each side, values in [0, 1].
+    Built from the standard bump s(x) = exp(-1/x) (x > 0, else 0), whose
+    derivative is s'(x) = s(x)/x^2: the transition w(u) = s(u) / (s(u) +
+    s(1-u)) climbs from 0 to 1 on [0, 1], and v(t) = w(2 - |t|).
+    Monotone on each side, values in [0, 1].
     """
 
     @staticmethod
-    def _s(u):
-        u = np.asarray(u, dtype=float)
+    def _transition(t):
+        """u = 2 - |t|, the bumps (s(u), s(1 - u)) and their derivatives
+        (s'(u), s'(1 - u)); x below 1e-300 divides as 1e-300."""
+        u = 2.0 - np.abs(np.asarray(t, dtype=float))
+        x = np.stack([u, 1.0 - u])
+        on, safe = x > 0.0, np.maximum(x, 1e-300)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
-        return out
-
-    @staticmethod
-    def _s_prime(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.where(
-                u > 0.0,
-                np.exp(-1.0 / np.maximum(u, 1e-300))
-                / np.square(np.maximum(u, 1e-300)),
-                0.0)
-        return out
+            s = np.exp(-1.0 / safe)
+            ds = np.where(on, s / np.square(safe), 0.0)
+        return u, np.where(on, s, 0.0), ds
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        u = 2.0 - np.abs(t)
-        a = self._s(u)
-        b = self._s(1.0 - u)
+        u, (a, b), _ = self._transition(t)
         out = np.where(u >= 1.0, 1.0,
                        np.where(u <= 0.0, 0.0, a / np.where(a + b > 0.0,
                                                             a + b, 1.0)))
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if out.ndim == 0 else out
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
-        u = 2.0 - np.abs(t)
-        a, b = self._s(u), self._s(1.0 - u)
-        ap, bp = self._s_prime(u), self._s_prime(1.0 - u)
+        u, (a, b), (ap, bp) = self._transition(t)
         denom = np.square(a + b)
         inside = (u > 0.0) & (u < 1.0)
         wp = np.where(inside,
                       (ap * b + a * bp) / np.where(denom > 0.0, denom, 1.0),
                       0.0)
         out = -np.sign(t) * wp
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if out.ndim == 0 else out
 
 
 def best_approx_l2(f: TrigPoly, n: int) -> tuple[TrigPoly, float]:

@@ -18,11 +18,12 @@ z(2pi - s) = 2pi - conj(z(s)), so no sum passes the peak 2^beta of the
 integrand at pi.  Each order has one Legendre table (``_Table``) on panels
 whose edges depend on beta and their binade only (``_edges``), built as
 far as the calls reach, and no further than the integrand stays finite
-(``_reach``).  z at s is the stored prefix of the panel that holds s, the
-integral from the head of its binade (``_depth``) to its left end, plus
-one Legendre sum in that panel, and the noise is the rounding of the same
-sums of |f|; as a panel and its prefix depend on beta and the panel alone,
-so does a value on (beta, t).
+(``_reach``).  A reader resolves the table once, ``_sums`` per batch and
+``z_span`` per call, and reads every point from it.  z at s is the stored
+prefix of the panel that holds s, the integral from the head of its binade
+(``_depth``) to its left end, plus one Legendre sum in that panel, and the
+noise is the rounding of the same sums of |f|; as a panel and its prefix
+depend on beta and the panel alone, so does a value on (beta, t).
 
 ``z_series`` is the independent oracle route: direct summation of
 
@@ -30,8 +31,8 @@ so does a value on (beta, t).
     y(t) =     sum_v binom(beta, v) (-1)^v (1 - cos(v t))/v
 
 truncated where its exact tail (``fracdiff._tail``) falls below the
-tolerance.  No reduction is applied, so the two
-routes share no code path and can serve as mutual oracles.
+tolerance.  No reduction is applied, so the two routes share no code path
+and can serve as mutual oracles.
 """
 from __future__ import annotations
 
@@ -293,8 +294,7 @@ def _table(beta, k_lo, top):
 
 def _legendre(coef, k, x):
     """sum_m coef[m, k] P_m(x) per point: P_m(x) by the recurrence and the
-    terms added in m order (``_point`` is the same arithmetic on one
-    point)."""
+    terms added in m order (``_point`` is the same arithmetic on one point)."""
     acc = coef[0].take(k) + coef[1].take(k) * x
     p0, p1 = 1.0, x
     for n in range(1, _NODES):
@@ -306,13 +306,12 @@ def _legendre(coef, k, x):
 def _sums(beta, s, noise=True):
     """z from the head of each point s in (0, pi] to s, and, with noise,
     the mass of |f| (else None): the prefix of the panel that holds s plus
-    its Legendre sum.  The table is made to cover the batch first, so up
-    to ``_SCALAR_POINTS`` points go through ``_point`` one at a time
-    without a rebuild.  Every s must lie above 2^lowest (``_depth``), the
-    least head."""
+    its Legendre sum.  It resolves one table for the batch, and up to
+    ``_SCALAR_POINTS`` points go through ``_point`` on that table one at a
+    time.  Every s must lie above 2^lowest (``_depth``), the least head."""
     tab = _table(beta, _head(beta, float(s.min())), float(s.max()))
     if s.size <= _SCALAR_POINTS:
-        value, mass = zip(*[_point(beta, v) for v in s.tolist()])
+        value, mass = zip(*[_point(tab, v) for v in s.tolist()])
         return np.array(value), np.array(mass) if noise else None
     k = np.searchsorted(tab.left, s) - 1
     x = (s - tab.mid[k]) / tab.hw[k]
@@ -321,15 +320,11 @@ def _sums(beta, s, noise=True):
         if noise else None
 
 
-def _point(beta, s):
-    """(value, mass) of the integral from the head of s to s in [0, pi],
-    in Python floats: bit for bit what ``_sums`` gives for s, as a complex
-    times a real is its real and imaginary parts times the real."""
-    h = _head(beta, s)
-    if s <= math.ldexp(1.0, h):
-        # at or below the least head, where z is 0 (``_depth``)
-        return 0j, 0.0
-    tab = _table(beta, h, s)
+def _point(tab, s):
+    """(value, mass) of the integral from the head of s to s, in Python
+    floats, read from ``tab``, which its caller resolved to cover s above
+    the least head (``_depth``): bit for bit what ``_sums`` gives for s, as
+    a complex times a real is its real and imaginary parts times the real."""
     k = bisect_left(tab.left_list, s) - 1
     rows = tab.rows.get(k)
     if rows is None:
@@ -426,8 +421,9 @@ def z_span(beta, a, b):
     they round to about ``_round(beta)`` times the mass up to b.  Past pi
     the span is the conjugate of its mirror image below pi, as
     f(2pi - phi) = conj(f(phi)); the piece below pi is read only when a
-    lies below pi.  An end past ``_reach(beta)``, where the
-    integrand overflows, raises ConvergenceError.
+    lies below pi.  One table, resolved here, serves all ends; an end at or
+    below the least head (``_depth``) reads 0, as in ``z_many``, and one past
+    ``_reach(beta)``, where the integrand overflows, raises ConvergenceError.
     """
     beta = check_beta(beta)
     a, b = float(a), float(b)
@@ -436,9 +432,13 @@ def z_span(beta, a, b):
     ends = [(min(b, math.pi), a, 1.0)] if a < math.pi else []
     if b > math.pi:
         ends.append((TWO_PI - max(a, math.pi), TWO_PI - b, -1.0))
+    least = math.ldexp(1.0, _depth(beta)[1])
+    reads = [s for end in ends for s in end[:2] if s > least]
+    tab = _table(beta, _head(beta, min(reads)), max(reads)) if reads else None
     value, mass = 0j, 0.0
     for hi, lo, sign in ends:
-        (v1, m1), (v0, m0) = _point(beta, hi), _point(beta, lo)
+        (v1, m1), (v0, m0) = (_point(tab, s) if s > least else (0j, 0.0)
+                              for s in (hi, lo))
         value += complex((v1 - v0).real, sign * (v1 - v0).imag)
         mass += m1 - m0
     return value, mass

@@ -15,14 +15,16 @@ Each value is bit for bit ``lp_norm(apply_diff(f, beta, delta), norm)``.
 
 The linearized and double-averaged moduli never integrate differences
 numerically: averaging a fractional difference over the step is exactly
-a Fourier multiplier, so their values come from kernel symbols.  The
-symbol psi(order, k h) depends on the order, the step and the degree, not
-on p or on the function, so ``_psi_symbol`` computes it on k >= 0 once per
-(order, h, degree) and the moduli mirror it, psi(-k h) = conj(psi(k h)),
-bit for bit what ``psi_many`` gives at -k h.  The memo holds at most
-``_SYMBOLS`` = 16 half spectra: within one scan the reuse is the p of a
-(beta, h) pair and consecutive corpus members of equal degree, which 16
-entries already serve, and a degree-1024 half spectrum is 16 KiB.
+a Fourier multiplier, so each is one averaged difference (``_averaged``):
+the coefficients times the product of psi(order, k h) over its orders,
+(beta) or (alpha, beta - alpha).  A symbol depends on the order, the step
+and the degree, not on p or on the function, so ``_psi_symbol`` computes
+it on k >= 0 once per (order, h, degree); the product of the half spectra
+is mirrored once, psi(-k h) = conj(psi(k h)), bit for bit what
+``psi_many`` gives at -k h.  The memo holds at most ``_SYMBOLS`` = 16 half
+spectra: within one scan the reuse is the p of a (beta, h) pair and
+consecutive corpus members of equal degree, which 16 entries already
+serve, and a degree-1024 half spectrum is 16 KiB.
 
 The scan engine computes all four on a corpus grid and the pairwise
 ratios (with a divide-by-zero infinity flag).
@@ -166,44 +168,46 @@ def integral_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     return float((scale * acc) ** (1.0 / p1))
 
 
+def _averaged(f: TrigPoly, orders: tuple[float, ...],
+              req: ModulusRequest) -> float:
+    """Norm of the difference averaged over the step once per order of
+    ``orders``: the product of their half spectra (``_psi_symbol``),
+    mirrored once, as conj(a) conj(b) = conj(a b) bit for bit.  Defined
+    for p >= 1 only."""
+    if req.norm.p < 1.0:
+        raise UnsupportedParameterError(
+            "the averaged difference needs an integrable function: p >= 1")
+    half = _psi_symbol(orders[0], req.h, f.degree)
+    for order in orders[1:]:
+        half = half * _psi_symbol(order, req.h, f.degree)
+    return lp_norm(f.with_coeffs(f.coeffs * _mirror(half)), req.norm)
+
+
 def linearized_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     """Norm of the step-averaged fractional difference.
 
     Averaging the difference over delta in (0, h) multiplies the k-th
     coefficient by the averaging symbol at k h, so the value is exact up
-    to kernel quadrature — no delta integration happens here.  The
-    symbol is computed on k >= 0, mirrored, and memoised per (beta, h,
-    degree) in at most 16 entries (``_psi_symbol``).  Defined for p >= 1
-    only.
+    to kernel quadrature: one averaged difference (``_averaged``) of order
+    beta, with no delta integration.  Defined for p >= 1 only.
     """
     if req.alpha is not None:
         raise InvalidArgumentError("alpha does not apply to this modulus")
-    if req.norm.p < 1.0:
-        raise UnsupportedParameterError(
-            "the averaged difference needs an integrable function: p >= 1")
-    sym = _mirror(_psi_symbol(req.beta, req.h, f.degree))
-    return lp_norm(f.with_coeffs(f.coeffs * sym), req.norm)
+    return _averaged(f, (req.beta,), req)
 
 
 def star_modulus(f: TrigPoly, req: ModulusRequest) -> float:
-    """Norm of the doubly averaged difference (orders beta-alpha and alpha).
+    """Norm of the doubly averaged difference (orders alpha and beta-alpha).
 
-    The two averaging symbols multiply; when beta = alpha the first
-    factor is identically 1 and the value coincides with the linearized
-    modulus.  Each factor is computed on k >= 0, mirrored, and memoised
-    per (order, h, degree) in at most 16 entries (``_psi_symbol``).
+    The two averaging symbols multiply (``_averaged``); when beta = alpha
+    the second factor is identically 1 and is left out, so the value
+    coincides with the linearized modulus.  Defined for p >= 1 only.
     """
     if req.alpha is None:
         raise InvalidArgumentError("alpha is required for this modulus")
-    if req.norm.p < 1.0:
-        raise UnsupportedParameterError(
-            "the averaged difference needs an integrable function: p >= 1")
     alpha = float(req.alpha)
     gap = split_order(req.beta, alpha)
-    sym = _mirror(_psi_symbol(alpha, req.h, f.degree))
-    if gap > 0:
-        sym = sym * _mirror(_psi_symbol(float(gap), req.h, f.degree))
-    return lp_norm(f.with_coeffs(f.coeffs * sym), req.norm)
+    return _averaged(f, (alpha, float(gap)) if gap > 0 else (alpha,), req)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from fracsmooth import default_corpus, find_beta0
+from fracsmooth import default_corpus, find_beta0, kernel
 
 
 @pytest.fixture(scope="session")
@@ -13,3 +13,35 @@ def corpus_members():
 def beta0_record():
     """The first pathological pair, refined once per session."""
     return find_beta0()
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The panel count of every ``kernel._build_panels`` call from here
+    on, in order."""
+    builds = []
+    inner = kernel._build_panels
+
+    def counting(beta, edges):
+        builds.append(edges.size - 1)
+        return inner(beta, edges)
+
+    monkeypatch.setattr(kernel, "_build_panels", counting)
+    return builds
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """``counting(module, name)`` replaces ``module.<name>`` by a wrapper
+    and returns the list of the arguments of its calls from here on."""
+    def count(module, name):
+        calls = []
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+    return count

@@ -41,8 +41,7 @@ from fracsmooth import (
 )
 from fracsmooth.errors import DomainTooSmallError
 from fracsmooth.signal import NormParams, corpus, evaluate
-from test_approx import cutoff_mpmath
-from test_multiplier import _psis_mpmath, bracket_mpmath
+from mpmath_oracles import bracket_mpmath, cutoff_mpmath, psis_mpmath
 
 # pinned tolerances, one place
 TOL_CHECKPOINT = 2e-3       # three-decimal reference points
@@ -379,7 +378,7 @@ def _abs_psi2_mpmath(beta, t):
     steps of gate 09 are powers of two, so its two scales share half of
     their points."""
     with mpmath.workdps(30):
-        return abs(_psis_mpmath((beta,), t)[0]) ** 2
+        return abs(psis_mpmath((beta,), t)[0]) ** 2
 
 
 def _regime_parseval(scale):

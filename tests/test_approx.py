@@ -24,18 +24,7 @@ from fracsmooth import (
     vallee_poussin,
 )
 from fracsmooth.signal import evaluate, grid_size, lp_norm
-
-
-def cutoff_mpmath(t):
-    """``approx.CutoffV`` in closed form: w(2 - |t|), with the transition
-    w(u) = s(u) / (s(u) + s(1 - u)) and s(u) = exp(-1/u)."""
-    u = 2 - abs(t)
-    if u >= 1:
-        return mpmath.mpf(1)
-    if u <= 0:
-        return mpmath.mpf(0)
-    a, b = mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
-    return a / (a + b)
+from mpmath_oracles import cutoff_mpmath
 
 
 class TestBestL2:

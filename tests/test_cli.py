@@ -18,7 +18,7 @@ import mpmath
 import pytest
 
 import fracsmooth
-from test_kernel import z_mpmath
+from mpmath_oracles import z_mpmath
 
 _COMPLEX_LINE = re.compile(
     r"^(z|psi) = (-?[0-9][0-9.e+-]*) ([+-]) ([0-9][0-9.e+-]*)i$")

@@ -35,6 +35,7 @@ from fracsmooth import (
 )
 from fracsmooth._util import fmt17, gauss_legendre
 from fracsmooth.signal import corpus
+from mpmath_oracles import z_mpmath
 
 TWO_PI = 2.0 * math.pi
 
@@ -126,23 +127,28 @@ class TestIdentities:
         assert mass > 0.0
 
     @pytest.mark.parametrize("a, b, reads", [
-        (math.pi, 4.0, 2), (3.5, 5.0, 2), (1.0, 4.0, 4), (1.0, 2.0, 2)])
-    def test_span_reads_only_the_pieces_it_spans(self, a, b, reads,
-                                                 monkeypatch):
+        (math.pi, 4.0, 2), (3.5, 5.0, 2), (1.0, 4.0, 4), (1.0, 2.0, 2),
+        (0.0, TWO_PI, 2)])
+    def test_span_reads_only_the_pieces_it_spans(self, a, b, reads, counting):
         # a span that starts at or past pi has no piece below pi, so it
-        # reads its two mirrored ends and nothing at pi
-        calls = []
-        inner = kernel._point
-
-        def counting(beta, s):
-            calls.append(s)
-            return inner(beta, s)
-
-        monkeypatch.setattr(kernel, "_point", counting)
+        # reads its two mirrored ends and nothing at pi; an end at 0 or
+        # 2pi, where z is 0, reads nothing, and every end that is read
+        # comes from the one table that z_span resolved
+        tables = counting(kernel, "_table")
+        calls = counting(kernel, "_point")
         val, mass = z_span(2.5, a, b)
-        assert len(calls) == reads
+        assert len(tables) == 1 and len(calls) == reads
+        assert all(tab is kernel._TABLES[2.5] for tab, _ in calls)
         assert abs(val - (z_eval(2.5, b) - z_eval(2.5, a))) < 1e-9
         assert mass > 0.0
+
+    @pytest.mark.parametrize("size", [1, 16])
+    def test_batch_resolves_one_table(self, size, counting):
+        # a short batch reads its points through _point from the one
+        # table that _sums resolved
+        tables = counting(kernel, "_table")
+        kernel._sums(3.3, np.linspace(1e-3, math.pi, size))
+        assert len(tables) == 1
 
     def test_span_degenerate_and_invalid(self):
         assert z_span(2.5, 1.0, 1.0) == (0.0j, 0.0)
@@ -285,40 +291,11 @@ class TestBetaDerivative:
         assert kernel._z_dbeta(beta, least) == 0j
         assert kernel._z_dbeta(beta, 0.0) == 0j
 
-    def test_builds_no_table(self, monkeypatch):
-        builds = counting_builds(monkeypatch)
+    def test_builds_no_table(self, table_builds):
         kernel._TABLES.clear()
         for beta, t in ((0.5, 0.01), (4.84, 2.2), (12.7, 5.0)):
             assert cmath.isfinite(kernel._z_dbeta(beta, t))
-        assert builds == [] and not kernel._TABLES
-
-
-def z_mpmath(beta, t):
-    """z(beta, t) by mpmath quadrature of the principal-branch integrand at
-    30 digits, with t reduced by the exact multiple of 2pi
-    (z(t + 2pi) = z(t) + 2pi)."""
-    with mpmath.workdps(30):
-        two_pi = 2 * mpmath.pi
-        turns = mpmath.floor(mpmath.mpf(t) / two_pi)
-        t0 = mpmath.mpf(t) - two_pi * turns
-
-        def f(phi):
-            return ((2 * mpmath.sin(phi / 2)) ** beta
-                    * mpmath.expj(beta * (phi - mpmath.pi) / 2))
-        return complex(mpmath.quad(f, [0, t0]) + two_pi * turns)
-
-
-def counting_builds(monkeypatch):
-    """Record the panel count of every ``kernel._build_panels`` call."""
-    builds = []
-    inner = kernel._build_panels
-
-    def counting(beta, edges):
-        builds.append(edges.size - 1)
-        return inner(beta, edges)
-
-    monkeypatch.setattr(kernel, "_build_panels", counting)
-    return builds
+        assert table_builds == [] and not kernel._TABLES
 
 
 class TestMirror:
@@ -392,17 +369,16 @@ class TestCorpusSteps:
         assert np.all(err <= 1e-13 * np.abs(want)), (beta, h)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5])
-    def test_no_split_and_no_rebuild(self, beta, monkeypatch):
+    def test_no_split_and_no_rebuild(self, beta, table_builds):
         # the table's edges resolve every panel, and once the table
         # reaches the largest step, no call builds panels again
-        builds = counting_builds(monkeypatch)
         kernel._TABLES.pop(beta, None)
         for _ in range(2):
-            builds.clear()
+            table_builds.clear()
             for h in (0.05, 0.2, 1.0):
                 for degree in (1, 3, 8, 16):
                     psi_many(beta, np.arange(-degree, degree + 1) * h)
-        assert builds == []
+        assert table_builds == []
         tab = kernel._TABLES[beta]
         assert tab.panels == tab.left.size > 0
 
@@ -446,22 +422,21 @@ class TestQuadratureConfig:
         assert tab.panels == tab.left.size > 0
         assert np.isfinite(tab.coef).all() and np.isfinite(tab.prefix).all()
 
-    def test_reach_near_pi(self, monkeypatch):
+    def test_reach_near_pi(self, table_builds):
         # up to order 1020.32 a table reaches pi; above, a point computes
         # within the reach (3.009 at order 1023.5) and raises "not finite"
         # past it, before any panel is built
-        builds = counting_builds(monkeypatch)
         betas, refused = np.arange(1000.0, 1024.0, 0.5), []
         for beta in betas:
             reach = kernel._reach(beta)
             assert (reach == math.pi) == (beta <= 1020.0), beta
             for t in (2.9, 3.0, math.pi):
                 kernel._TABLES.pop(beta, None)
-                builds.clear()
+                table_builds.clear()
                 if t > reach:
                     with pytest.raises(ConvergenceError, match="not finite"):
                         z_many(beta, [t])
-                    assert builds == [], (beta, t)
+                    assert table_builds == [], (beta, t)
                     refused.append((beta, t))
                 else:
                     zs, noise = z_many(beta, [t], with_noise=True)
@@ -503,16 +478,15 @@ class TestQuadratureConfig:
             z_many(1e5, [1.05])
         assert 1e5 not in kernel._TABLES
 
-    def test_overflow_raises_before_any_build(self, monkeypatch):
+    def test_overflow_raises_before_any_build(self, table_builds):
         # the reach tells in advance where the integrand overflows, so no
         # panel is built for a point past it
-        builds = counting_builds(monkeypatch)
         kernel._TABLES.pop(1e4, None)
         with pytest.raises(ConvergenceError, match="not finite"):
             z_many(1e4, [2.0])
         with pytest.raises(ConvergenceError, match="not finite"):
             kernel.z_span(1e4, 2.0, 3.0)
-        assert builds == []
+        assert table_builds == []
         assert 1e4 not in kernel._TABLES
 
     def test_overflowing_span_raises(self):
@@ -575,10 +549,18 @@ class TestSegmentSums:
     }
 
     @staticmethod
-    def check(beta, edges):
+    def point(beta, s):
+        """``kernel._point`` at s on the table resolved for s alone, and 0
+        at or below the least head, where z is 0."""
+        if s <= math.ldexp(1.0, kernel._depth(beta)[1]):
+            return 0j, 0.0
+        return kernel._point(kernel._table(beta, kernel._head(beta, s), s), s)
+
+    @classmethod
+    def check(cls, beta, edges):
         pts = edges[edges > 0.0]
         value, mass = kernel._sums(beta, pts)
-        want = [np.array(w) for w in zip(*[kernel._point(beta, p)
+        want = [np.array(w) for w in zip(*[cls.point(beta, p)
                                            for p in pts])]
         assert _same_bits(value, want[0]), beta
         assert _same_bits(mass, want[1]), beta
@@ -608,7 +590,7 @@ class TestSegmentSums:
         # bit; past pi it is the conjugate of its mirror span, and across
         # pi the sum of the two parts, split at pi
         def half(beta, a, b):
-            (v1, m1), (v0, m0) = kernel._point(beta, b), kernel._point(beta, a)
+            (v1, m1), (v0, m0) = self.point(beta, b), self.point(beta, a)
             return v1 - v0, m1 - m0
 
         rng = np.random.default_rng(5)
@@ -668,15 +650,14 @@ class TestSegmentSums:
 class TestTable:
     """The Legendre tables of z, one per order, and their cache."""
 
-    def test_second_call_builds_no_panels(self, monkeypatch):
-        builds = counting_builds(monkeypatch)
+    def test_second_call_builds_no_panels(self, table_builds):
         kernel._TABLES.pop(3.7, None)
         ts = np.linspace(-20.0, 20.0, 301)
         first = z_many(3.7, ts, with_noise=True)
-        assert builds
-        builds.clear()
+        assert table_builds
+        table_builds.clear()
         second = z_many(3.7, ts, with_noise=True)
-        assert builds == []
+        assert table_builds == []
         assert all(_same_bits(u, v) for u, v in zip(first, second))
 
     def test_cache_holds_at_most_sixteen_tables(self):

@@ -23,7 +23,7 @@ from fracsmooth import (
 )
 from fracsmooth import multiplier
 from fracsmooth.signal import lp_norm
-from test_approx import cutoff_mpmath
+from mpmath_oracles import g_mpmath
 
 V = CutoffV()
 V_FN = MultiplierFn(fn=V, deriv=V.derivative, support="compact",
@@ -46,59 +46,6 @@ def make_case(label, beta, tau, orders):
     if label == "g1":
         return make_g1_g2(beta, orders[0], tau)[0]
     return make_g_tau(beta, tau)
-
-
-def _integrand(order, t):
-    """(1 - e^{it})^order on the principal branch, in polar form."""
-    return (2 * mpmath.sin(t / 2)) ** order * mpmath.expj(
-        order * (t - mpmath.pi) / 2)
-
-
-def _psis_mpmath(orders, t):
-    return [mpmath.quad(lambda s: _integrand(a, s), [0, t]) / t
-            for a in orders]
-
-
-def g_mpmath(beta, tau, orders, t):
-    """(1 - e^{i tau t})^beta v(t) / prod_a psi_a(t) at the mpmath working
-    precision, with each z_a by ``mpmath.quad`` of its integrand."""
-    t = mpmath.mpf(t)
-    return (_integrand(beta, tau * t) * cutoff_mpmath(t)
-            / mpmath.fprod(_psis_mpmath(orders, t)))
-
-
-def g_and_deriv_mpmath(beta, tau, orders, t):
-    """``g_mpmath`` and its derivative by the closed form
-    g (N'/N - sum_a psi_a'/psi_a) + N v'/D, with v' by ``mpmath.diff``."""
-    t = mpmath.mpf(t)
-    psis = _psis_mpmath(orders, t)
-    num = _integrand(beta, tau * t)
-    den = mpmath.fprod(psis)
-    g = num * cutoff_mpmath(t) / den
-    dlog = beta * tau / 2 * (mpmath.cot(tau * t / 2) + 1j) - mpmath.fsum(
-        (_integrand(a, t) / p - 1) / t for a, p in zip(orders, psis))
-    return g, g * dlog + num * mpmath.diff(cutoff_mpmath, t) / den
-
-
-def bracket_mpmath(beta, tau, orders):
-    """The Beurling bracket of ``g_mpmath`` on [-2, 2] at 20 digits.
-
-    |g|^2 and |g'|^2 are even, so each integral is twice the one over
-    [0, 2], taken by 24 Gauss-Legendre nodes on each of 8 panels, twice
-    the panels of ``beurling_bound``; with 16 panels the bracket of
-    g_tau(3.9, 0.9) moves by 2e-14.
-    """
-    x, w = np.polynomial.legendre.leggauss(24)
-    edges = np.linspace(0.0, 2.0, 9)
-    with mpmath.workdps(20):
-        sums = [mpmath.mpf(0), mpmath.mpf(0)]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            for xi, wi in zip(x, w):
-                vals = g_and_deriv_mpmath(
-                    beta, tau, orders, 0.5 * (lo + hi + (hi - lo) * xi))
-                for k in (0, 1):
-                    sums[k] += 0.5 * (hi - lo) * wi * abs(vals[k]) ** 2
-        return float(mpmath.sqrt(2 * sums[0]) + mpmath.sqrt(2 * sums[1]))
 
 
 def counting_psi(monkeypatch):

@@ -33,7 +33,7 @@ from fracsmooth.zeros import (
     _stop_floor,
     _zero_in_window,
 )
-from test_kernel import counting_builds, z_mpmath
+from mpmath_oracles import z_mpmath
 
 TWO_PI = 2.0 * math.pi
 
@@ -377,19 +377,6 @@ def window_scan():
     return scan_zero_set(8.875, 24.0 * math.pi, 10, 384, beta_min=7.0)
 
 
-def counting(monkeypatch, name):
-    """Replace ``zeros.<name>`` by a wrapper that counts its calls."""
-    calls = []
-    inner = getattr(zeros, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(zeros, name, wrapper)
-    return calls
-
-
 class TestFirstColumn:
     """The first beta column sits at beta_min (at step when beta_min = 0)."""
 
@@ -401,15 +388,15 @@ class TestFirstColumn:
         assert got[0].beta_k == pytest.approx(beta0_record.beta_k, abs=1e-9)
         assert got[0].t_k == pytest.approx(beta0_record.t_k, abs=1e-8)
 
-    def test_columns_start_at_beta_min(self, monkeypatch):
-        calls = counting(monkeypatch, "_column")
+    def test_columns_start_at_beta_min(self, counting):
+        calls = counting(zeros, "_column")
         scan_zero_set(5.0, 6.0 * math.pi, 4, 64, beta_min=4.8)
         assert [c[0] for c in calls] == pytest.approx(
             [4.8, 4.85, 4.9, 4.95, 5.0], abs=1e-12)
 
-    def test_columns_start_at_step_when_beta_min_is_zero(self, monkeypatch):
+    def test_columns_start_at_step_when_beta_min_is_zero(self, counting):
         # z is undefined at order 0, so no column is placed there
-        calls = counting(monkeypatch, "_column")
+        calls = counting(zeros, "_column")
         assert scan_zero_set(4.0, 12.0, 4, 64) == []
         assert [c[0] for c in calls] == pytest.approx([1.0, 2.0, 3.0, 4.0],
                                                       abs=1e-12)
@@ -472,10 +459,10 @@ class TestRootFinders:
 class TestStepBudget:
     """Root-finder step counts, far below those of plain bisection."""
 
-    def test_column_evaluations(self, monkeypatch):
+    def test_column_evaluations(self, counting):
         # plain bisection needs about 30 z_span calls per zero; y(2pi - t)
         # = y(t), so the column holds 4 zeros below pi and their mirrors
-        calls = counting(monkeypatch, "z_span")
+        calls = counting(zeros, "z_span")
         assert len(_column(8.2, 384)) == 8
         assert len(calls) <= 40
 
@@ -502,13 +489,13 @@ class TestStepBudget:
         assert all(rec is not None for rec in crossings)
         assert max(steps) <= 12, steps
 
-    def test_newton_evaluations_per_crossing(self, monkeypatch):
+    def test_newton_evaluations_per_crossing(self, monkeypatch, counting):
         # one z point per Newton step in (beta, t) and one at each end of
         # the record's bracket (the record's residual comes on top); no
         # crossing of the window splits its cell, so no window search runs
         # inside the crossing search
-        evals = counting(monkeypatch, "z_many")
-        windows = counting(monkeypatch, "_zero_in_window")
+        evals = counting(zeros, "z_many")
+        windows = counting(zeros, "_zero_in_window")
         per_crossing = []
         inner = zeros._bisect_crossing
 
@@ -526,15 +513,26 @@ class TestStepBudget:
         assert max(n for n, _, _ in per_crossing) <= 6, per_crossing
         assert sum(w for _, w, _ in per_crossing) == 0
 
-    def test_table_builds_per_job(self, monkeypatch):
+    def test_table_builds_per_job(self, table_builds):
         # d z / d beta builds no table, so a job of the zeros-scan
         # benchmark (window scan, then find_beta0) builds one per order
         # that z reads, from an empty cache
-        builds = counting_builds(monkeypatch)
         kernel._TABLES.clear()
         window_scan()
         zeros.find_beta0()
-        assert len(builds) == 67
+        assert len(table_builds) == 67
+
+    def test_table_reads_per_job(self, counting):
+        # the same job resolves one table per z_span call and one per
+        # batch of z sums, and reads the ends of every span and the points
+        # of every short batch from it (``kernel._point``)
+        spans = counting(zeros, "z_span")
+        sums, tables, points = (counting(kernel, name)
+                                for name in ("_sums", "_table", "_point"))
+        window_scan()
+        zeros.find_beta0()
+        assert len(tables) == len(spans) + len(sums) == 338
+        assert len(points) == 619
 
     @staticmethod
     def beta0_cell():
@@ -544,13 +542,13 @@ class TestStepBudget:
             _zero_in_window(b, -1) for b in (4.0, 5.0))
         return 4.0, 5.0, z4.real + TWO_PI, z5.real + TWO_PI, t4, t5
 
-    def assert_split_closes(self, monkeypatch, first_crossings, max_windows):
+    def assert_split_closes(self, counting, first_crossings, max_windows):
         """The crossing search closes the beta0 cell to the mpmath root
         within ``max_windows`` window searches, to a bracket of width
         <= _TOL_BETA that holds a strict sign change of g, and with t_k the
         zero of y at beta_k."""
         cell = self.beta0_cell()
-        windows = counting(monkeypatch, "_zero_in_window")
+        windows = counting(zeros, "_zero_in_window")
         got = zeros._bisect_crossing(*cell, -1, 1)
         assert 0 < len(windows) <= max_windows
         assert got.beta_k == pytest.approx(first_crossings[0][0], abs=1e-10)
@@ -569,17 +567,17 @@ class TestStepBudget:
             got.t_k, t_end, t_mid, t_end2)
 
     def test_newton_out_of_its_cell_splits_the_cell(
-            self, monkeypatch, first_crossings):
+            self, monkeypatch, counting, first_crossings):
         # d z / d beta shrunk 1000-fold makes the Newton steps in beta
         # 1000 times too long, out of the cell until a split cell is so
         # narrow that the first step already starts at the noise floor
         inner = zeros._z_dbeta
         monkeypatch.setattr(zeros, "_z_dbeta",
                             lambda beta, t: 1e-3 * inner(beta, t))
-        self.assert_split_closes(monkeypatch, first_crossings, 25)
+        self.assert_split_closes(counting, first_crossings, 25)
 
     def test_bracket_without_a_sign_change_splits_the_cell(
-            self, monkeypatch, first_crossings):
+            self, monkeypatch, counting, first_crossings):
         # g read 1e-8 too high near the Newton point moves its zero about
         # 1e-8 away, so the two ends of the record's bracket, 0.49 _TOL_BETA
         # from the Newton point, read the same sign; the split runs until
@@ -591,14 +589,14 @@ class TestStepBudget:
             return g + 1e-8, t_zero
 
         monkeypatch.setattr(zeros, "_g_near", biased)
-        self.assert_split_closes(monkeypatch, first_crossings, 40)
+        self.assert_split_closes(counting, first_crossings, 40)
 
     def test_split_alone_closes_the_beta0_cell(
-            self, monkeypatch, first_crossings):
+            self, monkeypatch, counting, first_crossings):
         # halving (4, 5) to 1e-10 takes 34 splits and one window search
         # at the last cell's midpoint
         monkeypatch.setattr(zeros, "_newton_crossing", lambda *args: None)
-        self.assert_split_closes(monkeypatch, first_crossings, 40)
+        self.assert_split_closes(counting, first_crossings, 40)
 
 
 class TestPieces:
