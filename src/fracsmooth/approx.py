@@ -28,10 +28,11 @@ class CutoffV:
     @staticmethod
     def _transition(t):
         """u = 2 - |t|, the bumps (s(u), s(1 - u)) and their derivatives
-        (s'(u), s'(1 - u)); x below 1e-300 divides as 1e-300."""
+        (s'(u), s'(1 - u)); x below 1e-300 divides as 1e-300, and a NaN t
+        gives NaN bumps, so that v and v' are NaN there."""
         u = 2.0 - np.abs(np.asarray(t, dtype=float))
         x = np.stack([u, 1.0 - u])
-        on, safe = x > 0.0, np.maximum(x, 1e-300)
+        on, safe = ~(x <= 0.0), np.maximum(x, 1e-300)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             s = np.exp(-1.0 / safe)
             ds = np.where(on, s / np.square(safe), 0.0)

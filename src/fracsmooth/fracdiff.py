@@ -183,11 +183,14 @@ def apply_diff_series(f: TrigPoly, beta: float, delta: float, x: float,
     (``_tail``) and sup|f| bounded by the coefficient mass sum|c_k|.  Past
     ``cap`` terms it raises ConvergenceError with the sum to the cap as
     ``partial`` and sup|f| T(cap) as ``achieved``.  A ``cap`` that is not
-    a whole number of at least 1 raises InvalidArgumentError.
+    a whole number of at least 1, or an x or delta that is not finite,
+    raises InvalidArgumentError.
     """
     beta = check_beta(beta)
     if not (tol > 0.0):
         raise InvalidArgumentError("tol must be positive")
+    if not (math.isfinite(x) and math.isfinite(delta)):
+        raise InvalidArgumentError("x and delta must be finite")
     cap = _check_cap(cap)
     fmax = float(np.sum(np.abs(f.coeffs)))
     if fmax == 0.0:

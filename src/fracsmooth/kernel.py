@@ -524,8 +524,9 @@ def z_series(beta, t, tol=1e-9, cap=_SERIES_CAP):
     """z(beta, t) by direct series summation (oracle route).
 
     No argument reduction is performed; the series converges for every
-    real t.  Raises a convergence error when the tail bound demands more
-    than ``cap`` terms.  The one-point case of ``z_series_many``.
+    real t, and a t that is not finite raises InvalidArgumentError, as in
+    ``z_many``.  Raises a convergence error when the tail bound demands
+    more than ``cap`` terms.  The one-point case of ``z_series_many``.
     """
     return complex(z_series_many(beta, [float(t)], tol, cap)[0])
 
@@ -537,11 +538,13 @@ def z_series_many(beta, ts, tol=1e-9, cap=_SERIES_CAP):
     5e7 entries of the term-by-point matrix.  Past ``cap`` terms it raises
     ConvergenceError with the tolerance the cap reaches, 4 beta
     T(cap)/cap, as ``achieved``; a ``cap`` that is not a whole number of
-    at least 1 raises InvalidArgumentError.
+    at least 1, or a t that is not finite, raises InvalidArgumentError.
     """
     beta = check_beta(beta)
     cap = _check_cap(cap)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not np.isfinite(ts).all():
+        raise InvalidArgumentError("t values must be finite")
     n = series_terms_needed(beta, tol)
     if n > cap:
         raise ConvergenceError(
@@ -566,10 +569,14 @@ def xy_prime(beta, t):
 
     x' = cos(beta*(t-pi)/2) * (2 sin(t/2))^beta,
     y' = sin(beta*(t-pi)/2) * (2 sin(t/2))^beta;
-    the derivative is 2pi-periodic, so t is reduced modulo 2pi first.
+    the derivative is 2pi-periodic, so t is reduced modulo 2pi first.  A t
+    that is not finite raises InvalidArgumentError, as in ``z_many``.
     """
     beta = check_beta(beta)
-    tr = math.fmod(float(t), TWO_PI)
+    t = float(t)
+    if not math.isfinite(t):
+        raise InvalidArgumentError("t must be finite")
+    tr = math.fmod(t, TWO_PI)
     if tr < 0.0:
         tr += TWO_PI
     s = max(2.0 * math.sin(0.5 * tr), 0.0)

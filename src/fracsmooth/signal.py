@@ -239,7 +239,13 @@ def corpus(kind: str, degree: int, seed: int = 0) -> TrigPoly:
       'random_smooth'      real-valued, |c_k| = (1+|k|)^-2, seeded phases
       'sawtooth_truncated' sum_{k<=M} sin(kx)/k
       'abs_sin_truncated'  Fourier truncation of |sin x|
+
+    A ``degree`` that is not a whole number (2.5, nan, inf) raises
+    InvalidArgumentError, as in ``TrigPoly``.
     """
+    if not float(degree).is_integer():
+        raise InvalidArgumentError(
+            f"degree must be a whole number, got {degree}")
     if kind == "exponential":
         n = int(degree)
         m = abs(n)

@@ -21,10 +21,10 @@ m = -1, (pi(1 - 2/beta), pi), for beta in [4, 5]; ``find_beta0`` runs the
 same crossing search there.
 
 Every y-zero is found on its piece: ``_piece_bounds`` gives P_m, and
-``_piece_zeros`` evaluates y at knots across each piece in one
-``z_many`` call and refines the one sign change that a monotone piece
-can hold (``_bisect_y``).  A column is a map from piece index to zero.
-The two root-finders:
+``_piece_zeros`` evaluates y at knots across each piece below pi (m < 0)
+in one ``z_many`` call, refines the one sign change that a monotone
+piece can hold (``_bisect_y``) and mirrors it to P_(-m-1), since
+y(2pi - t) = y(t).  A column maps piece index to zero.  The two root-finders:
 
 * in t, safeguarded Newton steps with the closed-form y'
   (``kernel.xy_prime``) from the false-position point of the bracket.
@@ -60,9 +60,9 @@ Every sign of y is read by one rule (``_y_signs``): y has a sign only
 where |y| exceeds ``_SIGN_NOISE`` times the cancellation floor that
 ``z_many(..., with_noise=True)`` returns for the point.  Points without a
 sign are dropped, and sign changes are bracketed between consecutive
-points that have one.  Near the lattice t = 0, 2pi, y is smaller than its
-own rounding noise; a sign read there would add a false zero that depends
-on the rounding of the quadrature and on the grid.
+points that have one.  Near t = 0 (and so, by the mirror, near 2pi), y is
+smaller than its own rounding noise; a sign read there would add a false
+zero that depends on the rounding of the quadrature and on the grid.
 """
 from __future__ import annotations
 
@@ -180,13 +180,15 @@ def _piece_bounds(beta, m):
 def _piece_zeros(beta, knots):
     """The zero of y on each monotone piece, refined from knots on it.
 
-    ``knots`` maps a piece index m to ascending knots on P_m.  y is
+    ``knots`` maps a piece index m < 0 to ascending knots on P_m.  y is
     evaluated at all of them in one ``z_many`` call.  y is monotone on
     P_m, so the signed knots of a piece hold at most one sign change;
     ``_bisect_y`` refines it from the bracket's left knot.  A sign change
     between two pieces passes an extremum where y has no sign, a touch
-    within noise, and is not a zero of either piece.  Returns
-    {m: the ``_bisect_y`` tuple} for the pieces with a sign change.
+    within noise, and is not a zero of either piece.  Returns {m: the
+    ``_bisect_y`` tuple (t, t_lo, t_hi, z)} for the pieces with a sign
+    change, and for each mirror piece -m-1 (2pi - t, 2pi - t_hi,
+    2pi - t_lo, 2pi - conj(z)), as z(2pi - t) = 2pi - conj(z(t)).
     """
     ts = np.concatenate([np.asarray(k, dtype=float) for k in knots.values()])
     piece = np.repeat(list(knots), [len(k) for k in knots.values()])
@@ -196,8 +198,11 @@ def _piece_zeros(beta, knots):
         m = int(piece[i])
         if piece[j] == m:
             anchor = (float(ts[i]), complex(zs[i]), float(ns[i]))
-            out[m] = _bisect_y(beta, float(ts[i]), float(ts[j]),
-                               float(zs[i].imag), float(zs[j].imag), anchor)
+            t, t_lo, t_hi, z = out[m] = _bisect_y(
+                beta, float(ts[i]), float(ts[j]), float(zs[i].imag),
+                float(zs[j].imag), anchor)
+            out[-m - 1] = (TWO_PI - t, TWO_PI - t_hi, TWO_PI - t_lo,
+                           TWO_PI - z.conjugate())
     return out
 
 
@@ -213,10 +218,10 @@ def _bisect_y(beta, lo, hi, ylo, yhi, anchor):
     width.  The name stays ``_bisect_y`` although the steps are Newton
     steps, because the benchmark's per-layer spans bind it by name.
     Every z is integrated from ``anchor`` = (t_a, z_a, noise_a), the
-    bracket's left knot (``_eval_z``).
-
-    Returns (t, t_lo, t_hi, z_at_t, noise_at_t), where [t_lo, t_hi] is the
-    sign bracket that held t when it was evaluated.
+    bracket's left knot (``_eval_z``), and the bracket lies in (0, pi]
+    (``_piece_zeros`` mirrors the zeros past pi).  Returns (t, t_lo, t_hi,
+    z_at_t); [t_lo, t_hi] is the sign bracket that held t when it was
+    evaluated.
     """
     width_floor = 64.0 * _EPS * max(1.0, hi)
     lo_positive = ylo > 0.0
@@ -227,7 +232,7 @@ def _bisect_y(beta, lo, hi, ylo, yhi, anchor):
         z, noise = _eval_z(beta, t, anchor)
         y = z.imag
         if abs(y) <= _stop_floor(noise) or (hi - lo) <= width_floor:
-            return t, lo, hi, z, noise
+            return t, lo, hi, z
         if (y > 0.0) == lo_positive:
             lo = t
         else:
@@ -236,8 +241,7 @@ def _bisect_y(beta, lo, hi, ylo, yhi, anchor):
         t = t - y / dy if dy != 0.0 else lo
         if not (lo < t < hi):
             t = 0.5 * (lo + hi)
-    z, noise = _eval_z(beta, t, anchor)
-    return t, lo, hi, z, noise
+    return t, lo, hi, _eval_z(beta, t, anchor)[0]
 
 
 def _check_window(t_lo, t_hi, grid):
@@ -252,16 +256,16 @@ def _check_window(t_lo, t_hi, grid):
 def y_zeros(beta, t_lo, t_hi, grid):
     """Ascending zeros of y(beta, .) strictly inside (t_lo, t_hi).
 
-    y is 2pi-periodic, so this is the base-period column (``_column``),
-    shifted by 2pi j and filtered to the window.  Its knot spacing is
-    that of ``grid`` uniform points on the window, or on one period when
-    the window is shorter: y is monotone on each piece, so finer knots
-    would only narrow the bracket that Newton starts from, while the
-    column, which covers the whole period, would grow without bound as
-    the window narrows.  Tangential lattice zeros at t = 2 pi j, where y
-    vanishes by symmetry without a crossing, are not reported.  A window
-    that is not finite, or a grid that is not a whole number of at least
-    2, raises InvalidArgumentError (``_check_window``).
+    y is 2pi-periodic, so this is the base-period column (``_column``,
+    whose zeros past pi mirror those below), shifted by 2pi j and filtered
+    to the window.  Its knot spacing is that of ``grid`` uniform points on
+    the window, or on one period when the window is shorter: y is monotone
+    on each piece, so finer knots would only narrow the bracket that Newton
+    starts from, while the column, which covers the whole period, would
+    grow without bound as the window narrows.  Tangential lattice zeros
+    at t = 2 pi j, where y vanishes by symmetry without a crossing, are not
+    reported.  A window that is not finite, or a grid that is not a whole
+    number of at least 2, raises InvalidArgumentError (``_check_window``).
     """
     _check_window(t_lo, t_hi, grid)
     column = _column(beta, TWO_PI * (int(grid) - 1)
@@ -305,7 +309,7 @@ def find_beta0():
     if None in ends:
         raise BracketError(
             "no y sign change on the branch interval for beta=4 or 5")
-    (t4, _, _, z4, _), (t5, _, _, z5, _) = ends
+    (t4, _, _, z4), (t5, _, _, z5) = ends
     f4, f5 = z4.real + TWO_PI, z5.real + TWO_PI
     if not (f4 > 0.0 > f5):
         raise BracketError(
@@ -328,31 +332,32 @@ def find_beta0():
 def _column(beta, t_grid):
     """The refined y-zero on every monotone piece of the base period.
 
-    Each piece P_m of (0, 2pi) gets uniform knots, its ends included, at
-    a spacing of at most 2pi / t_grid.  Returns {m: (t, x, t_lo, t_hi)},
-    ascending in m and so in t, for the pieces where y changes sign;
-    [t_lo, t_hi] is the sign bracket that held t.
+    Each piece P_m below pi, m < 0, gets uniform knots, its ends included,
+    at a spacing of at most 2pi / t_grid; a piece past pi takes the mirror
+    of its partner's zero (``_piece_zeros``).  Returns {m: (t, x, t_lo,
+    t_hi)}, ascending in m and so in t, for the pieces where y changes
+    sign; [t_lo, t_hi] is the sign bracket that held t.
     """
-    half = math.ceil(check_beta(beta) / 2.0)
     knots = {}
-    for m in range(-half, half):
+    for m in range(-math.ceil(check_beta(beta) / 2.0), 0):
         lo, hi = _piece_bounds(beta, m)
         knots[m] = np.linspace(lo, hi,
                                math.ceil((hi - lo) * t_grid / TWO_PI) + 1)
-    return {m: (t, z.real, t_lo, t_hi)
-            for m, (t, t_lo, t_hi, z, _) in _piece_zeros(beta, knots).items()}
+    return {m: (t, z.real, t_lo, t_hi) for m, (t, t_lo, t_hi, z)
+            in sorted(_piece_zeros(beta, knots).items())}
 
 
 def _zero_in_window(beta, m):
     """The zero of y(beta, .) on its monotone piece P_m.
 
-    The piece (``_piece_bounds``) gets ``_PIECE_KNOTS`` uniform knots,
-    which narrow its one bracket before the Newton refinement.  Returns
-    the ``_bisect_y`` tuple, or None when y has no sign change on the
-    piece.
+    The piece below pi, P_m or its mirror P_(-m-1) (``_piece_bounds``),
+    gets ``_PIECE_KNOTS`` uniform knots, which narrow its one bracket
+    before the Newton refinement.  Returns the ``_bisect_y`` tuple, or
+    None when y has no sign change on the piece.
     """
-    lo, hi = _piece_bounds(beta, m)
-    return _piece_zeros(beta, {m: np.linspace(lo, hi, _PIECE_KNOTS)}).get(m)
+    below = min(m, -m - 1)
+    knots = np.linspace(*_piece_bounds(beta, below), _PIECE_KNOTS)
+    return _piece_zeros(beta, {below: knots}).get(m)
 
 
 def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
@@ -387,7 +392,7 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     directly).  Records are sorted by (beta_k, t_k); when the window
     contains it, the first record is beta0, the crossing that
     ``find_beta0`` locates with the same search.  Every sign of y is read
-    by ``_y_signs``, so no zero is read out of rounding noise near 2pi.
+    by ``_y_signs``, so no zero is read out of rounding noise near 0 or 2pi.
     """
     if not all(map(math.isfinite, (beta_max, beta_min, t_max))):
         raise InvalidArgumentError(
@@ -461,7 +466,7 @@ def _bisect_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k):
         if found is None:
             log.debug("branch lost at beta=%s on piece %d", beta, m)
             return None
-        t, t_lo, t_hi, z, _ = found
+        t, t_lo, t_hi, z = found
         if narrow:
             return _record(b_lo, b_hi, t, t_lo, t_hi, k)
         g = z.real + TWO_PI * k

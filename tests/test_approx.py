@@ -20,6 +20,7 @@ from fracsmooth import (
     corpus,
     jackson_ratio,
     linearized_modulus,
+    make_g_tau,
     near_best_error,
     vallee_poussin,
 )
@@ -95,6 +96,17 @@ class TestCutoff:
         assert self.V.derivative(0.0) == 0.0
         assert self.V.derivative(0.9) == 0.0
         assert self.V.derivative(2.1) == 0.0
+
+    def test_nan_argument_gives_nan(self):
+        # v is undefined at NaN, so it must not read as outside the
+        # support, and a comparison function built on it must not read 0
+        assert math.isnan(self.V(math.nan))
+        assert math.isnan(self.V.derivative(math.nan))
+        got = self.V([math.nan, 1.5, math.inf])
+        assert math.isnan(got[0])
+        assert got[1:].tolist() == [self.V(1.5), 0.0]
+        with pytest.raises(InvalidArgumentError):
+            make_g_tau(3.9, 0.9).fn(math.nan)
 
 
 class TestValleePoussin:

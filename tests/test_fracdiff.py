@@ -185,17 +185,43 @@ class TestOrderCheck:
             "verify_nonvanishing": lambda: fs.verify_nonvanishing(
                 beta, 0.5, 6.0, 16),
         }
-        missed = {}
-        for name, call in calls.items():
-            try:
-                call()
-            except InvalidArgumentError:
-                continue
-            except Exception as exc:  # noqa: BLE001 - reported below
-                missed[name] = repr(exc)
-            else:
-                missed[name] = "no error"
-        assert not missed
+        assert not _missed(calls)
+
+
+class TestPointCheck:
+    """The series oracles and ``xy_prime`` reject a point that is not
+    finite with InvalidArgumentError, as ``z_many`` does, instead of
+    summing to NaN or warning on an infinite argument."""
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_every_route_rejects(self, t):
+        f = corpus("random_smooth", 4, seed=1)
+        calls = {
+            "z_many": lambda: fracsmooth.z_many(2.5, [1.0, t]),
+            "z_series": lambda: fracsmooth.z_series(2.5, t),
+            "z_series_many": lambda: fracsmooth.z_series_many(2.5, [1.0, t]),
+            "xy_prime": lambda: fracsmooth.xy_prime(2.5, t),
+            "apply_diff_series x": lambda: apply_diff_series(f, 2.5, 0.5, t),
+            "apply_diff_series delta": lambda: apply_diff_series(
+                f, 2.5, t, 0.0),
+        }
+        assert not _missed(calls)
+
+
+def _missed(calls):
+    """name -> outcome of each call that does not raise
+    InvalidArgumentError."""
+    missed = {}
+    for name, call in calls.items():
+        try:
+            call()
+        except InvalidArgumentError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - reported by the caller
+            missed[name] = repr(exc)
+        else:
+            missed[name] = "no error"
+    return missed
 
 
 class TestSplitOrder:

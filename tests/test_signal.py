@@ -354,6 +354,21 @@ class TestCorpus:
         with pytest.raises(InvalidArgumentError):
             corpus("chirp", 4)
 
+    @pytest.mark.parametrize("kind", ["exponential", "random_smooth",
+                                      "sawtooth_truncated",
+                                      "abs_sin_truncated"])
+    @pytest.mark.parametrize("degree", [2.5, -1.5, math.nan, math.inf])
+    def test_degree_must_be_whole(self, kind, degree):
+        # int() would truncate 2.5 to degree 2, and fails on nan and inf
+        with pytest.raises(InvalidArgumentError, match="whole number"):
+            corpus(kind, degree)
+
+    def test_whole_float_degree(self):
+        got = corpus("random_smooth", 4.0, seed=1)
+        assert got.degree == 4
+        assert np.array_equal(got.coeffs, corpus("random_smooth", 4,
+                                                 seed=1).coeffs)
+
     def test_default_corpus_ids(self, corpus_members):
         assert [fid for fid, _ in corpus_members] == [
             "exp:1", "exp:3", "random:8:1", "random:16:2",

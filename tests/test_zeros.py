@@ -152,6 +152,14 @@ class TestYZeros:
         assert len(base) == 4
         assert shifted == [t + TWO_PI for t in base]
 
+    def test_second_half_mirrors_the_first(self):
+        # y(2pi - t) = y(t): past pi, the zeros are 2pi minus those below
+        got = y_zeros(12.7, 0.05, TWO_PI - 0.05, 512)
+        low = [t for t in got if t < math.pi]
+        high = [t for t in got if t > math.pi]
+        assert len(low) == len(high) == len(got) // 2 > 0
+        assert high == [TWO_PI - t for t in reversed(low)]
+
     def test_single_zero_on_shifted_branch_window(self):
         got = y_zeros(5.0, math.pi * (3.0 - 2.0 / 5.0), 3.0 * math.pi, 128)
         assert len(got) == 1
@@ -425,22 +433,31 @@ class TestRootFinders:
 
     @pytest.mark.parametrize("beta", [4.6, 5.3, 8.2, 12.7])
     def test_pieces_ending_at_an_extremum_converge(self, beta):
-        # knots at the two ends of each interior piece only: the bracket
-        # runs from one extremum of y to the next, where y' = 0 and a
-        # Newton step is undefined
+        # knots at the two ends of each interior piece below pi only: the
+        # bracket runs from one extremum of y to the next, where y' = 0
+        # and a Newton step is undefined
         half = math.ceil(beta / 2.0)
-        ends = {m: _piece_bounds(beta, m) for m in range(1 - half, half - 1)}
+        ends = {m: _piece_bounds(beta, m) for m in range(1 - half, 0)}
         for a, b in ends.values():
             for e in (a, b):
                 dx, dy = xy_prime(beta, e)
                 assert abs(dy) <= 1e-9 * abs(dx)
         found = _piece_zeros(beta, ends)
         assert len(found) >= 2
-        for m, (t, t_lo, t_hi, z, noise) in found.items():
-            a, b = ends[m]
-            assert a <= t_lo <= t <= t_hi <= b
-            assert abs(z.imag) <= _stop_floor(noise)
+        assert set(found) == set(ends) | {-m - 1 for m in ends}
+        for m, (t, t_lo, t_hi, z) in found.items():
             assert abs(z_series(beta, t, tol=1e-11).imag) <= 1e-9
+            if m < 0:
+                a, b = ends[m]
+                assert a <= t_lo <= t <= t_hi <= b
+                _, noise = z_many(beta, [t], with_noise=True)
+                assert abs(z.imag) <= _stop_floor(noise[0])
+            else:
+                # the mirror of the zero on the piece -m-1 below pi
+                s, s_lo, s_hi, w = found[-m - 1]
+                assert (t, t_lo, t_hi, z) == (
+                    TWO_PI - s, TWO_PI - s_hi, TWO_PI - s_lo,
+                    TWO_PI - w.conjugate())
 
     def test_crossing_brackets_hold_a_sign_change(self, beta0_record):
         tol_beta = 1e-10
@@ -461,10 +478,11 @@ class TestStepBudget:
 
     def test_column_evaluations(self, counting):
         # plain bisection needs about 30 z_span calls per zero; y(2pi - t)
-        # = y(t), so the column holds 4 zeros below pi and their mirrors
+        # = y(t), so the column refines its 4 zeros below pi and mirrors
+        # them
         calls = counting(zeros, "z_span")
         assert len(_column(8.2, 384)) == 8
-        assert len(calls) <= 40
+        assert len(calls) <= 20
 
     def test_beta_steps_per_crossing(self, monkeypatch):
         # bisection took about 33 window searches per crossing
@@ -531,14 +549,23 @@ class TestStepBudget:
                                 for name in ("_sums", "_table", "_point"))
         window_scan()
         zeros.find_beta0()
-        assert len(tables) == len(spans) + len(sums) == 338
-        assert len(points) == 619
+        assert len(tables) == len(spans) + len(sums) == 211
+        assert len(points) == 365
+
+    def test_y_refinements_per_job(self, counting):
+        # each zero past pi is the mirror of one below it, so only the
+        # zeros below pi are refined: 39 brackets, none reaching past pi
+        brackets = counting(zeros, "_bisect_y")
+        window_scan()
+        zeros.find_beta0()
+        assert len(brackets) == 39
+        assert all(hi <= math.pi for _, _, hi, _, _, _ in brackets)
 
     @staticmethod
     def beta0_cell():
         """Arguments of the beta0 crossing: the cell (4, 5), g and the
         zeros of y at its ends."""
-        (t4, _, _, z4, _), (t5, _, _, z5, _) = (
+        (t4, _, _, z4), (t5, _, _, z5) = (
             _zero_in_window(b, -1) for b in (4.0, 5.0))
         return 4.0, 5.0, z4.real + TWO_PI, z5.real + TWO_PI, t4, t5
 
@@ -654,7 +681,7 @@ class TestSignRule:
             assert min(abs(TWO_PI - t - s) for s in col) < 1e-6, t
 
     @pytest.mark.parametrize("beta, t_grid", [(6.1, 512), (6.4, 512),
-                                              (8.2, 384)])
+                                              (8.2, 384), (12.7, 512)])
     def test_column_is_symmetric_about_pi(self, beta, t_grid):
         # y(2pi - t) = y(t): each zero past pi is the mirror of one below it
         col = [t for t, _, _, _ in _column(beta, t_grid).values()]
@@ -663,6 +690,35 @@ class TestSignRule:
         assert len(low) == len(high) > 0
         for s, t in zip(reversed(low), high):
             assert abs(TWO_PI - s - t) <= 1e-12, (s, t)
+
+    @pytest.mark.parametrize("beta", [4.6, 6.1, 8.2, 12.7, 27.3, 39.5])
+    def test_column_past_pi_is_the_mirror(self, beta):
+        # the zero on the piece -m-1 is 2pi - t of the zero on P_m, and
+        # x there is 2pi - x, bit for bit
+        col = _column(beta, 512)
+        past = [m for m in col if m >= 0]
+        assert past and sorted(col) == sorted(past + [-m - 1 for m in past])
+        for m in past:
+            (t, x, t_lo, t_hi), (s, w, s_lo, s_hi) = col[m], col[-m - 1]
+            assert (t, x, t_lo, t_hi) == (
+                TWO_PI - s, TWO_PI - w, TWO_PI - s_hi, TWO_PI - s_lo), m
+
+    @pytest.mark.parametrize("beta", [4.6, 8.2, 12.7, 39.5])
+    def test_no_refinement_reads_past_pi(self, counting, beta):
+        # every bracket of Newton in t, in a column or in a window search
+        # on a piece past pi, lies below pi, and so does every z it reads
+        brackets = counting(zeros, "_bisect_y")
+        spans = counting(zeros, "z_span")
+        col = _column(beta, 512)
+        half = math.ceil(beta / 2.0)
+        for m in range(half):
+            _zero_in_window(beta, m)
+        # one bracket per zero below pi in the column, and one per window
+        # search on its mirror piece
+        assert len(brackets) == len(col) > 0
+        assert spans
+        assert all(hi <= math.pi for _, _, hi, _, _, _ in brackets)
+        assert all(b <= math.pi for _, _, b in spans)
 
     @pytest.mark.parametrize("beta_a, beta_b",
                              [(6.1, 6.4), (6.4, 6.7), (12.4, 12.7)])
