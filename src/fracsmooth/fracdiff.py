@@ -155,10 +155,15 @@ def symbol_values(beta: float, delta: float, k) -> np.ndarray:
     lattice theta = 0.  So the symbol at -k is the conjugate of the one
     at k bit for bit, and a real f keeps a real difference.  A scalar k
     gives a 0-d array.  A beta that is not positive and finite, or a
-    k*delta that is not finite, raises InvalidArgumentError.
+    k*delta that is not finite (a k or delta that is not, or a product
+    that overflows), raises InvalidArgumentError with no floating-point
+    warning first.
     """
     check_beta(beta)
-    x = np.asarray(k, dtype=float) * delta
+    # inf * 0 is nan and an overflow is inf, so the one check on the
+    # product catches them all, silenced until it raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(k, dtype=float) * delta
     if not np.isfinite(x).all():
         raise InvalidArgumentError("k * delta must be finite")
     theta = np.mod(np.abs(x), TWO_PI)

@@ -173,7 +173,8 @@ def lp_norms(coeffs, params: NormParams) -> np.ndarray:
     ``grid_size`` points (``_synthesis``: one row-wise real inverse FFT,
     two when some row is not real), takes |f| as |u| or hypot(u, v), and
     reduces each row by the rectangle rule (the grid maximum at
-    p = inf).  ``lp_norm`` is the one-row case, so a batch of rows gives
+    p = inf; at p = 1 the row mean, with no power and no root).
+    ``lp_norm`` is the one-row case, so a batch of rows gives
     bit for bit the values of one ``lp_norm`` call per row, with the
     accuracy stated there.
     """
@@ -185,6 +186,9 @@ def lp_norms(coeffs, params: NormParams) -> np.ndarray:
     vals = np.abs(u, out=u) if v is None else np.hypot(u, v, out=u)
     if math.isinf(p):
         return vals.max(axis=1)
+    if p == 1.0:
+        # |f| ** 1 and m ** 1 are |f| and m bit for bit
+        return np.mean(vals, axis=1)
     vals **= p
     # the root is taken row by row with the scalar power: NumPy's
     # vectorised power loop can differ from it in the last bit

@@ -189,9 +189,9 @@ class TestOrderCheck:
 
 
 class TestPointCheck:
-    """The series oracles and ``xy_prime`` reject a point that is not
-    finite with InvalidArgumentError, as ``z_many`` does, instead of
-    summing to NaN or warning on an infinite argument."""
+    """The series oracles, ``xy_prime`` and ``apply_diff`` reject a point
+    or step that is not finite with InvalidArgumentError, as ``z_many``
+    does, instead of summing to NaN or warning on an infinite argument."""
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_every_route_rejects(self, t):
@@ -204,6 +204,19 @@ class TestPointCheck:
             "apply_diff_series x": lambda: apply_diff_series(f, 2.5, 0.5, t),
             "apply_diff_series delta": lambda: apply_diff_series(
                 f, 2.5, t, 0.0),
+            "apply_diff": lambda: apply_diff(f, 2.5, t),
+        }
+        assert not _missed(calls)
+
+    @pytest.mark.parametrize("delta", [1e308, -1e308, 5e307])
+    def test_overflowing_step_rejects(self, delta):
+        # k * delta leaves the floats at the top frequencies of f (at
+        # k = 4 alone for 5e307) and at k = 10, so it raises with no
+        # overflow warning first
+        f = corpus("random_smooth", 4, seed=1)
+        calls = {
+            "apply_diff": lambda: apply_diff(f, 2.5, delta),
+            "symbol_values": lambda: symbol_values(2.5, delta, [0.0, 10.0]),
         }
         assert not _missed(calls)
 

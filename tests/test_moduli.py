@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -31,7 +32,7 @@ from fracsmooth import (
 )
 from fracsmooth import moduli
 from fracsmooth._util import bracket_max, gauss_legendre
-from fracsmooth.fracdiff import apply_diff
+from fracsmooth.fracdiff import apply_diff, symbol_values
 from fracsmooth.kernel import psi_many
 from fracsmooth.moduli import _BLOCK_ELEMS, _diff_norms, _ratio
 from fracsmooth.signal import grid_size, lp_norm
@@ -432,6 +433,134 @@ class TestSymbolMemo:
         threaded = equivalence_scan(member, *grid, threads=3)
         assert row_bits(cold) == row_bits(rows)
         assert row_bits(threaded) == row_bits(rows)
+
+
+class TestStepSymbolMemo:
+    """``_step_symbol`` holds the mirrored symbol blocks of the classical
+    grid and the integral nodes per (beta, step set, degree, block
+    start)."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        moduli._step_symbol.cache_clear()
+        yield
+        moduli._step_symbol.cache_clear()
+
+    def test_step_sets_are_the_moduli_steps(self):
+        for h in (0.05, 0.731, 7.0):
+            grid = moduli._StepSet(h, moduli._DELTA_GRID, nodes=False)
+            want = np.linspace(h / moduli._DELTA_GRID, h, moduli._DELTA_GRID)
+            assert grid.deltas.tolist() == want.tolist(), h
+            nodes = moduli._StepSet(h, moduli._QUAD_ORDER, nodes=True)
+            x = gauss_legendre(moduli._QUAD_ORDER)[0]
+            assert nodes.deltas.tolist() == (0.5 * h * (x + 1.0)).tolist(), h
+
+    def test_blocks_match_fresh_symbols_bitwise(self):
+        for degree in (0, 1, 8, 16, 1024):
+            rows = moduli._block_rows(degree)
+            k = np.arange(degree + 1)
+            for n, nodes in ((moduli._DELTA_GRID, False),
+                             (moduli._QUAD_ORDER, True)):
+                if degree == 1024:
+                    assert rows < n // 2  # several blocks
+                for beta in (0.5, 2.5):
+                    for h in (0.2, 7.0):
+                        steps = moduli._StepSet(h, n, nodes)
+                        for lo in range(0, n, rows):
+                            got = moduli._step_symbol(beta, steps, degree, lo)
+                            want = moduli._mirror(symbol_values(
+                                beta, steps.deltas[lo:lo + rows, None], k))
+                            assert got.shape == want.shape
+                            assert np.array_equal(
+                                got.view(np.uint64), want.view(np.uint64)), \
+                                (degree, nodes, beta, h, lo)
+
+    def test_block_is_read_only(self):
+        steps = moduli._StepSet(0.2, moduli._DELTA_GRID, nodes=False)
+        block = moduli._step_symbol(2.5, steps, 8, 0)
+        with pytest.raises(ValueError):
+            block[0, 1] = 0.0
+        again = moduli._StepSet(0.2, moduli._DELTA_GRID, nodes=False)
+        assert moduli._step_symbol(2.5, again, 8, 0) is block
+
+    @pytest.mark.parametrize("degree", [0, 8])
+    def test_invalid_order_is_not_held(self, degree):
+        steps = moduli._StepSet(0.2, moduli._QUAD_ORDER, nodes=True)
+        with pytest.raises(InvalidArgumentError):
+            moduli._step_symbol(-1.0, steps, degree, 0)
+        assert moduli._step_symbol.cache_info().currsize == 0
+        block = moduli._step_symbol(1.5, steps, degree, 0)
+        assert block.shape == (moduli._QUAD_ORDER, 2 * degree + 1)
+        assert moduli._step_symbol.cache_info().currsize == 1
+
+    def test_scan_reuses_step_symbols(self, monkeypatch, corpus_members):
+        # 27 rows, 9 (beta, h) pairs: each pair computes its grid and its
+        # nodes once (18 calls, one block each at degree 8), and every
+        # row its one polish round (27 calls)
+        member = [m for m in corpus_members if m[0] == "random:8:1"]
+        grid = ([0.5, 1.0, 2.5], [0.05, 0.2, 1.0], [1.0, 2.0, math.inf])
+        fixed = (moduli._DELTA_GRID, moduli._QUAD_ORDER)
+        calls = []
+        inner = moduli.symbol_values
+
+        def counting(beta, delta, k):
+            calls.append(np.shape(delta)[0] in fixed)
+            return inner(beta, delta, k)
+
+        monkeypatch.setattr(moduli, "symbol_values", counting)
+        rows = equivalence_scan(member, *grid)
+        assert len(calls) == 45 and sum(calls) == 18
+        assert moduli._step_symbol.cache_info().maxsize == 2
+        assert all(r.error is None for r in rows)
+
+        scan_row = moduli._scan_row
+
+        def cold_row(*args):
+            moduli._step_symbol.cache_clear()
+            return scan_row(*args)
+
+        monkeypatch.setattr(moduli, "_scan_row", cold_row)
+        cold = equivalence_scan(member, *grid)
+        monkeypatch.setattr(moduli, "_scan_row", scan_row)
+        warm = equivalence_scan(member, *grid)
+        threaded = equivalence_scan(member, *grid, threads=3)
+        assert row_bits(cold) == row_bits(rows)
+        assert row_bits(warm) == row_bits(rows)
+        assert row_bits(threaded) == row_bits(rows)
+
+    def test_degree_1024_moduli_cold_and_warm(self, monkeypatch):
+        # a grid of two blocks and nodes of two blocks (one full, one of a
+        # single node), so the warm calls read every block from the memo
+        f = corpus("random_smooth", 1024, seed=4)
+        rows = moduli._block_rows(f.degree)
+        monkeypatch.setattr(moduli, "_DELTA_GRID", 2 * rows)
+        monkeypatch.setattr(moduli, "_QUAD_ORDER", rows + 1)
+        for p in (1.0, 2.0, math.inf):
+            r = req(2.5, 0.3, p)
+            for modulus, scalar in ((classical_modulus, scalar_classical),
+                                    (integral_modulus, scalar_integral)):
+                want = scalar(f, r)
+                moduli._step_symbol.cache_clear()
+                assert modulus(f, r) == want, (modulus.__name__, p)
+                assert moduli._step_symbol.cache_info().hits == 0
+                assert modulus(f, r) == want, (modulus.__name__, p)
+                assert moduli._step_symbol.cache_info().hits == 2
+
+    def test_holds_at_most_two_blocks_at_degree_1024(self):
+        f = corpus("random_smooth", 1024, seed=4)
+        block = moduli._block_rows(f.degree) * (2 * f.degree + 1) * 16
+        r = req(2.5, 0.3, 2.0)
+        gauss_legendre(moduli._QUAD_ORDER)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            classical_modulus(f, r)
+            integral_modulus(f, r)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert moduli._step_symbol.cache_info().currsize == 2
+        assert block < held <= 2 * block + (1 << 16)
 
 
 class TestDefaultAlpha:

@@ -171,6 +171,24 @@ class TestLpNorms:
                         for r in batch]
                 assert lp_norms(batch, params).tolist() == want, params
 
+    def test_p1_is_the_row_mean_bitwise(self, corpus_members):
+        # the general rule at p = 1 as reference: |f| ** 1, then the
+        # scalar root m ** (1 / 1) row by row
+        def powered(c):
+            u, v = signal._synthesis(c, grid_size((c.shape[1] - 1) // 2))
+            vals = np.abs(u) if v is None else np.hypot(u, v)
+            vals **= 1.0
+            return [m ** (1.0 / 1.0) for m in np.mean(vals, axis=1)]
+
+        for fid, f in corpus_members:
+            rows = np.array([apply_diff(f, beta, h).coeffs
+                             for beta in (0.5, 1.0, 2.5, 3.5, 5.0)
+                             for h in np.linspace(0.01, 1.0, 40)])
+            for batch in (rows, rows * (1.0 + 1.0j)):
+                got = lp_norms(batch, NormParams(p=1.0))
+                assert got.view(np.uint64).tolist() == \
+                    np.array(powered(batch)).view(np.uint64).tolist(), fid
+
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 3.0, math.inf])
     def test_against_the_complex_ifft_rule(self, corpus_members, p):
         rng = np.random.default_rng(5)
