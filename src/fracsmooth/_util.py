@@ -53,6 +53,16 @@ def check_beta(beta):
     return beta
 
 
+def check_whole(name, value, least):
+    """A whole-number argument as an int; one that is not a whole number
+    of at least ``least`` (2.7, nan, inf, or below it) raises
+    InvalidArgumentError instead of being truncated."""
+    if not (value >= least and float(value).is_integer()):
+        raise InvalidArgumentError(
+            f"{name} must be a whole number of at least {least}, got {value}")
+    return int(value)
+
+
 def fmt17(x):
     """Format a float with 17 significant digits (round-trip safe)."""
     return format(float(x), ".17g")

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from ._util import check_whole
 from .errors import InvalidArgumentError
 from .signal import NormParams, TrigPoly, lp_norm
 
@@ -62,10 +63,10 @@ def best_approx_l2(f: TrigPoly, n: int) -> tuple[TrigPoly, float]:
 
     By orthogonality the truncation is the L2-best degree-n approximant
     and the error is the coefficient tail: (sum_{|k|>n} |c_k|^2)^{1/2}.
+    An ``n`` that is not a whole number of at least 0 raises
+    InvalidArgumentError.
     """
-    n = int(n)
-    if n < 0:
-        raise InvalidArgumentError("degree must be nonnegative")
+    n = check_whole("n", n, 0)
     mask = np.abs(f.freqs) <= n
     err = float(np.sqrt(np.sum(np.abs(f.coeffs[~mask]) ** 2)))
     deg = min(n, f.degree)
@@ -93,11 +94,10 @@ def near_best_error(f: TrigPoly, n: int, p: float) -> float:
     For n = 0 the mean is subtracted instead (the h -> infinity limit of
     V keeps only the constant term), so the value is the L_p distance to
     the best constant up to the proxy factor; for f = e_1 it equals 1
-    in every p.
+    in every p.  An ``n`` that is not a whole number of at least 0 raises
+    InvalidArgumentError.
     """
-    n = int(n)
-    if n < 0:
-        raise InvalidArgumentError("degree must be nonnegative")
+    n = check_whole("n", n, 0)
     norm = NormParams(p=p)
     if n == 0:
         coeffs = f.coeffs.copy()
@@ -113,12 +113,11 @@ def jackson_ratio(f: TrigPoly, r: int, n: int, p: float) -> float:
     A constant-free probe of the Jackson inequality: finite values mean
     the modulus controls the approximation error at this (r, n, p).
     Zero over zero (f already of low degree) counts as 0; a positive
-    error over a vanishing modulus is flagged infinite.
+    error over a vanishing modulus is flagged infinite.  An ``r`` or ``n``
+    that is not a whole number of at least 1 raises InvalidArgumentError.
     """
-    r = int(r)
-    n = int(n)
-    if r < 1 or n < 1:
-        raise InvalidArgumentError("need r >= 1 and n >= 1")
+    r = check_whole("r", r, 1)
+    n = check_whole("n", n, 1)
     from .moduli import ModulusRequest, classical_modulus
     num = near_best_error(f, n, p)
     req = ModulusRequest(beta=float(r), h=1.0 / n, norm=NormParams(p=p))

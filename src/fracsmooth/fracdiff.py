@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ._util import check_beta
+from ._util import check_beta, check_whole
 from .errors import ConvergenceError, InvalidArgumentError
 from .signal import TrigPoly, evaluate
 
@@ -28,11 +28,10 @@ def frac_binom(beta: float, nu: int) -> float:
     """Generalised binomial coefficient binom(beta, nu) for integer nu >= 0.
 
     Computed by the stable product recurrence
-    binom(beta, nu) = binom(beta, nu-1) * (beta - nu + 1)/nu.
+    binom(beta, nu) = binom(beta, nu-1) * (beta - nu + 1)/nu.  A ``nu``
+    that is not a whole number of at least 0 raises InvalidArgumentError.
     """
-    nu = int(nu)
-    if nu < 0:
-        raise InvalidArgumentError("nu must be a nonnegative integer")
+    nu = check_whole("nu", nu, 0)
     b = 1.0
     # (j - 1.0) first: "beta - j + 1.0" would absorb a tiny beta into -1+1
     for j in range(1, nu + 1):
@@ -64,15 +63,6 @@ def _tail(beta: float, n: int) -> float:
     except OverflowError:
         return math.inf
     return gamma * abs(math.sin(math.pi * frac)) / math.pi
-
-
-def _check_cap(cap) -> int:
-    """A term cap as an int; one that is not a whole number >= 1 (0, -1,
-    2.5, nan, inf) raises InvalidArgumentError."""
-    if not (cap >= 1 and float(cap).is_integer()):
-        raise InvalidArgumentError(
-            f"cap must be a whole number of at least 1, got {cap}")
-    return int(cap)
 
 
 def _least_terms(holds, cap: int) -> int:
@@ -196,7 +186,7 @@ def apply_diff_series(f: TrigPoly, beta: float, delta: float, x: float,
         raise InvalidArgumentError("tol must be positive")
     if not (math.isfinite(x) and math.isfinite(delta)):
         raise InvalidArgumentError("x and delta must be finite")
-    cap = _check_cap(cap)
+    cap = check_whole("cap", cap, 1)
     fmax = float(np.sum(np.abs(f.coeffs)))
     if fmax == 0.0:
         return 0.0j

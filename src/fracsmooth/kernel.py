@@ -45,10 +45,9 @@ from collections import OrderedDict
 import numpy as np
 from numpy.polynomial import legendre
 
-from ._util import check_beta, fmt17, fmt17_rows, gauss_legendre
+from ._util import check_beta, check_whole, fmt17, fmt17_rows, gauss_legendre
 from .errors import ConvergenceError, InvalidArgumentError
-from .fracdiff import (_SERIES_CAP, _binomial_slices, _check_cap,
-                       _least_terms, _tail)
+from .fracdiff import _SERIES_CAP, _binomial_slices, _least_terms, _tail
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,13 +79,6 @@ _SCALAR_POINTS = 16
 #: of one block peak at about 1.4 MiB, below the 1.8 MiB that the text of
 #: an 8192-row curve took when it was built whole
 _CSV_BLOCK = 3072
-
-
-def _check_grid(name, grid):
-    """A grid size must be a whole number of at least 2."""
-    if not (grid >= 2 and float(grid).is_integer()):
-        raise InvalidArgumentError(
-            f"{name} must be a whole number of at least 2, got {grid}")
 
 
 def _round(beta):
@@ -541,7 +533,7 @@ def z_series_many(beta, ts, tol=1e-9, cap=_SERIES_CAP):
     at least 1, or a t that is not finite, raises InvalidArgumentError.
     """
     beta = check_beta(beta)
-    cap = _check_cap(cap)
+    cap = check_whole("cap", cap, 1)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if not np.isfinite(ts).all():
         raise InvalidArgumentError("t values must be finite")
@@ -590,11 +582,11 @@ def xn_divergence_probe(n):
 
     Integer order makes the series finite, so the value is an exact
     (2n)-term sum; cancellation limits accuracy to roughly
-    binom(2n, n) * eps, which is far below the trend being probed.
+    binom(2n, n) * eps, which is far below the trend being probed.  An
+    ``n`` that is not a whole number of at least 1 raises
+    InvalidArgumentError.
     """
-    n = int(n)
-    if n < 1:
-        raise InvalidArgumentError("n must be a positive integer")
+    n = check_whole("n", n, 1)
     return z_series(float(2 * n), math.pi * (1.0 - 1.0 / n)).real
 
 
@@ -611,12 +603,12 @@ def curve_points(beta, t_lo, t_hi, samples):
     not a whole number of at least 2, raises InvalidArgumentError.
     """
     beta = check_beta(beta)
-    _check_grid("samples", samples)
+    samples = check_whole("samples", samples, 2)
     if not math.isfinite(t_hi - t_lo):
         raise InvalidArgumentError("t_lo, t_hi and t_hi - t_lo must be finite")
     if not (t_lo < t_hi):
         raise InvalidArgumentError("need t_lo < t_hi")
-    ts = np.linspace(t_lo, t_hi, int(samples))
+    ts = np.linspace(t_lo, t_hi, samples)
     return ts, z_many(beta, ts)
 
 

@@ -12,14 +12,14 @@ rectangle rule.
 The steps go in blocks of at most ``_BLOCK_ELEMS`` grid values, so a
 high degree never allocates the whole (steps x grid) matrix at once.
 Each value is bit for bit ``lp_norm(apply_diff(f, beta, delta), norm)``.
-The two fixed step sets, the classical grid and the integral nodes
-(``_StepSet``), depend on h only, so their mirrored symbol blocks depend
-on (beta, h, degree) and not on p or on the function: ``_step_symbol``
-holds them, keyed by (beta, step set, degree, block start).  It holds at
-most ``_STEP_BLOCKS`` = 2 blocks: within one scan the reuse is the grid
-and the nodes of one (beta, h) pair, asked for again for each p, and a
-block of symbols is 0.47 MiB at degree 1024.  The polish rounds of the classical modulus compute their steps'
-symbols fresh.
+A block's mirrored symbols depend on (beta, its steps, degree) and not on
+p or on the function, so ``_symbol_block`` holds them, keyed by those
+values with the steps as their float64 bytes: every block of every call
+goes through it, the classical grid, the integral nodes and the polish
+rounds alike, and the steps alone decide what is shared.  It holds at
+most ``_STEP_BLOCKS`` = 4 blocks: within one scan the reuse is the
+grid, the nodes and the polish rounds of one (beta, h) pair, asked for
+again for each p, and a block of symbols is 0.47 MiB at degree 1024.
 
 The linearized and double-averaged moduli never integrate differences
 numerically: averaging a fractional difference over the step is exactly
@@ -68,10 +68,9 @@ _QUAD_ORDER = 64
 #: half spectra held by ``_psi_symbol``; more entries would mostly keep
 #: symbols that one scan never asks for again
 _SYMBOLS = 16
-#: symbol blocks held by ``_step_symbol``: the classical grid and the
-#: integral nodes of the current (beta, h); 16 raised the equivalence
-#: scan's peak memory by 1.2 MiB for no further reuse
-_STEP_BLOCKS = 2
+#: symbol blocks held by ``_symbol_block``: on one full-corpus scan, 2
+#: entries missed 502 times, 4 and 6 entries 186, 8 and 16 entries 182
+_STEP_BLOCKS = 4
 
 CSV_HEADER = ("fid", "beta", "alpha", "h", "p", "omega", "w",
               "omega_tilde", "omega_star", "r_w", "r_tilde", "r_star")
@@ -106,72 +105,39 @@ def _mirror(half: np.ndarray) -> np.ndarray:
     return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
 
-@dataclass(frozen=True)
-class _StepSet:
-    """A fixed step set at step h, equal and hashed by (h, n, nodes): the
-    classical modulus's ``n`` uniform steps over (0, h], or with
-    ``nodes`` the integral modulus's ``n`` Gauss-Legendre nodes mapped
-    onto (0, h)."""
-    h: float
-    n: int
-    nodes: bool
-    deltas: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.nodes:
-            deltas = 0.5 * self.h * (gauss_legendre(self.n)[0] + 1.0)
-        else:
-            deltas = np.linspace(self.h / self.n, self.h, self.n)
-        object.__setattr__(self, "deltas", deltas)
-
-
 def _block_rows(degree: int) -> int:
     """Steps per block of ``_diff_norms`` at this degree."""
     return max(1, _BLOCK_ELEMS // grid_size(degree))
 
 
-def _symbol_block(beta: float, deltas: np.ndarray,
-                  degree: int) -> np.ndarray:
-    """The symbol matrix on k = -degree..degree, one row per step: computed
-    for k = 0..degree and mirrored (``_mirror``), which is bit for bit
-    what ``symbol_values`` gives at -k."""
-    return _mirror(symbol_values(beta, deltas[:, None],
-                                 np.arange(degree + 1)))
-
-
 @functools.lru_cache(maxsize=_STEP_BLOCKS)
-def _step_symbol(beta: float, steps: _StepSet, degree: int,
-                 lo: int) -> np.ndarray:
-    """The read-only ``_symbol_block`` of the block of ``steps`` that
-    starts at step ``lo``: one ``symbol_values`` call per key while the
-    memo holds it.  An invalid order raises and is not held.
-    ``symbol_values`` is looked up at call time, so a wrapper set on
-    ``moduli.symbol_values`` sees every miss."""
-    sym = _symbol_block(beta, steps.deltas[lo:lo + _block_rows(degree)],
-                        degree)
+def _symbol_block(beta: float, steps: bytes, degree: int) -> np.ndarray:
+    """The symbol matrix on k = -degree..degree, one row per step of
+    ``steps`` (float64 bytes), read-only: computed for k = 0..degree and
+    mirrored (``_mirror``), which is bit for bit what ``symbol_values``
+    gives at -k.  One ``symbol_values`` call per key while the memo holds
+    it; an invalid order raises and is not held.  ``symbol_values`` is
+    looked up at call time, so a wrapper set on ``moduli.symbol_values``
+    sees every miss."""
+    deltas = np.frombuffer(steps)
+    sym = _mirror(symbol_values(beta, deltas[:, None], np.arange(degree + 1)))
     sym.flags.writeable = False
     return sym
 
 
 def _diff_norms(f: TrigPoly, beta: float, deltas,
                 norm: NormParams) -> np.ndarray:
-    """||D_delta^beta f||_p for every step delta in ``deltas``, an array
-    of steps or a ``_StepSet``.
+    """||D_delta^beta f||_p for every step delta in ``deltas``.
 
     Per block of at most ``_block_rows`` steps: the symbol matrix of the
-    difference (``_symbol_block``; ``_step_symbol`` holds the blocks of a
-    step set) times the coefficients, then ``lp_norms`` of the rows.
+    difference (``_symbol_block``) times the coefficients, then
+    ``lp_norms`` of the rows.
     """
-    steps = deltas if isinstance(deltas, _StepSet) else None
-    deltas = np.asarray(deltas if steps is None else steps.deltas,
-                        dtype=float)
+    deltas = np.asarray(deltas, dtype=float)
     rows = _block_rows(f.degree)
     out = np.empty(deltas.size)
     for lo in range(0, deltas.size, rows):
-        if steps is None:
-            sym = _symbol_block(beta, deltas[lo:lo + rows], f.degree)
-        else:
-            sym = _step_symbol(beta, steps, f.degree, lo)
+        sym = _symbol_block(beta, deltas[lo:lo + rows].tobytes(), f.degree)
         out[lo:lo + rows] = lp_norms(f.coeffs * sym, norm)
     return out
 
@@ -192,21 +158,19 @@ def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
 
     Grid maximum over ``_DELTA_GRID`` uniform steps, evaluated together by
     ``_diff_norms`` (one symbol matrix and one ``lp_norms`` call per block
-    of at most ``_BLOCK_ELEMS`` grid values; the grid's symbol blocks
-    come from the ``_step_symbol`` memo, so the rows of a scan that
-    differ in p alone compute them once), then ``bracket_max`` in the
+    of at most ``_BLOCK_ELEMS`` grid values), then ``bracket_max`` in the
     cell around the discrete argmax: one ``_diff_norms`` call per round
-    of knots, with symbols computed fresh.  When the sup sits at
-    delta = h the first round finds no larger value and stops, so the
-    result is the grid value at h.  The polish is local — no global
-    unimodality is assumed.
+    of knots.  The symbol blocks of both come from the ``_symbol_block``
+    memo, which the rows of a scan that differ in p alone share.
+    When the sup sits at delta = h the first round finds no larger value
+    and stops, so the result is the grid value at h.  The polish is local
+    — no global unimodality is assumed.
     """
     if req.alpha is not None:
         raise InvalidArgumentError("alpha does not apply to this modulus")
     grid = _DELTA_GRID
-    steps = _StepSet(req.h, grid, nodes=False)
-    deltas = steps.deltas
-    vals = _diff_norms(f, req.beta, steps, req.norm)
+    deltas = np.linspace(req.h / grid, req.h, grid)
+    vals = _diff_norms(f, req.beta, deltas, req.norm)
     i = int(np.argmax(vals))
     return bracket_max(lambda ds: _diff_norms(f, req.beta, ds, req.norm),
                        deltas[max(i - 1, 0)], deltas[min(i + 1, grid - 1)],
@@ -218,17 +182,16 @@ def integral_modulus(f: TrigPoly, req: ModulusRequest) -> float:
 
     Gauss-Legendre of order ``_QUAD_ORDER`` (``gauss_legendre``) mapped
     onto (0, h); the difference norms at all of its nodes come from one
-    ``_diff_norms`` call, in blocks of at most ``_BLOCK_ELEMS`` grid
-    values like the classical grid, and their symbol blocks from the
-    ``_step_symbol`` memo like the grid's.
+    ``_diff_norms`` call, like the classical grid, with their symbol
+    blocks from the same ``_symbol_block`` memo.
     """
     if req.alpha is not None:
         raise InvalidArgumentError("alpha does not apply to this modulus")
-    _, weights, _ = gauss_legendre(_QUAD_ORDER)
-    steps = _StepSet(req.h, _QUAD_ORDER, nodes=True)
+    nodes, weights, _ = gauss_legendre(_QUAD_ORDER)
     scale = 0.5  # (1/h) * (h/2): the affine map's Jacobian over the mean
     p1 = req.norm.p1
-    vals = _diff_norms(f, req.beta, steps, req.norm).tolist()
+    vals = _diff_norms(f, req.beta, 0.5 * req.h * (nodes + 1.0),
+                       req.norm).tolist()
     acc = 0.0
     # summed node by node: a dot product would round differently
     for v, w in zip(vals, weights):

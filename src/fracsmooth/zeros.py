@@ -73,9 +73,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_beta
+from ._util import check_beta, check_whole
 from .errors import BracketError, InvalidArgumentError
-from .kernel import (TWO_PI, _check_grid, _round, _z_dbeta, xy_prime,
+from .kernel import (TWO_PI, _round, _z_dbeta, xy_prime,
                      z_eval, z_many, z_span)
 
 log = logging.getLogger(__name__)
@@ -250,7 +250,7 @@ def _check_window(t_lo, t_hi, grid):
         raise InvalidArgumentError("t_lo and t_hi must be finite")
     if not (0.0 < t_lo < t_hi):
         raise InvalidArgumentError("need 0 < t_lo < t_hi")
-    _check_grid("grid", grid)
+    check_whole("grid", grid, 2)
 
 
 def y_zeros(beta, t_lo, t_hi, grid):
@@ -362,7 +362,8 @@ def _zero_in_window(beta, m):
 
 def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
                   beta_min=0.0):
-    """Locate all zeros of z with beta in (beta_min, beta_max], t in (0, t_max].
+    """Locate the zeros of z with beta in (beta_min, beta_max] and t in
+    (2pi, t_max].
 
     The beta columns are beta_min + i * step, step = (beta_max -
     beta_min) / beta_grid, for i = 0..beta_grid, so the first column
@@ -386,10 +387,10 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
     an end is dropped with a log note.
 
     Only the shifted copies are tracked: the reported family lives
-    strictly above the base period (t_k > 2pi).  Roots of x itself on the
-    base period, which appear for beta around 14 and beyond, are outside
-    the scan's scope (``verify_nonvanishing`` probes the base period
-    directly).  Records are sorted by (beta_k, t_k); when the window
+    strictly above the base period (t_k > 2pi).  The zeros of z in the
+    base period itself (k = 0), the first at beta ~ 8.0402, t ~ 4.5191,
+    are outside the scan's scope (``verify_nonvanishing`` probes the base
+    period directly).  Records are sorted by (beta_k, t_k); when the window
     contains it, the first record is beta0, the crossing that
     ``find_beta0`` locates with the same search.  Every sign of y is read
     by ``_y_signs``, so no zero is read out of rounding noise near 0 or 2pi.
@@ -401,8 +402,8 @@ def scan_zero_set(beta_max, t_max, beta_grid=120, t_grid=512, *,
         raise InvalidArgumentError("need beta_max > beta_min >= 0")
     if t_max <= 0.0:
         raise InvalidArgumentError("t_max must be positive")
-    _check_grid("beta_grid", beta_grid)
-    _check_grid("t_grid", t_grid)
+    check_whole("beta_grid", beta_grid, 2)
+    check_whole("t_grid", t_grid, 2)
 
     step = (beta_max - beta_min) / beta_grid
     first = 0 if beta_min > 0.0 else 1

@@ -57,8 +57,9 @@ class TestBestL2:
         assert errs[-1] == 0.0
 
     def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            best_approx_l2(corpus("exponential", 1), -1)
+        for n in (-1, 2.7, math.nan):
+            with pytest.raises(InvalidArgumentError, match="whole number"):
+                best_approx_l2(corpus("exponential", 1), n)
 
 
 class TestCutoff:
@@ -141,6 +142,12 @@ class TestNearBest:
         assert near_best_error(f, 8, 2) == 0.0
         assert near_best_error(f, 16, math.inf) == 0.0
 
+    def test_validation(self):
+        e1 = corpus("exponential", 1)
+        for n in (-1, 2.7, math.nan):
+            with pytest.raises(InvalidArgumentError, match="whole number"):
+                near_best_error(e1, n, 2)
+
     def test_degree_zero_is_distance_to_mean(self):
         e1 = corpus("exponential", 1)
         for p in (1.0, 2.0, math.inf):
@@ -193,10 +200,13 @@ class TestJacksonRatio:
 
     def test_validation(self):
         e1 = corpus("exponential", 1)
-        with pytest.raises(InvalidArgumentError):
-            jackson_ratio(e1, 0, 4, 2)
-        with pytest.raises(InvalidArgumentError):
-            jackson_ratio(e1, 2, 0, 2)
+        # a fractional r or n is not truncated: jackson_ratio(e1, 1.5, 2,
+        # 2) would otherwise be the order-1 ratio
+        for bad in (0, 1.5, 2.7, math.nan):
+            with pytest.raises(InvalidArgumentError, match="whole number"):
+                jackson_ratio(e1, bad, 4, 2)
+            with pytest.raises(InvalidArgumentError, match="whole number"):
+                jackson_ratio(e1, 2, bad, 2)
 
 
 class TestDegenerateRescue:

@@ -41,6 +41,11 @@ class TestFracBinom:
         got = frac_binom(beta, nu)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
 
+    @pytest.mark.parametrize("nu", [-1, 2.7, math.nan, math.inf])
+    def test_rejects_an_index_that_is_not_a_whole_number(self, nu):
+        with pytest.raises(InvalidArgumentError, match="whole number"):
+            frac_binom(1.5, nu)
+
     def test_tiny_beta_first_term_not_absorbed(self):
         assert frac_binom(1e-150, 1) == 1e-150
         assert frac_binom(1e-150, 2) == pytest.approx(-0.5e-150, rel=1e-12)

@@ -395,8 +395,9 @@ class TestDivergenceProbe:
         assert vals[-1] == pytest.approx(-4118670861.0726085, rel=1e-10)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidArgumentError):
-            xn_divergence_probe(0)
+        for n in (0, 2.7, math.nan):
+            with pytest.raises(InvalidArgumentError, match="whole number"):
+                xn_divergence_probe(n)
 
 
 class TestQuadratureConfig:

@@ -31,7 +31,7 @@ from fracsmooth import (
     write_report_json,
 )
 from fracsmooth import moduli
-from fracsmooth._util import bracket_max, gauss_legendre
+from fracsmooth._util import _BRACKET_KNOTS, bracket_max, gauss_legendre
 from fracsmooth.fracdiff import apply_diff, symbol_values
 from fracsmooth.kernel import psi_many
 from fracsmooth.moduli import _BLOCK_ELEMS, _diff_norms, _ratio
@@ -436,87 +436,112 @@ class TestSymbolMemo:
 
 
 class TestStepSymbolMemo:
-    """``_step_symbol`` holds the mirrored symbol blocks of the classical
-    grid and the integral nodes per (beta, step set, degree, block
-    start)."""
+    """``_symbol_block`` holds the mirrored difference symbols of one block
+    of steps per (beta, the steps' float64 bytes, degree): the classical
+    grid, the integral nodes and the polish rounds alike."""
 
     @pytest.fixture(autouse=True)
     def cold_memo(self):
-        moduli._step_symbol.cache_clear()
+        moduli._symbol_block.cache_clear()
         yield
-        moduli._step_symbol.cache_clear()
+        moduli._symbol_block.cache_clear()
 
-    def test_step_sets_are_the_moduli_steps(self):
-        for h in (0.05, 0.731, 7.0):
-            grid = moduli._StepSet(h, moduli._DELTA_GRID, nodes=False)
-            want = np.linspace(h / moduli._DELTA_GRID, h, moduli._DELTA_GRID)
-            assert grid.deltas.tolist() == want.tolist(), h
-            nodes = moduli._StepSet(h, moduli._QUAD_ORDER, nodes=True)
-            x = gauss_legendre(moduli._QUAD_ORDER)[0]
-            assert nodes.deltas.tolist() == (0.5 * h * (x + 1.0)).tolist(), h
+    @staticmethod
+    def block(beta, deltas, degree):
+        return moduli._symbol_block(
+            beta, np.asarray(deltas, dtype=float).tobytes(), degree)
 
-    def test_blocks_match_fresh_symbols_bitwise(self):
-        for degree in (0, 1, 8, 16, 1024):
-            rows = moduli._block_rows(degree)
-            k = np.arange(degree + 1)
-            for n, nodes in ((moduli._DELTA_GRID, False),
-                             (moduli._QUAD_ORDER, True)):
-                if degree == 1024:
-                    assert rows < n // 2  # several blocks
-                for beta in (0.5, 2.5):
-                    for h in (0.2, 7.0):
-                        steps = moduli._StepSet(h, n, nodes)
-                        for lo in range(0, n, rows):
-                            got = moduli._step_symbol(beta, steps, degree, lo)
-                            want = moduli._mirror(symbol_values(
-                                beta, steps.deltas[lo:lo + rows, None], k))
-                            assert got.shape == want.shape
-                            assert np.array_equal(
-                                got.view(np.uint64), want.view(np.uint64)), \
-                                (degree, nodes, beta, h, lo)
-
-    def test_block_is_read_only(self):
-        steps = moduli._StepSet(0.2, moduli._DELTA_GRID, nodes=False)
-        block = moduli._step_symbol(2.5, steps, 8, 0)
-        with pytest.raises(ValueError):
-            block[0, 1] = 0.0
-        again = moduli._StepSet(0.2, moduli._DELTA_GRID, nodes=False)
-        assert moduli._step_symbol(2.5, again, 8, 0) is block
-
-    @pytest.mark.parametrize("degree", [0, 8])
-    def test_invalid_order_is_not_held(self, degree):
-        steps = moduli._StepSet(0.2, moduli._QUAD_ORDER, nodes=True)
-        with pytest.raises(InvalidArgumentError):
-            moduli._step_symbol(-1.0, steps, degree, 0)
-        assert moduli._step_symbol.cache_info().currsize == 0
-        block = moduli._step_symbol(1.5, steps, degree, 0)
-        assert block.shape == (moduli._QUAD_ORDER, 2 * degree + 1)
-        assert moduli._step_symbol.cache_info().currsize == 1
-
-    def test_scan_reuses_step_symbols(self, monkeypatch, corpus_members):
-        # 27 rows, 9 (beta, h) pairs: each pair computes its grid and its
-        # nodes once (18 calls, one block each at degree 8), and every
-        # row its one polish round (27 calls)
-        member = [m for m in corpus_members if m[0] == "random:8:1"]
-        grid = ([0.5, 1.0, 2.5], [0.05, 0.2, 1.0], [1.0, 2.0, math.inf])
-        fixed = (moduli._DELTA_GRID, moduli._QUAD_ORDER)
+    @staticmethod
+    def counting(monkeypatch):
+        """The step count of every ``symbol_values`` call, that is of
+        every miss of the memo."""
         calls = []
         inner = moduli.symbol_values
 
-        def counting(beta, delta, k):
-            calls.append(np.shape(delta)[0] in fixed)
+        def wrapper(beta, delta, k):
+            calls.append(np.shape(delta)[0])
             return inner(beta, delta, k)
 
-        monkeypatch.setattr(moduli, "symbol_values", counting)
+        monkeypatch.setattr(moduli, "symbol_values", wrapper)
+        return calls
+
+    def test_step_sets_are_the_moduli_steps(self, monkeypatch):
+        seen = []
+        inner = moduli._diff_norms
+
+        def wrapper(f, beta, deltas, norm):
+            seen.append(np.asarray(deltas).tolist())
+            return inner(f, beta, deltas, norm)
+
+        monkeypatch.setattr(moduli, "_diff_norms", wrapper)
+        x = gauss_legendre(moduli._QUAD_ORDER)[0]
+        for h in (0.05, 0.731, 7.0):
+            seen.clear()
+            classical_modulus(E1, req(1.5, h, 2.0))
+            want = np.linspace(h / moduli._DELTA_GRID, h, moduli._DELTA_GRID)
+            assert seen[0] == want.tolist(), h
+            seen.clear()
+            integral_modulus(E1, req(1.5, h, 2.0))
+            assert seen == [(0.5 * h * (x + 1.0)).tolist()], h
+
+    def test_blocks_match_fresh_symbols_bitwise(self):
+        x = gauss_legendre(moduli._QUAD_ORDER)[0]
+        for degree in (0, 1, 8, 16, 1024):
+            rows = moduli._block_rows(degree)
+            k = np.arange(degree + 1)
+            for h in (0.2, 7.0):
+                grid = np.linspace(h / moduli._DELTA_GRID, h,
+                                   moduli._DELTA_GRID)
+                polish = np.linspace(0.3 * h, 0.4 * h, 17)
+                for steps in (grid, 0.5 * h * (x + 1.0), polish):
+                    if degree == 1024:
+                        assert rows < steps.size  # several blocks
+                    for beta in (0.5, 2.5):
+                        for lo in range(0, steps.size, rows):
+                            part = steps[lo:lo + rows]
+                            got = self.block(beta, part, degree)
+                            want = moduli._mirror(
+                                symbol_values(beta, part[:, None], k))
+                            assert got.shape == want.shape
+                            assert np.array_equal(
+                                got.view(np.uint64), want.view(np.uint64)), \
+                                (degree, steps.size, beta, h, lo)
+
+    def test_block_is_read_only(self):
+        grid = np.linspace(0.2 / moduli._DELTA_GRID, 0.2, moduli._DELTA_GRID)
+        block = self.block(2.5, grid, 8)
+        with pytest.raises(ValueError):
+            block[0, 1] = 0.0
+        assert self.block(2.5, grid.copy(), 8) is block
+
+    @pytest.mark.parametrize("degree", [0, 8])
+    def test_invalid_order_is_not_held(self, degree):
+        nodes = 0.1 * (gauss_legendre(moduli._QUAD_ORDER)[0] + 1.0)
+        with pytest.raises(InvalidArgumentError):
+            self.block(-1.0, nodes, degree)
+        assert moduli._symbol_block.cache_info().currsize == 0
+        block = self.block(1.5, nodes, degree)
+        assert block.shape == (moduli._QUAD_ORDER, 2 * degree + 1)
+        assert moduli._symbol_block.cache_info().currsize == 1
+
+    def test_scan_reuses_step_symbols(self, monkeypatch, corpus_members):
+        # 27 rows, 9 (beta, h) pairs: each pair computes its grid and its
+        # nodes once (18 calls, one block each at degree 8), and its
+        # polish rounds once for its three p (9 calls)
+        member = [m for m in corpus_members if m[0] == "random:8:1"]
+        grid = ([0.5, 1.0, 2.5], [0.05, 0.2, 1.0], [1.0, 2.0, math.inf])
+        calls = self.counting(monkeypatch)
         rows = equivalence_scan(member, *grid)
-        assert len(calls) == 45 and sum(calls) == 18
-        assert moduli._step_symbol.cache_info().maxsize == 2
+        fixed = (moduli._DELTA_GRID, moduli._QUAD_ORDER)
+        assert len(calls) == 27 and sum(n in fixed for n in calls) == 18
+        assert moduli._symbol_block.cache_info().maxsize == \
+            moduli._STEP_BLOCKS == 4
         assert all(r.error is None for r in rows)
 
         scan_row = moduli._scan_row
 
         def cold_row(*args):
-            moduli._step_symbol.cache_clear()
+            moduli._symbol_block.cache_clear()
             return scan_row(*args)
 
         monkeypatch.setattr(moduli, "_scan_row", cold_row)
@@ -528,11 +553,38 @@ class TestStepSymbolMemo:
         assert row_bits(warm) == row_bits(rows)
         assert row_bits(threaded) == row_bits(rows)
 
+    def test_polish_round_of_a_second_p_is_a_hit(self, monkeypatch):
+        # the p = 1 row computes its grid and its one polish round; the
+        # p = 2 and p = inf rows bracket the same cell and compute nothing
+        f = corpus("random_smooth", 8, seed=1)
+        calls = self.counting(monkeypatch)
+        classical_modulus(f, req(2.5, 0.2, 1.0))
+        assert calls == [moduli._DELTA_GRID, _BRACKET_KNOTS]
+        for p in (2.0, math.inf):
+            r = req(2.5, 0.2, p)
+            assert classical_modulus(f, r) == scalar_classical(f, r), p
+        assert calls == [moduli._DELTA_GRID, _BRACKET_KNOTS]
+
+    @pytest.mark.parametrize("degree", [64, 100])
+    def test_rows_of_several_blocks_hit(self, degree):
+        # the grid spans two blocks from degree 64 on; with the nodes and
+        # one polish round the p = 1 row misses 4 blocks and the p = 2 and
+        # p = inf rows read all 4 from the memo
+        f = corpus("random_smooth", degree, seed=1)
+        assert moduli._block_rows(degree) < moduli._DELTA_GRID
+        rows = equivalence_scan([("f", f)], [2.5], [0.2],
+                                [1.0, 2.0, math.inf])
+        assert all(r.error is None for r in rows)
+        info = moduli._symbol_block.cache_info()
+        assert (info.hits, info.misses) == (8, 4)
+
     def test_degree_1024_moduli_cold_and_warm(self, monkeypatch):
-        # a grid of two blocks and nodes of two blocks (one full, one of a
-        # single node), so the warm calls read every block from the memo
+        # a grid of two blocks, a polish round of two and nodes of two (one
+        # full, one of a single node), so the warm calls read every block
+        # from the memo
         f = corpus("random_smooth", 1024, seed=4)
         rows = moduli._block_rows(f.degree)
+        assert rows < _BRACKET_KNOTS
         monkeypatch.setattr(moduli, "_DELTA_GRID", 2 * rows)
         monkeypatch.setattr(moduli, "_QUAD_ORDER", rows + 1)
         for p in (1.0, 2.0, math.inf):
@@ -540,13 +592,16 @@ class TestStepSymbolMemo:
             for modulus, scalar in ((classical_modulus, scalar_classical),
                                     (integral_modulus, scalar_integral)):
                 want = scalar(f, r)
-                moduli._step_symbol.cache_clear()
+                moduli._symbol_block.cache_clear()
                 assert modulus(f, r) == want, (modulus.__name__, p)
-                assert moduli._step_symbol.cache_info().hits == 0
+                cold = moduli._symbol_block.cache_info()
+                assert cold.hits == 0
                 assert modulus(f, r) == want, (modulus.__name__, p)
-                assert moduli._step_symbol.cache_info().hits == 2
+                warm = moduli._symbol_block.cache_info()
+                assert warm.misses == cold.misses
+                assert warm.hits == cold.misses
 
-    def test_holds_at_most_two_blocks_at_degree_1024(self):
+    def test_holds_at_most_step_blocks_at_degree_1024(self):
         f = corpus("random_smooth", 1024, seed=4)
         block = moduli._block_rows(f.degree) * (2 * f.degree + 1) * 16
         r = req(2.5, 0.3, 2.0)
@@ -559,8 +614,9 @@ class TestStepSymbolMemo:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert moduli._step_symbol.cache_info().currsize == 2
-        assert block < held <= 2 * block + (1 << 16)
+        assert moduli._symbol_block.cache_info().currsize == \
+            moduli._STEP_BLOCKS
+        assert block < held <= moduli._STEP_BLOCKS * block + (1 << 16)
 
 
 class TestDefaultAlpha:

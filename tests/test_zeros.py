@@ -351,6 +351,20 @@ class TestScan:
             scan_zero_set(beta_max, t_max, 4, 64, beta_min=beta_min)
 
 
+class TestBaseZero:
+    """The first zero of z in the base period, at t < 2pi: the shift k = 0,
+    which ``scan_zero_set`` does not try (it reports t > 2pi only)."""
+
+    BETA, T = 8.0402490170, 4.5191081150
+
+    def test_kernel_matches_mpmath_at_the_zero(self):
+        zs, noise = z_many(self.BETA, [self.T], with_noise=True)
+        want = z_mpmath(self.BETA, self.T)
+        assert abs(zs[0] - want) <= 4.0 * noise[0]
+        # 10 digits of (beta, t) leave |z| below 1e-9 of a unit-size curve
+        assert abs(want) < 1e-9
+
+
 class TestPastForty:
     """Orders from 40 to 60, where a batch of z values converges only by
     the rounding floor of its panels, 8 eps times their absolute mass."""
