@@ -10,20 +10,18 @@ periodic function is psi(beta, k*h) times the coefficient of the function,
 which is why everything downstream (linearized moduli, multiplier bounds,
 zero scans) reduces to evaluating z accurately.
 
-``z_eval`` / ``z_many`` / ``z_span`` evaluate z by spectral integration
-of the principal-branch polar form (2 sin(phi/2))^beta *
-exp(i*beta*(phi-pi)/2) on (0, pi], after reduction by the symmetry
+``z_eval`` / ``z_many`` / ``z_span`` reduce t to (0, pi] by the symmetry
 z(-t) = -conj(z(t)), the shift z(t + 2pi) = z(t) + 2pi and the mirror
 z(2pi - s) = 2pi - conj(z(s)), so no sum passes the peak 2^beta of the
-integrand at pi.  Each order has one Legendre table (``_Table``) on panels
-whose edges depend on beta and their binade only (``_edges``), built as
-far as the calls reach, and no further than the integrand stays finite
-(``_reach``).  A reader resolves the table once, ``_sums`` per batch and
-``z_span`` per call, and reads every point from it.  z at s is the stored
-prefix of the panel that holds s, the integral from the head of its binade
-(``_depth``) to its left end, plus one Legendre sum in that panel, and the
-noise is the rounding of the same sums of |f|; as a panel and its prefix
-depend on beta and the panel alone, so does a value on (beta, t).
+integrand (2 sin(phi/2))^beta exp(i beta (phi - pi)/2) at pi.  Each order
+has one table (``_Table``): up to its start s_beta, a power of two of at
+most 1 and 2/beta, z is its power series (``_series``); from there on,
+Legendre panels whose edges depend on beta and their binade only
+(``_edges``), built as far as the calls reach and the integrand stays
+finite (``_reach``).  z at s is the series, or the prefix of the panel
+that holds s (the series at s_beta plus the panels before) plus one
+Legendre sum in that panel; the noise is the rounding of the same sums
+of |f|.  So a value depends on (beta, t) alone.
 
 ``z_series`` is the independent oracle route: direct summation of
 
@@ -41,9 +39,11 @@ import sys
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import legendre
+from numpy.polynomial import legendre, polynomial
 
 from ._util import check_beta, check_whole, fmt17, fmt17_rows, gauss_legendre
 from .errors import ConvergenceError, InvalidArgumentError
@@ -89,28 +89,86 @@ def _round(beta):
     return _ROUND * max(1.0, beta / _ROUND_BETA)
 
 
-def _depth(beta):
-    """(J, lowest): a point s in the binade (2^b, 2^(b+1)] has its head at
-    2^h, h = max(b - J, lowest) (``_head``), and the integral below is
-    dropped.  With J = ceil(55/(beta + 1)) + 2, as |f(phi)| <= phi^beta,
-    the drop is at most (s 2^-J)^(beta+1)/(beta+1), and the mass of
-    [s/2, s] is at least (s/2)(0.9 s/2)^beta for s <= pi, so the drop is
-    below 2^(1 + 1.16 beta - J (beta + 1)) <= 2^-55 of the mass up to s.
-    With lowest = max(-ceil(1074/(beta + 1)), -1022), the integral up to
-    2^lowest is at most 2^-1074/(beta + 1), below the least subnormal (at
-    most 2^-1022 at orders under 0.051), so a point at or below 2^lowest
-    has z = 0, and no table reaches below the normal floats, whose nodes a
-    panel resolves."""
-    return (math.ceil(55.0 / (beta + 1.0)) + 2,
-            max(-math.ceil(1074.0 / (beta + 1.0)), -1022))
+def _lowest(beta):
+    """The exponent of the underflow floor 2^lowest, lowest = max(-ceil(1074
+    / (beta + 1)), -1022): as |f(phi)| <= phi^beta, z up to 2^lowest is at
+    most 2^-1074/(beta + 1), below the least subnormal (at most 2^-1022 at
+    orders under 0.051), so it is 0 there."""
+    return max(-math.ceil(1074.0 / (beta + 1.0)), -1022)
 
 
-def _head(beta, s):
-    """The exponent h of the head 2^h of s in [0, pi] (``_depth``): b is
-    the binade of the panel that holds s, the one with 2^b < s <= 2^(b+1),
-    as a panel holds the points of (left end, right end]."""
-    depth, lowest = _depth(beta)
-    return max(math.frexp(math.nextafter(s, 0.0))[1] - 1 - depth, lowest)
+# ---------------------------------------------------------------------------
+# the power series of z near the origin
+# ---------------------------------------------------------------------------
+
+#: terms of the power series of z (``_series``): while beta t/2 <= 1 and
+#: t <= 1, those past it add up to at most 2.2e-20 of the sum (measured
+#: with 48 terms over orders 1e-3 to 170 at ``_series_top``)
+_TERMS = 24
+
+
+def _log_sinc():
+    """l_1 .. l_11 of log(2 sin(phi/2)/phi) = sum_k l_k phi^2k, radius 2pi:
+    l_k = (-1)^k B_2k/(2k (2k)!) (Abramowitz and Stegun, Handbook of
+    Mathematical Functions, 23.1), each rounded once from the exact
+    Bernoulli numbers B_m = -sum_(k<m) binom(m + 1, k) B_k/(m + 1)."""
+    b = [Fraction(1)]
+    for m in range(1, _TERMS - 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return [float((-1) ** k * b[2 * k] / (2 * k * math.factorial(2 * k)))
+            for k in range(1, _TERMS // 2)]
+
+
+_LOG_SINC = _log_sinc()
+#: E(phi) = log((e^(i phi) - 1)/(i phi)) = i phi/2 + sum_k l_k phi^2k in
+#: powers of phi, so that f(phi) = (-i phi)^beta exp(beta E(phi))
+_E = np.zeros(_TERMS, dtype=complex)
+_E[1], _E[2::2] = 0.5j, _LOG_SINC
+
+
+@lru_cache(maxsize=_CACHE)
+def _series(beta):
+    """c_0 .. c_23 (read-only) of exp(beta E(phi)) = sum_j c_j phi^j: the
+    product of the series (i beta phi/2)^j/j! and (2 sin(phi/2)/phi)^beta =
+    sum_k r_k phi^2k, k r_k = beta sum_m m l_m r_(k-m)."""
+    r = [1.0]
+    for k in range(1, _TERMS // 2):
+        r.append(beta / k * sum(
+            m * _LOG_SINC[m - 1] * r[k - m] for m in range(1, k + 1)))
+    even = np.zeros(_TERMS)
+    even[::2] = r
+    c = np.convolve(np.cumprod(np.concatenate(
+        ([1.0 + 0j], 0.5j * beta / np.arange(1.0, _TERMS)))), even)[:_TERMS]
+    c.flags.writeable = False
+    return c
+
+
+def _series_top(beta):
+    """2^floor(log2 min(1, 2/beta)), up to which the series of z holds."""
+    return math.ldexp(0.5, math.frexp(min(1.0, 2.0 / beta))[1])
+
+
+def _phase(beta):
+    """e^(-i pi beta/2), exact at whole orders: (-i)^q for the whole part q
+    of beta mod 4, times one cosine and one sine of the rest."""
+    q, rest = divmod(math.fmod(beta, 4.0), 1.0)
+    return (-1j) ** int(q) * complex(math.cos(0.5 * math.pi * rest),
+                                     -math.sin(0.5 * math.pi * rest))
+
+
+def _series_sum(tab, s):
+    """(z, mass) at s, a float or an array, from the series of ``tab``:
+    z = w sum_j d_j s^j by Horner's rule, d_j = e^(-i pi beta/2) c_j/(beta
+    + j + 1), and the mass bound w/(beta + 1), as |f(phi)| <= phi^beta.  w
+    = s s^beta, as beta + 1 rounds, by NumPy's power for a float as for an
+    array (Python's may round differently).  s goes complex into Horner's
+    rule, as a complex times a float is that anyway, so a float and an
+    array get the same bits."""
+    w = s * np.power(s, tab.beta)
+    x, acc = s + 0j, tab.series[0]
+    for c in tab.series[1:]:
+        acc = acc * x + c
+    return acc * w, w / tab.order_1
 
 
 # ---------------------------------------------------------------------------
@@ -209,44 +267,37 @@ def _build_panels(beta, edges):
 
 
 class _Table:
-    """The Legendre table of z at one order, from 2^k_lo to the panel that
-    holds top: per panel the left end, midpoint, half width, ``coef`` (the
-    antiderivative's coefficients of f and of |f|, times the half width,
-    complex, shape (2, 25, panels)) and ``prefix`` (the integrals of f and
-    of |f| from the head of the panel's binade b (``_head``) to its left
-    end, shape (2, panels)); ``panels`` counts the panels.
+    """The table of z at one order from its start s_beta = max(
+    ``_series_top``, 2^lowest) (``_lowest``), a power of two, so its panels
+    are those of ``_edges``, to the panel that holds top.  ``series`` holds
+    the d_j of ``_series_sum``, last first (None where s_beta is the floor,
+    below which z is 0).  Per panel it keeps the left end, midpoint, half
+    width, ``coef`` (the antiderivative's coefficients of f and of |f|,
+    times the half width, complex, shape (25, 2, panels)) and ``prefix``
+    (z and the mass at its left end: the series at s_beta plus the totals
+    of the panels before, added in order, whatever the table's reach)."""
 
-    A prefix sums the totals of binades b - J to b - 1, then those of the
-    panels of b before the panel, each in order; a binade below k_lo counts
-    0, which is exact below the least head (``_depth``), and a table is
-    never read where it is not.  So a prefix depends on beta and the panel
-    alone, not on the table's reach."""
-
-    def __init__(self, beta, k_lo, top):
-        edges = _edges(beta, k_lo, min(math.frexp(top)[1] - 1, 1))
+    def __init__(self, beta, top):
+        self.beta, self.order_1 = beta, beta + 1.0
+        self.least = math.ldexp(1.0, _lowest(beta))
+        self.start = s = max(_series_top(beta), self.least)
+        self.series, start = None, (0j, 0.0)
+        if s > self.least:
+            d = _phase(beta) * _series(beta) / (beta + 1.0 + np.arange(_TERMS))
+            self.series = d[::-1].tolist()
+            start = _series_sum(self, s)
+        k = math.frexp(s)[1] - 1
+        edges = _edges(beta, k, max(k, min(math.frexp(top)[1] - 1, 1)))
         edges = edges[:np.searchsorted(edges, top) + 1]
         a, b, rows = edges[:-1], edges[1:], _build_panels(beta, edges)
         self.left, self.mid, self.hw = a, 0.5 * (a + b), 0.5 * (b - a)
-        coef = np.zeros((2, _NODES + 2, a.size), dtype=complex)
-        coef.real[0], coef.imag[0], coef.real[1] = (
+        coef = np.zeros((_NODES + 2, 2, a.size), dtype=complex)
+        coef.real[:, 0], coef.imag[:, 0], coef.real[:, 1] = (
             rows[:, :, :_NODES + 2].transpose(1, 2, 0) * self.hw)
-        self.coef = coef[:, :-1].copy()
-        # sums[:, J + c, i]: the totals of the first i panels of binade
-        # k_lo + c, added in order, so a row ends in the binade's total
-        # (the J rows before stand for the binades under k_lo, as 0);
-        # below[:, c]: the totals of the J binades before binade k_lo + c,
-        # added in order
-        binade = np.frexp(a)[1] - 1 - k_lo
-        at = np.arange(a.size) - np.searchsorted(binade, binade)
-        n, depth = binade[-1] + 1, _depth(beta)[0]
-        row = depth + binade
-        sums = np.zeros((2, depth + n, at.max() + 2), dtype=complex)
-        sums[:, row, at + 1] = coef[:, -1]
-        sums = np.cumsum(sums, axis=2)
-        window = np.arange(n)[:, None] + np.arange(depth)
-        below = np.cumsum(sums[:, window, -1], axis=2)[:, :, -1]
-        self.prefix = below[:, binade] + sums[:, row, at]
-        self.k_lo, self.right, self.panels = k_lo, float(edges[-1]), a.size
+        self.coef = coef[:-1].copy()
+        self.prefix = np.cumsum(np.concatenate(
+            (np.array(start)[:, None], coef[-1, :, :-1]), axis=1), axis=1)
+        self.right, self.panels = float(edges[-1]), a.size
         # for ``_point``: the left ends and, by panel, the coefficients
         self.left_list, self.rows = self.left.tolist(), {}
 
@@ -255,25 +306,23 @@ _TABLES = OrderedDict()
 _TABLES_LOCK = threading.Lock()
 
 
-def _table(beta, k_lo, top):
-    """The cached table of order beta that covers [2^k_lo, top]; one that
-    does not is rebuilt over both ranges, on the same edges, unless top
-    lies past ``_reach(beta)``, which raises ConvergenceError.  A build runs
-    outside the lock, so threads may build the same table twice; as a
-    value does not depend on a table's reach, either copy serves."""
+def _table(beta, top):
+    """The cached table of order beta that reaches top; one that does not
+    is rebuilt up to top, on the same edges, unless top lies past
+    ``_reach(beta)``, which raises ConvergenceError.  A build runs outside
+    the lock, so threads may build the same table twice; as a value does
+    not depend on a table's reach, either copy serves."""
     with _TABLES_LOCK:
         tab = _TABLES.get(beta)
-        if tab is not None and tab.k_lo <= k_lo and top <= tab.right:
+        if tab is not None and top <= tab.right:
             _TABLES.move_to_end(beta)
             return tab
-    if tab is not None:
-        k_lo, top = min(k_lo, tab.k_lo), max(top, tab.right)
     reach = _reach(beta)
     if top > reach:
         raise ConvergenceError(
             f"z is not finite for beta={beta}: the integrand overflows "
             f"the float range beyond {reach!r}")
-    tab = _Table(beta, k_lo, top)
+    tab = _Table(beta, top)
     with _TABLES_LOCK:
         _TABLES[beta] = tab
         _TABLES.move_to_end(beta)
@@ -285,38 +334,54 @@ def _table(beta, k_lo, top):
 
 
 def _legendre(coef, k, x):
-    """sum_m coef[m, k] P_m(x) per point: P_m(x) by the recurrence and the
-    terms added in m order (``_point`` is the same arithmetic on one point)."""
-    acc = coef[0].take(k) + coef[1].take(k) * x
+    """sum_m coef[m, ..., k] P_m(x) per point, for z and the mass at once
+    when coef holds both: P_m(x) by the recurrence and the terms added in m
+    order (``_point`` is the same arithmetic on one point)."""
+    acc = coef[0].take(k, -1) + coef[1].take(k, -1) * x
     p0, p1 = 1.0, x
     for n in range(1, _NODES):
         p0, p1 = p1, _U[n] * x * p1 - _V[n] * p0
-        acc += coef[n + 1].take(k) * p1
+        acc += coef[n + 1].take(k, -1) * p1
     return acc
 
 
 def _sums(beta, s, noise=True):
-    """z from the head of each point s in (0, pi] to s, and, with noise,
-    the mass of |f| (else None): the prefix of the panel that holds s plus
-    its Legendre sum.  It resolves one table for the batch, and up to
-    ``_SCALAR_POINTS`` points go through ``_point`` on that table one at a
-    time.  Every s must lie above 2^lowest (``_depth``), the least head."""
-    tab = _table(beta, _head(beta, float(s.min())), float(s.max()))
+    """z from 0 to each point s in (0, pi], and, with noise, the mass of
+    |f| (else None): the series at or below the table's start, and above
+    it the prefix of the panel that holds s plus its Legendre sum.  It
+    resolves one table for the batch, and up to ``_SCALAR_POINTS`` points
+    go through ``_point`` on that table one at a time."""
+    tab = _table(beta, float(s.max()))
     if s.size <= _SCALAR_POINTS:
         value, mass = zip(*[_point(tab, v) for v in s.tolist()])
         return np.array(value), np.array(mass) if noise else None
-    k = np.searchsorted(tab.left, s) - 1
-    x = (s - tab.mid[k]) / tab.hw[k]
-    value = tab.prefix[0, k] + _legendre(tab.coef[0], k, x)
-    return value, (tab.prefix[1, k] + _legendre(tab.coef[1], k, x)).real \
-        if noise else None
+    far = s > tab.start
+    value, mass = np.zeros(s.shape, dtype=complex), np.zeros(s.shape)
+    # the series above the floor, below which z is 0
+    near = ~far & (s > tab.least)
+    if near.any():
+        value[near], mass[near] = _series_sum(tab, s[near])
+    if far.any():
+        k = np.searchsorted(tab.left, s[far]) - 1
+        x = (s[far] - tab.mid[k]) / tab.hw[k]
+        if noise:
+            both = tab.prefix[:, k] + _legendre(tab.coef, k, x)
+            value[far], mass[far] = both[0], both[1].real
+        else:
+            value[far] = tab.prefix[0, k] + _legendre(tab.coef[:, 0], k, x)
+    return value, mass if noise else None
 
 
 def _point(tab, s):
-    """(value, mass) of the integral from the head of s to s, in Python
-    floats, read from ``tab``, which its caller resolved to cover s above
-    the least head (``_depth``): bit for bit what ``_sums`` gives for s, as
-    a complex times a real is its real and imaginary parts times the real."""
+    """(value, mass) of z at s in (0, pi], in Python floats, read from
+    ``tab``, which its caller resolved to reach s: bit for bit what
+    ``_sums`` gives for s, as a complex times a real is its real and
+    imaginary parts times the real."""
+    if s <= tab.start:
+        if s <= tab.least:
+            return 0j, 0.0
+        value, mass = _series_sum(tab, s)
+        return complex(value), float(mass)
     k = bisect_left(tab.left_list, s) - 1
     rows = tab.rows.get(k)
     if rows is None:
@@ -325,7 +390,8 @@ def _point(tab, s):
             tab.rows.clear()
         c = tab.coef[:, :, k]
         rows = tab.rows[k] = list(zip(
-            c[0].real.tolist(), c[0].imag.tolist(), c[1].real.tolist()))
+            c[:, 0].real.tolist(), c[:, 0].imag.tolist(),
+            c[:, 1].real.tolist()))
     x = (s - tab.mid.item(k)) / tab.hw.item(k)
     (re, im, mass), (r, i, m) = rows[:2]
     re, im, mass = re + r * x, im + i * x, mass + m * x
@@ -376,8 +442,7 @@ def z_many(beta, ts, with_noise=False):
     out = np.zeros(ts.shape, dtype=complex)
     noise = np.zeros(ts.shape)
     s = np.where(past, TWO_PI - t0, t0)
-    # z is 0 up to the least head (``_depth``)
-    interior = ~lattice & (s > math.ldexp(1.0, _depth(beta)[1]))
+    interior = ~lattice
     if interior.any():
         out[interior], mass = _sums(beta, s[interior], with_noise)
         if with_noise:
@@ -409,13 +474,13 @@ def z_span(beta, a, b):
     """Integral of the kernel integrand over [a, b] inside the base period.
 
     Returns (value, abs_mass): z(b) - z(a) and the absolute mass of the
-    span, as differences of the table sums to b and to a (``_point``), so
-    they round to about ``_round(beta)`` times the mass up to b.  Past pi
-    the span is the conjugate of its mirror image below pi, as
-    f(2pi - phi) = conj(f(phi)); the piece below pi is read only when a
-    lies below pi.  One table, resolved here, serves all ends; an end at or
-    below the least head (``_depth``) reads 0, as in ``z_many``, and one past
-    ``_reach(beta)``, where the integrand overflows, raises ConvergenceError.
+    span, as differences of the sums to b and to a (``_point``), so they
+    round to about ``_round(beta)`` times the mass up to b.  Past pi the
+    span is the conjugate of its mirror image below pi, as f(2pi - phi) =
+    conj(f(phi)); the piece below pi is read only when a lies below pi.
+    One table, resolved here, serves all ends; an end at 0 reads nothing,
+    and one past ``_reach(beta)``, where the integrand overflows, raises
+    ConvergenceError.
     """
     beta = check_beta(beta)
     a, b = float(a), float(b)
@@ -424,12 +489,11 @@ def z_span(beta, a, b):
     ends = [(min(b, math.pi), a, 1.0)] if a < math.pi else []
     if b > math.pi:
         ends.append((TWO_PI - max(a, math.pi), TWO_PI - b, -1.0))
-    least = math.ldexp(1.0, _depth(beta)[1])
-    reads = [s for end in ends for s in end[:2] if s > least]
-    tab = _table(beta, _head(beta, min(reads)), max(reads)) if reads else None
+    reads = [s for end in ends for s in end[:2] if s > 0.0]
+    tab = _table(beta, max(reads)) if reads else None
     value, mass = 0j, 0.0
     for hi, lo, sign in ends:
-        (v1, m1), (v0, m0) = (_point(tab, s) if s > least else (0j, 0.0)
+        (v1, m1), (v0, m0) = (_point(tab, s) if s > 0.0 else (0j, 0.0)
                               for s in (hi, lo))
         value += complex((v1 - v0).real, sign * (v1 - v0).imag)
         mass += m1 - m0
@@ -439,35 +503,38 @@ def z_span(beta, a, b):
 def _z_dbeta(beta, t):
     """The derivative in beta of z at t in the base period (0, 2pi).
 
-    d z / d beta = integral_0^t f(phi) L(phi) dphi, L = log(2 sin(phi/2))
-    + i (phi - pi)/2 and f = exp(beta L) the integrand of z, by the
-    24-node rule of the z table (``_X``, ``_W``) on the table's panels
-    (``_edges``) from the head 2^h of t (``_head``) through t's binade,
-    the last one cut at t; past pi, from the mirror d z / d beta (2pi - s)
-    = -conj(d z / d beta (s)).  As for z (``_depth``), the integral below
-    the head is dropped, and at or below the least head the value is 0:
-    below the head |L| <= |log phi| + 1.6, and |L| >= log 2 on (0, pi], so
-    the drop is at most (|h| + 4) 2^-55 of the mass of |f L| up to t.  It
-    reads no table and builds none, so a value depends on (beta, t) alone.
-    Only the beta-crossing search of ``zeros`` calls this, for its
-    Jacobian, which sets the rate of its convergence and not its fixed
-    point; z itself (``z_many``, ``z_span``) never pays for it.
+    d z / d beta = integral_0^t f L dphi, L = log(2 sin(phi/2)) + i (phi -
+    pi)/2 and f = exp(beta L).  Up to the start s of the table of beta it
+    is the derivative of the series, w (P(s) (log s - i pi/2) + Q(s)), w =
+    s s^beta, P = sum_j d_j s^j (``_series_sum``) and Q = sum_j ((E c)_j -
+    c_j/(beta + j + 1)) e^(-i pi beta/2) s^j/(beta + j + 1), as d c/d beta
+    = E c (``_series``); from s to t it adds the 24-node rule (``_X``,
+    ``_W``) on the table's panels, the last one cut at t; past pi, it is
+    -conj(d z / d beta (2pi - t)).  It reads the table that z at (beta, t)
+    reads.  Only the Jacobian of the beta-crossing search of ``zeros``
+    calls it, which sets the rate of its convergence, not its fixed point.
     """
     t = float(t)
     if t > math.pi:
         # z(2pi - s) = 2pi - conj(z(s)) for every beta
         return -_z_dbeta(beta, TWO_PI - t).conjugate()
-    h = _head(beta, t)
-    if t <= math.ldexp(1.0, h):
-        return 0j
-    edges = _edges(beta, h, math.frexp(math.nextafter(t, 0.0))[1] - 1)
-    edges = edges[:np.searchsorted(edges, t) + 1]
-    edges[-1] = t
-    hw = 0.5 * (edges[1:] - edges[:-1])
-    phi = 0.5 * (edges[:-1] + edges[1:])[:, None] + hw[:, None] * _X
-    # f L, with L = d log f / d beta = log(1 - e^(i phi)) and f = e^(beta L)
-    dlog = np.log(2.0 * np.sin(0.5 * phi)) + 0.5j * (phi - math.pi)
-    return complex(hw @ (np.exp(beta * dlog) * dlog @ _W))
+    tab = _table(beta, t)
+    s = min(t, tab.start)
+    out = 0j
+    if s > tab.least:
+        d, div = np.array(tab.series[::-1]), beta + 1.0 + np.arange(_TERMS)
+        q = (np.convolve(_E, d * div)[:_TERMS] - d) / div
+        out = s * s ** beta * (polynomial.polyval(s, q) + polynomial.polyval(
+            s, d) * complex(math.log(s), -0.5 * math.pi))
+    if t > tab.start:
+        k = bisect_left(tab.left_list, t) - 1
+        edges = np.append(tab.left[:k + 1], t)
+        hw = 0.5 * (edges[1:] - edges[:-1])
+        phi = 0.5 * (edges[:-1] + edges[1:])[:, None] + hw[:, None] * _X
+        # f L, with L = log(1 - e^(i phi)) and f = e^(beta L)
+        dlog = np.log(2.0 * np.sin(0.5 * phi)) + 0.5j * (phi - math.pi)
+        out += hw @ (np.exp(beta * dlog) * dlog @ _W)
+    return complex(out)
 
 
 def psi_eval(beta, t):

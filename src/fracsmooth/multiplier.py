@@ -4,11 +4,11 @@ functions used to control one difference operator by another.
 The bracket ||g||_L2 + ||g'||_L2 is a sufficient bound (up to a
 universal constant that is never included) for g to act boundedly as a
 multiplier on every L_p.  The probe functions divide a fractional
-difference symbol by averaging symbols; away from the origin those are
-nonvanishing, and the removable singularity at zero is installed
-analytically and validated by approach probes.  Their derivative is
-in closed form, and near the origin, where that form cancels, g and g'
-come from the series of g'/g to third order.
+difference symbol by averaging symbols, which are nonvanishing away from
+the origin.  Their derivative is in closed form.  Near the origin, where
+both vanish and that form cancels, g and g' come from the power series
+of the kernel (``kernel._series``), so the removable singularity at zero
+needs no installed limit.
 """
 from __future__ import annotations
 
@@ -23,9 +23,12 @@ from .approx import CutoffV
 from .errors import (DomainTooSmallError, InvalidArgumentError,
                      ZeroDenominatorError)
 from .fracdiff import split_order, symbol_values
-from .kernel import psi_many, z_many
+from .kernel import _E, _TERMS, _series, _series_top, _sums, psi_many
 from .signal import TrigPoly
 
+#: |z| of an averaging symbol of the comparison functions stays above this
+#: fraction of its absolute mass on (0, 2] (``_near_origin_check``)
+_MASS_FLOOR = 0.05
 #: panel width and nodes per panel of the composite Gauss-Legendre rule:
 #: 24 nodes resolve the cutoff transition (16 left its bracket 5.5e-9
 #: low) and the unit-scale oscillation of the difference symbols
@@ -96,18 +99,20 @@ def _check_tau(tau):
 def _near_origin_check(order: float) -> None:
     """Assert the averaging symbol has no zero on (0, 2].
 
-    |psi| decays like t^order / (order + 1) toward the origin, so the
-    assertion is scale-free: the measured magnitude over the leading-
-    order law must stay of order one.
+    |z(t)| is measured against the absolute mass integral_0^t |f| that
+    the kernel sums with it (``kernel._sums``): their ratio is at least
+    0.54 on this grid for every order from 0.5 to 1000, and a zero of z
+    pulls it toward 0.  The comparison multiplies, so a point where both
+    underflow to 0 passes.
     """
     ts = np.geomspace(1e-3, 2.0, 128)
-    rel = np.abs(z_many(order, ts)) * (order + 1.0) / ts ** (order + 1.0)
-    m = float(np.nanmin(rel))
-    if m <= 0.05:
-        t_bad = float(ts[int(np.nanargmin(rel))])
+    zs, mass = _sums(order, ts)
+    dip = np.abs(zs) < _MASS_FLOOR * mass
+    if dip.any():
+        i = int(np.argmax(dip))
         raise ZeroDenominatorError(
-            f"averaging symbol of order {order} dips near t={t_bad:.6f} "
-            f"(relative floor {m:.3e})")
+            f"averaging symbol of order {order} dips near t={ts[i]:.6f} "
+            f"(|z| = {abs(zs[i]):.3e}, absolute mass {mass[i]:.3e})")
 
 
 def _far_field_check(order: float) -> None:
@@ -122,58 +127,55 @@ def _far_field_check(order: float) -> None:
             f"(floor {m:.3e})")
 
 
-def _ratio_fn(beta, tau, weight, dweight, orders, limit):
-    """g = N w / D and its derivative, N = (1-e^{i tau t})^beta, w the
-    weight and D = prod_a psi_a over ``orders``: g' = g (N'/N - sum_a
-    psi_a'/psi_a) + N w'/D, N'/N = (beta tau/2)(cot(tau t/2) + i) and
-    psi_a'/psi_a = (f_a/psi_a - 1)/t, f_a = (1-e^{it})^a the integrand of
-    z_a.  Near 0, where N and D vanish, the terms of g'/g are each about
-    beta/t and cancel to O(1), which amplifies the rounding of psi by 1/t.
-    So on |t| < 1e-3, where w is flat, g = ``limit`` w exp(s1 t + s2 t^2/2
-    + s3 t^3/3) and g' = g (s1 + s2 t + s3 t^2), the series of g'/g to
-    O(t^3): with log N = beta log(-i tau t) + beta (i tau t/2 - tau^2
-    t^2/24 + O(t^4)) and psi_a = (-i)^a t^a/(a+1) (1 + i u t - v t^2 - i q
-    t^3 + ...), u = a(a+1)/(2(a+2)), v = (a^2/8 + a/24)(a+1)/(a+3) and q =
-    a^2 (a+1)^2/(48 (a+4)), and sum_a a = beta, s1 = i (beta tau/2 -
-    sum_a u), s2 = -beta tau^2/12 - sum_a (u^2 - 2v) and s3 = i sum_a (u^3
-    + 3q - 3uv).  For g_tau(3.9, 0.9) the series is within 1e-11 of g'
-    below 1e-3, and the closed form within 5e-10 from 1e-3 on, its error
-    falling like 1/t; the Beurling bracket's nearest node, 1.2e-3, lies
-    outside the zone.
+def _ratio_fn(beta, tau, weight, dweight, orders):
+    """g = h w and g' = h (w h'/h + w'), h = N/D, N = (1-e^{i tau t})^beta,
+    w the weight and D = prod_a psi_a over ``orders``, which sum to beta.
+
+    Away from 0, h'/h = N'/N - sum_a psi_a'/psi_a, N'/N = (beta tau/2)
+    (cot(tau t/2) + i) and psi_a'/psi_a = (f_a/psi_a - 1)/t, f_a = (1 -
+    e^{it})^a.  Near 0 these terms are each about beta/t and cancel to
+    O(1), which would amplify the rounding of psi by 1/t.  So on |t| < the
+    least ``kernel._series_top`` of the orders, N = (-i tau t)^beta
+    exp(beta E(tau t)) and psi_a = e^{-i pi a/2} t^a P_a(t), P_a = sum_j
+    c_j(a) t^j/(a + j + 1) (``kernel._series``), and h = tau^beta exp(beta
+    E(tau t))/prod_a P_a(t) for t of either sign, as E(-x) and P_a(-t) are
+    the conjugates of E(x) and P_a(t).
     """
-    s1, s2, s3 = 0.5j * beta * tau, -beta * tau ** 2 / 12.0, 0j
-    for a in orders:
-        u = a * (a + 1.0) / (2.0 * (a + 2.0))
-        v = a * (3.0 * a + 1.0) * (a + 1.0) / (24.0 * (a + 3.0))
-        q = (a * (a + 1.0)) ** 2 / (48.0 * (a + 4.0))
-        s1 -= 1j * u
-        s2 -= u * u - 2.0 * v
-        s3 += 1j * (u ** 3 + 3.0 * q - 3.0 * u * v)
+    zone = min(_series_top(a) for a in orders)
+    j = np.arange(_TERMS)
+    # in powers of t: beta E(tau t) and the P_a, then their derivatives
+    p = np.array([beta * _E * tau ** j]
+                 + [_series(a) / (a + 1.0 + j) for a in orders]).T
+    cols = np.hstack([p, np.vstack([p[1:] * j[1:, None], 0.0 * p[:1]])])
+    n = len(orders) + 1
+
+    def near(s, deriv):
+        v = np.vander(s, _TERMS, increasing=True) @ cols
+        h = tau ** beta * np.exp(v[:, 0]) / np.prod(v[:, 1:n], axis=1)
+        return h, v[:, n] - np.sum(v[:, n + 1:] / v[:, 1:n], axis=1)
+
+    def far(s, deriv):
+        psis = [psi_many(a, s) for a in orders]
+        h = symbol_values(beta, tau, s) / np.prod(psis, axis=0)
+        if not deriv:
+            return h, 0.0
+        dlog = 0.5 * beta * tau * (1.0 / np.tan(0.5 * tau * s) + 1j)
+        for a, psi in zip(orders, psis):
+            dlog -= (symbol_values(a, 1.0, s) / psi - 1.0) / s
+        return h, dlog
 
     def ratio(t, deriv):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(ts.shape, dtype=complex)
         wt = np.atleast_1d(np.asarray(weight(ts)))
-        tiny = np.abs(ts) < 1e-3
-        lim_zone = tiny & (wt != 0.0)
-        if lim_zone.any():
-            s = ts[lim_zone]
-            g = limit * wt[lim_zone] * np.exp(
-                s * (s1 + s * (0.5 * s2 + s * s3 / 3.0)))
-            out[lim_zone] = g * (s1 + s * (s2 + s * s3)) if deriv else g
-        act = (~tiny) & (wt != 0.0)
-        if act.any():
-            s = ts[act]
-            num = symbol_values(beta, tau, s)
-            psis = [psi_many(a, s) for a in orders]
-            den = np.prod(psis, axis=0)
-            g = num * wt[act] / den
-            if deriv:
-                dlog = 0.5 * beta * tau * (1.0 / np.tan(0.5 * tau * s) + 1j)
-                for a, psi in zip(orders, psis):
-                    dlog -= (symbol_values(a, 1.0, s) / psi - 1.0) / s
-                g = g * dlog + num * dweight(s) / den
-            out[act] = g
+        out = np.zeros(ts.shape, dtype=complex)
+        live = wt != 0.0
+        s, w = ts[live], wt[live]
+        h, dlog = np.zeros((2,) + s.shape, dtype=complex)
+        close = np.abs(s) < zone
+        for part, h_of in ((close, near), (~close, far)):
+            if part.any():
+                h[part], dlog[part] = h_of(s[part], deriv)
+        out[live] = h * (w * dlog + dweight(s)) if deriv else h * w
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return complex(out[0])
         return out
@@ -186,18 +188,15 @@ def make_g_tau(beta: float, tau: float) -> MultiplierFn:
 
     g(t) = (1 - e^{i tau t})^beta v(t) / psi_beta(t), with v the cutoff
     ``CutoffV``, supported in [-2, 2].  At t = 0 both factors vanish like
-    t^beta; the limit is tau^beta (beta + 1), installed analytically
-    (numerator ~ (tau t)^beta e^{-i pi beta/2}, z ~ e^{-i pi beta/2}
-    t^{beta+1}/(beta+1)) and guarded by approach probes in the tests.
-    The averaging symbol has no zeros on (0, 2] — 2 < pi keeps us inside
-    its nonvanishing range — which the constructor asserts.
+    t^beta, and the series of ``_ratio_fn`` gives the limit tau^beta (beta
+    + 1).  The averaging symbol has no zeros on (0, 2] — 2 < pi keeps us
+    inside its nonvanishing range — which the constructor asserts.
     """
     check_beta(beta)
     tau = _check_tau(tau)
     _near_origin_check(beta)
     v = CutoffV()
-    return MultiplierFn(*_ratio_fn(beta, tau, v, v.derivative, (beta,),
-                                   tau ** beta * (beta + 1.0)),
+    return MultiplierFn(*_ratio_fn(beta, tau, v, v.derivative, (beta,)),
                         support="compact", bounds=(-2.0, 2.0))
 
 
@@ -219,11 +218,10 @@ def make_g1_g2(beta: float, alpha: float,
         _near_origin_check(a)
         _far_field_check(a)
     v = CutoffV()
-    limit1 = tau ** beta * (alpha + 1.0) * (gap + 1.0)
-    g1 = MultiplierFn(*_ratio_fn(beta, tau, v, v.derivative, orders, limit1),
+    g1 = MultiplierFn(*_ratio_fn(beta, tau, v, v.derivative, orders),
                       support="compact", bounds=(-2.0, 2.0))
     g2 = MultiplierFn(*_ratio_fn(beta, tau, lambda ts: 1.0 - v(ts),
-                                 lambda ts: -v.derivative(ts), orders, 0.0),
+                                 lambda ts: -v.derivative(ts), orders),
                       support="decaying")
     return g1, g2
 

@@ -34,27 +34,26 @@ y(2pi - t) = y(t).  A column maps piece index to zero.  The two root-finders:
   bracket takes about 4 evaluations of z.
 * in (beta, t) for a crossing, Newton steps on the complex equation
   z(beta, t) + 2pi*k = 0, two real equations in two unknowns, with
-  d z / d t in closed form and d z / d beta by quadrature on the z
-  table's panels from the head of t, without reading or building a table
-  (``kernel._z_dbeta``).  The start is the linear interpolation of the
-  column pair's zeros on the piece, and the stop is the noise floor of
-  z (``_stop_floor``).  Each step evaluates z at one point (``z_many``,
-  whose quadrature never passes the peak of the integrand at pi); a
-  crossing of the zeros-scan window takes 3-4 steps, and 2 more points
-  check the sign change of g(beta) = x(t*(beta)) + 2pi*k across the
-  record's beta bracket of width _TOL_BETA (``_crossing_record``).  When
-  an iterate leaves the column cell or the piece, the run does not reach
-  the floor, or the bracket reads no sign change, the cell is split at
-  its midpoint beta, where the piece's y-zero gives g, and Newton reruns
-  on the half where g changes sign (``_bisect_crossing``).  So a record
-  does not depend on the grid: the census
-  scan_zero_set(40, 40pi, 12, 128, beta_min=4) splits 73 cells and
-  returns the 215 records of scan_zero_set(40, 40pi, 120, 512,
+  d z / d t in closed form and d z / d beta from the table that z at
+  (beta, t) reads (``kernel._z_dbeta``).  The start is the linear
+  interpolation of the column pair's zeros on the piece, and the stop is
+  the noise floor of z (``_stop_floor``).  Each step evaluates z at one
+  point (``z_many``, whose quadrature never passes the peak of the
+  integrand at pi); a crossing of the zeros-scan window takes 3-4 steps,
+  and 2 more points check the sign change of g(beta) = x(t*(beta)) +
+  2pi*k across the record's beta bracket of width _TOL_BETA
+  (``_crossing_record``).  When an iterate leaves the column cell or the
+  piece, the run does not reach the floor, or the bracket reads no sign
+  change, the cell is split at its midpoint beta, where the piece's
+  y-zero gives g, and Newton reruns on the half where g changes sign
+  (``_bisect_crossing``).  So a record does not depend on the grid: the
+  census scan_zero_set(40, 40pi, 12, 128, beta_min=4) splits 73 cells
+  and returns the 215 records of scan_zero_set(40, 40pi, 120, 512,
   beta_min=4), which splits none, to 7e-15 in beta.
 
-Refinement in t evaluates z as the anchored value at the bracket's left
-knot plus ``kernel.z_span`` from there, the difference of two sums of the
-order's z table.
+Refinement in t evaluates z at each point as ``kernel.z_span`` from 0,
+bit for bit the value of ``z_many`` there, so a refined zero does not
+depend on the knot that bracketed it.
 
 Every sign of y is read by one rule (``_y_signs``): y has a sign only
 where |y| exceeds ``_SIGN_NOISE`` times the cancellation floor that
@@ -159,17 +158,6 @@ def _sign_brackets(ys, noise):
             for i, j in zip(signed[:-1][flips], signed[1:][flips])]
 
 
-def _eval_z(beta, t, anchor):
-    """z and its accuracy floor at t, integrated from the anchor.
-
-    ``anchor`` is (t_a, z_a, noise_a) with t_a <= t, both inside the base
-    period; the evaluation integrates only [t_a, t].
-    """
-    t_a, z_a, n_a = anchor
-    val, mass = z_span(beta, t_a, t)
-    return z_a + val, n_a + _round(beta) * mass
-
-
 def _piece_bounds(beta, m):
     """Ends of the monotone piece P_m = (pi(1 + 2m/beta), pi(1 + 2(m+1)/beta))
     of y, clipped to the base period [0, 2pi]."""
@@ -182,10 +170,10 @@ def _piece_zeros(beta, knots):
 
     ``knots`` maps a piece index m < 0 to ascending knots on P_m.  y is
     evaluated at all of them in one ``z_many`` call.  y is monotone on
-    P_m, so the signed knots of a piece hold at most one sign change;
-    ``_bisect_y`` refines it from the bracket's left knot.  A sign change
-    between two pieces passes an extremum where y has no sign, a touch
-    within noise, and is not a zero of either piece.  Returns {m: the
+    P_m, so the signed knots of a piece hold at most one sign change,
+    which ``_bisect_y`` refines.  A sign change between two pieces passes
+    an extremum where y has no sign, a touch within noise, and is not a
+    zero of either piece.  Returns {m: the
     ``_bisect_y`` tuple (t, t_lo, t_hi, z)} for the pieces with a sign
     change, and for each mirror piece -m-1 (2pi - t, 2pi - t_hi,
     2pi - t_lo, 2pi - conj(z)), as z(2pi - t) = 2pi - conj(z(t)).
@@ -197,16 +185,15 @@ def _piece_zeros(beta, knots):
     for i, j in _sign_brackets(zs.imag, ns):
         m = int(piece[i])
         if piece[j] == m:
-            anchor = (float(ts[i]), complex(zs[i]), float(ns[i]))
             t, t_lo, t_hi, z = out[m] = _bisect_y(
                 beta, float(ts[i]), float(ts[j]), float(zs[i].imag),
-                float(zs[j].imag), anchor)
+                float(zs[j].imag))
             out[-m - 1] = (TWO_PI - t, TWO_PI - t_hi, TWO_PI - t_lo,
                            TWO_PI - z.conjugate())
     return out
 
 
-def _bisect_y(beta, lo, hi, ylo, yhi, anchor):
+def _bisect_y(beta, lo, hi, ylo, yhi):
     """Refine a sign-change bracket of y by safeguarded Newton steps.
 
     The first point is the false-position point of the bracket; each next
@@ -217,8 +204,8 @@ def _bisect_y(beta, lo, hi, ylo, yhi, anchor):
     the noise floor (``_stop_floor``) or the bracket at the rounding
     width.  The name stays ``_bisect_y`` although the steps are Newton
     steps, because the benchmark's per-layer spans bind it by name.
-    Every z is integrated from ``anchor`` = (t_a, z_a, noise_a), the
-    bracket's left knot (``_eval_z``), and the bracket lies in (0, pi]
+    Every z is ``z_span`` from 0 to t, bit for bit ``z_many`` at t, with
+    its noise ``_round(beta)`` (mass + 1), as the bracket lies in (0, pi]
     (``_piece_zeros`` mirrors the zeros past pi).  Returns (t, t_lo, t_hi,
     z_at_t); [t_lo, t_hi] is the sign bracket that held t when it was
     evaluated.
@@ -229,9 +216,10 @@ def _bisect_y(beta, lo, hi, ylo, yhi, anchor):
     if not (lo < t < hi):
         t = 0.5 * (lo + hi)
     for _ in range(200):
-        z, noise = _eval_z(beta, t, anchor)
+        z, mass = z_span(beta, 0.0, t)
         y = z.imag
-        if abs(y) <= _stop_floor(noise) or (hi - lo) <= width_floor:
+        if (abs(y) <= _stop_floor(_round(beta) * (mass + 1.0))
+                or (hi - lo) <= width_floor):
             return t, lo, hi, z
         if (y > 0.0) == lo_positive:
             lo = t
@@ -241,7 +229,7 @@ def _bisect_y(beta, lo, hi, ylo, yhi, anchor):
         t = t - y / dy if dy != 0.0 else lo
         if not (lo < t < hi):
             t = 0.5 * (lo + hi)
-    return t, lo, hi, _eval_z(beta, t, anchor)[0]
+    return t, lo, hi, z_span(beta, 0.0, t)[0]
 
 
 def _check_window(t_lo, t_hi, grid):
@@ -483,10 +471,9 @@ def _newton_crossing(b_lo, b_hi, g_lo, g_hi, t_a, t_b, m, k):
     column pair's zeros (b_lo, t_a) and (b_hi, t_b) at the false-position
     beta of g.
 
-    The Jacobian is (d z / d beta, d z / d t): the first by quadrature
-    on the z table's panels from the head of t (``kernel._z_dbeta``), a
-    value of (beta, t) alone, the second in closed form
-    (``kernel.xy_prime``).  Each step evaluates z at one point with its
+    The Jacobian is (d z / d beta, d z / d t): the first from the table
+    that z at (beta, t) reads (``kernel._z_dbeta``), a value of (beta, t)
+    alone, the second in closed form (``kernel.xy_prime``).  Each step evaluates z at one point with its
     noise floor (``z_many``); once |F| is at that floor (``_stop_floor``)
     the step from that point is the last one.  Every iterate must stay
     inside the cell (b_lo, b_hi) and its t inside P_m; returns None when

@@ -28,14 +28,25 @@ def integrand(order, t):
 
 
 def z_mpmath(beta, t):
-    """z(beta, t) by mpmath quadrature of the principal-branch integrand at
-    30 digits, with t reduced by the exact multiple of 2pi
-    (z(t + 2pi) = z(t) + 2pi)."""
+    """z(beta, t) by mpmath quadrature at 30 digits, with t reduced by the
+    exact multiple of 2pi (z(t + 2pi) = z(t) + 2pi).  The integrand is
+    scaled to the unit interval and by its largest modulus M = (2
+    sin(m/2))^beta, m = min(t0, pi): z(t0) = t0 M integral_0^1 (2 sin(t0
+    u/2))^beta/M e^(i beta (t0 u - pi)/2) du.  So the quadrature's absolute
+    tolerance is relative to the mass, also near 0, where both are about
+    t0^(beta+1)/(beta+1)."""
     with mpmath.workdps(30):
         two_pi = 2 * mpmath.pi
         turns = mpmath.floor(mpmath.mpf(t) / two_pi)
         t0 = mpmath.mpf(t) - two_pi * turns
-        return complex(mpmath.quad(lambda phi: integrand(beta, phi), [0, t0])
+        if t0 == 0:
+            return complex(two_pi * turns)
+        peak = 2 * mpmath.sin(min(t0, mpmath.pi) / 2)
+
+        def scaled(u):
+            return (2 * mpmath.sin(t0 * u / 2) / peak) ** beta * mpmath.expj(
+                beta * (t0 * u - mpmath.pi) / 2)
+        return complex(t0 * peak ** beta * mpmath.quad(scaled, [0, 1])
                        + two_pi * turns)
 
 

@@ -251,16 +251,25 @@ class TestBetaDerivative:
     def assert_matches_mpmath(beta, ts):
         # the tolerance is relative to the absolute mass of the integrand,
         # which bounds the rounding of any quadrature of it (the value
-        # itself passes through zero)
+        # itself passes through zero); the integrand is scaled to [0, 1],
+        # phi = t u, and by the peak M of |f| on [0, t], so that the
+        # quadrature's absolute tolerance is relative to the mass near 0
+        # too (as in ``z_mpmath``)
         for t in ts:
-            with mpmath.workdps(15):
-                def df(phi):
+            with mpmath.workdps(20):
+                t_mp = mpmath.mpf(t)
+                peak = 2 * mpmath.sin(min(t_mp, mpmath.pi) / 2)
+
+                def df(u):
+                    phi = t_mp * u
                     w = (mpmath.log(2 * mpmath.sin(phi / 2))
                          + 0.5j * (phi - mpmath.pi))
-                    return mpmath.exp(beta * w) * w
-                cuts = mpmath.linspace(0, t, 5)
-                want = complex(mpmath.quad(df, cuts))
-                mass = float(mpmath.quad(lambda phi: abs(df(phi)), cuts))
+                    return (2 * mpmath.sin(phi / 2) / peak) ** beta * (
+                        mpmath.expj(beta * (phi - mpmath.pi) / 2) * w)
+                cuts = mpmath.linspace(0, 1, 5)
+                scale = t_mp * peak ** beta
+                want = complex(scale * mpmath.quad(df, cuts))
+                mass = float(scale * mpmath.quad(lambda u: abs(df(u)), cuts))
             assert abs(kernel._z_dbeta(beta, t) - want) <= 1e-12 * mass, t
 
     @pytest.mark.parametrize("beta", [4.8, 8.0, 16.0, 39.5])
@@ -270,32 +279,44 @@ class TestBetaDerivative:
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
     def test_small_t_matches_mpmath_quadrature(self, beta):
-        # the integral runs from the head of t, so [0, 1e-3] counts too;
-        # at larger beta the 15-digit oracle itself is off by 4e-12 to
-        # 4e-10 of the mass at t = 0.01
+        # below the table's start, the derivative of the series
         self.assert_matches_mpmath(beta, (1e-3, 1e-2, 0.3))
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5, 3.9, 4.84, 8.0, 12.7,
+                                      40.0])
+    def test_matches_mpmath_below_and_above_the_start(self, beta):
+        # the series up to the start s, and the panels from there on
+        start = kernel._series_top(beta)
+        self.assert_matches_mpmath(beta, [
+            f * start for f in (1.0 / 64.0, 0.1, 1.0 / 3.0, 0.7, 1.0, 1.3)])
 
     @pytest.mark.parametrize("beta", [0.5, 4.84, 12.7])
     def test_continuous_across_binade_edges(self, beta):
-        # past 2^k the head moves up a binade; the integral it drops is
-        # below the rounding
-        for k in (-3, 0, 1):
-            t = math.ldexp(1.0, k)
+        # at 2^k a panel ends, and at the start the series hands over to
+        # the panels
+        for t in (math.ldexp(1.0, -3), 1.0, 2.0, kernel._series_top(beta)):
             below = kernel._z_dbeta(beta, t)
             above = kernel._z_dbeta(beta, math.nextafter(t, math.pi))
-            assert abs(above - below) <= 1e-14 * abs(below), k
+            assert abs(above - below) <= 1e-14 * abs(below), t
 
     def test_zero_at_and_below_the_least_head(self):
+        # at and below the underflow floor 2^lowest, z and d z / d beta
+        # are 0
         beta = 0.5
-        least = math.ldexp(1.0, kernel._depth(beta)[1])
+        least = math.ldexp(1.0, kernel._lowest(beta))
         assert kernel._z_dbeta(beta, least) == 0j
         assert kernel._z_dbeta(beta, 0.0) == 0j
 
     def test_builds_no_table(self, table_builds):
+        # the Newton steps of the crossing search read z at (beta, t)
+        # first, and d z / d beta there reads the same table, so it builds
+        # none; past pi both read the mirror point
         kernel._TABLES.clear()
         for beta, t in ((0.5, 0.01), (4.84, 2.2), (12.7, 5.0)):
+            z_many(beta, [t])
+            builds = len(table_builds)
             assert cmath.isfinite(kernel._z_dbeta(beta, t))
-        assert table_builds == [] and not kernel._TABLES
+            assert len(table_builds) == builds, (beta, t)
 
 
 class TestMirror:
@@ -407,19 +428,20 @@ class TestQuadratureConfig:
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         # with no rounding floor no panel is resolved, and the table is
-        # refused, not cached
+        # refused, not cached (2pi - 3 lies above the table's start 1, so
+        # the point needs panels)
         monkeypatch.setattr(kernel, "_tail_floor", lambda beta: 0.0)
         kernel._TABLES.pop(0.5, None)
         with pytest.raises(ConvergenceError, match="not resolved") as info:
-            z_eval(0.5, 6.0)
+            z_eval(0.5, 3.0)
         assert info.value.achieved > 0.0
         assert 0.5 not in kernel._TABLES
 
     @pytest.mark.parametrize("beta", np.geomspace(1e-3, 1020.0, 50))
     def test_edges_resolve_every_panel(self, beta):
-        # one pass builds the whole table, from the least head to the
-        # reach, with no panel above its floor
-        tab = kernel._Table(beta, kernel._depth(beta)[1], kernel._reach(beta))
+        # one pass builds the whole table, from its start to the reach,
+        # with no panel above its floor
+        tab = kernel._Table(beta, kernel._reach(beta))
         assert tab.panels == tab.left.size > 0
         assert np.isfinite(tab.coef).all() and np.isfinite(tab.prefix).all()
 
@@ -551,11 +573,8 @@ class TestSegmentSums:
 
     @staticmethod
     def point(beta, s):
-        """``kernel._point`` at s on the table resolved for s alone, and 0
-        at or below the least head, where z is 0."""
-        if s <= math.ldexp(1.0, kernel._depth(beta)[1]):
-            return 0j, 0.0
-        return kernel._point(kernel._table(beta, kernel._head(beta, s), s), s)
+        """``kernel._point`` at s on the table resolved for s alone."""
+        return kernel._point(kernel._table(beta, s), s)
 
     @classmethod
     def check(cls, beta, edges):
@@ -627,10 +646,12 @@ class TestSegmentSums:
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 2.5, 4.84, 16.0, 40.0])
     def test_head_matches_mpmath_taylor(self, beta):
-        # near 0, z is the termwise integral of the Taylor series
+        # near 0, where the library sums its own series (every point but
+        # 0.05 at order 40 lies below the start), z is the termwise
+        # integral of the Taylor series
         # sum_n D_n phi^(beta+n) of the integrand, where D_n are the Taylor
-        # coefficients of (2 sin(phi/2)/phi)^beta exp(i beta (phi - pi)/2);
-        # one call per t, so the segment of each t starts at its own head
+        # coefficients of (2 sin(phi/2)/phi)^beta exp(i beta (phi - pi)/2),
+        # which mpmath finds by numerical differentiation; one call per t
         ts = [1e-12, 1e-9, 1e-6, 1e-4, 5e-4, 1e-3, 2e-3, 1e-2, 0.05]
         with mpmath.workdps(40):
             def g(phi):
@@ -646,6 +667,76 @@ class TestSegmentSums:
         for t, w in zip(ts, want):
             got = z_eval(beta, t)
             assert abs(got - w) <= 1e-13 * abs(w), (beta, t)
+
+
+class TestOriginSeries:
+    """z at or below the start s of its table, from the power series
+    e^(-i pi beta/2) t t^beta sum_j c_j t^j/(beta + j + 1)."""
+
+    ORDERS = [0.5, 1.0, 2.5, 3.9, 4.84, 8.0, 12.7, 40.0]
+    FRACTIONS = [1.0, 0.7, 1.0 / 3.0, 0.1, 1.0 / 64.0]
+
+    def test_bernoulli_coefficients_match_mpmath(self):
+        # log(2 sin(phi/2)/phi) = sum_k l_k phi^2k, l_k = (-1)^k B_2k /
+        # (2k (2k)!): the library's Bernoulli numbers are exact, so each
+        # l_k is the float nearest its value from mpmath.bernoulli
+        with mpmath.workdps(50):
+            want = [float((-1) ** k * mpmath.bernoulli(2 * k)
+                          / (2 * k * mpmath.factorial(2 * k)))
+                    for k in range(1, 12)]
+            assert kernel._LOG_SINC == want
+            phi = mpmath.mpf("0.9")
+            got = mpmath.fsum(mpmath.mpf(v) * phi ** (2 * k)
+                              for k, v in enumerate(want, 1))
+            exact = mpmath.log(2 * mpmath.sin(phi / 2) / phi)
+            assert abs(got - exact) <= 1e-16 * abs(exact)
+
+    def test_phase_is_exact_at_whole_orders(self):
+        assert [kernel._phase(b) for b in (1.0, 2.0, 3.0, 4.0, 40.0)] == [
+            -1j, -1.0, 1j, 1.0, 1.0]
+
+    @pytest.mark.parametrize("beta", ORDERS)
+    def test_matches_the_scaled_oracle(self, beta):
+        # within 4 eps relative of 30-digit mpmath, z and psi alike
+        start = kernel._series_top(beta)
+        ts = np.array([f * start for f in self.FRACTIONS])
+        assert np.all(ts <= kernel._table(beta, 1e-300).start)
+        zs, psis = z_many(beta, ts), psi_many(beta, ts)
+        for t, z, psi in zip(ts, zs, psis):
+            want = z_mpmath(beta, t)
+            assert abs(z - want) <= 4.0 * kernel._EPS * abs(want), t
+            assert abs(psi - want / t) <= 4.0 * kernel._EPS * abs(want / t), t
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 2.5, 8.0, 13.3, 40.0, 150.0])
+    def test_point_matches_sums_around_the_start(self, beta, monkeypatch):
+        # below, at and just above the start, the one-point path and the
+        # vectorised one give the same bits, on a cold table, a warm one
+        # and one that reaches pi
+        monkeypatch.setattr(kernel, "_SCALAR_POINTS", 0)
+        start = kernel._series_top(beta)
+        pts = np.array([start / 64.0, start / 3.0, math.nextafter(start, 0.0),
+                        start, math.nextafter(start, 4.0), 1.01 * start,
+                        1.5 * start])
+        for table in ("cold", "warm", "wide"):
+            kernel._TABLES.pop(beta, None)
+            if table == "wide":
+                kernel._table(beta, math.pi)
+            value, mass = kernel._sums(beta, pts)
+            for i, s in enumerate(pts.tolist()):
+                if table == "cold":
+                    kernel._TABLES.pop(beta, None)
+                v, m = kernel._point(kernel._table(beta, s), s)
+                assert _same_bits(value[i], v) and _same_bits(mass[i], m), (
+                    table, s)
+
+    @pytest.mark.parametrize("beta", ORDERS)
+    def test_continuous_across_the_start(self, beta):
+        # the series at the start is the first prefix, and the first
+        # panel's sum starts from it
+        start = kernel._series_top(beta)
+        ts = [math.nextafter(start, 0.0), start, math.nextafter(start, 4.0)]
+        zs, noise = z_many(beta, ts, with_noise=True)
+        assert np.all(np.abs(np.diff(zs)) <= noise[1:]), np.diff(zs)
 
 
 class TestTable:
@@ -670,9 +761,9 @@ class TestTable:
 
     def test_cache_memory_stays_bounded(self):
         # near order 1000 a table holds about 1,800 panels (1.6 MiB) from
-        # its least head 2^-2, below which z underflows to 0, however small
-        # t is; besides the last table used, the cache keeps at most
-        # kernel._CACHE_PANELS panels, so of 16 such tables 5 stay
+        # its start at the floor 2^-2, below which z underflows to 0,
+        # however small t is; besides the last table used, the cache keeps
+        # at most kernel._CACHE_PANELS panels, so of 16 such tables 5 stay
         tracemalloc.start()
         try:
             for i in range(16):
@@ -689,14 +780,14 @@ class TestTable:
     @pytest.mark.parametrize("beta", [0.01, 0.5, 40.0])
     @pytest.mark.parametrize("warm", [False, True])
     def test_span_at_the_least_subnormal(self, beta, warm):
-        # up to its least head z is 0, below the least subnormal (below
-        # 2^-1022 at order 0.01): on a cold table, which has no panel
-        # below it, and on a warm one that reaches down to it
-        tiny, lowest = 5e-324, kernel._depth(beta)[1]
+        # up to the floor 2^lowest z is 0, below the least subnormal
+        # (below 2^-1022 at order 0.01): on a cold table, and on a warm
+        # one that a span from just above the floor built
+        tiny, lowest = 5e-324, kernel._lowest(beta)
         kernel._TABLES.pop(beta, None)
         if warm:
             z_span(beta, math.ldexp(1.5, lowest), 2.0)
-            assert kernel._TABLES[beta].k_lo == lowest
+            assert beta in kernel._TABLES
         assert z_span(beta, 0.0, tiny) == (0j, 0.0)
         assert z_span(beta, tiny, tiny) == (0j, 0.0)
         assert z_span(beta, tiny, 1.0) == z_span(beta, 0.0, 1.0)
@@ -725,15 +816,16 @@ class TestTable:
     @pytest.mark.parametrize("beta", [0.5, 4.84, 12.7, 40.0])
     def test_value_depends_on_beta_and_t_alone(self, beta):
         # a point's value and noise do not depend on the batch it comes
-        # in, nor on how far the cached table reaches: on a cold table, a
-        # warm one, and a warm one that first reaches its least head
-        ts = np.random.default_rng(400).uniform(-40.0, 40.0, 400)
+        # in, nor on how far the cached table reaches: on a cold table,
+        # which reaches the point alone, and on the batch's warm one; a
+        # fifth of the points lie at or below the table's start
+        rng = np.random.default_rng(400)
+        start = kernel._series_top(beta)
+        ts = np.concatenate([rng.uniform(-40.0, 40.0, 320),
+                             rng.uniform(-start, start, 80)])
         kernel._TABLES.pop(beta, None)
         batch = z_many(beta, ts, with_noise=True)
-        shallow = kernel._TABLES[beta]
-        for table in ("cold", "warm", "deep"):
-            if table == "deep":
-                z_span(beta, math.ldexp(1.5, kernel._depth(beta)[1]), 2.0)
+        for table in ("cold", "warm"):
             for i, t in enumerate(ts):
                 if table == "cold":
                     kernel._TABLES.pop(beta, None)
@@ -743,17 +835,21 @@ class TestTable:
         again = z_many(beta, ts, with_noise=True)
         assert _same_bits(again[0], batch[0])
         assert _same_bits(again[1], batch[1])
-        # a panel of the shallow table whose head it reaches has the
-        # prefix of the same panel of the deep table, bit for bit
-        deep = kernel._TABLES[beta]
-        assert deep.k_lo == kernel._depth(beta)[1] < shallow.k_lo
-        shared = np.searchsorted(deep.left, shallow.left)
-        assert np.array_equal(deep.left[shared], shallow.left)
-        read = (np.frexp(shallow.left)[1] - 1 - kernel._depth(beta)[0]
-                >= shallow.k_lo)
-        assert read.any()
-        assert _same_bits(deep.prefix[:, shared[read]],
-                          shallow.prefix[:, read])
+
+    @pytest.mark.parametrize("beta", [0.5, 4.84, 12.7, 40.0])
+    def test_wider_table_shares_its_panels(self, beta):
+        # a table that reaches pi, rebuilt from one that reaches 1.5, keeps
+        # the narrow one's panels, coefficients and prefixes bit for bit,
+        # as a prefix sums the series at the start and the panels before
+        kernel._TABLES.pop(beta, None)
+        narrow = kernel._table(beta, 1.5)
+        wide = kernel._table(beta, math.pi)
+        assert wide is not narrow and wide.right == math.pi
+        n = narrow.panels
+        assert 0 < n < wide.panels
+        assert _same_bits(wide.left[:n], narrow.left)
+        assert _same_bits(wide.coef[:, :, :n], narrow.coef)
+        assert _same_bits(wide.prefix[:, :n], narrow.prefix)
 
 
 class TestGaussLegendre:

@@ -6,6 +6,7 @@ import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from fracsmooth import (
@@ -546,25 +547,45 @@ class TestStepBudget:
         assert sum(w for _, w, _ in per_crossing) == 0
 
     def test_table_builds_per_job(self, table_builds):
-        # d z / d beta builds no table, so a job of the zeros-scan
-        # benchmark (window scan, then find_beta0) builds one per order
-        # that z reads, from an empty cache
+        # d z / d beta reads the table that z just read at the same point,
+        # so a job of the zeros-scan benchmark (window scan, then
+        # find_beta0) builds one per order that z reads, from an empty
+        # cache; each starts at 2^-2 or 2^-3 (``kernel._series_top``),
+        # with the power series of z below
         kernel._TABLES.clear()
         window_scan()
         zeros.find_beta0()
         assert len(table_builds) == 67
+        assert sum(table_builds) == 1049
 
     def test_table_reads_per_job(self, counting):
-        # the same job resolves one table per z_span call and one per
-        # batch of z sums, and reads the ends of every span and the points
-        # of every short batch from it (``kernel._point``)
+        # the same job resolves one table per z_span call, one per batch
+        # of z sums and one per d z / d beta, and reads from it the end t
+        # of every span z_span(beta, 0, t) of the refinement in t and the
+        # 95 points of its short batches (``kernel._point``)
         spans = counting(zeros, "z_span")
+        dbetas = counting(zeros, "_z_dbeta")
         sums, tables, points = (counting(kernel, name)
                                 for name in ("_sums", "_table", "_point"))
         window_scan()
         zeros.find_beta0()
-        assert len(tables) == len(spans) + len(sums) == 211
-        assert len(points) == 365
+        assert (len(spans), len(sums), len(dbetas)) == (135, 76, 36)
+        assert len(tables) == len(spans) + len(sums) + len(dbetas)
+        assert all(a == 0.0 for _, a, _ in spans)
+        assert len(points) == len(spans) + 95
+
+    @pytest.mark.parametrize("beta", [4.6, 8.2, 12.7, 39.5])
+    def test_refined_zero_reads_z_many(self, beta):
+        # every zero refined below pi carries z_many at its t, bit for bit,
+        # so it does not depend on the knot that bracketed it
+        knots = {m: np.linspace(*zeros._piece_bounds(beta, m), 9)
+                 for m in range(-math.ceil(beta / 2.0), 0)}
+        refined = [v for m, v in zeros._piece_zeros(beta, knots).items()
+                   if m < 0]
+        assert refined
+        for t, _, _, z in refined:
+            want = z_many(beta, [t])[0]
+            assert np.asarray(z).tobytes() == want.tobytes(), (beta, t)
 
     def test_y_refinements_per_job(self, counting):
         # each zero past pi is the mirror of one below it, so only the
@@ -573,7 +594,7 @@ class TestStepBudget:
         window_scan()
         zeros.find_beta0()
         assert len(brackets) == 39
-        assert all(hi <= math.pi for _, _, hi, _, _, _ in brackets)
+        assert all(hi <= math.pi for _, _, hi, _, _ in brackets)
 
     @staticmethod
     def beta0_cell():
@@ -731,7 +752,7 @@ class TestSignRule:
         # search on its mirror piece
         assert len(brackets) == len(col) > 0
         assert spans
-        assert all(hi <= math.pi for _, _, hi, _, _, _ in brackets)
+        assert all(hi <= math.pi for _, _, hi, _, _ in brackets)
         assert all(b <= math.pi for _, _, b in spans)
 
     @pytest.mark.parametrize("beta_a, beta_b",
