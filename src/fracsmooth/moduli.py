@@ -20,19 +20,30 @@ rounds alike, and the steps alone decide what is shared.  It holds at
 most ``_STEP_BLOCKS`` = 4 blocks: within one scan the reuse is the
 grid, the nodes and the polish rounds of one (beta, h) pair, asked for
 again for each p, and a block of symbols is 0.47 MiB at degree 1024.
+At p = 1 and p = inf one synthesis of the rows serves both exponents:
+``_mean_and_peak`` reduces |f| on the grid by the row mean and by the
+row maximum, as ``lp_norms`` does, and holds both, keyed by (beta, the
+steps' float64 bytes, the coefficients' bytes, degree).  So the p = inf
+row of a scan reads the grid and the nodes of the p = 1 row of the same
+(function, beta, h), and its polish rounds where their brackets
+coincide.  It holds at most ``_NORM_PAIRS`` = 8 entries; one is two
+vectors of at most ``_DELTA_GRID`` floats, and its key holds the
+coefficients' bytes (32 KiB at degree 1024).
 
 The linearized and double-averaged moduli never integrate differences
 numerically: averaging a fractional difference over the step is exactly
 a Fourier multiplier, so each is one averaged difference (``_averaged``):
 the coefficients times the product of psi(order, k h) over its orders,
-(beta) or (alpha, beta - alpha).  A symbol depends on the order, the step
-and the degree, not on p or on the function, so ``_psi_symbol`` computes
-it on k >= 0 once per (order, h, degree); the product of the half spectra
-is mirrored once, psi(-k h) = conj(psi(k h)), bit for bit what
-``psi_many`` gives at -k h.  The memo holds at most ``_SYMBOLS`` = 16 half
-spectra: within one scan the reuse is the p of a (beta, h) pair and
-consecutive corpus members of equal degree, which 16 entries already
-serve, and a degree-1024 half spectrum is 16 KiB.
+(beta) or (alpha, beta - alpha).  A symbol depends on the order and the
+step, not on p or on the function, and psi(order, k h) depends on
+(order, k h) alone, so ``_psi_symbol`` holds the longest half spectrum
+(k >= 0) asked for per (order, h) and answers a lower degree with a
+read-only slice of it, bit for bit a shorter ``psi_many`` call.  The
+product of the half spectra is mirrored once, psi(-k h) = conj(psi(k h)),
+bit for bit what ``psi_many`` gives at -k h.  The memo holds at most
+``_SYMBOLS`` = 24 half spectra, under a lock: a scan over the default
+grid needs 12 (order, h) keys for every corpus member, and a
+degree-1024 half spectrum is 16 KiB.
 
 The scan engine computes all four on a corpus grid and the pairwise
 ratios (with a divide-by-zero infinity flag).
@@ -45,6 +56,8 @@ import itertools
 import json
 import logging
 import math
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -54,7 +67,8 @@ from ._util import bracket_max, check_beta, fmt17, gauss_legendre
 from .errors import InvalidArgumentError, UnsupportedParameterError
 from .fracdiff import split_order, symbol_values
 from .kernel import psi_many
-from .signal import NormParams, TrigPoly, grid_size, lp_norm, lp_norms
+from .signal import (NormParams, TrigPoly, _abs_on_grid, grid_size, lp_norm,
+                     lp_norms)
 
 log = logging.getLogger(__name__)
 
@@ -65,12 +79,21 @@ _BLOCK_ELEMS = 1 << 18
 _DELTA_GRID = 256
 #: Gauss-Legendre nodes of the integral modulus over (0, h)
 _QUAD_ORDER = 64
-#: half spectra held by ``_psi_symbol``; more entries would mostly keep
-#: symbols that one scan never asks for again
-_SYMBOLS = 16
+#: half spectra held by ``_psi_symbol``: the degree-1024 linearized and
+#: gapped moduli of the kernel-batch benchmark (4 (beta, alpha) pairs at 3
+#: steps) need 18 (order, h) keys.  16 entries missed 13 times a job;
+#: with 24 its median item fell from 1.23 to 0.45 ms and its job from
+#: 0.337 to 0.313 s, and its peak RSS did not rise (medians of 3 runs on
+#: a 2-core VM)
+_SYMBOLS = 24
 #: symbol blocks held by ``_symbol_block``: on one full-corpus scan, 2
 #: entries missed 502 times, 4 and 6 entries 186, 8 and 16 entries 182
 _STEP_BLOCKS = 4
+#: p = 1 / p = inf norm pairs held by ``_mean_and_peak``: a classical
+#: modulus makes at most 6 ``_diff_norms`` calls (the grid and 5 polish
+#: rounds) and an integral modulus one, so 8 entries keep the whole p = 1
+#: row for the p = inf row of the same (function, beta, h)
+_NORM_PAIRS = 8
 
 CSV_HEADER = ("fid", "beta", "alpha", "h", "p", "omega", "w",
               "omega_tilde", "omega_star", "r_w", "r_tilde", "r_star")
@@ -125,15 +148,47 @@ def _symbol_block(beta: float, steps: bytes, degree: int) -> np.ndarray:
     return sym
 
 
+@functools.lru_cache(maxsize=_NORM_PAIRS)
+def _mean_and_peak(beta: float, steps: bytes, coeffs: bytes,
+                   degree: int) -> np.ndarray:
+    """The p = 1 and p = inf norms of the difference at every step of
+    ``steps`` (float64 bytes) of the polynomial with coefficients
+    ``coeffs`` (complex128 bytes), as the rows of a read-only (2, steps)
+    array.  Per block of at most ``_block_rows`` steps, one synthesis
+    (``_abs_on_grid``) of the symbol block (``_symbol_block``) times the
+    coefficients, reduced by ``np.mean(vals, axis=1)`` and
+    ``vals.max(axis=1)``, the expressions of ``lp_norms``: bit for bit its
+    values at p = 1 and p = inf.  An invalid order raises and is not
+    held."""
+    deltas = np.frombuffer(steps)
+    c = np.frombuffer(coeffs, dtype=complex)
+    rows = _block_rows(degree)
+    out = np.empty((2, deltas.size))
+    for lo in range(0, deltas.size, rows):
+        sym = _symbol_block(beta, deltas[lo:lo + rows].tobytes(), degree)
+        vals = _abs_on_grid(c * sym)
+        out[0, lo:lo + rows] = np.mean(vals, axis=1)
+        out[1, lo:lo + rows] = vals.max(axis=1)
+    out.flags.writeable = False
+    return out
+
+
 def _diff_norms(f: TrigPoly, beta: float, deltas,
                 norm: NormParams) -> np.ndarray:
     """||D_delta^beta f||_p for every step delta in ``deltas``.
 
-    Per block of at most ``_block_rows`` steps: the symbol matrix of the
-    difference (``_symbol_block``) times the coefficients, then
-    ``lp_norms`` of the rows.
+    At p = 1 and p = inf, a row of ``_mean_and_peak`` (read-only), which
+    both exponents share.  Any other p, per block of at most
+    ``_block_rows`` steps: the symbol matrix of the difference
+    (``_symbol_block``) times the coefficients, then ``lp_norms`` of the
+    rows (Parseval's sum at p = 2).
     """
     deltas = np.asarray(deltas, dtype=float)
+    p = norm.p
+    if p == 1.0 or math.isinf(p):
+        pair = _mean_and_peak(beta, deltas.tobytes(), f.coeffs.tobytes(),
+                              f.degree)
+        return pair[0 if p == 1.0 else 1]
     rows = _block_rows(f.degree)
     out = np.empty(deltas.size)
     for lo in range(0, deltas.size, rows):
@@ -142,26 +197,50 @@ def _diff_norms(f: TrigPoly, beta: float, deltas,
     return out
 
 
-@functools.lru_cache(maxsize=_SYMBOLS)
+_PSI = OrderedDict()
+_PSI_LOCK = threading.Lock()
+
+
 def _psi_symbol(order: float, h: float, degree: int) -> np.ndarray:
-    """psi(order, k h) for k = 0..degree, read-only: one ``psi_many``
-    call per (order, h, degree) while the memo holds it.  An invalid
-    order raises and is not held.  ``psi_many`` is looked up at call
-    time, so a wrapper set on ``moduli.psi_many`` sees every miss."""
-    sym = psi_many(order, np.arange(degree + 1) * h)
-    sym.flags.writeable = False
-    return sym
+    """psi(order, k h) for k = 0..degree, read-only.
+
+    The memo holds the longest half spectrum asked for per (order, h) and
+    answers a lower degree with a slice of it, which is bit for bit
+    ``psi_many`` on the shorter grid, as psi depends on (order, k h)
+    alone.  A higher degree makes one ``psi_many`` call and replaces the
+    entry.  The call runs outside the lock, so threads may compute the
+    same spectrum twice; either copy serves.  An invalid order raises and
+    is not held.  ``psi_many`` is looked up at call time, so a wrapper
+    set on ``moduli.psi_many`` sees every miss.
+    """
+    key = (order, h)
+    with _PSI_LOCK:
+        half = _PSI.get(key)
+        if half is not None and half.size > degree:
+            _PSI.move_to_end(key)
+            return half[:degree + 1]
+    half = psi_many(order, np.arange(degree + 1) * h)
+    half.flags.writeable = False
+    with _PSI_LOCK:
+        held = _PSI.get(key)
+        if held is None or held.size < half.size:
+            _PSI[key] = half
+        _PSI.move_to_end(key)
+        while len(_PSI) > _SYMBOLS:
+            _PSI.popitem(last=False)
+    return half
 
 
 def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     """sup over steps delta in (0, h] of the difference norm.
 
     Grid maximum over ``_DELTA_GRID`` uniform steps, evaluated together by
-    ``_diff_norms`` (one symbol matrix and one ``lp_norms`` call per block
-    of at most ``_BLOCK_ELEMS`` grid values), then ``bracket_max`` in the
-    cell around the discrete argmax: one ``_diff_norms`` call per round
-    of knots.  The symbol blocks of both come from the ``_symbol_block``
-    memo, which the rows of a scan that differ in p alone share.
+    ``_diff_norms`` (one symbol matrix and its row norms per block of at
+    most ``_BLOCK_ELEMS`` grid values), then ``bracket_max`` in the cell
+    around the discrete argmax: one ``_diff_norms`` call per round of
+    knots.  The rows of a scan that differ in p alone share the symbol
+    blocks of both (``_symbol_block``), and the p = 1 and p = inf rows
+    share their norms (``_mean_and_peak``).
     When the sup sits at delta = h the first round finds no larger value
     and stops, so the result is the grid value at h.  The polish is local
     — no global unimodality is assumed.
@@ -182,8 +261,8 @@ def integral_modulus(f: TrigPoly, req: ModulusRequest) -> float:
 
     Gauss-Legendre of order ``_QUAD_ORDER`` (``gauss_legendre``) mapped
     onto (0, h); the difference norms at all of its nodes come from one
-    ``_diff_norms`` call, like the classical grid, with their symbol
-    blocks from the same ``_symbol_block`` memo.
+    ``_diff_norms`` call, like the classical grid, through the same
+    memos.
     """
     if req.alpha is not None:
         raise InvalidArgumentError("alpha does not apply to this modulus")

@@ -12,6 +12,7 @@ needs no installed limit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -96,6 +97,7 @@ def _check_tau(tau):
     return float(tau)
 
 
+@functools.lru_cache(maxsize=64)
 def _near_origin_check(order: float) -> None:
     """Assert the averaging symbol has no zero on (0, 2].
 
@@ -103,7 +105,9 @@ def _near_origin_check(order: float) -> None:
     the kernel sums with it (``kernel._sums``): their ratio is at least
     0.54 on this grid for every order from 0.5 to 1000, and a zero of z
     pulls it toward 0.  The comparison multiplies, so a point where both
-    underflow to 0 passes.
+    underflow to 0 passes.  The check depends on the order alone, so the
+    memo remembers the orders that passed; a raise is not held, so a
+    failing order raises on every call.
     """
     ts = np.geomspace(1e-3, 2.0, 128)
     zs, mass = _sums(order, ts)

@@ -163,17 +163,27 @@ def grid_size(degree: int) -> int:
     return _smooth_length(max(64, _OVERSAMPLE * (2 * degree + 1)))
 
 
+def _abs_on_grid(c: np.ndarray) -> np.ndarray:
+    """|f| on the uniform grid of ``grid_size`` points for each row of the
+    2-D complex array ``c`` of coefficients c[-M..M]: |u| or hypot(u, v)
+    of ``_synthesis`` (one row-wise real inverse FFT, two when some row is
+    not real).  ``lp_norms`` reduces these rows, and so does the moduli's
+    memo of the p = 1 and p = inf difference norms, with the same
+    expressions and so the same bits."""
+    u, v = _synthesis(c, grid_size((c.shape[1] - 1) // 2))
+    return np.abs(u, out=u) if v is None else np.hypot(u, v, out=u)
+
+
 def lp_norms(coeffs, params: NormParams) -> np.ndarray:
     """L_p norm of each polynomial whose coefficients c[-M..M] are a row
     of the 2-D array ``coeffs``.
 
     At p = 2 the value is Parseval's (sum_k |c_k|^2)^(1/2), which is what
     the grid rule below computes in exact arithmetic, and no grid is
-    built.  Any other p synthesises the rows on the uniform grid of
-    ``grid_size`` points (``_synthesis``: one row-wise real inverse FFT,
-    two when some row is not real), takes |f| as |u| or hypot(u, v), and
-    reduces each row by the rectangle rule (the grid maximum at
-    p = inf; at p = 1 the row mean, with no power and no root).
+    built.  Any other p reads |f| of the rows on the uniform grid
+    (``_abs_on_grid``) and reduces each row by the rectangle rule: the
+    row maximum ``vals.max(axis=1)`` at p = inf, the row mean
+    ``np.mean(vals, axis=1)`` at p = 1, with no power and no root.
     ``lp_norm`` is the one-row case, so a batch of rows gives
     bit for bit the values of one ``lp_norm`` call per row, with the
     accuracy stated there.
@@ -182,8 +192,7 @@ def lp_norms(coeffs, params: NormParams) -> np.ndarray:
     p = params.p
     if p == 2.0:
         return np.sqrt(np.sum(c.real ** 2 + c.imag ** 2, axis=1))
-    u, v = _synthesis(c, grid_size((c.shape[1] - 1) // 2))
-    vals = np.abs(u, out=u) if v is None else np.hypot(u, v, out=u)
+    vals = _abs_on_grid(c)
     if math.isinf(p):
         return vals.max(axis=1)
     if p == 1.0:

@@ -1,6 +1,6 @@
 import pytest
 
-from fracsmooth import default_corpus, find_beta0, kernel
+from fracsmooth import default_corpus, find_beta0, kernel, moduli
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +45,18 @@ def counting(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
         return calls
     return count
+
+
+@pytest.fixture
+def cold_memos():
+    """Clears every ``moduli`` memo now and after the test, and returns
+    the function that clears them, for a test that clears between calls."""
+    def clear():
+        moduli._symbol_block.cache_clear()
+        moduli._mean_and_peak.cache_clear()
+        with moduli._PSI_LOCK:
+            moduli._PSI.clear()
+
+    clear()
+    yield clear
+    clear()

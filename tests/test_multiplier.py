@@ -141,16 +141,29 @@ class TestGTau:
         make_g1_g2(order + 0.5, 0.5, 0.5)
 
     def test_a_dip_raises(self, monkeypatch):
-        # a z with a zero at t = 1 on the check's grid
+        # a z with a zero at t = 1 on the check's grid; a raise is not
+        # remembered, so the order raises on every call
         inner = multiplier._sums
 
         def dipping(order, ts):
             zs, mass = inner(order, ts)
             return zs * (ts - ts[np.argmin(np.abs(ts - 1.0))]), mass
 
+        multiplier._near_origin_check.cache_clear()
         monkeypatch.setattr(multiplier, "_sums", dipping)
-        with pytest.raises(ZeroDenominatorError, match="dips near t=0.975"):
-            make_g_tau(2.5, 0.5)
+        for _ in range(2):
+            with pytest.raises(ZeroDenominatorError,
+                               match="dips near t=0.975"):
+                make_g_tau(2.5, 0.5)
+        multiplier._near_origin_check.cache_clear()
+
+    def test_check_runs_once_per_order(self, counting):
+        # the bracket grid's 9 values of tau at one order
+        multiplier._near_origin_check.cache_clear()
+        calls = counting(multiplier, "_sums")
+        for tau in np.arange(0.1, 0.95, 0.1):
+            make_g_tau(3.9, float(tau))
+        assert [order for order, _ in calls] == [3.9]
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
