@@ -12,23 +12,12 @@ rectangle rule.
 The steps go in blocks of at most ``_BLOCK_ELEMS`` grid values, so a
 high degree never allocates the whole (steps x grid) matrix at once.
 Each value is bit for bit ``lp_norm(apply_diff(f, beta, delta), norm)``.
-A block's mirrored symbols depend on (beta, its steps, degree) and not on
-p or on the function, so ``_symbol_block`` holds them, keyed by those
-values with the steps as their float64 bytes: every block of every call
-goes through it, the classical grid, the integral nodes and the polish
-rounds alike, and the steps alone decide what is shared.  It holds at
-most ``_STEP_BLOCKS`` = 4 blocks: within one scan the reuse is the
-grid, the nodes and the polish rounds of one (beta, h) pair, asked for
-again for each p, and a block of symbols is 0.47 MiB at degree 1024.
-At p = 1 and p = inf one synthesis of the rows serves both exponents:
-``_mean_and_peak`` reduces |f| on the grid by the row mean and by the
-row maximum, as ``lp_norms`` does, and holds both, keyed by (beta, the
-steps' float64 bytes, the coefficients' bytes, degree).  So the p = inf
-row of a scan reads the grid and the nodes of the p = 1 row of the same
-(function, beta, h), and its polish rounds where their brackets
-coincide.  It holds at most ``_NORM_PAIRS`` = 8 entries; one is two
-vectors of at most ``_DELTA_GRID`` floats, and its key holds the
-coefficients' bytes (32 KiB at degree 1024).
+One memo holds the norms per (beta, the steps' float64 bytes, the
+coefficients' bytes, degree), as a read-only row per p.  A miss at p = 2
+sums Parseval alone; any other p computes p = 1, 2, inf and itself from
+one synthesis per block (``lp_norms``), so the p = 2 and p = inf rows of
+a scan read the p = 1 row of the same (function, beta, h): its grid, its
+nodes and the polish rounds whose brackets coincide.
 
 The linearized and double-averaged moduli never integrate differences
 numerically: averaging a fractional difference over the step is exactly
@@ -51,7 +40,6 @@ ratios (with a divide-by-zero infinity flag).
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import json
 import logging
@@ -67,8 +55,7 @@ from ._util import bracket_max, check_beta, fmt17, gauss_legendre
 from .errors import InvalidArgumentError, UnsupportedParameterError
 from .fracdiff import split_order, symbol_values
 from .kernel import psi_many
-from .signal import (NormParams, TrigPoly, _abs_on_grid, grid_size, lp_norm,
-                     lp_norms)
+from .signal import NormParams, TrigPoly, grid_size, lp_norm, lp_norms
 
 log = logging.getLogger(__name__)
 
@@ -86,14 +73,10 @@ _QUAD_ORDER = 64
 #: 0.337 to 0.313 s, and its peak RSS did not rise (medians of 3 runs on
 #: a 2-core VM)
 _SYMBOLS = 24
-#: symbol blocks held by ``_symbol_block``: on one full-corpus scan, 2
-#: entries missed 502 times, 4 and 6 entries 186, 8 and 16 entries 182
-_STEP_BLOCKS = 4
-#: p = 1 / p = inf norm pairs held by ``_mean_and_peak``: a classical
-#: modulus makes at most 6 ``_diff_norms`` calls (the grid and 5 polish
-#: rounds) and an integral modulus one, so 8 entries keep the whole p = 1
-#: row for the p = inf row of the same (function, beta, h)
-_NORM_PAIRS = 8
+#: entries held by ``_diff_norms``: 8 keep the grid, the 5 polish rounds
+#: and the nodes of a p = 1 row for the later rows of its (function,
+#: beta, h)
+_NORMS_HELD = 8
 
 CSV_HEADER = ("fid", "beta", "alpha", "h", "p", "omega", "w",
               "omega_tilde", "omega_star", "r_w", "r_tilde", "r_star")
@@ -133,68 +116,46 @@ def _block_rows(degree: int) -> int:
     return max(1, _BLOCK_ELEMS // grid_size(degree))
 
 
-@functools.lru_cache(maxsize=_STEP_BLOCKS)
-def _symbol_block(beta: float, steps: bytes, degree: int) -> np.ndarray:
-    """The symbol matrix on k = -degree..degree, one row per step of
-    ``steps`` (float64 bytes), read-only: computed for k = 0..degree and
-    mirrored (``_mirror``), which is bit for bit what ``symbol_values``
-    gives at -k.  One ``symbol_values`` call per key while the memo holds
-    it; an invalid order raises and is not held.  ``symbol_values`` is
-    looked up at call time, so a wrapper set on ``moduli.symbol_values``
-    sees every miss."""
-    deltas = np.frombuffer(steps)
-    sym = _mirror(symbol_values(beta, deltas[:, None], np.arange(degree + 1)))
-    sym.flags.writeable = False
-    return sym
-
-
-@functools.lru_cache(maxsize=_NORM_PAIRS)
-def _mean_and_peak(beta: float, steps: bytes, coeffs: bytes,
-                   degree: int) -> np.ndarray:
-    """The p = 1 and p = inf norms of the difference at every step of
-    ``steps`` (float64 bytes) of the polynomial with coefficients
-    ``coeffs`` (complex128 bytes), as the rows of a read-only (2, steps)
-    array.  Per block of at most ``_block_rows`` steps, one synthesis
-    (``_abs_on_grid``) of the symbol block (``_symbol_block``) times the
-    coefficients, reduced by ``np.mean(vals, axis=1)`` and
-    ``vals.max(axis=1)``, the expressions of ``lp_norms``: bit for bit its
-    values at p = 1 and p = inf.  An invalid order raises and is not
-    held."""
-    deltas = np.frombuffer(steps)
-    c = np.frombuffer(coeffs, dtype=complex)
-    rows = _block_rows(degree)
-    out = np.empty((2, deltas.size))
-    for lo in range(0, deltas.size, rows):
-        sym = _symbol_block(beta, deltas[lo:lo + rows].tobytes(), degree)
-        vals = _abs_on_grid(c * sym)
-        out[0, lo:lo + rows] = np.mean(vals, axis=1)
-        out[1, lo:lo + rows] = vals.max(axis=1)
-    out.flags.writeable = False
-    return out
+_NORMS = OrderedDict()
+_NORMS_LOCK = threading.Lock()
 
 
 def _diff_norms(f: TrigPoly, beta: float, deltas,
                 norm: NormParams) -> np.ndarray:
-    """||D_delta^beta f||_p for every step delta in ``deltas``.
+    """||D_delta^beta f||_p for every step delta in ``deltas``, read-only.
 
-    At p = 1 and p = inf, a row of ``_mean_and_peak`` (read-only), which
-    both exponents share.  Any other p, per block of at most
-    ``_block_rows`` steps: the symbol matrix of the difference
-    (``_symbol_block``) times the coefficients, then ``lp_norms`` of the
-    rows (Parseval's sum at p = 2).
+    On a miss of the memo entry of (beta, the steps, f), per block of at
+    most ``_block_rows`` steps: the mirrored (``_mirror``) symbols for
+    k = 0..degree times the coefficients, then ``lp_norms`` of the rows at
+    p = 2 alone, or at p with 1, 2 and inf.  The new entry replaces the
+    old.  The work runs outside the lock, so threads may compute an entry
+    twice.  An invalid order raises and is not held.  ``symbol_values`` is
+    looked up at call time, so a wrapper set on ``moduli.symbol_values``
+    sees every miss.
     """
     deltas = np.asarray(deltas, dtype=float)
     p = norm.p
-    if p == 1.0 or math.isinf(p):
-        pair = _mean_and_peak(beta, deltas.tobytes(), f.coeffs.tobytes(),
-                              f.degree)
-        return pair[0 if p == 1.0 else 1]
+    key = (beta, deltas.tobytes(), f.coeffs.tobytes(), f.degree)
+    with _NORMS_LOCK:
+        held = _NORMS.get(key, {})
+        if p in held:
+            _NORMS.move_to_end(key)
+            return held[p]
+    ps = (2.0,) if p == 2.0 else tuple(dict.fromkeys((1.0, 2.0, math.inf, p)))
     rows = _block_rows(f.degree)
-    out = np.empty(deltas.size)
+    k = np.arange(f.degree + 1)
+    out = np.empty((len(ps), deltas.size))
     for lo in range(0, deltas.size, rows):
-        sym = _symbol_block(beta, deltas[lo:lo + rows].tobytes(), f.degree)
-        out[lo:lo + rows] = lp_norms(f.coeffs * sym, norm)
-    return out
+        sym = _mirror(symbol_values(beta, deltas[lo:lo + rows, None], k))
+        out[:, lo:lo + rows] = lp_norms(f.coeffs * sym, ps)
+    out.flags.writeable = False
+    entry = dict(zip(ps, out))
+    with _NORMS_LOCK:
+        _NORMS[key] = entry
+        _NORMS.move_to_end(key)
+        while len(_NORMS) > _NORMS_HELD:
+            _NORMS.popitem(last=False)
+    return entry[p]
 
 
 _PSI = OrderedDict()
@@ -238,9 +199,7 @@ def classical_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     ``_diff_norms`` (one symbol matrix and its row norms per block of at
     most ``_BLOCK_ELEMS`` grid values), then ``bracket_max`` in the cell
     around the discrete argmax: one ``_diff_norms`` call per round of
-    knots.  The rows of a scan that differ in p alone share the symbol
-    blocks of both (``_symbol_block``), and the p = 1 and p = inf rows
-    share their norms (``_mean_and_peak``).
+    knots, whose memo the rows of a scan that differ in p alone share.
     When the sup sits at delta = h the first round finds no larger value
     and stops, so the result is the grid value at h.  The polish is local
     — no global unimodality is assumed.
@@ -262,7 +221,7 @@ def integral_modulus(f: TrigPoly, req: ModulusRequest) -> float:
     Gauss-Legendre of order ``_QUAD_ORDER`` (``gauss_legendre``) mapped
     onto (0, h); the difference norms at all of its nodes come from one
     ``_diff_norms`` call, like the classical grid, through the same
-    memos.
+    memo.
     """
     if req.alpha is not None:
         raise InvalidArgumentError("alpha does not apply to this modulus")

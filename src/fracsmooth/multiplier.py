@@ -119,8 +119,10 @@ def _near_origin_check(order: float) -> None:
             f"(|z| = {abs(zs[i]):.3e}, absolute mass {mass[i]:.3e})")
 
 
+@functools.lru_cache(maxsize=64)
 def _far_field_check(order: float) -> None:
-    """Assert the averaging symbol stays away from zero on [1, 50]."""
+    """Assert the averaging symbol stays away from zero on [1, 50].  The
+    memo holds the orders that pass, as ``_near_origin_check``'s does."""
     ts = np.linspace(1.0, 50.0, 512)
     vals = np.abs(psi_many(order, ts))
     m = float(vals.min())

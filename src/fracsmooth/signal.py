@@ -2,6 +2,8 @@
 
 A polynomial of degree M is stored as the dense coefficient vector
 c[-M..M] (index k + M), so that f(x) = sum_k c_k exp(i k x).
+``lp_norms`` measures a batch of them at several exponents from one
+synthesis on the uniform grid.
 """
 from __future__ import annotations
 
@@ -163,45 +165,42 @@ def grid_size(degree: int) -> int:
     return _smooth_length(max(64, _OVERSAMPLE * (2 * degree + 1)))
 
 
-def _abs_on_grid(c: np.ndarray) -> np.ndarray:
-    """|f| on the uniform grid of ``grid_size`` points for each row of the
-    2-D complex array ``c`` of coefficients c[-M..M]: |u| or hypot(u, v)
-    of ``_synthesis`` (one row-wise real inverse FFT, two when some row is
-    not real).  ``lp_norms`` reduces these rows, and so does the moduli's
-    memo of the p = 1 and p = inf difference norms, with the same
-    expressions and so the same bits."""
-    u, v = _synthesis(c, grid_size((c.shape[1] - 1) // 2))
-    return np.abs(u, out=u) if v is None else np.hypot(u, v, out=u)
-
-
-def lp_norms(coeffs, params: NormParams) -> np.ndarray:
-    """L_p norm of each polynomial whose coefficients c[-M..M] are a row
-    of the 2-D array ``coeffs``.
+def lp_norms(coeffs, ps) -> np.ndarray:
+    """L_p norm at each exponent of ``ps`` of each polynomial whose
+    coefficients c[-M..M] are a row of the 2-D array ``coeffs``, as an
+    array of shape (len(ps), rows): one row of norms per exponent.
 
     At p = 2 the value is Parseval's (sum_k |c_k|^2)^(1/2), which is what
     the grid rule below computes in exact arithmetic, and no grid is
-    built.  Any other p reads |f| of the rows on the uniform grid
-    (``_abs_on_grid``) and reduces each row by the rectangle rule: the
-    row maximum ``vals.max(axis=1)`` at p = inf, the row mean
+    built.  Every other p reads |f| of the rows on the uniform grid of
+    ``grid_size`` points, |u| or hypot(u, v) of one ``_synthesis`` shared
+    by all of them, and reduces each row by the rectangle rule: the row
+    maximum ``vals.max(axis=1)`` at p = inf, the row mean
     ``np.mean(vals, axis=1)`` at p = 1, with no power and no root.
-    ``lp_norm`` is the one-row case, so a batch of rows gives
-    bit for bit the values of one ``lp_norm`` call per row, with the
-    accuracy stated there.
+    ``lp_norm`` is the one-row, one-p case, so a batch of rows and
+    exponents gives bit for bit the values of one ``lp_norm`` call per
+    row and p, with the accuracy stated there.
     """
     c = np.asarray(coeffs, dtype=complex)
-    p = params.p
-    if p == 2.0:
-        return np.sqrt(np.sum(c.real ** 2 + c.imag ** 2, axis=1))
-    vals = _abs_on_grid(c)
-    if math.isinf(p):
-        return vals.max(axis=1)
-    if p == 1.0:
-        # |f| ** 1 and m ** 1 are |f| and m bit for bit
-        return np.mean(vals, axis=1)
-    vals **= p
-    # the root is taken row by row with the scalar power: NumPy's
-    # vectorised power loop can differ from it in the last bit
-    return np.array([m ** (1.0 / p) for m in np.mean(vals, axis=1)])
+    out = np.empty((len(ps), c.shape[0]))
+    vals = None
+    for i, p in enumerate(ps):
+        if p == 2.0:
+            out[i] = np.sqrt(np.sum(c.real ** 2 + c.imag ** 2, axis=1))
+            continue
+        if vals is None:
+            u, v = _synthesis(c, grid_size((c.shape[1] - 1) // 2))
+            vals = np.abs(u, out=u) if v is None else np.hypot(u, v, out=u)
+        if math.isinf(p):
+            out[i] = vals.max(axis=1)
+        elif p == 1.0:
+            # |f| ** 1 and m ** 1 are |f| and m bit for bit
+            out[i] = np.mean(vals, axis=1)
+        else:
+            # the root is taken row by row with the scalar power: NumPy's
+            # vectorised power loop can differ from it in the last bit
+            out[i] = [m ** (1.0 / p) for m in np.mean(vals ** p, axis=1)]
+    return out
 
 
 def lp_norm(f: TrigPoly, params: NormParams) -> float:
@@ -218,7 +217,7 @@ def lp_norm(f: TrigPoly, params: NormParams) -> float:
     grid of ``_OVERSAMPLE`` = 8 was off by at most 1.2e-2 relative at
     p = inf and 6.7e-3 at p = 1.
     """
-    return float(lp_norms(f.coeffs[None, :], params)[0])
+    return float(lp_norms(f.coeffs[None, :], (params.p,))[0, 0])
 
 
 def from_samples(values) -> TrigPoly:

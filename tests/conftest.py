@@ -52,10 +52,10 @@ def cold_memos():
     """Clears every ``moduli`` memo now and after the test, and returns
     the function that clears them, for a test that clears between calls."""
     def clear():
-        moduli._symbol_block.cache_clear()
-        moduli._mean_and_peak.cache_clear()
-        with moduli._PSI_LOCK:
-            moduli._PSI.clear()
+        for memo, lock in ((moduli._NORMS, moduli._NORMS_LOCK),
+                           (moduli._PSI, moduli._PSI_LOCK)):
+            with lock:
+                memo.clear()
 
     clear()
     yield clear

@@ -461,9 +461,9 @@ class TestSymbolMemo:
 
 
 class TestNormMemo:
-    """``_mean_and_peak`` holds the p = 1 and p = inf difference norms of
-    one ``_diff_norms`` call from one synthesis, so a p = inf row reads
-    the p = 1 row of its (function, beta, h)."""
+    """``_diff_norms`` holds the p = 1, 2 and inf difference norms of one
+    call from one synthesis, so the p = 2 and p = inf rows read the p = 1
+    row of its (function, beta, h)."""
 
     @pytest.fixture(autouse=True)
     def cold(self, cold_memos):
@@ -499,39 +499,44 @@ class TestNormMemo:
                     assert set(rows_of(calls)) <= {_BRACKET_KNOTS}, \
                         (fid, beta, h)
 
-    def test_invalid_order_is_not_held(self):
-        steps = np.linspace(0.01, 0.2, _BRACKET_KNOTS).tobytes()
-        with pytest.raises(InvalidArgumentError):
-            moduli._mean_and_peak(-1.0, steps, E1.coeffs.tobytes(), 1)
-        assert moduli._mean_and_peak.cache_info().currsize == 0
-        pair = moduli._mean_and_peak(1.5, steps, E1.coeffs.tobytes(), 1)
-        assert pair.shape == (2, _BRACKET_KNOTS)
-        with pytest.raises(ValueError):
-            pair[0, 0] = 0.0
-        assert moduli._mean_and_peak.cache_info().currsize == 1
+    def test_p2_row_alone_synthesises_nothing(self, counting):
+        f = corpus("random_smooth", 128, seed=3)
+        r = req(2.5, 0.2, 2.0)
+        want = scalar_classical(f, r), scalar_integral(f, r)
+        calls = counting(signal, "_synthesis")
+        assert (classical_modulus(f, r), integral_modulus(f, r)) == want
+        assert calls == []
 
-    def test_holds_at_most_norm_pairs_at_degree_1024(self, monkeypatch):
-        # the symbol blocks are computed afresh, so that only this memo
-        # holds memory; each entry's key holds the 32 KiB coefficients
-        monkeypatch.setattr(moduli, "_symbol_block",
-                            moduli._symbol_block.__wrapped__)
+    def test_invalid_order_is_not_held(self):
+        steps = np.linspace(0.01, 0.2, _BRACKET_KNOTS)
+        for p in (1.0, 2.0):
+            with pytest.raises(InvalidArgumentError):
+                _diff_norms(E1, -1.0, steps, NormParams(p=p))
+        assert not moduli._NORMS
+        row = _diff_norms(E1, 1.5, steps, NormParams(p=1.0))
+        assert row.shape == (_BRACKET_KNOTS,)
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+        assert len(moduli._NORMS) == 1
+
+    def test_holds_at_most_norms_held_at_degree_1024(self):
+        # each entry's key holds the 32 KiB coefficients
         f = corpus("random_smooth", 1024, seed=4)
-        entry = f.coeffs.nbytes + 3 * _BRACKET_KNOTS * 8
+        entry = f.coeffs.nbytes + 4 * _BRACKET_KNOTS * 8
         norm = NormParams(p=1.0)
         _diff_norms(f, 2.5, np.linspace(0.1, 0.2, _BRACKET_KNOTS), norm)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for lo in np.linspace(0.01, 0.3, moduli._NORM_PAIRS + 4):
+            for lo in np.linspace(0.01, 0.3, moduli._NORMS_HELD + 4):
                 steps = np.linspace(lo, lo + 0.1, _BRACKET_KNOTS)
                 _diff_norms(f, 2.5, steps, norm)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert moduli._mean_and_peak.cache_info().currsize == \
-            moduli._NORM_PAIRS
-        assert (moduli._NORM_PAIRS - 1) * f.coeffs.nbytes < held <= \
-            moduli._NORM_PAIRS * (entry + 1024) + (1 << 16)
+        assert len(moduli._NORMS) == moduli._NORMS_HELD
+        assert (moduli._NORMS_HELD - 1) * f.coeffs.nbytes < held <= \
+            moduli._NORMS_HELD * (entry + 1024) + (1 << 16)
 
 
 class TestMemoSharing:
@@ -540,9 +545,15 @@ class TestMemoSharing:
 
     def test_default_grid_rows_do_not_depend_on_the_memos(
             self, monkeypatch, cold_memos, corpus_members):
-        grid = ([0.5, 1.0, 2.5], [0.05, 0.2, 1.0], [1.0, 2.0, math.inf])
-        rows = equivalence_scan(corpus_members, *grid)
-        assert len(rows) == 162 and all(r.error is None for r in rows)
+        # p = 0.5 rows fail at the averaged moduli, so their classical and
+        # integral moduli are compared one by one below
+        members = corpus_members + [("random:128:3",
+                                     corpus("random_smooth", 128, seed=3))]
+        grid = ([0.5, 1.0, 2.5], [0.05, 0.2, 1.0],
+                [0.5, 1.0, 1.5, 2.0, math.inf])
+        rows = equivalence_scan(members, *grid)
+        assert len(rows) == 315
+        assert sum(r.error is None for r in rows) == 252
 
         scan_row = moduli._scan_row
 
@@ -551,29 +562,34 @@ class TestMemoSharing:
             return scan_row(*args)
 
         monkeypatch.setattr(moduli, "_scan_row", cold_row)
-        cold = equivalence_scan(corpus_members, *grid)
+        cold = equivalence_scan(members, *grid)
         monkeypatch.setattr(moduli, "_scan_row", scan_row)
-        warm = equivalence_scan(corpus_members, *grid)
-        threaded = equivalence_scan(corpus_members, *grid, threads=3)
+        warm = equivalence_scan(members, *grid)
+        threaded = equivalence_scan(members, *grid, threads=3)
         assert row_bits(cold) == row_bits(rows)
         assert row_bits(warm) == row_bits(rows)
         assert row_bits(threaded) == row_bits(rows)
+        for fid, f in members:
+            for beta in grid[0]:
+                r = req(beta, 0.2, 0.5)
+                cold_memos()
+                want = classical_modulus(f, r), integral_modulus(f, r)
+                for p in (1.0, 0.5):
+                    classical_modulus(f, req(beta, 0.2, p))
+                    integral_modulus(f, req(beta, 0.2, p))
+                assert (classical_modulus(f, r),
+                        integral_modulus(f, r)) == want, (fid, beta)
 
 
 class TestStepSymbolMemo:
-    """``_symbol_block`` holds the mirrored difference symbols of one block
-    of steps per (beta, the steps' float64 bytes, degree): the classical
-    grid, the integral nodes and the polish rounds alike."""
+    """The difference symbols of a block of steps are computed only on a
+    miss of the ``_diff_norms`` memo, one ``symbol_values`` call per block
+    of at most ``_block_rows`` steps: the classical grid, the integral
+    nodes and the polish rounds alike."""
 
     @pytest.fixture(autouse=True)
     def cold(self, cold_memos):
         return cold_memos
-
-    @staticmethod
-    def block(beta, deltas, degree):
-        return moduli._symbol_block(
-            beta, np.asarray(deltas, dtype=float).tobytes(), degree)
-
 
     def test_step_sets_are_the_moduli_steps(self, monkeypatch):
         seen = []
@@ -594,11 +610,13 @@ class TestStepSymbolMemo:
             integral_modulus(E1, req(1.5, h, 2.0))
             assert seen == [(0.5 * h * (x + 1.0)).tolist()], h
 
-    def test_blocks_match_fresh_symbols_bitwise(self):
+    def test_blocks_match_fresh_symbols_bitwise(self, cold):
+        # the mirrored half spectra against symbols computed at -k too
         x = gauss_legendre(moduli._QUAD_ORDER)[0]
         for degree in (0, 1, 8, 16, 1024):
+            f = corpus("random_smooth", degree, seed=1)
             rows = moduli._block_rows(degree)
-            k = np.arange(degree + 1)
+            k = np.arange(-degree, degree + 1)
             for h in (0.2, 7.0):
                 grid = np.linspace(h / moduli._DELTA_GRID, h,
                                    moduli._DELTA_GRID)
@@ -606,33 +624,43 @@ class TestStepSymbolMemo:
                 for steps in (grid, 0.5 * h * (x + 1.0), polish):
                     if degree == 1024:
                         assert rows < steps.size  # several blocks
-                    for beta in (0.5, 2.5):
-                        for lo in range(0, steps.size, rows):
-                            part = steps[lo:lo + rows]
-                            got = self.block(beta, part, degree)
-                            want = moduli._mirror(
-                                symbol_values(beta, part[:, None], k))
-                            assert got.shape == want.shape
-                            assert np.array_equal(
-                                got.view(np.uint64), want.view(np.uint64)), \
-                                (degree, steps.size, beta, h, lo)
+                    for beta, p in ((0.5, 2.0), (2.5, 1.0)):
+                        cold()
+                        got = _diff_norms(f, beta, steps, NormParams(p=p))
+                        want = np.concatenate([
+                            signal.lp_norms(f.coeffs * symbol_values(
+                                beta, steps[lo:lo + rows, None], k), (p,))[0]
+                            for lo in range(0, steps.size, rows)])
+                        assert np.array_equal(
+                            got.view(np.uint64), want.view(np.uint64)), \
+                            (degree, steps.size, beta, h)
 
-    def test_block_is_read_only(self):
+    def test_block_is_read_only(self, counting):
+        # the memo's norms, which a copy of the steps and coefficients
+        # finds again
         grid = np.linspace(0.2 / moduli._DELTA_GRID, 0.2, moduli._DELTA_GRID)
-        block = self.block(2.5, grid, 8)
+        f = corpus("random_smooth", 8, seed=1)
+        block = _diff_norms(f, 2.5, grid, NormParams(p=1.0))
         with pytest.raises(ValueError):
-            block[0, 1] = 0.0
-        assert self.block(2.5, grid.copy(), 8) is block
+            block[1] = 0.0
+        calls = counting(moduli, "symbol_values")
+        again = f.with_coeffs(f.coeffs.copy())
+        for p in (1.0, 2.0, math.inf):
+            _diff_norms(again, 2.5, grid.copy(), NormParams(p=p))
+        assert _diff_norms(again, 2.5, grid.copy(), NormParams(p=1)) is block
+        assert calls == []
 
     @pytest.mark.parametrize("degree", [0, 8])
     def test_invalid_order_is_not_held(self, degree):
         nodes = 0.1 * (gauss_legendre(moduli._QUAD_ORDER)[0] + 1.0)
-        with pytest.raises(InvalidArgumentError):
-            self.block(-1.0, nodes, degree)
-        assert moduli._symbol_block.cache_info().currsize == 0
-        block = self.block(1.5, nodes, degree)
-        assert block.shape == (moduli._QUAD_ORDER, 2 * degree + 1)
-        assert moduli._symbol_block.cache_info().currsize == 1
+        f = corpus("random_smooth", degree, seed=1)
+        for p in (2.0, math.inf):
+            with pytest.raises(InvalidArgumentError):
+                _diff_norms(f, -1.0, nodes, NormParams(p=p))
+        assert not moduli._NORMS
+        row = _diff_norms(f, 1.5, nodes, NormParams(p=2.0))
+        assert row.shape == (moduli._QUAD_ORDER,)
+        assert len(moduli._NORMS) == 1
 
     def test_scan_reuses_step_symbols(self, counting, corpus_members):
         # 27 rows, 9 (beta, h) pairs: each pair computes its grid and its
@@ -645,8 +673,7 @@ class TestStepSymbolMemo:
         fixed = (moduli._DELTA_GRID, moduli._QUAD_ORDER)
         steps = rows_of(calls)
         assert len(steps) == 27 and sum(n in fixed for n in steps) == 18
-        assert moduli._symbol_block.cache_info().maxsize == \
-            moduli._STEP_BLOCKS == 4
+        assert len(moduli._NORMS) == moduli._NORMS_HELD
         assert all(r.error is None for r in rows)
 
     def test_polish_round_of_a_second_p_is_a_hit(self, counting):
@@ -663,14 +690,15 @@ class TestStepSymbolMemo:
             assert rows_of(made) == [moduli._DELTA_GRID, _BRACKET_KNOTS], p
             assert rows_of(synth) == [moduli._DELTA_GRID, _BRACKET_KNOTS], p
 
-    @pytest.mark.parametrize("degree", [64, 100])
+    @pytest.mark.parametrize("degree", [16, 64, 100, 128, 200])
     def test_rows_of_several_blocks_hit(self, degree, counting):
-        # the grid spans two blocks from degree 64 on; with the nodes and
-        # one polish round the p = 1 row computes and synthesises 4
-        # blocks, the p = 2 row reads all 4 symbol blocks from their memo
-        # and the p = inf row reads the p = 1 row's norms
+        # the grid spans one block at degree 16, two from degree 64 on,
+        # three from 128 and four at 200; with the nodes and one polish
+        # round the p = 1 row computes and synthesises every block once,
+        # and the p = 2 and p = inf rows read its norms
         f = corpus("random_smooth", degree, seed=1)
-        assert moduli._block_rows(degree) < moduli._DELTA_GRID
+        rows = moduli._block_rows(degree)
+        blocks = -(-moduli._DELTA_GRID // rows) + 2
         made = counting(moduli, "symbol_values")
         synth = counting(signal, "_synthesis")
         per_row = []
@@ -678,13 +706,13 @@ class TestStepSymbolMemo:
             classical_modulus(f, req(2.5, 0.2, p))
             integral_modulus(f, req(2.5, 0.2, p))
             per_row.append((len(made), len(synth)))
-        assert per_row == [(4, 4)] * 3
+        assert per_row == [(blocks, blocks)] * 3
 
     def test_degree_1024_moduli_cold_and_warm(self, monkeypatch, counting,
                                               cold):
         # a grid of two blocks, a polish round of two and nodes of two (one
-        # full, one of a single node), so the warm calls read every block
-        # (p = 2) or every norm (p = 1, inf) from the memos
+        # full, one of a single node), so the warm calls read every norm
+        # from the memo; a cold p = 2 row synthesises nothing
         f = corpus("random_smooth", 1024, seed=4)
         rows = moduli._block_rows(f.degree)
         assert rows < _BRACKET_KNOTS
@@ -707,22 +735,25 @@ class TestStepSymbolMemo:
                 assert modulus(f, r) == want, (modulus.__name__, p)
                 assert made == [] and synth == [], (modulus.__name__, p)
 
-    def test_holds_at_most_step_blocks_at_degree_1024(self):
+    def test_holds_no_symbol_block_at_degree_1024(self):
+        # the memo keeps two entries of norms, not the 0.47 MiB blocks of
+        # symbols that the rows were computed from
         f = corpus("random_smooth", 1024, seed=4)
         block = moduli._block_rows(f.degree) * (2 * f.degree + 1) * 16
-        r = req(2.5, 0.3, 2.0)
+        entry = f.coeffs.nbytes + 4 * moduli._DELTA_GRID * 8
         gauss_legendre(moduli._QUAD_ORDER)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            classical_modulus(f, r)
-            integral_modulus(f, r)
+            for p in (2.0, 1.0):
+                classical_modulus(f, req(2.5, 0.3, p))
+                integral_modulus(f, req(2.5, 0.3, p))
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert moduli._symbol_block.cache_info().currsize == \
-            moduli._STEP_BLOCKS
-        assert block < held <= moduli._STEP_BLOCKS * block + (1 << 16)
+        assert len(moduli._NORMS) <= moduli._NORMS_HELD
+        assert held <= len(moduli._NORMS) * (entry + 1024) + (1 << 16) \
+            < block
 
 
 class TestDefaultAlpha:

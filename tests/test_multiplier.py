@@ -260,6 +260,35 @@ class TestSplitPair:
         with pytest.raises(InvalidArgumentError):
             make_g1_g2(2.5, 2.5, 1.5)  # tau outside (0, 1)
 
+    def test_far_field_check_runs_once_per_order(self, counting):
+        # alpha = 0.5 and the gap 2 are checked on the first pair; a
+        # second pair of the same orders makes no psi_many call
+        multiplier._far_field_check.cache_clear()
+        calls = counting(multiplier, "psi_many")
+        make_g1_g2(2.5, 0.5, 0.5)
+        assert [order for order, _ in calls] == [0.5, 2.0]
+        calls.clear()
+        make_g1_g2(2.5, 0.5, 0.3)
+        assert calls == []
+
+    def test_a_vanishing_order_raises(self, monkeypatch):
+        # psi with a zero at one point of the check's grid; a raise is not
+        # remembered, so the order raises on every call
+        inner = multiplier.psi_many
+
+        def vanishing(order, ts):
+            vals = inner(order, ts).copy()
+            vals[np.argmin(np.abs(ts - 10.0))] = 0.0
+            return vals
+
+        multiplier._far_field_check.cache_clear()
+        monkeypatch.setattr(multiplier, "psi_many", vanishing)
+        for _ in range(2):
+            with pytest.raises(ZeroDenominatorError,
+                               match="vanishes near t=10.013699"):
+                make_g1_g2(2.5, 0.5, 0.5)
+        multiplier._far_field_check.cache_clear()
+
 
 class TestComparisonApply:
     def test_identity(self):

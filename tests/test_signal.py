@@ -169,7 +169,8 @@ class TestLpNorms:
             for params in self.PARAMS:
                 want = [_rectangle_rule(TrigPoly(10, r), params)
                         for r in batch]
-                assert lp_norms(batch, params).tolist() == want, params
+                assert lp_norms(batch, (params.p,)).tolist() == [want], \
+                    params
 
     def test_p1_is_the_row_mean_bitwise(self, corpus_members):
         # the general rule at p = 1 as reference: |f| ** 1, then the
@@ -185,7 +186,7 @@ class TestLpNorms:
                              for beta in (0.5, 1.0, 2.5, 3.5, 5.0)
                              for h in np.linspace(0.01, 1.0, 40)])
             for batch in (rows, rows * (1.0 + 1.0j)):
-                got = lp_norms(batch, NormParams(p=1.0))
+                got = lp_norms(batch, (1.0,))[0]
                 assert got.view(np.uint64).tolist() == \
                     np.array(powered(batch)).view(np.uint64).tolist(), fid
 
@@ -236,12 +237,27 @@ class TestLpNorms:
         real = corpus("random_smooth", 10, seed=3).coeffs
         rng = np.random.default_rng(2)
         noise = rng.standard_normal((3, 21)) + 1j * rng.standard_normal((3, 21))
-        alone = lp_norms(real[None, :], NormParams(p=p))[0]
-        mixed = lp_norms(np.vstack([noise[:2], real, noise[2:]]),
-                         NormParams(p=p))
+        alone = lp_norms(real[None, :], (p,))[0, 0]
+        mixed = lp_norms(np.vstack([noise[:2], real, noise[2:]]), (p,))[0]
         assert mixed[2] == alone
-        assert np.array_equal(
-            mixed[[0, 1, 3]], lp_norms(noise, NormParams(p=p)))
+        assert np.array_equal(mixed[[0, 1, 3]], lp_norms(noise, (p,))[0])
+
+    def test_one_synthesis_serves_every_p(self, counting):
+        # one call at five p is bit for bit the five one-p calls, and
+        # synthesises once; p = 2 alone synthesises nothing
+        rng = np.random.default_rng(7)
+        rows = (rng.standard_normal((40, 33))
+                + 1j * rng.standard_normal((40, 33)))
+        ps = (0.5, 1.0, 1.5, 2.0, math.inf)
+        want = [lp_norms(rows, (p,))[0] for p in ps]
+        calls = counting(signal, "_synthesis")
+        got = lp_norms(rows, ps)
+        assert got.shape == (len(ps), 40) and len(calls) == 1
+        assert got.view(np.uint64).tolist() == \
+            np.array(want).view(np.uint64).tolist()
+        calls.clear()
+        assert lp_norms(rows, (2.0,))[0].tolist() == want[3].tolist()
+        assert calls == []
 
     def test_grid_size(self):
         assert grid_size(0) == 64
