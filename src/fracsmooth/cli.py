@@ -178,6 +178,8 @@ def _cmd_modulus(args) -> int:
 
 def _cmd_equiv(args) -> int:
     from .moduli import equivalence_scan, write_report_csv, write_report_json
+    if not (args.fn or args.full_corpus):
+        raise _UsageError("equiv needs --fn or --full-corpus")
     corp = list(default_corpus()) if args.full_corpus else []
     corp.extend(parse_fn(spec) for spec in args.fn)
     rows = equivalence_scan(corp, args.betas, args.hs, args.ps,

@@ -10,18 +10,19 @@ periodic function is psi(beta, k*h) times the coefficient of the function,
 which is why everything downstream (linearized moduli, multiplier bounds,
 zero scans) reduces to evaluating z accurately.
 
-``z_eval`` / ``z_many`` / ``z_span`` reduce t to (0, pi] by the symmetry
-z(-t) = -conj(z(t)), the shift z(t + 2pi) = z(t) + 2pi and the mirror
-z(2pi - s) = 2pi - conj(z(s)), so no sum passes the peak 2^beta of the
-integrand (2 sin(phi/2))^beta exp(i beta (phi - pi)/2) at pi.  Each order
-has one table (``_Table``): up to its start s_beta, a power of two of at
-most 1 and 2/beta, z is its power series (``_series``); from there on,
-Legendre panels whose edges depend on beta and their binade only
-(``_edges``), built as far as the calls reach and the integrand stays
-finite (``_reach``).  z at s is the series, or the prefix of the panel
-that holds s (the series at s_beta plus the panels before) plus one
-Legendre sum in that panel; the noise is the rounding of the same sums
-of |f|.  So a value depends on (beta, t) alone.
+``z_eval`` / ``z_many`` reduce t to (0, pi] by the symmetry z(-t) =
+-conj(z(t)), the shift z(t + 2pi) = z(t) + 2pi and the mirror z(2pi - s) =
+2pi - conj(z(s)); ``z_span`` takes 0 <= a <= b <= 2pi and only mirrors.
+So no sum passes the peak 2^beta of the integrand (2 sin(phi/2))^beta
+exp(i beta (phi - pi)/2) at pi.  Each order has one table (``_Table``):
+up to its start s_beta, a power of two of at most 1 and 2/beta, z is its
+power series (``_series``); from there on, Legendre panels whose edges
+depend on beta and their binade only (``_edges``), built as far as the
+calls reach and the integrand stays finite (``_reach``).  z at s is the
+series, or the prefix of the panel that holds s (the series at s_beta
+plus the panels before) plus one Legendre sum in that panel; the noise
+is the rounding of the same sums of |f|.  So a value depends on (beta,
+t) alone.
 
 ``z_series`` is the independent oracle route: direct summation of
 
@@ -64,12 +65,10 @@ _GROWTH = 4.0
 #: binade, and up to order 1000 a table holds at most about 2,000
 _MAX_PANELS = 2 ** 15
 #: z tables kept: at most ``_CACHE``, and besides the last one used at
-#: most ``_CACHE_PANELS`` panels in all (about 0.9 KiB a panel), the least
+#: most ``_CACHE_PANELS`` panels in all (683 bytes a panel), the least
 #: recently used dropped first
 _CACHE = 16
 _CACHE_PANELS = 8192
-#: panels whose coefficient rows a table keeps for ``_point``
-_MEMO = 16
 #: up to this many points go one at a time (``_point``): a point costs 10-20
 #: us there, a vectorised call 150-300 us whatever its size, so the two
 #: break even at 16 points without noise and 20-24 with it (orders 0.5 to
@@ -271,35 +270,34 @@ class _Table:
     ``_series_top``, 2^lowest) (``_lowest``), a power of two, so its panels
     are those of ``_edges``, to the panel that holds top.  ``series`` holds
     the d_j of ``_series_sum``, last first (None where s_beta is the floor,
-    below which z is 0).  Per panel it keeps the left end, midpoint, half
-    width, ``coef`` (the antiderivative's coefficients of f and of |f|,
-    times the half width, complex, shape (25, 2, panels)) and ``prefix``
-    (z and the mass at its left end: the series at s_beta plus the totals
-    of the panels before, added in order, whatever the table's reach)."""
+    below which z is 0).  Per panel it keeps the left end (also as a list,
+    for ``_point``), midpoint, half width, ``coef`` (the antiderivative's
+    coefficients of Re f, Im f and |f| times the half width, float64 of
+    shape (25, 3, panels)) and ``prefix`` (Re z, Im z and the mass at its
+    left end, shape (3, panels): the series at s_beta plus the totals of
+    the panels before, added in order, whatever the table's reach)."""
 
     def __init__(self, beta, top):
         self.beta, self.order_1 = beta, beta + 1.0
         self.least = math.ldexp(1.0, _lowest(beta))
         self.start = s = max(_series_top(beta), self.least)
-        self.series, start = None, (0j, 0.0)
+        self.series, start = None, (0.0, 0.0, 0.0)
         if s > self.least:
             d = _phase(beta) * _series(beta) / (beta + 1.0 + np.arange(_TERMS))
             self.series = d[::-1].tolist()
-            start = _series_sum(self, s)
+            value, mass = _series_sum(self, s)
+            start = (value.real, value.imag, mass)
         k = math.frexp(s)[1] - 1
         edges = _edges(beta, k, max(k, min(math.frexp(top)[1] - 1, 1)))
         edges = edges[:np.searchsorted(edges, top) + 1]
         a, b, rows = edges[:-1], edges[1:], _build_panels(beta, edges)
         self.left, self.mid, self.hw = a, 0.5 * (a + b), 0.5 * (b - a)
-        coef = np.zeros((_NODES + 2, 2, a.size), dtype=complex)
-        coef.real[:, 0], coef.imag[:, 0], coef.real[:, 1] = (
-            rows[:, :, :_NODES + 2].transpose(1, 2, 0) * self.hw)
+        coef = rows[:, :, :_NODES + 2].transpose(2, 1, 0) * self.hw
         self.coef = coef[:-1].copy()
         self.prefix = np.cumsum(np.concatenate(
             (np.array(start)[:, None], coef[-1, :, :-1]), axis=1), axis=1)
         self.right, self.panels = float(edges[-1]), a.size
-        # for ``_point``: the left ends and, by panel, the coefficients
-        self.left_list, self.rows = self.left.tolist(), {}
+        self.left_list = self.left.tolist()
 
 
 _TABLES = OrderedDict()
@@ -334,9 +332,9 @@ def _table(beta, top):
 
 
 def _legendre(coef, k, x):
-    """sum_m coef[m, ..., k] P_m(x) per point, for z and the mass at once
-    when coef holds both: P_m(x) by the recurrence and the terms added in m
-    order (``_point`` is the same arithmetic on one point)."""
+    """sum_m coef[m, :, k] P_m(x) per point, for every row of coef at once:
+    P_m(x) by the recurrence and the terms added in m order (``_point`` is
+    the same arithmetic on one point)."""
     acc = coef[0].take(k, -1) + coef[1].take(k, -1) * x
     p0, p1 = 1.0, x
     for n in range(1, _NODES):
@@ -364,34 +362,26 @@ def _sums(beta, s, noise=True):
     if far.any():
         k = np.searchsorted(tab.left, s[far]) - 1
         x = (s[far] - tab.mid[k]) / tab.hw[k]
+        n = 3 if noise else 2
+        sums = tab.prefix[:n, k] + _legendre(tab.coef[:, :n], k, x)
+        value.real[far], value.imag[far] = sums[0], sums[1]
         if noise:
-            both = tab.prefix[:, k] + _legendre(tab.coef, k, x)
-            value[far], mass[far] = both[0], both[1].real
-        else:
-            value[far] = tab.prefix[0, k] + _legendre(tab.coef[:, 0], k, x)
+            mass[far] = sums[2]
     return value, mass if noise else None
 
 
 def _point(tab, s):
     """(value, mass) of z at s in (0, pi], in Python floats, read from
     ``tab``, which its caller resolved to reach s: bit for bit what
-    ``_sums`` gives for s, as a complex times a real is its real and
-    imaginary parts times the real."""
+    ``_sums`` gives for s, as both add the same real rows in the same
+    order."""
     if s <= tab.start:
         if s <= tab.least:
             return 0j, 0.0
         value, mass = _series_sum(tab, s)
         return complex(value), float(mass)
     k = bisect_left(tab.left_list, s) - 1
-    rows = tab.rows.get(k)
-    if rows is None:
-        # one dict operation a step, so threads may share the memo
-        if len(tab.rows) >= _MEMO:
-            tab.rows.clear()
-        c = tab.coef[:, :, k]
-        rows = tab.rows[k] = list(zip(
-            c[:, 0].real.tolist(), c[:, 0].imag.tolist(),
-            c[:, 1].real.tolist()))
+    rows = tab.coef[:, :, k].tolist()
     x = (s - tab.mid.item(k)) / tab.hw.item(k)
     (re, im, mass), (r, i, m) = rows[:2]
     re, im, mass = re + r * x, im + i * x, mass + m * x
@@ -401,8 +391,8 @@ def _point(tab, s):
         re += r * p1
         im += i * p1
         mass += m * p1
-    value, total = tab.prefix[:, k].tolist()
-    return complex(value.real + re, value.imag + im), total.real + mass
+    value_re, value_im, total = tab.prefix[:, k].tolist()
+    return complex(value_re + re, value_im + im), total + mass
 
 
 def z_many(beta, ts, with_noise=False):

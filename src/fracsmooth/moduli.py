@@ -24,15 +24,11 @@ numerically: averaging a fractional difference over the step is exactly
 a Fourier multiplier, so each is one averaged difference (``_averaged``):
 the coefficients times the product of psi(order, k h) over its orders,
 (beta) or (alpha, beta - alpha).  A symbol depends on the order and the
-step, not on p or on the function, and psi(order, k h) depends on
-(order, k h) alone, so ``_psi_symbol`` holds the longest half spectrum
-(k >= 0) asked for per (order, h) and answers a lower degree with a
-read-only slice of it, bit for bit a shorter ``psi_many`` call.  The
-product of the half spectra is mirrored once, psi(-k h) = conj(psi(k h)),
-bit for bit what ``psi_many`` gives at -k h.  The memo holds at most
-``_SYMBOLS`` = 24 half spectra, under a lock: a scan over the default
-grid needs 12 (order, h) keys for every corpus member, and a
-degree-1024 half spectrum is 16 KiB.
+step, not on p or on the function, so ``_psi_symbol`` is an
+``lru_cache`` of the read-only half spectra (k >= 0) per (order, h,
+degree), at most ``_SYMBOLS``.  The product of the half spectra is
+mirrored once, psi(-k h) = conj(psi(k h)), bit for bit what ``psi_many``
+gives at -k h.
 
 The scan engine computes all four on a corpus grid and the pairwise
 ratios (with a divide-by-zero infinity flag).
@@ -40,6 +36,7 @@ ratios (with a divide-by-zero infinity flag).
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import logging
@@ -51,7 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import bracket_max, check_beta, fmt17, gauss_legendre
+from ._util import (bracket_max, check_beta, check_whole, fmt17,
+                    gauss_legendre)
 from .errors import InvalidArgumentError, UnsupportedParameterError
 from .fracdiff import split_order, symbol_values
 from .kernel import psi_many
@@ -66,13 +64,11 @@ _BLOCK_ELEMS = 1 << 18
 _DELTA_GRID = 256
 #: Gauss-Legendre nodes of the integral modulus over (0, h)
 _QUAD_ORDER = 64
-#: half spectra held by ``_psi_symbol``: the degree-1024 linearized and
-#: gapped moduli of the kernel-batch benchmark (4 (beta, alpha) pairs at 3
-#: steps) need 18 (order, h) keys.  16 entries missed 13 times a job;
-#: with 24 its median item fell from 1.23 to 0.45 ms and its job from
-#: 0.337 to 0.313 s, and its peak RSS did not rise (medians of 3 runs on
-#: a 2-core VM)
-_SYMBOLS = 24
+#: half spectra held by ``_psi_symbol``: a scan of the default corpus
+#: grid reads 48 (order, h, degree) keys (12 (order, h) pairs at degrees
+#: 1, 3, 8 and 16), and the degree-1024 linearized and gapped moduli of
+#: the kernel-batch benchmark 18; a degree-1024 half spectrum is 16 KiB
+_SYMBOLS = 64
 #: entries held by ``_diff_norms``: 8 keep the grid, the 5 polish rounds
 #: and the nodes of a p = 1 row for the later rows of its (function,
 #: beta, h)
@@ -158,37 +154,15 @@ def _diff_norms(f: TrigPoly, beta: float, deltas,
     return entry[p]
 
 
-_PSI = OrderedDict()
-_PSI_LOCK = threading.Lock()
-
-
+@functools.lru_cache(maxsize=_SYMBOLS)
 def _psi_symbol(order: float, h: float, degree: int) -> np.ndarray:
-    """psi(order, k h) for k = 0..degree, read-only.
-
-    The memo holds the longest half spectrum asked for per (order, h) and
-    answers a lower degree with a slice of it, which is bit for bit
-    ``psi_many`` on the shorter grid, as psi depends on (order, k h)
-    alone.  A higher degree makes one ``psi_many`` call and replaces the
-    entry.  The call runs outside the lock, so threads may compute the
-    same spectrum twice; either copy serves.  An invalid order raises and
-    is not held.  ``psi_many`` is looked up at call time, so a wrapper
-    set on ``moduli.psi_many`` sees every miss.
+    """psi(order, k h) for k = 0..degree, read-only, by one ``psi_many``
+    call per key.  An invalid order raises and is not held.
+    ``psi_many`` is looked up at call time, so a wrapper set on
+    ``moduli.psi_many`` sees every miss.
     """
-    key = (order, h)
-    with _PSI_LOCK:
-        half = _PSI.get(key)
-        if half is not None and half.size > degree:
-            _PSI.move_to_end(key)
-            return half[:degree + 1]
     half = psi_many(order, np.arange(degree + 1) * h)
     half.flags.writeable = False
-    with _PSI_LOCK:
-        held = _PSI.get(key)
-        if held is None or held.size < half.size:
-            _PSI[key] = half
-        _PSI.move_to_end(key)
-        while len(_PSI) > _SYMBOLS:
-            _PSI.popitem(last=False)
     return half
 
 
@@ -360,20 +334,22 @@ def equivalence_scan(corpus, betas, hs, ps, *, alpha: float | None = None,
     """All four moduli on corpus x betas x hs x ps, with ratio columns.
 
     ``corpus`` is an iterable of (fid, TrigPoly).  A beta or h that is
-    not positive and finite, or a p that is not positive, raises
-    InvalidArgumentError before any row runs.  Rows are independent;
-    ``threads`` > 1 maps them over a thread pool.  A failing row (an
-    alpha that does not split its beta, p < 1 for the linearized
-    modulus) is recorded with nan values and its message rather than
-    aborting the scan.  Rows come back sorted by (fid, beta, h, p).
+    not positive and finite, a p that is not positive, or a ``threads``
+    that is not a whole number of at least 1 raises InvalidArgumentError
+    before any row runs.  Rows are independent; ``threads`` > 1 maps them
+    over a thread pool.  A failing row (an alpha that does not split its
+    beta, p < 1 for the linearized modulus) is recorded with nan values
+    and its message rather than aborting the scan.  Rows come back sorted
+    by (fid, beta, h, p).
     """
+    threads = check_whole("threads", threads, 1)
     betas, hs, ps = ([float(v) for v in grid] for grid in (betas, hs, ps))
     for b, h, p in itertools.product(betas, hs, ps):
         ModulusRequest(beta=b, h=h, norm=NormParams(p=p))
     jobs = [(fid, f, b, h, p)
             for fid, f in corpus for b in betas for h in hs for p in ps]
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(
                 lambda j: _scan_row(j[0], j[1], j[2], j[3], j[4], alpha),
                 jobs))

@@ -52,10 +52,9 @@ def cold_memos():
     """Clears every ``moduli`` memo now and after the test, and returns
     the function that clears them, for a test that clears between calls."""
     def clear():
-        for memo, lock in ((moduli._NORMS, moduli._NORMS_LOCK),
-                           (moduli._PSI, moduli._PSI_LOCK)):
-            with lock:
-                memo.clear()
+        with moduli._NORMS_LOCK:
+            moduli._NORMS.clear()
+        moduli._psi_symbol.cache_clear()
 
     clear()
     yield clear

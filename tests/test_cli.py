@@ -418,6 +418,15 @@ class TestEquiv:
         assert res.stderr.startswith("invalid arguments:")
         assert res.stdout == ""
 
+    def test_no_member_is_a_usage_error(self):
+        # with neither flag the scan has no rows; it is refused rather
+        # than written as a header alone
+        res = run_cli("equiv", "--betas", "1", "--hs", "0.2", "--ps", "2")
+        assert res.returncode == 1
+        assert res.stderr.startswith("usage error:")
+        assert "--fn" in res.stderr and "--full-corpus" in res.stderr
+        assert res.stdout == ""
+
     def test_in_process_calls_share_no_state(self, capsys):
         # the parser is built once per process; the flags of one call must
         # not reach the next, neither through an appended --fn nor

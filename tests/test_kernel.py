@@ -1,6 +1,7 @@
 """Tests for the kernel curve: closed forms, identities, series oracle."""
 
 import cmath
+import copy
 import io
 import math
 import tracemalloc
@@ -760,7 +761,7 @@ class TestTable:
         assert list(kernel._TABLES)[-16:] == betas[-16:]
 
     def test_cache_memory_stays_bounded(self):
-        # near order 1000 a table holds about 1,800 panels (1.6 MiB) from
+        # near order 1000 a table holds about 1,800 panels (1.2 MiB) from
         # its start at the floor 2^-2, below which z underflows to 0,
         # however small t is; besides the last table used, the cache keeps
         # at most kernel._CACHE_PANELS panels, so of 16 such tables 5 stay
@@ -850,6 +851,44 @@ class TestTable:
         assert _same_bits(wide.left[:n], narrow.left)
         assert _same_bits(wide.coef[:, :, :n], narrow.coef)
         assert _same_bits(wide.prefix[:, :n], narrow.prefix)
+
+    @pytest.mark.parametrize("beta", [0.5, 8.3, 40.0])
+    def test_rows_are_real(self, beta):
+        # Re z, Im z and the mass, one float64 row each; the value alone
+        # sums the first two of the rows that the value and mass sum
+        tab = kernel._table(beta, math.pi)
+        assert tab.coef.dtype == np.float64
+        assert tab.coef.shape == (kernel._NODES + 1, 3, tab.panels)
+        assert tab.prefix.dtype == np.float64
+        assert tab.prefix.shape == (3, tab.panels)
+        rng = np.random.default_rng(35)
+        pts = np.concatenate([rng.uniform(0.0, math.pi, 4000),
+                              rng.uniform(0.0, tab.start, 96)])
+        value, mass = kernel._sums(beta, pts)
+        bare, none = kernel._sums(beta, pts, noise=False)
+        assert none is None and mass.dtype == np.float64
+        assert _same_bits(bare, value)
+
+    @pytest.mark.parametrize("beta", [0.5, 8.3, 40.0])
+    def test_reads_change_no_table(self, beta):
+        def state(tab):
+            return {name: (v.dtype, v.shape, v.tobytes())
+                    if isinstance(v, np.ndarray) else copy.deepcopy(v)
+                    for name, v in vars(tab).items()}
+
+        kernel._TABLES.pop(beta, None)
+        tab = kernel._table(beta, math.pi)
+        before = state(tab)
+        pts = np.linspace(0.5 * tab.start, math.pi, 40)
+        for s in pts.tolist():
+            kernel._point(tab, s)
+        kernel._sums(beta, pts)
+        kernel._sums(beta, pts, noise=False)
+        z_span(beta, 0.1, 5.0)
+        kernel._z_dbeta(beta, 2.0)
+        kernel._z_dbeta(beta, 4.0)
+        assert kernel._TABLES[beta] is tab
+        assert state(tab) == before
 
 
 class TestGaussLegendre:

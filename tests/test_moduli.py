@@ -371,9 +371,9 @@ def row_bits(rows):
 
 
 class TestSymbolMemo:
-    """``_psi_symbol`` holds the longest psi(order, k h), k >= 0, asked
-    for per (order, h) and answers a lower degree with a slice of it; the
-    moduli mirror it."""
+    """``_psi_symbol`` is an ``lru_cache`` of the read-only half spectra
+    psi(order, k h), k >= 0, per (order, h, degree); the moduli mirror
+    them."""
 
     @pytest.fixture(autouse=True)
     def cold(self, cold_memos):
@@ -381,8 +381,8 @@ class TestSymbolMemo:
 
     def test_mirror_matches_psi_many_bitwise(self, beta0_record):
         # k h runs past pi (h = 3.3) and past 2 pi (h = 7, and 1024 h for
-        # every h); degree 0 is the lone k = 0; the degrees rise, so each
-        # replaces the entry, then fall, so each is a slice
+        # every h); degree 0 is the lone k = 0; the degrees rise, then
+        # fall, so the second 8 and 0 are hits
         orders = (0.5, 1.0, 2.0, 2.5, 4.0, 12.7, beta0_record.beta_k)
         for order in orders:
             for h in (0.05, 0.731, 3.3, 7.0):
@@ -396,52 +396,50 @@ class TestSymbolMemo:
                         (order, h, degree)
 
     def test_half_spectrum_is_read_only(self, counting):
-        # a lower degree is a read-only slice of the same array, bit for
-        # bit ``psi_many`` on its own grid
+        # each degree is its own read-only entry, bit for bit
+        # ``psi_many`` on its own grid; the second round only hits
         calls = counting(moduli, "psi_many")
-        full = moduli._psi_symbol(2.5, 0.2, 16)
-        for degree in (16, 8, 1, 0):
+        first = {}
+        for degree in (16, 8, 1, 0, 16, 8, 1, 0):
             half = moduli._psi_symbol(2.5, 0.2, degree)
+            assert first.setdefault(degree, half) is half
             assert half.shape == (degree + 1,)
-            assert half.base is full or half is full
             with pytest.raises(ValueError):
                 half[0] = 0.0
             want = psi_many(2.5, np.arange(degree + 1) * 0.2)
             assert np.array_equal(half.view(np.uint64),
                                   want.view(np.uint64)), degree
-        assert len(calls) == 1
-
-    def test_higher_degree_replaces_the_entry(self, counting):
-        calls = counting(moduli, "psi_many")
-        moduli._psi_symbol(2.5, 0.2, 3)
-        full = moduli._psi_symbol(2.5, 0.2, 16)
-        assert moduli._psi_symbol(2.5, 0.2, 3).base is full
-        assert [np.size(ts) for _, ts in calls] == [4, 17]
-        assert list(moduli._PSI) == [(2.5, 0.2)]
+        assert [np.size(ts) for _, ts in calls] == [17, 9, 2, 1]
+        info = moduli._psi_symbol.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (4, 4, 4)
 
     @pytest.mark.parametrize("degree", [0, 8])
     def test_invalid_order_is_not_held(self, degree):
         with pytest.raises(InvalidArgumentError):
             moduli._psi_symbol(-1.0, 0.2, degree)
-        assert not moduli._PSI
+        assert moduli._psi_symbol.cache_info().currsize == 0
         half = moduli._psi_symbol(1.5, 0.2, degree)
         assert half.shape == (degree + 1,)
-        assert list(moduli._PSI) == [(1.5, 0.2)]
+        assert moduli._psi_symbol(1.5, 0.2, degree) is half
+        info = moduli._psi_symbol.cache_info()
+        assert (info.hits, info.currsize) == (1, 1)
 
     def test_scan_reuses_symbols(self, counting, corpus_members):
         # psi at beta for each of the 9 (beta, h), plus the gap order 2 of
-        # beta = 2.5 for each h (its alpha 0.5 is the beta = 0.5 symbol);
-        # the members of degree 1, 3, 8 and 16 each lengthen all 12, the
-        # two later members of degree 8 read slices, and a second scan
+        # beta = 2.5 for each h (its alpha 0.5 is the beta = 0.5 symbol):
+        # 12 (order, h) pairs at the member degrees 1, 3, 8 and 16, which
+        # the two later members of degree 8 read again; a second scan
         # makes no call
         calls = counting(moduli, "psi_many")
         grid = ([0.5, 1.0, 2.5], [0.05, 0.2, 1.0], [1.0, 2.0, math.inf])
         rows = equivalence_scan(corpus_members, *grid)
         assert all(r.error is None for r in rows)
-        assert len(calls) == 48 and len(moduli._PSI) == 12
+        info = moduli._psi_symbol.cache_info()
+        assert len(calls) == 48 and (info.misses, info.currsize) == (48, 48)
         calls.clear()
         equivalence_scan(corpus_members, *grid)
         assert calls == []
+        assert moduli._psi_symbol.cache_info().misses == 48
 
     def test_holds_at_most_symbols_at_degree_1024(self):
         half = (1024 + 1) * 16
@@ -455,7 +453,8 @@ class TestSymbolMemo:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(moduli._PSI) == moduli._SYMBOLS
+        assert moduli._SYMBOLS == 64
+        assert moduli._psi_symbol.cache_info().currsize == moduli._SYMBOLS
         assert moduli._SYMBOLS * half < held <= \
             moduli._SYMBOLS * (half + 1024) + (1 << 16)
 
@@ -846,6 +845,14 @@ class TestScan:
 
     def test_thread_pool_matches_serial(self):
         assert self.small_scan(threads=3) == self.small_scan(threads=1)
+
+    @pytest.mark.parametrize("threads", [2.5, math.nan, 0])
+    def test_threads_must_be_whole(self, threads, counting):
+        # raised before any row runs, not truncated to a worker count
+        rows = counting(moduli, "_scan_row")
+        with pytest.raises(InvalidArgumentError, match="whole number"):
+            self.small_scan(threads=threads)
+        assert rows == []
 
     def test_star_column_is_the_star_modulus(self, corpus_members):
         # default_alpha gives alpha = beta at 0.5 and 1.0, where the scan
